@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .exactalg import NonDivisibleError, SparsePolynomial, exact_divide
@@ -16,6 +15,7 @@ from .solve import (
     DEFAULT_BUDGET,
     ResourceGuardError,
     alternating_twist,
+    check_resources,
     dual_matrix,
     fundamental_solution,
     reflection_dual_solutions,
@@ -40,14 +40,6 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
-
-
-def default_workers() -> int:
-    env = os.environ.get("KZRESIDUE_WORKERS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def factored_text(p: SparsePolynomial) -> str:
@@ -87,19 +79,18 @@ def emit(args, payload: dict, text_lines) -> None:
             print(line)
 
 
-def add_common(p: argparse.ArgumentParser, shape: bool = True) -> None:
-    if shape:
-        p.add_argument("--lambda", dest="shape", type=parse_shape, required=True,
-                       help="partition as comma-separated parts, e.g. 2,1")
+def add_common(p: argparse.ArgumentParser, budget: bool = True) -> None:
+    p.add_argument("--lambda", dest="shape", type=parse_shape, required=True,
+                   help="partition as comma-separated parts, e.g. 2,1")
     p.add_argument("--m", type=positive_int, required=True,
                    help="positive integer system parameter")
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--workers", type=positive_int, default=default_workers())
-    p.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET)
+    if budget:
+        p.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET)
 
 
 def cmd_solve(args) -> int:
-    fm = fundamental_solution(args.shape, args.m, args.workers, args.budget)
+    fm = fundamental_solution(args.shape, args.m, budget=args.budget)
 
     def lines():
         yield f"shape {args.shape}  m={args.m}  dimension {fm.dimension}"
@@ -146,13 +137,16 @@ def cmd_verify(args) -> int:
     else:
         print("verify needs --lambda or --all-partitions", file=sys.stderr)
         return USAGE_ERROR
+    # price every shape before solving any, so a refusal comes first
+    for lam in shapes:
+        check_resources(lam, args.m, args.budget)
     failures = 0
     reports_json = []
     for lam in shapes:
         if args.all:
-            reports = run_suite(lam, args.m, args.workers, args.budget)
+            reports = run_suite(lam, args.m, budget=args.budget)
         else:
-            fm = fundamental_solution(lam, args.m, args.workers, args.budget)
+            fm = fundamental_solution(lam, args.m, budget=args.budget)
             reports = [check_kz(table) for table in fm.tables]
         for rep in reports:
             reports_json.append(rep.to_json())
@@ -167,7 +161,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_det(args) -> int:
-    fm = fundamental_solution(args.shape, args.m, args.workers, args.budget)
+    fm = fundamental_solution(args.shape, args.m, budget=args.budget)
     rep = check_det(fm)
 
     def lines():
@@ -180,7 +174,7 @@ def cmd_det(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    fm = fundamental_solution(args.shape, args.m, args.workers, args.budget)
+    fm = fundamental_solution(args.shape, args.m, budget=args.budget)
     dm = dual_matrix(fm)
 
     def lines():
@@ -196,7 +190,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_twist(args) -> int:
-    fm = fundamental_solution(args.shape, args.m, args.workers, args.budget)
+    fm = fundamental_solution(args.shape, args.m, budget=args.budget)
     twisted = [alternating_twist(t) for t in fm.tables]
     reports = [check_kz(t) for t in twisted]
     payload = {
@@ -216,8 +210,10 @@ def cmd_twist(args) -> int:
 
 
 def cmd_reflection(args) -> int:
-    psis = reflection_solutions(args.n, args.m)
+    # the path family refuses too many variables; it goes first so the
+    # refusal comes before the residue family is solved
     phis = reflection_dual_solutions(args.n, args.m)
+    psis = reflection_solutions(args.n, args.m)
     payload = {
         "residue_family": [s.to_json() for s in psis],
         "path_family": [s.to_json() for s in phis],
@@ -264,12 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true",
                    help="full battery instead of the differential check only")
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--workers", type=positive_int, default=default_workers())
     p.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("stats", help="closed-form scalars of a shape")
-    add_common(p)
+    add_common(p, budget=False)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("det", help="determinant identity for a shape")
@@ -290,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairing", action="store_true",
                    help="also verify the duality pairing")
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--workers", type=positive_int, default=default_workers())
-    p.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_reflection)
 
     return parser

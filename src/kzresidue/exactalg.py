@@ -354,11 +354,24 @@ class SparsePolynomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "SparsePolynomial":
-        nvars = int(data["vars"])
-        items = [
-            (tuple(t["exp"]), Fraction(int(t["num"]), int(t["den"])))
-            for t in data["terms"]
-        ]
+        """Inverse of `to_json`; any malformed document raises ValueError."""
+
+        def whole(v) -> int:
+            # int() would silently truncate floats and accept bools
+            if isinstance(v, bool) or not isinstance(v, (int, str)):
+                raise ValueError(f"expected an integer, got {v!r}")
+            return int(v)
+
+        try:
+            nvars = whole(data["vars"])
+            items = []
+            for t in data["terms"]:
+                if not isinstance(t["exp"], list):
+                    raise ValueError(f"exponent vector must be a list: {t['exp']!r}")
+                exp = tuple(whole(e) for e in t["exp"])
+                items.append((exp, Fraction(whole(t["num"]), whole(t["den"]))))
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed polynomial document: {exc!r}") from exc
         return cls.from_terms(nvars, items)
 
     def __str__(self) -> str:
@@ -898,15 +911,9 @@ def det_adjugate(matrix) -> tuple[SparsePolynomial, PolyMatrix]:
     """Determinant and adjugate of a square polynomial matrix.
     Satisfies M * adj == det * I exactly (asserted)."""
     rows = matrix.entries if isinstance(matrix, PolyMatrix) else [list(r) for r in matrix]
+    det = determinant(rows)
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant needs a square matrix")
     nvars = rows[0][0].nvars
-
-    def _det(rs):
-        return _cofactor_det(rs) if len(rs) <= 5 else _bareiss_det(rs)
-
-    det = _det(rows)
     if n == 1:
         adj = PolyMatrix([[SparsePolynomial.constant(nvars, 1)]])
     else:
@@ -914,7 +921,7 @@ def det_adjugate(matrix) -> tuple[SparsePolynomial, PolyMatrix]:
         for i in range(n):
             row = []
             for j in range(n):
-                minor_det = _det(_minor(rows, j, i))
+                minor_det = determinant(_minor(rows, j, i))
                 if (i + j) % 2:
                     minor_det = -minor_det
                 row.append(minor_det)
@@ -928,3 +935,42 @@ def det_adjugate(matrix) -> tuple[SparsePolynomial, PolyMatrix]:
             if prod.entry(i, j) != expected:
                 raise ArithmeticError("adjugate identity failed; matrix arithmetic bug")
     return det, adj
+
+
+def eliminate(matrix, rhs) -> tuple[dict[int, int], list]:
+    """Exact Gauss-Jordan elimination of a rational matrix, carrying one
+    right-hand side whose entries may live in any ring that admits
+    subtraction and scaling by a Fraction (numbers, polynomials,
+    polynomial fractions).
+
+    Columns are taken in order, each pivoting on its first non-zero entry
+    among the rows not yet used; a column without one gets no pivot and
+    is skipped.  Returns `(pivots, reduced)`: `pivots` maps each pivoted
+    column to its pivot row, `reduced[row]` of a pivot row is that
+    column's coordinate, and `reduced[row]` of any other row is a
+    residual, all of which vanish exactly when the right-hand side lies
+    in the column span.
+    """
+    a = [[Fraction(v) for v in row] for row in matrix]
+    b = list(rhs)
+    ncols = len(a[0]) if a else 0
+    pivots: dict[int, int] = {}
+    used: set[int] = set()
+    for col in range(ncols):
+        pivot = next((r for r in range(len(a)) if r not in used and a[r][col]), None)
+        if pivot is None:
+            continue
+        used.add(pivot)
+        pivots[col] = pivot
+        prow = a[pivot]
+        for r in range(len(a)):
+            if r == pivot or not a[r][col]:
+                continue
+            f = a[r][col] / prow[col]
+            for c in range(col, ncols):
+                if prow[c]:
+                    a[r][c] -= f * prow[c]
+            b[r] = b[r] - b[pivot] * f
+    for col, row in pivots.items():
+        b[row] = b[row] * (1 / a[row][col])
+    return pivots, b

@@ -21,9 +21,7 @@ is non-trivial, e.g. (2,2).
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactalg import (
@@ -35,6 +33,7 @@ from .exactalg import (
     det_adjugate,
     determinant,
     discriminant_power,
+    eliminate,
     normalize_factored,
     t_atom,
     z_atom,
@@ -208,22 +207,13 @@ class SolutionTable:
         }
 
 
-def _component_tasks(m, cycle_rep, forms):
-    return [(m, cycle_rep, u.representative()) for u in forms]
-
-
-def solve_cycle(
-    lam: Partition, m: int, cycle: Tabloid, workers: int = 1
-) -> SolutionTable:
+def solve_cycle(lam: Partition, m: int, cycle: Tabloid) -> SolutionTable:
     """Full component table of one cycle over every tabloid of the shape."""
-    forms = tuple(tabloids(lam.parts))
-    tasks = _component_tasks(m, cycle.representative(), forms)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(lambda a: cycle_integral(*a), tasks))
-    else:
-        values = [cycle_integral(*a) for a in tasks]
-    return SolutionTable(lam, m, cycle, dict(zip(forms, values)))
+    rep = cycle.representative()
+    components = {
+        u: cycle_integral(m, rep, u.representative()) for u in tabloids(lam.parts)
+    }
+    return SolutionTable(lam, m, cycle, components)
 
 
 def polytabloid_columns(lam: Partition) -> tuple[list[list[int]], tuple[Tabloid, ...]]:
@@ -250,37 +240,18 @@ def coordinates_in_specht_basis(lam: Partition, component_of) -> list:
     first non-zero residual as witness.
     """
     a, order = polytabloid_columns(lam)
-    rows = [[Fraction(v) for v in row] for row in a]
-    rhs = [component_of(u) for u in order]
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[tuple[int, int]] = []
-    used: set[int] = set()
+    ncols = len(a[0])
+    pivots, reduced = eliminate(a, [component_of(u) for u in order])
     for col in range(ncols):
-        pivot = next(
-            (r for r in range(len(rows)) if r not in used and rows[r][col]), None
-        )
-        if pivot is None:
+        if col not in pivots:
             raise SpanError("polytabloid expansion matrix lost rank", col)
-        used.add(pivot)
-        pivots.append((pivot, col))
-        for r in range(len(rows)):
-            if r == pivot or not rows[r][col]:
-                continue
-            f = rows[r][col] / rows[pivot][col]
-            for c in range(col, ncols):
-                rows[r][c] -= f * rows[pivot][c]
-            rhs[r] = rhs[r] - rhs[pivot] * f
-    coords = [None] * ncols
-    for pivot, col in pivots:
-        coords[col] = rhs[pivot] * (1 / rows[pivot][col])
-    for r in range(len(rows)):
-        if r in used:
-            continue
-        if rhs[r]:
+    used = set(pivots.values())
+    for r, residual in enumerate(reduced):
+        if r not in used and residual:
             raise SpanError(
-                "component vector is not a combination of polytabloids", rhs[r]
+                "component vector is not a combination of polytabloids", residual
             )
-    return coords
+    return [reduced[pivots[col]] for col in range(ncols)]
 
 
 @dataclass(frozen=True)
@@ -359,15 +330,13 @@ def check_resources(lam: Partition, m: int, budget: int = DEFAULT_BUDGET) -> Non
 
 
 def fundamental_solution(
-    lam: Partition, m: int, workers: int = 1, budget: int = DEFAULT_BUDGET
+    lam: Partition, m: int, *, budget: int = DEFAULT_BUDGET
 ) -> FundamentalMatrix:
     """Solution tables for every standard-tableau cycle, with the square
     matrix of their coordinates against the standard polytabloids."""
     check_resources(lam, m, budget)
     stds = standard_tableaux(lam)
-    tables = tuple(
-        solve_cycle(lam, m, t.tabloid(), workers=workers) for t in stds
-    )
+    tables = tuple(solve_cycle(lam, m, t.tabloid()) for t in stds)
     rows = []
     for table in tables:
         coords = coordinates_in_specht_basis(lam, table.components.__getitem__)

@@ -16,6 +16,7 @@ from .exactalg import (
     PolyFraction,
     SparsePolynomial,
     discriminant_power,
+    eliminate,
     exact_divide,
 )
 from .shapes import (
@@ -117,12 +118,44 @@ def _kz_polynomial_witness(table: SolutionTable) -> dict | None:
     return None
 
 
+def _kz_cross_multiplied(n: int, m: int, den: SparsePolynomial, nums: dict, act):
+    """First failure of the KZ system for components `nums[key] / den`
+    with a shared denominator, cross-multiplied by den^2 and by
+    P_i = prod_{l != i} (z_i - z_l):
+
+        (num' den - num den') P_i
+            == m den sum_{j != i} (act(i, j, key) + num) P_i / (z_i - z_j)
+
+    where ' is d/dz_i and `act(i, j, key)` is the numerator at `key` of
+    the transposition (i j) applied to the whole vector.  Returns
+    `(i, key, difference)` for the first identity that fails, else None.
+    """
+    d_den = {i: den.partial_derivative(i) for i in range(1, n + 1)}
+    for i in range(1, n + 1):
+        prod_i = SparsePolynomial.constant(n, 1)
+        for l in range(1, n + 1):
+            if l != i:
+                prod_i = prod_i * SparsePolynomial.z_diff(n, i, l)
+        cofactors = {
+            j: exact_divide(prod_i, SparsePolynomial.z_diff(n, i, j))
+            for j in range(1, n + 1)
+            if j != i
+        }
+        for key, num in nums.items():
+            lhs = (num.partial_derivative(i) * den - num * d_den[i]) * prod_i
+            rhs = SparsePolynomial.zero(n)
+            for j, cofactor in cofactors.items():
+                rhs = rhs + (act(i, j, key) + num) * cofactor
+            diff = lhs - rhs * den * m
+            if diff:
+                return i, key, diff
+    return None
+
+
 def _kz_fraction_witness(table: SolutionTable) -> dict | None:
     """Cross-multiplied check for tables with a shared polynomial
     denominator; the transposition action picks up a sign on twisted
     tables."""
-    n = table.lam.size
-    m = table.m
     swap_sign = -1 if table.twisted else 1
     comps = table.components
     dens = {id(c.den): c.den for c in comps.values()}
@@ -130,29 +163,17 @@ def _kz_fraction_witness(table: SolutionTable) -> dict | None:
     for den in dens.values():
         if den is not first and den != first:
             return {"reason": "components do not share a denominator"}
-    d_den = {i: first.partial_derivative(i) for i in range(1, n + 1)}
-    for i in range(1, n + 1):
-        prod_i = SparsePolynomial.constant(n, 1)
-        for l in range(1, n + 1):
-            if l != i:
-                prod_i = prod_i * SparsePolynomial.z_diff(n, i, l)
-        for u, c_u in comps.items():
-            lhs = (
-                c_u.num.partial_derivative(i) * first - c_u.num * d_den[i]
-            ) * prod_i
-            rhs = SparsePolynomial.zero(n)
-            for j in range(1, n + 1):
-                if j == i:
-                    continue
-                swapped = comps[act_transposition(u, i, j)].num
-                part = swapped * swap_sign + c_u.num
-                rhs = rhs + part * exact_divide(
-                    prod_i, SparsePolynomial.z_diff(n, i, j)
-                )
-            diff = lhs - rhs * first * m
-            if diff:
-                return {"i": i, "form": str(u), "difference": _clip(diff)}
-    return None
+    failure = _kz_cross_multiplied(
+        table.lam.size,
+        table.m,
+        first,
+        {u: c.num for u, c in comps.items()},
+        lambda i, j, u: comps[act_transposition(u, i, j)].num * swap_sign,
+    )
+    if failure is None:
+        return None
+    i, u, diff = failure
+    return {"i": i, "form": str(u), "difference": _clip(diff)}
 
 
 def check_kz(table: SolutionTable) -> CheckReport:
@@ -278,31 +299,12 @@ def check_shape(fm: FundamentalMatrix) -> CheckReport:
     )
 
 
-def _numeric_det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    a = [list(r) for r in rows]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if a[r][k]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            det = -det
-        det *= a[k][k]
-        for r in range(k + 1, n):
-            f = a[r][k] / a[k][k]
-            for c in range(k, n):
-                a[r][c] -= f * a[k][c]
-    return det
-
-
 def check_rank(fm: FundamentalMatrix) -> CheckReport:
     """The matrix over standard tableaux is invertible (full rank).
 
-    A non-zero exact evaluation at an integer point certifies that the
-    determinant polynomial is non-zero; only if a few points all vanish
-    does the symbolic determinant decide."""
+    A full-rank exact evaluation at an integer point (every column gets a
+    pivot) certifies that the determinant polynomial is non-zero; only if
+    a few points all fail does the symbolic determinant decide."""
     n = fm.lam.size
     d = fm.dimension
     witness = None
@@ -310,11 +312,10 @@ def check_rank(fm: FundamentalMatrix) -> CheckReport:
     for base in (1, 2, 3):
         point = tuple(base + k * k * base for k in range(n))
         numeric = [
-            [Fraction(fm.matrix.entry(i, j).evaluate(point)) for j in range(d)]
-            for i in range(d)
+            [fm.matrix.entry(i, j).evaluate(point) for j in range(d)] for i in range(d)
         ]
-        value = _numeric_det(numeric)
-        if value:
+        pivots, _ = eliminate(numeric, [0] * d)
+        if len(pivots) == d:
             info["certificate_point"] = list(point)
             break
     else:
@@ -446,54 +447,31 @@ def _specht_transposition_matrix(lam: Partition, i: int, j: int) -> list[list[Fr
 def check_dual(fm: FundamentalMatrix) -> CheckReport:
     """Rows of the transposed-inverse matrix solve the parameter-negated
     system in the coordinates dual to the polytabloid basis."""
-    lam, m = fm.lam, fm.m
+    lam = fm.lam
     n = lam.size
     dm = dual_matrix(fm)
     d = dm.dimension
     den = dm.det
-    nums = [[dm.entries.entry(b, j).num for j in range(d)] for b in range(d)]
+    nums = {(b, j): dm.entries.entry(b, j).num for b in range(d) for j in range(d)}
     specht = {
         (i, j): _specht_transposition_matrix(lam, i, j)
         for i, j in itertools.combinations(range(1, n + 1), 2)
     }
+
+    def act(i: int, l: int, key: tuple[int, int]) -> SparsePolynomial:
+        b, jcol = key
+        mat = specht[(min(i, l), max(i, l))]
+        acted = SparsePolynomial.zero(n)
+        for k in range(d):
+            if mat[k][jcol]:
+                acted = acted + nums[(b, k)] * mat[k][jcol]
+        return acted
+
+    failure = _kz_cross_multiplied(n, dm.m, den, nums, act)
     witness = None
-    d_den = {i: den.partial_derivative(i) for i in range(1, n + 1)}
-    for i in range(1, n + 1):
-        prod_i = SparsePolynomial.constant(n, 1)
-        for l in range(1, n + 1):
-            if l != i:
-                prod_i = prod_i * SparsePolynomial.z_diff(n, i, l)
-        for b in range(d):
-            for jcol in range(d):
-                f = nums[b]
-                lhs = (
-                    f[jcol].partial_derivative(i) * den - f[jcol] * d_den[i]
-                ) * prod_i
-                rhs = SparsePolynomial.zero(n)
-                for l in range(1, n + 1):
-                    if l == i:
-                        continue
-                    mat = specht[(min(i, l), max(i, l))]
-                    acted = SparsePolynomial.zero(n)
-                    for k in range(d):
-                        if mat[k][jcol]:
-                            acted = acted + f[k] * mat[k][jcol]
-                    rhs = rhs + (acted + f[jcol]) * exact_divide(
-                        prod_i, SparsePolynomial.z_diff(n, i, l)
-                    )
-                diff = lhs - rhs * den * dm.m
-                if diff:
-                    witness = {
-                        "i": i,
-                        "dual_row": b,
-                        "coordinate": jcol,
-                        "difference": _clip(diff),
-                    }
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    if failure is not None:
+        i, (b, jcol), diff = failure
+        witness = {"i": i, "dual_row": b, "coordinate": jcol, "difference": _clip(diff)}
     return CheckReport(
         "dual_system",
         lam,
@@ -543,41 +521,23 @@ def quotient_coordinates(lam: Partition, cycle: Tabloid) -> list[Fraction]:
                 col[r] = col.get(r, Fraction(0)) + 1
             if col:
                 columns.append(col)
-    nrows = len(order)
-    ncols = len(columns)
-    a = [[Fraction(0)] * ncols for _ in range(nrows)]
+    a = [[0] * len(columns) for _ in order]
     for c, col in enumerate(columns):
         for r, v in col.items():
             a[r][c] = v
-    rhs = [Fraction(0)] * nrows
+    rhs = [Fraction(0)] * len(order)
     rhs[index[cycle]] = Fraction(1)
-    used: set[int] = set()
-    pivots: list[tuple[int, int]] = []
-    for c in range(ncols):
-        pivot = next((r for r in range(nrows) if r not in used and a[r][c]), None)
-        if pivot is None:
-            continue
-        used.add(pivot)
-        pivots.append((pivot, c))
-        for r in range(nrows):
-            if r == pivot or not a[r][c]:
-                continue
-            f = a[r][c] / a[pivot][c]
-            for cc in range(ncols):
-                if a[pivot][cc]:
-                    a[r][cc] -= f * a[pivot][cc]
-            rhs[r] -= f * rhs[pivot]
-    for r in range(nrows):
-        if r not in used and rhs[r]:
+    pivots, reduced = eliminate(a, rhs)
+    used = set(pivots.values())
+    for r, residual in enumerate(reduced):
+        if r not in used and residual:
             raise SpanError(
                 "tabloid class is not spanned by standard classes and lowerings",
                 str(order[r]),
             )
-    coords = [Fraction(0)] * len(stds)
-    for pivot, c in pivots:
-        if c < len(stds):
-            coords[c] = rhs[pivot] / a[pivot][c]
-    return coords
+    return [
+        reduced[pivots[c]] if c in pivots else Fraction(0) for c in range(len(stds))
+    ]
 
 
 def check_straightening(lam: Partition, m: int, cycle: Tabloid) -> CheckReport:
@@ -670,11 +630,11 @@ def check_reflection(n: int, m: int) -> CheckReport:
 
 
 def run_suite(
-    lam: Partition, m: int, workers: int = 1, budget: int = DEFAULT_BUDGET
+    lam: Partition, m: int, *, budget: int = DEFAULT_BUDGET
 ) -> list[CheckReport]:
     """Solve the full fundamental system for a shape and run every
     applicable check on it."""
-    fm = fundamental_solution(lam, m, workers=workers, budget=budget)
+    fm = fundamental_solution(lam, m, budget=budget)
     reports: list[CheckReport] = []
 
     def aggregate(name: str, per_table) -> CheckReport:

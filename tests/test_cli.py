@@ -4,7 +4,8 @@ import json
 import pytest
 
 from kzresidue import SparsePolynomial, discriminant_power
-from kzresidue.cli import default_workers, factored_text, main
+from kzresidue import cli
+from kzresidue.cli import factored_text, main
 
 
 def run(capsys, *argv):
@@ -33,17 +34,6 @@ def test_factored_text_basic():
     # irreducible residual goes in parentheses after the pulled-out powers
     mixed = z12 * (z13 + z23)
     assert factored_text(mixed).startswith("z12*(")
-
-
-def test_default_workers_env(monkeypatch):
-    monkeypatch.delenv("KZRESIDUE_WORKERS", raising=False)
-    assert default_workers() == 1
-    monkeypatch.setenv("KZRESIDUE_WORKERS", "3")
-    assert default_workers() == 3
-    monkeypatch.setenv("KZRESIDUE_WORKERS", "0")
-    assert default_workers() == 1
-    monkeypatch.setenv("KZRESIDUE_WORKERS", "lots")
-    assert default_workers() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +168,25 @@ def test_budget_refusal(capsys):
     assert code == 2
     assert err.startswith("refused:")
     assert "budget" in err
+
+
+def _must_not_solve(*args, **kwargs):
+    raise AssertionError("solving started before the request was refused")
+
+
+def test_verify_all_partitions_refused_before_solving(capsys, monkeypatch):
+    # (2,1,1,1) and (1,1,1,1,1) are over budget; (5) comes first and is not
+    monkeypatch.setattr(cli, "fundamental_solution", _must_not_solve)
+    code, out, err = run(capsys, "verify", "--all-partitions", "5", "--m", "1")
+    assert code == 2
+    assert out == "" and err.startswith("refused:")
+
+
+def test_reflection_variable_limit_refused_before_solving(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "reflection_solutions", _must_not_solve)
+    code, out, err = run(capsys, "reflection", "--n", "8", "--m", "1")
+    assert code == 2
+    assert out == "" and err.startswith("refused:")
 
 
 def test_zero_m_rejected_by_parser(capsys):

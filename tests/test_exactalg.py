@@ -14,6 +14,7 @@ from kzresidue.exactalg import (
     det_adjugate,
     determinant,
     discriminant_power,
+    eliminate,
     exact_divide,
     normalize_factored,
     t_atom,
@@ -162,6 +163,42 @@ def test_json_round_trip_and_sorted_terms():
     assert SparsePolynomial.from_json(data) == p
     exps = [tuple(t["exp"]) for t in data["terms"]]
     assert exps == sorted(exps, key=lambda e: tuple(reversed(e)), reverse=True)
+
+
+def _term(exp, num="1", den="1"):
+    return {"exp": exp, "num": num, "den": den}
+
+
+JSON_SAMPLE = SparsePolynomial.from_terms(2, [((1, 0), Fraction(1, 2)), ((0, 3), -3)])
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param(JSON_SAMPLE.to_json(), id="valid"),
+        pytest.param({"vars": 2, "terms": [_term([1.5, 0])]}, id="float-exponent"),
+        pytest.param({"vars": 2, "terms": [_term([True, 0])]}, id="bool-exponent"),
+        pytest.param({"vars": 2, "terms": [_term("10")]}, id="string-exponents"),
+        pytest.param({"vars": 2, "terms": [_term([1, -1])]}, id="negative-exponent"),
+        pytest.param({"vars": 2, "terms": [_term([1])]}, id="short-exponents"),
+        pytest.param({"vars": 2, "terms": [_term([1, 0], den="0")]}, id="zero-den"),
+        pytest.param({"vars": 2, "terms": [_term([1, 0], num=1.5)]}, id="float-num"),
+        pytest.param({"vars": 2, "terms": [_term([1, 0], num="x")]}, id="text-num"),
+        pytest.param({"vars": 2, "terms": [{"exp": [1, 0]}]}, id="missing-num"),
+        pytest.param({"vars": 2}, id="missing-terms"),
+        pytest.param({"vars": 2.0, "terms": []}, id="float-vars"),
+        pytest.param({"vars": 9, "terms": []}, id="too-many-vars"),
+        pytest.param({"vars": 2, "terms": 5}, id="terms-not-a-list"),
+        pytest.param([], id="list"),
+        pytest.param(None, id="null"),
+    ],
+)
+def test_from_json_round_trips_or_raises_value_error(doc):
+    if doc == JSON_SAMPLE.to_json():
+        assert SparsePolynomial.from_json(doc) == JSON_SAMPLE
+        return
+    with pytest.raises(ValueError):
+        SparsePolynomial.from_json(doc)
 
 
 # ----------------------------------------------------------------------
@@ -363,6 +400,54 @@ def test_determinant_three_by_three_vandermonde():
     z23 = SparsePolynomial.z_diff(n, 2, 3)
     # rows ordered 1, z, z^2 give the product of z_j - z_i for i < j
     assert det == -(z12 * z13 * z23)
+
+
+def int_matrices(nrows, ncols, bound=3):
+    row = st.lists(st.integers(-bound, bound), min_size=ncols, max_size=ncols)
+    return st.lists(row, min_size=nrows, max_size=nrows)
+
+
+def _apply(rows, xs, zero):
+    return [sum((a * x for a, x in zip(row, xs)), zero) for row in rows]
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_eliminate_coordinates_reproduce_spanned_right_hand_side(nrows, ncols, data):
+    """Right-hand sides built as A x, with x polynomial: every residual
+    vanishes and the returned coordinates multiply back exactly."""
+    rows = data.draw(int_matrices(nrows, ncols))
+    xs = data.draw(st.lists(polys(nvars=2), min_size=ncols, max_size=ncols))
+    zero = SparsePolynomial.zero(2)
+    rhs = _apply(rows, xs, zero)
+    pivots, reduced = eliminate(rows, rhs)
+    used = set(pivots.values())
+    assert all(not reduced[r] for r in range(nrows) if r not in used)
+    coords = [reduced[pivots[c]] if c in pivots else zero for c in range(ncols)]
+    assert _apply(rows, coords, zero) == rhs
+
+
+@given(st.integers(1, 3), st.integers(1, 4), st.data())
+def test_eliminate_reports_right_hand_side_outside_span(nfree, ncols, data):
+    """The last row is minus a y-combination of the others, so y . (A x)
+    vanishes for every x; a right-hand side with y . b != 0 is outside
+    the span and must leave a non-zero residual."""
+    rows = data.draw(int_matrices(nfree, ncols))
+    y = data.draw(st.lists(st.integers(-3, 3), min_size=nfree, max_size=nfree))
+    rows.append([-sum(yi * row[c] for yi, row in zip(y, rows)) for c in range(ncols)])
+    rhs = data.draw(st.lists(st.integers(-5, 5), min_size=nfree + 1, max_size=nfree + 1))
+    if sum(yi * b for yi, b in zip(y + [1], rhs)) == 0:
+        rhs[-1] += 1
+    pivots, reduced = eliminate(rows, rhs)
+    used = set(pivots.values())
+    assert any(reduced[r] for r in range(nfree + 1) if r not in used)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: int_matrices(n, n)))
+def test_eliminate_full_pivots_iff_cofactor_determinant_nonzero(rows):
+    n = len(rows)
+    pivots, _ = eliminate(rows, [0] * n)
+    det = determinant([[SparsePolynomial.constant(1, v) for v in row] for row in rows])
+    assert (len(pivots) == n) == (not det.is_zero())
 
 
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=3, max_size=3))

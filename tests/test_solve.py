@@ -390,18 +390,10 @@ def test_variable_limit_guard_is_absolute():
         check_resources(Partition((8, 1)), 1, budget=10**18)
 
 
-def test_worker_determinism():
-    from kzresidue import solve as solve_mod
-
-    lam = Partition((2, 1))
-
-    def run(workers):
-        solve_mod.cycle_integral.cache_clear()
-        solve_mod.symmetrized_tableau_form.cache_clear()
-        solve_mod.interaction_form.cache_clear()
-        return fundamental_solution(lam, 1, workers=workers).to_json()
-
-    assert run(1) == run(3)
+def test_budget_is_keyword_only():
+    # a positional third argument must not silently become the budget
+    with pytest.raises(TypeError):
+        fundamental_solution(Partition((2, 1)), 1, 3)
 
 
 def test_fundamental_json_schema(fm21):
