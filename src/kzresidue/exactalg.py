@@ -764,6 +764,9 @@ class PolyFraction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
     def __eq__(self, other) -> bool:
         if isinstance(other, SparsePolynomial):
             other = PolyFraction(other, SparsePolynomial.constant(self.num.nvars, 1))

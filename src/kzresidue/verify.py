@@ -8,6 +8,7 @@ the solver beyond the data being checked.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -118,44 +119,66 @@ def _kz_polynomial_witness(table: SolutionTable) -> dict | None:
     return None
 
 
-def _kz_cross_multiplied(n: int, m: int, den: SparsePolynomial, nums: dict, act):
-    """First failure of the KZ system for components `nums[key] / den`
-    with a shared denominator, cross-multiplied by den^2 and by
-    P_i = prod_{l != i} (z_i - z_l):
+def _discriminant_power_of(n: int, den: SparsePolynomial) -> tuple[int, object] | None:
+    """`(p, C)` when `den == C * Delta^p` for a non-zero constant C, where
+    Delta = prod_{a<b} (z_a - z_b) and p = deg(den) / C(n, 2) (p = 0 on
+    one point, where Delta = 1); None otherwise."""
+    pairs = n * (n - 1) // 2
+    if den.is_zero() or (pairs and den.degree() % pairs):
+        return None
+    p = den.degree() // pairs if pairs else 0
+    try:
+        ratio = exact_divide(den, discriminant_power(n, p))
+    except NonDivisibleError:
+        return None
+    if ratio.is_zero() or not ratio.is_constant():
+        return None
+    return p, ratio.constant_value()
 
-        (num' den - num den') P_i
-            == m den sum_{j != i} (act(i, j, key) + num) P_i / (z_i - z_j)
+
+def _kz_cross_multiplied(n: int, m: int, p: int, nums: dict, act):
+    """First failure of the KZ system for components `nums[key] / den`
+    sharing a denominator den = C * Delta^p, C a non-zero constant.
+
+    Precondition (the caller's to establish): den has that form.  Then
+    d_i den / den = p sum_{l != i} 1 / (z_i - z_l), so the system
+    multiplied by den * P_i, with P_i = prod_{l != i} (z_i - z_l) and
+    cof_j = P_i / (z_i - z_j), reads
+
+        num' P_i == sum_{j != i} (m (act(i, j, key) + num) + p num) cof_j
 
     where ' is d/dz_i and `act(i, j, key)` is the numerator at `key` of
-    the transposition (i j) applied to the whole vector.  Returns
-    `(i, key, difference)` for the first identity that fails, else None.
+    the transposition (i j) applied to the whole vector; den itself never
+    enters a product.  Since sum_j cof_j = P_i', the right side is
+    evaluated as m sum_j act(i, j, key) cof_j + (m + p) num P_i'.
+    Returns `(i, key, difference)` for the first identity that fails,
+    else None.
     """
-    d_den = {i: den.partial_derivative(i) for i in range(1, n + 1)}
     for i in range(1, n + 1):
         prod_i = SparsePolynomial.constant(n, 1)
         for l in range(1, n + 1):
             if l != i:
                 prod_i = prod_i * SparsePolynomial.z_diff(n, i, l)
+        diagonal = prod_i.partial_derivative(i) * (m + p)
         cofactors = {
             j: exact_divide(prod_i, SparsePolynomial.z_diff(n, i, j))
             for j in range(1, n + 1)
             if j != i
         }
         for key, num in nums.items():
-            lhs = (num.partial_derivative(i) * den - num * d_den[i]) * prod_i
-            rhs = SparsePolynomial.zero(n)
+            acted = SparsePolynomial.zero(n)
             for j, cofactor in cofactors.items():
-                rhs = rhs + (act(i, j, key) + num) * cofactor
-            diff = lhs - rhs * den * m
+                acted = acted + act(i, j, key) * cofactor
+            diff = num.partial_derivative(i) * prod_i - acted * m - num * diagonal
             if diff:
                 return i, key, diff
     return None
 
 
 def _kz_fraction_witness(table: SolutionTable) -> dict | None:
-    """Cross-multiplied check for tables with a shared polynomial
-    denominator; the transposition action picks up a sign on twisted
-    tables."""
+    """Log-derivative check for tables whose components share one
+    denominator C * Delta^p; the transposition action picks up a sign on
+    twisted tables.  A denominator of any other form fails the check."""
     swap_sign = -1 if table.twisted else 1
     comps = table.components
     dens = {id(c.den): c.den for c in comps.values()}
@@ -163,10 +186,15 @@ def _kz_fraction_witness(table: SolutionTable) -> dict | None:
     for den in dens.values():
         if den is not first and den != first:
             return {"reason": "components do not share a denominator"}
+    found = _discriminant_power_of(table.lam.size, first)
+    if found is None:
+        return {
+            "reason": "shared denominator is not a constant times a discriminant power"
+        }
     failure = _kz_cross_multiplied(
         table.lam.size,
         table.m,
-        first,
+        found[0],
         {u: c.num for u, c in comps.items()},
         lambda i, j, u: comps[act_transposition(u, i, j)].num * swap_sign,
     )
@@ -178,7 +206,13 @@ def _kz_fraction_witness(table: SolutionTable) -> dict | None:
 
 def check_kz(table: SolutionTable) -> CheckReport:
     """The component table satisfies the full differential system for
-    its stated parameter and (possibly twisted) transposition action."""
+    its stated parameter and (possibly twisted) transposition action.
+
+    Polynomial tables are checked term by term after exact division by
+    each pole.  Fraction tables (the alternating twist) must share one
+    denominator C * Delta^p, which is verified first by exact division;
+    the system is then checked in the log-derivative form of
+    `_kz_cross_multiplied`, so the denominator never enters a product."""
     sample = next(iter(table.components.values()))
     if isinstance(sample, PolyFraction):
         witness = _kz_fraction_witness(table)
@@ -331,24 +365,24 @@ def check_det(fm: FundamentalMatrix) -> CheckReport:
     discriminant raised to m times the symmetric fixed-space dimension;
     the constant is reported, not prescribed."""
     stats = diagram_stats(fm.lam, fm.m)
+    n = fm.lam.size
     det = fm.determinant()
     power = 2 * fm.m * stats.d_plus
+    degree = power * (n * (n - 1) // 2)
     witness = None
     constant = None
-    try:
-        ratio = exact_divide(det, discriminant_power(fm.lam.size, power))
-    except NonDivisibleError as exc:
-        witness = {
-            "reason": f"determinant not divisible by the discriminant power {power}",
-            "remainder": _clip(exc.remainder),
-        }
+    if det.is_zero():
+        witness = {"reason": "determinant vanishes"}
+    elif det.degree() != degree:
+        witness = {"reason": f"determinant degree {det.degree()} != {degree}"}
     else:
-        if not ratio.is_constant():
-            witness = {"reason": "quotient is not constant", "quotient": _clip(ratio)}
-        elif ratio.is_zero():
-            witness = {"reason": "determinant vanishes"}
+        found = _discriminant_power_of(n, det)
+        if found is None:
+            witness = {
+                "reason": "determinant is not a constant times a discriminant power"
+            }
         else:
-            constant = ratio.constant_value()
+            constant = found[1]
     return CheckReport(
         "determinant_identity",
         fm.lam,
@@ -446,12 +480,30 @@ def _specht_transposition_matrix(lam: Partition, i: int, j: int) -> list[list[Fr
 
 def check_dual(fm: FundamentalMatrix) -> CheckReport:
     """Rows of the transposed-inverse matrix solve the parameter-negated
-    system in the coordinates dual to the polytabloid basis."""
+    system in the coordinates dual to the polytabloid basis.
+
+    Precondition: `check_det` passes, so the shared denominator of the
+    dual entries, det = C * Delta^p, has the log-derivative
+    d_i det / det = p sum_{l != i} 1 / (z_i - z_l); the system is then
+    checked in the form of `_kz_cross_multiplied`.  If the precondition
+    fails, so does this check, with a witness naming it; it is never
+    skipped."""
     lam = fm.lam
     n = lam.size
+    det_report = check_det(fm)
+    info = {"precondition": det_report.check}
+    if not det_report.passed:
+        witness = {"precondition": det_report.check, **det_report.witness}
+        return CheckReport("dual_system", lam, -fm.m, False, witness, info)
     dm = dual_matrix(fm)
+    info["det_degree"] = dm.det.degree()
+    if dm.det != fm.determinant():
+        witness = {
+            "precondition": det_report.check,
+            "reason": "dual denominator differs from the checked determinant",
+        }
+        return CheckReport("dual_system", lam, dm.m, False, witness, info)
     d = dm.dimension
-    den = dm.det
     nums = {(b, j): dm.entries.entry(b, j).num for b in range(d) for j in range(d)}
     specht = {
         (i, j): _specht_transposition_matrix(lam, i, j)
@@ -467,19 +519,12 @@ def check_dual(fm: FundamentalMatrix) -> CheckReport:
                 acted = acted + nums[(b, k)] * mat[k][jcol]
         return acted
 
-    failure = _kz_cross_multiplied(n, dm.m, den, nums, act)
+    failure = _kz_cross_multiplied(n, dm.m, det_report.info["power"], nums, act)
     witness = None
     if failure is not None:
         i, (b, jcol), diff = failure
         witness = {"i": i, "dual_row": b, "coordinate": jcol, "difference": _clip(diff)}
-    return CheckReport(
-        "dual_system",
-        lam,
-        dm.m,
-        witness is None,
-        witness,
-        {"det_degree": den.degree()},
-    )
+    return CheckReport("dual_system", lam, dm.m, witness is None, witness, info)
 
 
 def _distributions(labels: tuple[int, ...], sizes: tuple[int, ...]):
@@ -579,7 +624,12 @@ def check_reflection(n: int, m: int) -> CheckReport:
     """The fixed-point residue family sums to zero, each path family
     member has coordinate sum zero, and the two families pair to
     delta_{ab}/m (checked cross-multiplied against the squared
-    discriminant power)."""
+    discriminant power).
+
+    The path numerators carry rational coefficients; each member is
+    scaled once by the lcm L of their denominators, so the pairing runs
+    on integer polynomials and is compared against L times the
+    discriminant power."""
     lam = Partition((n - 1, 1)) if n > 2 else Partition((1, 1))
     psis = reflection_solutions(n, m)
     phis = reflection_dual_solutions(n, m)
@@ -607,18 +657,28 @@ def check_reflection(n: int, m: int) -> CheckReport:
         # the first n-1 residue solutions form the basis dual to the
         # path family; the last one is minus their sum and pairs to -1/m
         # with everything, so it stays out of the delta identity
+        scaled = []
+        for phi in phis:
+            scale = math.lcm(
+                *(
+                    Fraction(c).denominator
+                    for comp in phi.components
+                    for c in comp.num.terms.values()
+                )
+            )
+            nums = [comp.num * scale for comp in phi.components]
+            scaled.append((phi.index, scale, nums))
         for psi in psis[: n - 1]:
-            for phi in phis:
+            for index, scale, nums in scaled:
                 paired = SparsePolynomial.zero(n)
                 for k in range(n):
-                    paired = paired + psi.components[k] * phi.components[k].num
-                expected = disc if psi.index == phi.index else SparsePolynomial.zero(n)
+                    paired = paired + psi.components[k] * nums[k]
+                expected = (
+                    disc * scale if psi.index == index else SparsePolynomial.zero(n)
+                )
                 if paired * m != expected:
-                    witness = {
-                        "a": psi.index,
-                        "b": phi.index,
-                        "difference": _clip(paired * m - expected),
-                    }
+                    diff = (paired * m - expected) * Fraction(1, scale)
+                    witness = {"a": psi.index, "b": index, "difference": _clip(diff)}
                     break
             if witness:
                 break

@@ -270,6 +270,18 @@ def test_coordinates_on_exact_polytabloid():
     assert coords == [Fraction(1), Fraction(0)]
 
 
+def test_coordinates_of_fraction_vector(fm21):
+    # a zero fraction must test false, or every residual of a fraction
+    # vector reads as non-zero and the vector is refused
+    assert not PolyFraction(SparsePolynomial.zero(3), SparsePolynomial.constant(3, 1))
+    tw = alternating_twist(fm21.tables[0])
+    den = discriminant_power(3, 2)
+    coords = coordinates_in_specht_basis(Partition((2, 1)), tw.components.__getitem__)
+    assert coords == [
+        PolyFraction(fm21.matrix.entry(0, j), den) for j in range(fm21.dimension)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # companions
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ instances; the other half feed deliberately corrupted tables, matrices
 and duals to the same checks and insist they fail with a witness.  A
 checker that cannot reject a broken solution proves nothing.
 """
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from kzresidue import (
     SolutionTable,
     SparsePolynomial,
     Tabloid,
+    act_transposition,
     alternating_twist,
     check_det,
     check_dual,
@@ -30,9 +32,12 @@ from kzresidue import (
     check_reflection,
     check_shape,
     check_straightening,
+    discriminant_power,
     enumerate_partitions,
+    exact_divide,
     fundamental_solution,
     quotient_coordinates,
+    reflection_dual_solutions,
     run_suite,
     tabloids,
 )
@@ -253,6 +258,116 @@ def test_dual_rejects_tampered_fundamental_matrix(fm21):
     )
     rep = check_dual(broken)
     assert not rep.passed and rep.witness is not None
+    # the tampered determinant is no longer C * Delta^p, so the
+    # precondition the log-derivative check rests on fails first
+    assert rep.witness["precondition"] == "determinant_identity"
+    assert rep.info["precondition"] == "determinant_identity"
+
+
+def test_kz_rejects_twisted_denominator_of_wrong_form(fm21):
+    tw = alternating_twist(fm21.tables[0])
+    den = next(iter(tw.components.values())).den
+    bad = den + SparsePolynomial.from_terms(3, [((den.degree(), 0, 0), 1)])
+    comps = {u: PolyFraction(c.num, bad) for u, c in tw.components.items()}
+    rep = check_kz(SolutionTable(tw.lam, tw.m, tw.cycle, comps, twisted=True))
+    assert not rep.passed
+    assert rep.witness["reason"] == (
+        "shared denominator is not a constant times a discriminant power"
+    )
+
+
+def test_kz_accepts_twisted_denominator_with_constant(fm21):
+    tw = alternating_twist(fm21.tables[0])
+    den = discriminant_power(3, 2) * 3
+    comps = {u: PolyFraction(c.num * 3, den) for u, c in tw.components.items()}
+    rep = check_kz(SolutionTable(tw.lam, tw.m, tw.cycle, comps, twisted=True))
+    assert rep.passed, rep.witness
+
+
+def _kz_den_squared_reference(table: SolutionTable) -> bool:
+    """The fraction KZ system multiplied through by den^2 and by
+    P_i = prod_{l != i} (z_i - z_l), with den differentiated directly:
+    an independent reference that assumes nothing about the form of den."""
+    n = table.lam.size
+    sign = -1 if table.twisted else 1
+    comps = table.components
+    den = next(iter(comps.values())).den
+    for i in range(1, n + 1):
+        prod_i = SparsePolynomial.constant(n, 1)
+        for l in range(1, n + 1):
+            if l != i:
+                prod_i = prod_i * SparsePolynomial.z_diff(n, i, l)
+        for u, c in comps.items():
+            lhs = (
+                c.num.partial_derivative(i) * den - c.num * den.partial_derivative(i)
+            ) * prod_i
+            rhs = SparsePolynomial.zero(n)
+            for j in range(1, n + 1):
+                if j != i:
+                    acted = comps[act_transposition(u, i, j)].num * sign
+                    cofactor = exact_divide(prod_i, SparsePolynomial.z_diff(n, i, j))
+                    rhs = rhs + (acted + c.num) * cofactor
+            if lhs != rhs * den * table.m:
+                return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def twisted21():
+    return {
+        m: [alternating_twist(t) for t in fundamental_solution(LAM21, m).tables]
+        for m in (1, 2)
+    }
+
+
+@settings(max_examples=40)
+@given(
+    st.sampled_from((1, 2)),
+    st.integers(0, 5),
+    st.none()
+    | st.tuples(
+        st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
+        st.integers(-3, 3).filter(bool),
+    ),
+)
+def test_log_derivative_check_agrees_with_den_squared_reference(
+    twisted21, m, which, perturbation
+):
+    table = twisted21[m][which % 2]
+    if perturbation is not None:
+        exps, coeff = perturbation
+        u = sorted(table.components, key=str)[which % 3]
+        comps = dict(table.components)
+        delta = SparsePolynomial.from_terms(3, [(exps, coeff)])
+        comps[u] = PolyFraction(comps[u].num + delta, comps[u].den)
+        table = SolutionTable(table.lam, table.m, table.cycle, comps, twisted=True)
+    rep = check_kz(table)
+    assert rep.passed == _kz_den_squared_reference(table)
+    if perturbation is None:
+        assert rep.passed
+
+
+def test_reflection_rejects_perturbed_path_coefficient(monkeypatch):
+    n, m = 3, 1
+    phis = reflection_dual_solutions(n, m)
+    first = phis[0]
+    c0, c1 = first.components[0], first.components[1]
+    exp = next(e for e, c in c0.num.terms.items() if Fraction(c).denominator > 1)
+    # one rational coefficient moves by 1/7; the same monomial moves back
+    # in the next component, so the coordinate sum still vanishes and
+    # only the pairing can catch the change
+    delta = SparsePolynomial.from_terms(n, [(exp, Fraction(1, 7))])
+    comps = (
+        PolyFraction(c0.num + delta, c0.den),
+        PolyFraction(c1.num - delta, c1.den),
+    ) + first.components[2:]
+    tampered = (dataclasses.replace(first, components=comps),) + phis[1:]
+    monkeypatch.setattr(
+        "kzresidue.verify.reflection_dual_solutions", lambda n_, m_: tampered
+    )
+    rep = check_reflection(n, m)
+    assert not rep.passed
+    assert rep.witness["b"] == first.index
 
 
 def test_straightening_rejects_wrong_shape_parameter():
