@@ -1,15 +1,19 @@
 """Command-line front end.
 
 Exit codes: 0 when everything requested passed, 1 when a verification
-ran and failed, 2 for usage errors and refused (over-budget) instances.
+ran and failed, 2 for usage errors and refused (over-budget) instances,
+141 (as for a process ended by SIGPIPE) when the reader closed standard
+output early, e.g. `kzresidue solve ... | head -1`; nothing is written
+to standard error then.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .exactalg import NonDivisibleError, SparsePolynomial, exact_divide
+from .exactalg import SparsePolynomial, z_diff_content
 from .shapes import Partition, diagram_stats, enumerate_partitions
 from .solve import (
     DEFAULT_BUDGET,
@@ -25,6 +29,7 @@ from .verify import check_det, check_kz, check_reflection, run_suite
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+OUTPUT_CLOSED = 141
 
 
 def parse_shape(text: str) -> Partition:
@@ -47,20 +52,8 @@ def factored_text(p: SparsePolynomial) -> str:
     greedily, falling back to the raw expansion for the residual."""
     if p.is_zero():
         return "0"
-    n = p.nvars
-    powers = []
-    rest = p
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            e = 0
-            while True:
-                try:
-                    rest = exact_divide(rest, SparsePolynomial.z_diff(n, i, j))
-                    e += 1
-                except NonDivisibleError:
-                    break
-            if e:
-                powers.append(f"z{i}{j}" + (f"^{e}" if e > 1 else ""))
+    (rest,), content = z_diff_content([p], p.nvars)
+    powers = [f"z{i}{j}" + (f"^{e}" if e > 1 else "") for (i, j), e in content.items()]
     if rest.is_constant():
         c = rest.constant_value()
         if not powers:
@@ -294,7 +287,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # nothing more can be written; point stdout at the null device so
+        # the interpreter's last flush at exit has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return OUTPUT_CLOSED
     except ResourceGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -10,6 +10,7 @@ once, globally, when a factored sum is expanded.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -713,35 +714,42 @@ class NormalizeError(ArithmeticError):
 def normalize_factored(fs: FactoredSum, nvars: int) -> SparsePolynomial:
     """Expand a fixed-point-only factored sum into a polynomial.
 
-    All terms are brought over the single common denominator given by
-    the most negative power of each difference, the numerator is
-    expanded, and the denominator is divided out exactly; failure to
-    divide raises NormalizeError with the offending remainder.
+    With lo(a, b) the least exponent of a - b over all terms (0 where a
+    term lacks the factor), the sum is
+
+        sum_k c_k prod (a - b)^e_k  =  prod (a - b)^lo * sum_k c_k prod (a - b)^(e_k - lo),
+
+    so only the residual sum on the right, whose exponents are all
+    non-negative, is expanded.  It is divided exactly by the pairs with
+    lo < 0, and the pairs with lo > 0 are multiplied back once.  Failure
+    to divide raises NormalizeError with the offending remainder.
     """
-    need: dict = {}
-    for _, key in fs.iter_terms():
-        for (a, b), e in key:
+    terms = []
+    for coeff, key in fs.iter_terms():
+        for (a, b), _ in key:
             if is_t_atom(a) or is_t_atom(b):
                 raise ValueError("normalize_factored needs fixed-point atoms only")
-            if e < 0:
-                need[(a, b)] = max(need.get((a, b), 0), -e)
+        terms.append((coeff, dict(key)))
+    pairs = sorted({pd for _, fmap in terms for pd in fmap})
+    lo = {pd: min(fmap.get(pd, 0) for _, fmap in terms) for pd in pairs}
     num = SparsePolynomial.zero(nvars)
-    for coeff, key in fs.iter_terms():
-        fmap = dict(key)
-        for pd, d in need.items():
-            fmap[pd] = fmap.get(pd, 0) + d
+    for coeff, fmap in terms:
         poly = SparsePolynomial.constant(nvars, coeff)
-        for (a, b), e in fmap.items():
+        for (a, b), least in lo.items():
+            e = fmap.get((a, b), 0) - least
             if e:
                 poly = poly * _zdiff_power(nvars, a[1], b[1], e)
         num = num + poly
     quo = num
-    for (a, b), d in need.items():
-        for _ in range(d):
+    for (a, b), least in lo.items():
+        for _ in range(-least):
             try:
                 quo = _divide_by_z_diff(quo, a[1], b[1])
             except NonDivisibleError as exc:
                 raise NormalizeError(exc.remainder) from None
+    for (a, b), least in lo.items():
+        if least > 0:
+            quo = quo * _zdiff_power(nvars, a[1], b[1], least)
     return quo
 
 
@@ -778,6 +786,8 @@ class PolyFraction:
         return hash(self.num.nvars)
 
     def __add__(self, other: "PolyFraction") -> "PolyFraction":
+        if self.den is other.den or self.den == other.den:
+            return PolyFraction(self.num + other.num, self.den)
         return PolyFraction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -898,16 +908,67 @@ def _bareiss_det(rows) -> SparsePolynomial:
     return a[n - 1][n - 1] * sign
 
 
+def z_diff_content(polys, nvars: int) -> tuple[list, dict]:
+    """The largest power of each z_i - z_j dividing every one of `polys`.
+
+    Returns `(quotients, content)`: `content` maps (i, j), i < j, to that
+    power where it is positive, and `quotients` are the polynomials with
+    all of it divided out.  Not all of `polys` may be zero: zero is
+    divisible by every power."""
+    polys = list(polys)
+    content: dict = {}
+    for i in range(1, nvars + 1):
+        for j in range(i + 1, nvars + 1):
+            while True:
+                try:
+                    polys = [_divide_by_z_diff(p, i, j) for p in polys]
+                except NonDivisibleError:
+                    break
+                content[(i, j)] = content.get((i, j), 0) + 1
+    return polys, content
+
+
 def determinant(matrix) -> SparsePolynomial:
-    """Determinant alone, by division-free cofactor expansion for small
-    matrices (sparse polynomial entries make the exact divisions of
-    fraction-free elimination the dominant cost, so expansion wins up to
-    the sizes that occur here) and fraction-free elimination beyond."""
+    """Determinant alone.
+
+    Rests on multilinearity in rows and columns: if M[r][c] equals
+    f_r * g_c * M'[r][c] for all r, c, then
+
+        det(M)  =  prod_r f_r * prod_c g_c * det(M').
+
+    Each f_r (then each g_c) is the largest product of powers of
+    z_i - z_j dividing the whole row (column); det(M') is computed and
+    the stripped powers are multiplied back once.  A matrix with an
+    all-zero row or column has determinant zero and is answered before
+    any stripping.  det(M') is computed by division-free cofactor
+    expansion for small matrices (sparse polynomial entries make the
+    exact divisions of fraction-free elimination the dominant cost, so
+    expansion wins up to the sizes that occur here) and fraction-free
+    elimination beyond."""
     rows = matrix.entries if isinstance(matrix, PolyMatrix) else [list(r) for r in matrix]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    return _cofactor_det(rows) if n <= 5 else _bareiss_det(rows)
+    nvars = rows[0][0].nvars
+    if not all(any(r) for r in rows) or not all(any(c) for c in zip(*rows)):
+        return SparsePolynomial.zero(nvars)
+    content: Counter = Counter()
+    reduced = []
+    for row in rows:
+        row, part = z_diff_content(row, nvars)
+        content.update(part)
+        reduced.append(row)
+    columns = []
+    for col in zip(*reduced):
+        col, part = z_diff_content(col, nvars)
+        content.update(part)
+        columns.append(col)
+    # the reduced matrix is kept transposed: det(M^T) == det(M)
+    det = _cofactor_det(columns) if n <= 5 else _bareiss_det(columns)
+    # smallest powers first: the product grows most slowly that way
+    for (i, j), e in sorted(content.items(), key=lambda kv: (kv[1], kv[0])):
+        det = det * _zdiff_power(nvars, i, j, e)
+    return det
 
 
 def det_adjugate(matrix) -> tuple[SparsePolynomial, PolyMatrix]:

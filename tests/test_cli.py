@@ -1,5 +1,9 @@
 """Front-end behavior: exit codes, output formats, argument validation."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +211,50 @@ def test_missing_subcommand_rejected():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def _cli_env():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)  # standard output block-buffered, as in a pipe
+    return env
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that stops after one line (`| head -1`) gets no traceback.
+    The JSON document (about 1.3 MB) is larger than a pipe's buffer, so
+    the writer is still writing when the pipe closes."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kzresidue.cli", "solve", "--lambda", "3,1",
+         "--m", "2", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_cli_env(),
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.OUTPUT_CLOSED
+    assert b"Traceback" not in err
+    assert err == b""
+
+
+def test_stdout_closed_before_output_ends_quietly():
+    """A short output sits in the stdout buffer until the final flush;
+    with the reader already gone, that flush fails too, and still quietly."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kzresidue.cli", "stats", "--lambda", "2,1", "--m", "1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=_cli_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.OUTPUT_CLOSED
+    assert proc.stderr == b""

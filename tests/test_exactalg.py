@@ -1,4 +1,7 @@
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -335,6 +338,101 @@ def test_normalize_rejects_leftover_configuration_atoms():
         normalize_factored(fs, 2)
 
 
+def _normalize_common_denominator(fs, nvars):
+    """Reference expansion: every term over the one common denominator
+    given by the most negative power of each difference, the numerator
+    expanded in full, then the denominator divided out exactly."""
+    need = {}
+    for _, key in fs.iter_terms():
+        for pd, e in key:
+            if e < 0:
+                need[pd] = max(need.get(pd, 0), -e)
+    num = SparsePolynomial.zero(nvars)
+    for coeff, key in fs.iter_terms():
+        fmap = dict(key)
+        for pd, d in need.items():
+            fmap[pd] = fmap.get(pd, 0) + d
+        poly = SparsePolynomial.constant(nvars, coeff)
+        for (a, b), e in fmap.items():
+            poly = poly * SparsePolynomial.z_diff(nvars, a[1], b[1]) ** e
+        num = num + poly
+    for (a, b), d in need.items():
+        for _ in range(d):
+            try:
+                num = exact_divide(num, SparsePolynomial.z_diff(nvars, a[1], b[1]))
+            except NonDivisibleError as exc:
+                raise NormalizeError(exc.remainder) from None
+    return num
+
+
+@st.composite
+def fixed_point_sums(draw, nvars, lo, hi):
+    """A few terms c * prod (z_a - z_b)^e with exponents in lo..hi."""
+    pairs = list(combinations([z_atom(i) for i in range(1, nvars + 1)], 2))
+    fs = FactoredSum()
+    for _ in range(draw(st.integers(1, 4))):
+        factors = [
+            (a, b, draw(st.integers(lo, hi)))
+            for a, b in draw(st.lists(st.sampled_from(pairs), max_size=3))
+        ]
+        fs = fs + FactoredSum.term(draw(st.integers(-5, 5).filter(bool)), factors)
+    return fs
+
+
+@st.composite
+def polynomial_sums(draw):
+    """Polynomial sums whose terms carry mixed-sign exponents: a sum with
+    non-negative exponents is multiplied by 1 written as
+    ((z_a - z_c) - (z_b - z_c)) / (z_a - z_b), so its terms only cancel
+    as a whole, and by a monomial every term then shares."""
+    nvars = draw(st.integers(3, 4))
+    fs = draw(fixed_point_sums(nvars, 0, 3))
+    for _ in range(draw(st.integers(1, 2))):
+        a, b, c = sorted(draw(st.permutations(range(1, nvars + 1)))[:3])
+        za, zb, zc = z_atom(a), z_atom(b), z_atom(c)
+        one = FactoredSum.term(1, [(za, zc, 1), (za, zb, -1)]) + FactoredSum.term(
+            -1, [(zb, zc, 1), (za, zb, -1)]
+        )
+        fs = fs * one
+    pairs = list(combinations([z_atom(i) for i in range(1, nvars + 1)], 2))
+    shared = [
+        (a, b, draw(st.integers(1, 2)))
+        for a, b in draw(st.lists(st.sampled_from(pairs), max_size=2))
+    ]
+    return nvars, fs * FactoredSum.term(1, shared)
+
+
+@given(polynomial_sums())
+def test_normalize_agrees_with_common_denominator_on_polynomial_sums(case):
+    nvars, fs = case
+    assert normalize_factored(fs, nvars) == _normalize_common_denominator(fs, nvars)
+
+
+@given(polynomial_sums(), st.integers(-5, 5).filter(bool), st.data())
+def test_normalize_refuses_a_genuine_pole_like_common_denominator(case, c, data):
+    """A polynomial plus c / (z_a - z_b) is not a polynomial."""
+    nvars, fs = case
+    a, b = sorted(data.draw(st.permutations(range(1, nvars + 1)))[:2])
+    fs = fs + FactoredSum.term(c, [(z_atom(a), z_atom(b), -1)])
+    with pytest.raises(NormalizeError):
+        _normalize_common_denominator(fs, nvars)
+    with pytest.raises(NormalizeError):
+        normalize_factored(fs, nvars)
+
+
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), fixed_point_sums(n, -2, 3))))
+def test_normalize_agrees_with_common_denominator_on_any_sum(case):
+    """Either both expansions refuse or both give the same polynomial."""
+    nvars, fs = case
+    try:
+        expected = _normalize_common_denominator(fs, nvars)
+    except NormalizeError:
+        with pytest.raises(NormalizeError):
+            normalize_factored(fs, nvars)
+    else:
+        assert normalize_factored(fs, nvars) == expected
+
+
 # ----------------------------------------------------------------------
 # fractions and matrices
 
@@ -359,6 +457,9 @@ def test_poly_fraction_arithmetic():
     assert half + half == SparsePolynomial.constant(n, 1)
     assert half * 2 == SparsePolynomial.constant(n, 1)
     assert (PolyFraction(z1, z2) - PolyFraction(z1, z2)).is_zero()
+    # one shared denominator is kept, not squared
+    assert (PolyFraction(z1, z2) + PolyFraction(z2, z2)).den == z2
+    assert (PolyFraction(z1, z2) + PolyFraction(z2, z1)).den == z1 * z2
     assert PolyFraction(z1, z2) * z2 == z1
 
 
@@ -400,6 +501,88 @@ def test_determinant_three_by_three_vandermonde():
     z23 = SparsePolynomial.z_diff(n, 2, 3)
     # rows ordered 1, z, z^2 give the product of z_j - z_i for i < j
     assert det == -(z12 * z13 * z23)
+
+
+def _leibniz_det(rows, nvars):
+    """Reference determinant: the sum over permutations of the signed
+    products of entries."""
+    n = len(rows)
+    total = SparsePolynomial.zero(nvars)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a, b in combinations(range(n), 2))
+        term = SparsePolynomial.constant(nvars, -1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+@contextmanager
+def _time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@st.composite
+def z_diff_matrices(draw):
+    """Square matrices of small polynomials with random powers of
+    z_i - z_j multiplied into whole rows and whole columns; some are
+    constant, some have an all-zero row or column."""
+    nvars = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["factored"] * 4 + ["constant", "zero_row", "zero_col"]))
+    if kind == "constant":
+        return nvars, [
+            [SparsePolynomial.constant(nvars, draw(st.integers(-3, 3))) for _ in range(n)]
+            for _ in range(n)
+        ]
+    pairs = list(combinations(range(1, nvars + 1), 2))
+
+    def small():
+        items = [
+            (tuple(draw(st.integers(0, 1)) for _ in range(nvars)), draw(st.integers(1, 3)))
+            for _ in range(draw(st.integers(1, 2)))
+        ]
+        return SparsePolynomial.from_terms(nvars, items)
+
+    def content():
+        out = SparsePolynomial.constant(nvars, 1)
+        if pairs:
+            for i, j in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2)):
+                out = out * SparsePolynomial.z_diff(nvars, i, j) ** draw(st.integers(1, 2))
+        return out
+
+    rows = [[small() for _ in range(n)] for _ in range(n)]
+    row_content = [content() for _ in range(n)]
+    col_content = [content() for _ in range(n)]
+    rows = [
+        [rows[r][c] * row_content[r] * col_content[c] for c in range(n)]
+        for r in range(n)
+    ]
+    zero = SparsePolynomial.zero(nvars)
+    k = draw(st.integers(0, n - 1))
+    if kind == "zero_row":
+        rows[k] = [zero] * n
+    elif kind == "zero_col":
+        for row in rows:
+            row[k] = zero
+    return nvars, rows
+
+
+@given(z_diff_matrices())
+def test_determinant_agrees_with_leibniz(case):
+    nvars, rows = case
+    with _time_limit(20):
+        det = determinant(rows)
+    assert det == _leibniz_det(rows, nvars)
 
 
 def int_matrices(nrows, ncols, bound=3):

@@ -274,12 +274,16 @@ def test_coordinates_of_fraction_vector(fm21):
     # a zero fraction must test false, or every residual of a fraction
     # vector reads as non-zero and the vector is refused
     assert not PolyFraction(SparsePolynomial.zero(3), SparsePolynomial.constant(3, 1))
-    tw = alternating_twist(fm21.tables[0])
-    den = discriminant_power(3, 2)
-    coords = coordinates_in_specht_basis(Partition((2, 1)), tw.components.__getitem__)
-    assert coords == [
-        PolyFraction(fm21.matrix.entry(0, j), den) for j in range(fm21.dimension)
-    ]
+    # fractions over one denominator are combined over that denominator,
+    # so the coordinates keep it rather than a power of it
+    for fm in (fm21, fundamental_solution(Partition((3, 1)), 1)):
+        tw = alternating_twist(fm.tables[0])
+        den = discriminant_power(fm.lam.size, 2)
+        coords = coordinates_in_specht_basis(fm.lam, tw.components.__getitem__)
+        assert coords == [
+            PolyFraction(fm.matrix.entry(0, j), den) for j in range(fm.dimension)
+        ]
+        assert all(c.den == den for c in coords)
 
 
 # ---------------------------------------------------------------------------
