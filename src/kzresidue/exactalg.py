@@ -7,22 +7,61 @@ fractions.Fraction.  Polynomial fractions are deliberately never reduced
 (no multivariate gcd exists in this package): identities between them
 are always decided by cross-multiplication, and denominators are cleared
 once, globally, when a factored sum is expanded.
+
+A polynomial keys each monomial on one int (Kronecker packing): the
+exponent of z_i sits in bits [24(i-1), 24i), so z_n is most significant
+and the integer order of keys is the lexicographic order with z_n most
+significant, the order in which `sorted_terms`, `leading_term` and
+`to_json` emit terms.  Exponents stay below 2^23, which leaves the top
+bit of every field as a guard: adding two keys adds their exponents field
+by field without carrying between fields, and a field that reaches 2^23
+sets its guard bit, which one mask test catches and turns into
+OverflowError.  Products, sums, derivatives, substitutions, permutations
+and divisions work on keys with additions, shifts and masks; exponent
+tuples appear only at the boundary (`from_terms`, `items`,
+`sorted_terms`, `leading_term`, `evaluate`).
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
+from operator import or_
 
 MAX_VARS = 8
 
 Coefficient = Fraction  # ints are accepted anywhere a Coefficient is
 
+_BITS = 24  # bits per exponent field of a monomial key
+_FIELD = (1 << _BITS) - 1
+EXPONENT_CAP = 1 << (_BITS - 1)  # every exponent stays below this
+_SHIFTS = tuple(range(0, _BITS * MAX_VARS, _BITS))
+_GUARDS = sum(EXPONENT_CAP << s for s in _SHIFTS)
+# the key of z_i, and back
+_UNIT = {i: 1 << s for i, s in enumerate(_SHIFTS, 1)}
+_UNIT_INDEX = {u: i for i, u in _UNIT.items()}
+# bits 21..23 of every field: while they are all clear, each exponent is
+# below 2^21, so at most eight of them sum to less than 2^24 - 1, and that
+# sum is the key's residue mod 2^24 - 1 (as 2^24 = 1 mod 2^24 - 1)
+_WIDE = sum(0b111 << (s + _BITS - 3) for s in _SHIFTS)
+
 
 def _check_nvars(nvars: int) -> None:
     if not 1 <= nvars <= MAX_VARS:
         raise ValueError(f"variable count must be 1..{MAX_VARS}, got {nvars}")
+
+
+def _unpack(key: int, nvars: int) -> tuple[int, ...]:
+    return tuple((key >> s) & _FIELD for s in _SHIFTS[:nvars])
+
+
+def _total_degrees(keys):
+    """The total degree of each key: its residue mod 2^24 - 1 while no
+    exponent reaches 2^21 (see _WIDE), else the sum of its fields."""
+    if reduce(or_, keys, 0) & _WIDE:
+        return (sum((k >> s) & _FIELD for s in _SHIFTS) for k in keys)
+    return map(_FIELD.__rmod__, keys)
 
 
 def demote(c):
@@ -34,8 +73,16 @@ def demote(c):
     return c
 
 
+def _check_cap(keys) -> None:
+    """OverflowError when a key made by adding to fields has an exponent
+    at the cap (its field's guard bit is set)."""
+    if reduce(or_, keys, 0) & _GUARDS:
+        raise OverflowError(f"an exponent reached 2^{_BITS - 1}, beyond its key field")
+
+
 class SparsePolynomial:
-    """Polynomial in z_1..z_n: a map from dense exponent tuples to rationals.
+    """Polynomial in z_1..z_n: a map from packed monomial keys (see the
+    module docstring) to rationals.
 
     Zero coefficients are never stored, so the zero polynomial has an
     empty term map.  Instances are immutable by convention; arithmetic
@@ -44,7 +91,7 @@ class SparsePolynomial:
     >>> z1 = SparsePolynomial.variable(2, 1)
     >>> z2 = SparsePolynomial.variable(2, 2)
     >>> str((z1 - z2) ** 2)
-    'z1^2 - 2*z1*z2 + z2^2'
+    'z2^2 - 2*z1*z2 + z1^2'
     """
 
     __slots__ = ("nvars", "terms")
@@ -66,15 +113,13 @@ class SparsePolynomial:
     @classmethod
     def constant(cls, nvars: int, c) -> "SparsePolynomial":
         c = demote(c)
-        return cls(nvars, {(0,) * nvars: c} if c else {})
+        return cls(nvars, {0: c} if c else {})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "SparsePolynomial":
         if not 1 <= i <= nvars:
             raise ValueError(f"variable index {i} out of range 1..{nvars}")
-        exp = [0] * nvars
-        exp[i - 1] = 1
-        return cls(nvars, {tuple(exp): 1})
+        return cls(nvars, {_UNIT[i]: 1})
 
     @classmethod
     def z_diff(cls, nvars: int, i: int, j: int) -> "SparsePolynomial":
@@ -83,16 +128,22 @@ class SparsePolynomial:
 
     @classmethod
     def from_terms(cls, nvars: int, items) -> "SparsePolynomial":
+        """From (exponent tuple, coefficient) pairs; each exponent must be
+        an integer in 0..2^23 - 1, else ValueError."""
         terms: dict = {}
         for exp, c in items:
             exp = tuple(int(e) for e in exp)
-            if len(exp) != nvars or any(e < 0 for e in exp):
-                raise ValueError(f"bad exponent vector {exp} for {nvars} variables")
-            cur = terms.get(exp, 0) + c
+            if len(exp) != nvars or any(not 0 <= e < EXPONENT_CAP for e in exp):
+                raise ValueError(
+                    f"bad exponent vector {exp} for {nvars} variables"
+                    f" (exponents 0..{EXPONENT_CAP - 1})"
+                )
+            key = sum(e << s for e, s in zip(exp, _SHIFTS))
+            cur = terms.get(key, 0) + c
             if cur:
-                terms[exp] = demote(cur)
-            elif exp in terms:
-                del terms[exp]
+                terms[key] = demote(cur)
+            elif key in terms:
+                del terms[key]
         return cls(nvars, terms)
 
     # ------------------------------------------------------------------
@@ -104,7 +155,7 @@ class SparsePolynomial:
         return bool(self.terms)
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(self.terms)
 
     def constant_value(self):
         """The value of a constant polynomial (0 for the zero polynomial)."""
@@ -114,10 +165,10 @@ class SparsePolynomial:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(_total_degrees(self.terms), default=-1)
 
     def is_homogeneous(self) -> bool:
-        return len({sum(e) for e in self.terms}) <= 1
+        return len(set(_total_degrees(self.terms))) <= 1
 
     def has_integer_coefficients(self) -> bool:
         return all(c.denominator == 1 for c in map(Fraction, self.terms.values()))
@@ -127,6 +178,10 @@ class SparsePolynomial:
     def _require_same_ring(self, other: "SparsePolynomial") -> None:
         if self.nvars != other.nvars:
             raise ValueError("polynomials live in different variable counts")
+
+    def _check_index(self, i: int) -> None:
+        if not 1 <= i <= self.nvars:
+            raise ValueError(f"variable index {i} out of range")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePolynomial):
@@ -142,19 +197,22 @@ class SparsePolynomial:
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
         self._require_same_ring(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            cur = terms.get(exp, 0) + c
+        small, large = self.terms, other.terms
+        if len(small) > len(large):
+            small, large = large, small
+        terms = dict(large)
+        for key, c in small.items():
+            cur = terms.get(key, 0) + c
             if cur:
-                terms[exp] = cur
-            elif exp in terms:
-                del terms[exp]
+                terms[key] = cur
+            elif key in terms:
+                del terms[key]
         return SparsePolynomial(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePolynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return SparsePolynomial(self.nvars, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -171,65 +229,26 @@ class SparsePolynomial:
             if not other:
                 return SparsePolynomial.zero(self.nvars)
             return SparsePolynomial(
-                self.nvars, {e: demote(c * other) for e, c in self.terms.items()}
+                self.nvars, {k: demote(c * other) for k, c in self.terms.items()}
             )
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
         self._require_same_ring(other)
-        if len(self.terms) * len(other.terms) >= 4096:
-            return self._mul_packed(other)
+        small, large = self.terms, other.terms
+        if len(small) > len(large):  # the longer operand in the inner loop
+            small, large = large, small
         terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                cur = terms.get(exp, 0) + c1 * c2
-                if cur:
-                    terms[exp] = cur
-                elif exp in terms:
-                    del terms[exp]
-        return SparsePolynomial(self.nvars, terms)
-
-    _PACK_BITS = 24
-    _PACK_MASK = (1 << _PACK_BITS) - 1
-
-    def _mul_packed(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        """Product with exponent vectors packed into single integers so
-        the inner loop is integer addition; exact as long as per-variable
-        exponent sums stay below 2**24, which the degree guard enforces."""
-        bits = self._PACK_BITS
-        if self.degree() + other.degree() >= self._PACK_MASK:
-            raise OverflowError("degrees too large for packed multiplication")
-
-        def pack(items):
-            out = {}
-            for exp, c in items:
-                key = 0
-                for e in exp:
-                    key = (key << bits) | e
-                out[key] = c
-            return out
-
-        left = pack(self.terms.items())
-        right = pack(other.terms.items())
-        packed: dict = {}
-        get = packed.get
-        for k1, c1 in left.items():
-            for k2, c2 in right.items():
+        get = terms.get
+        inner = large.items()
+        for k1, c1 in small.items():
+            for k2, c2 in inner:
                 k = k1 + k2
                 cur = get(k, 0) + c1 * c2
                 if cur:
-                    packed[k] = cur
-                else:
-                    packed.pop(k, None)
-        mask = self._PACK_MASK
-        n = self.nvars
-        terms = {}
-        for key, c in packed.items():
-            exp = [0] * n
-            for slot in range(n - 1, -1, -1):
-                exp[slot] = key & mask
-                key >>= bits
-            terms[tuple(exp)] = c
+                    terms[k] = cur
+                else:  # coefficients are non-zero, so k was present
+                    del terms[k]
+        _check_cap(terms)
         return SparsePolynomial(self.nvars, terms)
 
     __rmul__ = __mul__
@@ -252,44 +271,46 @@ class SparsePolynomial:
     # calculus and structure
     def partial_derivative(self, i: int) -> "SparsePolynomial":
         """d/dz_i."""
-        if not 1 <= i <= self.nvars:
-            raise ValueError(f"variable index {i} out of range")
-        terms: dict = {}
-        for exp, c in self.terms.items():
-            e = exp[i - 1]
-            if e:
-                new = exp[: i - 1] + (e - 1,) + exp[i:]
-                cur = terms.get(new, 0) + c * e
-                if cur:
-                    terms[new] = cur
-                elif new in terms:
-                    del terms[new]
+        self._check_index(i)
+        s = _SHIFTS[i - 1]
+        unit = _UNIT[i]
+        terms = {}
+        for k, c in self.terms.items():
+            e = (k >> s) & _FIELD
+            if e:  # distinct keys stay distinct after one unit comes off
+                terms[k - unit] = c * e
         return SparsePolynomial(self.nvars, terms)
 
     def antiderivative(self, i: int) -> "SparsePolynomial":
         """The primitive in z_i with zero constant term."""
-        if not 1 <= i <= self.nvars:
-            raise ValueError(f"variable index {i} out of range")
-        terms = {}
-        for exp, c in self.terms.items():
-            e = exp[i - 1]
-            new = exp[: i - 1] + (e + 1,) + exp[i:]
-            terms[new] = demote(Fraction(c, e + 1))
+        self._check_index(i)
+        s = _SHIFTS[i - 1]
+        unit = _UNIT[i]
+        terms = {
+            k + unit: demote(Fraction(c, ((k >> s) & _FIELD) + 1))
+            for k, c in self.terms.items()
+        }
+        _check_cap(terms)
         return SparsePolynomial(self.nvars, terms)
 
     def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
         """Maximal monomial under lexicographic order with z_n most significant."""
         if not self.terms:
             raise ValueError("the zero polynomial has no leading term")
-        exp = max(self.terms, key=lambda e: tuple(reversed(e)))
-        return exp, self.terms[exp]
+        key = max(self.terms)
+        return _unpack(key, self.nvars), self.terms[key]
+
+    def items(self):
+        """(exponent tuple, coefficient) pairs, in no particular order."""
+        n = self.nvars
+        return ((_unpack(k, n), c) for k, c in self.terms.items())
 
     def evaluate(self, values):
         """Exact value at a point (one number per variable)."""
         if len(values) != self.nvars:
             raise ValueError(f"need {self.nvars} values, got {len(values)}")
         total = 0
-        for exp, c in self.terms.items():
+        for exp, c in self.items():
             term = c
             for v, e in zip(values, exp):
                 if e:
@@ -299,46 +320,62 @@ class SparsePolynomial:
 
     def permute_variables(self, image: tuple[int, ...]) -> "SparsePolynomial":
         """Substitute z_i -> z_image[i-1]; image must be a permutation of 1..n."""
-        if sorted(image) != list(range(1, self.nvars + 1)):
-            raise ValueError(f"not a permutation of 1..{self.nvars}: {image}")
+        n = self.nvars
+        if sorted(image) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {image}")
+        # fields that move by the same distance move together, with one mask
+        # and one shift; fields that stay are kept with one mask
+        fixed = 0
+        moves: dict = {}
+        for s, target in zip(_SHIFTS, image):
+            d = _SHIFTS[target - 1] - s
+            if d:
+                moves[d] = moves.get(d, 0) | (_FIELD << s)
+            else:
+                fixed |= _FIELD << s
+        up = [(mask, d) for d, mask in moves.items() if d > 0]
+        down = [(mask, -d) for d, mask in moves.items() if d < 0]
         terms = {}
-        for exp, c in self.terms.items():
-            new = [0] * self.nvars
-            for i, e in enumerate(exp):
-                new[image[i] - 1] = e
-            terms[tuple(new)] = c
-        return SparsePolynomial(self.nvars, terms)
+        for k, c in self.terms.items():
+            new = k & fixed
+            for mask, d in up:
+                new |= (k & mask) << d
+            for mask, d in down:
+                new |= (k & mask) >> d
+            terms[new] = c
+        return SparsePolynomial(n, terms)
 
     def substitute_variable(self, i: int, j: int) -> "SparsePolynomial":
         """Substitute z_i -> z_j (i and j may collide with other exponents)."""
+        self._check_index(i)
+        self._check_index(j)
         if i == j:
             return self
+        si, sj = _SHIFTS[i - 1], _SHIFTS[j - 1]
         terms: dict = {}
-        for exp, c in self.terms.items():
-            new = list(exp)
-            new[j - 1] += new[i - 1]
-            new[i - 1] = 0
-            key = tuple(new)
+        for k, c in self.terms.items():
+            e = (k >> si) & _FIELD
+            key = k - (e << si) + (e << sj)
             cur = terms.get(key, 0) + c
             if cur:
                 terms[key] = cur
             elif key in terms:
                 del terms[key]
+        _check_cap(terms)
         return SparsePolynomial(self.nvars, terms)
 
     def drop_last_variable(self) -> "SparsePolynomial":
-        """Forget a trailing variable that no term uses."""
-        if any(exp[-1] for exp in self.terms):
+        """Forget a trailing variable that no term uses (keys are unchanged)."""
+        if max(self.terms, default=0) >> _SHIFTS[self.nvars - 1]:
             raise ValueError("last variable still occurs")
-        return SparsePolynomial(self.nvars - 1, {e[:-1]: c for e, c in self.terms.items()})
+        return SparsePolynomial(self.nvars - 1, self.terms)
 
     # ------------------------------------------------------------------
     # presentation
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in descending z_n-major lexicographic order (deterministic)."""
-        return sorted(
-            self.terms.items(), key=lambda kv: tuple(reversed(kv[0])), reverse=True
-        )
+        n = self.nvars
+        return [(_unpack(k, n), self.terms[k]) for k in sorted(self.terms, reverse=True)]
 
     def to_json(self) -> dict:
         return {
@@ -413,10 +450,10 @@ def _as_variable_difference(q: SparsePolynomial) -> tuple[int, int] | None:
     if len(q.terms) != 2:
         return None
     pos = neg = None
-    for exp, c in q.terms.items():
-        if sum(exp) != 1 or max(exp) != 1:
+    for k, c in q.terms.items():
+        i = _UNIT_INDEX.get(k)
+        if i is None:
             return None
-        i = exp.index(1) + 1
         if c == 1:
             pos = i
         elif c == -1:
@@ -428,44 +465,43 @@ def _as_variable_difference(q: SparsePolynomial) -> tuple[int, int] | None:
     return pos, neg
 
 
-def _bump(exp: tuple[int, ...], slot: int) -> tuple[int, ...]:
-    return exp[:slot] + (exp[slot] + 1,) + exp[slot + 1 :]
-
-
 def _divide_by_z_diff(p: SparsePolynomial, i: int, j: int) -> SparsePolynomial:
-    """Exact division by (z_i - z_j) via synthetic division in z_i."""
+    """Exact division by (z_i - z_j) via synthetic division in z_i.
+
+    With p = sum_t p_t z_i^t, the quotient is sum_t q_t z_i^t with
+    q_top = 0 and q_(t-1) = p_t + z_j q_t, and the remainder is
+    p_0 + z_j q_0.  On keys, q_t z_i^t becomes z_j q_t z_i^(t-1) by adding
+    z_j's unit and taking off z_i's."""
     if p.is_zero():
         return p
-    buckets: dict[int, dict] = {}
-    for exp, c in p.terms.items():
-        t = exp[i - 1]
-        rest = exp[: i - 1] + (0,) + exp[i:]
-        level = buckets.setdefault(t, {})
-        level[rest] = level.get(rest, 0) + c
-    top = max(buckets)
+    si = _SHIFTS[i - 1]
+    unit_i, unit_j = _UNIT[i], _UNIT[j]
+    down = unit_j - unit_i
+    levels: dict[int, list] = {}
+    for k, c in p.terms.items():
+        levels.setdefault((k >> si) & _FIELD, []).append((k, c))
     quo: dict = {}
-    carry: dict = {}
-    for t in range(top - 1, -1, -1):
-        nxt = dict(buckets.get(t + 1, {}))
-        for rest, c in carry.items():
-            bumped = _bump(rest, j - 1)
-            cur = nxt.get(bumped, 0) + c
+    carry: dict = {}  # q_(t-1) z_i^(t-1)
+    for t in range(max(levels), 0, -1):
+        carry = {k + down: c for k, c in carry.items()}
+        for k, c in levels.get(t, ()):
+            k -= unit_i
+            cur = carry.get(k, 0) + c
             if cur:
-                nxt[bumped] = cur
-            elif bumped in nxt:
-                del nxt[bumped]
-        for rest, c in nxt.items():
-            quo[rest[: i - 1] + (t,) + rest[i:]] = c
-        carry = nxt
-    rem = dict(buckets.get(0, {}))
-    for rest, c in carry.items():
-        bumped = _bump(rest, j - 1)
-        cur = rem.get(bumped, 0) + c
+                carry[k] = cur
+            else:
+                del carry[k]
+        quo.update(carry)
+    rem = {k + unit_j: c for k, c in carry.items()}
+    for k, c in levels.get(0, ()):
+        cur = rem.get(k, 0) + c
         if cur:
-            rem[bumped] = cur
-        elif bumped in rem:
-            del rem[bumped]
+            rem[k] = cur
+        else:
+            del rem[k]
     if rem:
+        # z_j's exponent can pass the cap only in a remainder
+        _check_cap(rem)
         raise NonDivisibleError(SparsePolynomial(p.nvars, rem))
     return SparsePolynomial(p.nvars, quo)
 
@@ -488,31 +524,34 @@ def exact_divide(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
     ij = _as_variable_difference(q)
     if ij is not None:
         return _divide_by_z_diff(p, *ij)
-    qexp, qc = q.leading_term()
+    qkey = max(q.terms)
+    qc = q.terms[qkey]
+    tail = [(k, c) for k, c in q.terms.items() if k != qkey]
     cur = dict(p.terms)
     quo: dict = {}
     rem: dict = {}
     while cur:
-        exp = max(cur, key=lambda e: tuple(reversed(e)))
-        c = cur.pop(exp)
-        diff = tuple(a - b for a, b in zip(exp, qexp))
-        if any(d < 0 for d in diff):
-            rem[exp] = c
+        key = max(cur)
+        c = cur.pop(key)
+        _check_cap((key,))
+        # with every guard bit set, a field of key below q's borrows its guard
+        diff = (key | _GUARDS) - qkey
+        if diff & _GUARDS != _GUARDS:
+            rem[key] = c
             continue
+        diff ^= _GUARDS
         f = demote(Fraction(c) / Fraction(qc))
         quo[diff] = demote(quo.get(diff, 0) + f)
-        for e2, c2 in q.terms.items():
-            if e2 == qexp:
-                continue
-            key = tuple(a + b for a, b in zip(diff, e2))
-            nxt = cur.get(key, 0) - f * c2
+        for k2, c2 in tail:
+            k = diff + k2
+            nxt = cur.get(k, 0) - f * c2
             if nxt:
-                cur[key] = nxt
-            elif key in cur:
-                del cur[key]
+                cur[k] = nxt
+            elif k in cur:
+                del cur[k]
     if rem:
         raise NonDivisibleError(SparsePolynomial(p.nvars, rem))
-    return SparsePolynomial(p.nvars, {e: c for e, c in quo.items() if c})
+    return SparsePolynomial(p.nvars, {k: c for k, c in quo.items() if c})
 
 
 @cache

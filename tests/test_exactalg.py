@@ -100,13 +100,12 @@ def test_ring_axioms(a, b, c):
 @given(polys(nvars=3), polys(nvars=3))
 def test_packed_multiplication_agrees_with_naive(a, b):
     naive = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
             e = tuple(x + y for x, y in zip(e1, e2))
             naive[e] = naive.get(e, 0) + c1 * c2
     naive = {e: c for e, c in naive.items() if c}
-    assert a._mul_packed(b).terms == naive
-    assert (a * b).terms == naive
+    assert dict((a * b).items()) == naive
 
 
 def test_demote():
@@ -183,6 +182,8 @@ JSON_SAMPLE = SparsePolynomial.from_terms(2, [((1, 0), Fraction(1, 2)), ((0, 3),
         pytest.param({"vars": 2, "terms": [_term([True, 0])]}, id="bool-exponent"),
         pytest.param({"vars": 2, "terms": [_term("10")]}, id="string-exponents"),
         pytest.param({"vars": 2, "terms": [_term([1, -1])]}, id="negative-exponent"),
+        pytest.param({"vars": 2, "terms": [_term([2**23, 0])]}, id="exponent-at-cap"),
+        pytest.param({"vars": 2, "terms": [_term([0, 2**40])]}, id="huge-exponent"),
         pytest.param({"vars": 2, "terms": [_term([1])]}, id="short-exponents"),
         pytest.param({"vars": 2, "terms": [_term([1, 0], den="0")]}, id="zero-den"),
         pytest.param({"vars": 2, "terms": [_term([1, 0], num=1.5)]}, id="float-num"),
@@ -255,6 +256,216 @@ def test_discriminant_power():
     z23 = SparsePolynomial.z_diff(3, 2, 3)
     assert d == (z12 * z13 * z23) ** 2
     assert discriminant_power(2, 0) == SparsePolynomial.constant(2, 1)
+
+
+# ----------------------------------------------------------------------
+# packed monomial keys against a reference on exponent tuples
+#
+# The reference keeps each polynomial as a dict from exponent tuples to
+# coefficients and implements every operation directly on the tuples.
+
+CAP = 2**23  # exponents stay below this
+
+
+def _clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _clean(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _clean(out)
+
+
+def _ref_map(a, move, scale=lambda e, c: c):
+    """Apply `move` to every exponent tuple, adding colliding terms."""
+    out = {}
+    for e, c in a.items():
+        new = move(e)
+        if new is not None:
+            out[new] = out.get(new, 0) + scale(e, c)
+    return _clean(out)
+
+
+def _with(e, i, value):
+    return e[: i - 1] + (value,) + e[i:]
+
+
+def _lex_key(e):
+    return tuple(reversed(e))
+
+
+def _ref_divide(p, q):
+    """(quotient, remainder) of multivariate division by one divisor in
+    the lexicographic order with z_n most significant."""
+    lead = max(q, key=_lex_key)
+    tail = {e: c for e, c in q.items() if e != lead}
+    cur, quo, rem = dict(p), {}, {}
+    while cur:
+        e = max(cur, key=_lex_key)
+        c = cur.pop(e)
+        diff = tuple(x - y for x, y in zip(e, lead))
+        if min(diff) < 0:
+            rem[e] = c
+            continue
+        f = Fraction(c) / q[lead]
+        quo[diff] = f
+        cur = _ref_add(cur, _ref_mul({diff: -f}, tail))
+    return quo, rem
+
+
+def _is_variable_difference(q):
+    """q == +-(z_i - z_j), which exact_divide divides by in one variable."""
+    units = all(sum(e) == 1 and max(e) == 1 for e in q)
+    return len(q) == 2 and units and sorted(q.values()) == [-1, 1]
+
+
+@st.composite
+def ref_polys(draw, n):
+    items = [
+        (
+            tuple(draw(st.integers(0, 4)) for _ in range(n)),
+            draw(st.integers(-9, 9) | st.fractions(-3, 3, max_denominator=4)),
+        )
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    return SparsePolynomial.from_terms(n, items)
+
+
+VAR_COUNTS = st.sampled_from([1, 2, 3, 4, 5, 8])
+
+
+def _same(p, ref):
+    assert dict(p.items()) == _clean(ref)
+
+
+@given(VAR_COUNTS.flatmap(lambda n: st.tuples(ref_polys(n), ref_polys(n))))
+def test_packed_keys_agree_with_tuple_reference_on_ring_and_order(pair):
+    a, b = pair
+    ra, rb = dict(a.items()), dict(b.items())
+    _same(a * b, _ref_mul(ra, rb))
+    _same(a + b, _ref_add(ra, rb))
+    degrees = {sum(e) for e in ra}
+    assert a.degree() == max(degrees, default=-1)
+    assert a.is_homogeneous() == (len(degrees) <= 1)
+    order = sorted(ra.items(), key=lambda t: _lex_key(t[0]), reverse=True)
+    assert a.sorted_terms() == order
+    if ra:
+        lead = max(ra, key=_lex_key)
+        assert a.leading_term() == (lead, ra[lead])
+
+
+@given(VAR_COUNTS.flatmap(lambda n: st.tuples(ref_polys(n), st.data())))
+def test_packed_keys_agree_with_tuple_reference_on_calculus(case):
+    a, data = case
+    n = a.nvars
+    ra = dict(a.items())
+    i = data.draw(st.integers(1, n))
+    j = data.draw(st.integers(1, n))
+    derivative = _ref_map(ra, lambda e: _with(e, i, e[i - 1] - 1) if e[i - 1] else None,
+                          lambda e, c: c * e[i - 1])
+    _same(a.partial_derivative(i), derivative)
+    primitive = _ref_map(ra, lambda e: _with(e, i, e[i - 1] + 1),
+                         lambda e, c: Fraction(c, e[i - 1] + 1))
+    _same(a.antiderivative(i), primitive)
+    substituted = _ref_map(
+        ra, lambda e: e if i == j else _with(_with(e, j, e[j - 1] + e[i - 1]), i, 0)
+    )
+    _same(a.substitute_variable(i, j), substituted)
+    image = tuple(data.draw(st.permutations(range(1, n + 1))))
+
+    def permute(e):
+        new = [0] * n
+        for k, x in enumerate(e):
+            new[image[k] - 1] = x
+        return tuple(new)
+
+    _same(a.permute_variables(image), _ref_map(ra, permute))
+    if n > 1:
+        moved = _ref_map(ra, lambda e: _with(_with(e, 1, e[0] + e[-1]), n, 0))
+        dropped = a.substitute_variable(n, 1).drop_last_variable()
+        assert dropped.nvars == n - 1
+        assert dict(dropped.items()) == {e[:-1]: c for e, c in moved.items()}
+        if any(e[-1] for e in ra):
+            with pytest.raises(ValueError):
+                a.drop_last_variable()
+
+
+@given(VAR_COUNTS.flatmap(lambda n: st.tuples(ref_polys(n), ref_polys(n), ref_polys(n))))
+def test_packed_keys_agree_with_tuple_reference_on_division(triple):
+    a, b, r = triple
+    if b.is_zero():
+        return
+    assert exact_divide(a * b, b) == a
+    p = a * b + r
+    rb = dict(b.items())
+    if _is_variable_difference(rb):
+        return  # covered by the next test
+    quo, rem = _ref_divide(dict(p.items()), rb)
+    if not rem:
+        _same(exact_divide(p, b), quo)
+    else:
+        with pytest.raises(NonDivisibleError) as caught:
+            exact_divide(p, b)
+        _same(caught.value.remainder, rem)
+
+
+@given(VAR_COUNTS.filter(lambda n: n > 1).flatmap(
+    lambda n: st.tuples(ref_polys(n), ref_polys(n), st.permutations(range(1, n + 1)))
+))
+def test_packed_keys_agree_with_tuple_reference_on_difference_division(case):
+    a, r, order = case
+    i, j = order[:2]
+    zij = SparsePolynomial.z_diff(a.nvars, i, j)
+    assert exact_divide(a * zij, zij) == a
+    p = a * zij + r
+    # synthetic division in z_i leaves the remainder p(z_i = z_j)
+    rem = _ref_map(dict(p.items()), lambda e: _with(_with(e, j, e[j - 1] + e[i - 1]), i, 0))
+    if rem:
+        with pytest.raises(NonDivisibleError) as caught:
+            exact_divide(p, zij)
+        _same(caught.value.remainder, rem)
+    else:
+        assert exact_divide(p, zij) * zij == p
+
+
+def test_exponents_at_the_cap_stay_exact():
+    top = CAP - 1
+    p = SparsePolynomial.from_terms(8, [((top,) * 8, 1), ((top,) + (0,) * 7, 2)])
+    assert p.degree() == 8 * top
+    assert not p.is_homogeneous()
+    assert p.leading_term() == ((top,) * 8, 1)
+    assert p.sorted_terms()[-1] == ((top,) + (0,) * 7, 2)
+    # exponents below 2^21 and from 2^21 on: totals near and past 2^24 stay exact
+    below = SparsePolynomial.from_terms(8, [((2**21 - 1,) * 8, 1)])
+    assert below.degree() == 8 * (2**21 - 1)
+    q = SparsePolynomial.from_terms(3, [((2**21 - 1, 0, 0), 1), ((0, 2**21, 2**22), 1)])
+    assert q.degree() == 2**21 + 2**22
+    z1 = zpoly(1, 1)
+    assert dict((z1 ** (2**22) * z1 ** (2**22 - 1)).items()) == {(top,): 1}
+
+
+@pytest.mark.parametrize("slot", [1, 8])
+def test_exponent_reaching_the_cap_raises_overflow(slot):
+    z = zpoly(8, slot)
+    half = z ** (2**22)
+    with pytest.raises(OverflowError):
+        half * half
+    with pytest.raises(OverflowError):
+        (half * z ** (2**22 - 1)).antiderivative(slot)
+    other = 9 - slot
+    with pytest.raises(OverflowError):
+        (half * zpoly(8, other) ** (2**22)).substitute_variable(other, slot)
 
 
 # ----------------------------------------------------------------------

@@ -352,7 +352,7 @@ def test_reflection_rejects_perturbed_path_coefficient(monkeypatch):
     phis = reflection_dual_solutions(n, m)
     first = phis[0]
     c0, c1 = first.components[0], first.components[1]
-    exp = next(e for e, c in c0.num.terms.items() if Fraction(c).denominator > 1)
+    exp = next(e for e, c in c0.num.items() if Fraction(c).denominator > 1)
     # one rational coefficient moves by 1/7; the same monomial moves back
     # in the next component, so the coordinate sum still vanishes and
     # only the pairing can catch the change
