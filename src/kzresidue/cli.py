@@ -246,9 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="run checks on a shape or a whole size")
-    p.add_argument("--lambda", dest="shape", type=parse_shape, default=None)
-    p.add_argument("--all-partitions", type=positive_int, default=None,
-                   help="verify every partition of this size")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--lambda", dest="shape", type=parse_shape, default=None)
+    target.add_argument("--all-partitions", type=positive_int, default=None,
+                        help="verify every partition of this size")
     p.add_argument("--m", type=positive_int, required=True)
     p.add_argument("--all", action="store_true",
                    help="full battery instead of the differential check only")

@@ -364,6 +364,13 @@ class SparsePolynomial:
         _check_cap(terms)
         return SparsePolynomial(self.nvars, terms)
 
+    def restrict_last_to_zero(self) -> "SparsePolynomial":
+        """The slice z_n = 0, in the same ring: the terms free of z_n,
+        whose keys are the ones below z_n's unit."""
+        unit = _UNIT[self.nvars]
+        terms = {k: c for k, c in self.terms.items() if k < unit}
+        return SparsePolynomial(self.nvars, terms)
+
     def drop_last_variable(self) -> "SparsePolynomial":
         """Forget a trailing variable that no term uses (keys are unchanged)."""
         if max(self.terms, default=0) >> _SHIFTS[self.nvars - 1]:
@@ -906,6 +913,11 @@ def _minor(rows, i, j):
     ]
 
 
+def _cofactor(rows, i, j) -> SparsePolynomial:
+    minor = determinant(_minor(rows, i, j))
+    return -minor if (i + j) % 2 else minor
+
+
 def _cofactor_det(rows) -> SparsePolynomial:
     n = len(rows)
     if n == 1:
@@ -967,6 +979,48 @@ def z_diff_content(polys, nvars: int) -> tuple[list, dict]:
     return polys, content
 
 
+def _stripped(rows, nvars: int) -> tuple[list, list, list]:
+    """`(columns, row_parts, col_parts)` with M[r][c] == f_r * g_c *
+    M'[r][c]: `columns` are the columns of M', and `row_parts[r]`
+    (`col_parts[c]`) counts the powers of each z_i - z_j in f_r (g_c), the
+    largest product of them dividing row r of M (column c of the
+    row-stripped matrix).  No row or column of M may be zero."""
+    row_parts, reduced = [], []
+    for row in rows:
+        row, part = z_diff_content(row, nvars)
+        row_parts.append(Counter(part))
+        reduced.append(row)
+    col_parts, columns = [], []
+    for col in zip(*reduced):
+        col, part = z_diff_content(col, nvars)
+        col_parts.append(Counter(part))
+        columns.append(col)
+    return columns, row_parts, col_parts
+
+
+def _times_content(p: SparsePolynomial, content: Counter) -> SparsePolynomial:
+    # smallest powers first: the product grows most slowly that way
+    for (i, j), e in sorted(content.items(), key=lambda kv: (kv[1], kv[0])):
+        p = p * _zdiff_power(p.nvars, i, j, e)
+    return p
+
+
+def _square_rows(matrix) -> list:
+    rows = matrix.entries if isinstance(matrix, PolyMatrix) else [list(r) for r in matrix]
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("determinant needs a square matrix")
+    return rows
+
+
+def _has_zero_line(rows) -> bool:
+    return not all(any(r) for r in rows) or not all(any(c) for c in zip(*rows))
+
+
+def _det_of_columns(columns) -> SparsePolynomial:
+    # the reduced matrix is kept transposed: det(M^T) == det(M)
+    return _cofactor_det(columns) if len(columns) <= 5 else _bareiss_det(columns)
+
+
 def determinant(matrix) -> SparsePolynomial:
     """Determinant alone.
 
@@ -984,60 +1038,54 @@ def determinant(matrix) -> SparsePolynomial:
     exact divisions of fraction-free elimination the dominant cost, so
     expansion wins up to the sizes that occur here) and fraction-free
     elimination beyond."""
-    rows = matrix.entries if isinstance(matrix, PolyMatrix) else [list(r) for r in matrix]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant needs a square matrix")
-    nvars = rows[0][0].nvars
-    if not all(any(r) for r in rows) or not all(any(c) for c in zip(*rows)):
-        return SparsePolynomial.zero(nvars)
-    content: Counter = Counter()
-    reduced = []
-    for row in rows:
-        row, part = z_diff_content(row, nvars)
-        content.update(part)
-        reduced.append(row)
-    columns = []
-    for col in zip(*reduced):
-        col, part = z_diff_content(col, nvars)
-        content.update(part)
-        columns.append(col)
-    # the reduced matrix is kept transposed: det(M^T) == det(M)
-    det = _cofactor_det(columns) if n <= 5 else _bareiss_det(columns)
-    # smallest powers first: the product grows most slowly that way
-    for (i, j), e in sorted(content.items(), key=lambda kv: (kv[1], kv[0])):
-        det = det * _zdiff_power(nvars, i, j, e)
-    return det
+    rows = _square_rows(matrix)
+    if _has_zero_line(rows):
+        return SparsePolynomial.zero(rows[0][0].nvars)
+    columns, row_parts, col_parts = _stripped(rows, rows[0][0].nvars)
+    det = _det_of_columns(columns)
+    return _times_content(det, sum(row_parts + col_parts, Counter()))
 
 
 def det_adjugate(matrix) -> tuple[SparsePolynomial, PolyMatrix]:
     """Determinant and adjugate of a square polynomial matrix.
-    Satisfies M * adj == det * I exactly (asserted)."""
-    rows = matrix.entries if isinstance(matrix, PolyMatrix) else [list(r) for r in matrix]
-    det = determinant(rows)
+
+    With M[r][c] = f_r * g_c * M'[r][c] as in `determinant`, and F, G the
+    products of all f_r, all g_c: every minor of M is the minor of M'
+    times the content of its rows and columns, so
+
+        det(M) = F G det(M'),   adj(M)[i][j] = F G / (f_j g_i) adj(M')[i][j],
+
+    and (M adj(M))[r][s] = F G f_r / f_s (M' adj(M'))[r][s].  Hence
+    M adj(M) == det(M) I holds exactly when M' adj(M') == det(M') I,
+    which is asserted on the stripped matrix (ArithmeticError otherwise);
+    the content is then multiplied back once per entry.  A matrix with a
+    zero row or column is not stripped."""
+    rows = _square_rows(matrix)
     n = len(rows)
     nvars = rows[0][0].nvars
-    if n == 1:
-        adj = PolyMatrix([[SparsePolynomial.constant(nvars, 1)]])
+    if _has_zero_line(rows):
+        columns = [list(c) for c in zip(*rows)]
+        row_parts = col_parts = [Counter()] * n
     else:
-        entries = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                minor_det = determinant(_minor(rows, j, i))
-                if (i + j) % 2:
-                    minor_det = -minor_det
-                row.append(minor_det)
-            entries.append(row)
-        adj = PolyMatrix(entries)
-    m = PolyMatrix(rows)
-    prod = m.matmul(adj)
+        columns, row_parts, col_parts = _stripped(rows, nvars)
+    reduced = [list(r) for r in zip(*columns)]
+    det = _det_of_columns(columns)
+    if n == 1:
+        adj = [[SparsePolynomial.constant(nvars, 1)]]
+    else:
+        adj = [[_cofactor(reduced, j, i) for j in range(n)] for i in range(n)]
+    prod = PolyMatrix(reduced).matmul(PolyMatrix(adj))
     for i in range(n):
         for j in range(n):
             expected = det if i == j else SparsePolynomial.zero(nvars)
             if prod.entry(i, j) != expected:
                 raise ArithmeticError("adjugate identity failed; matrix arithmetic bug")
-    return det, adj
+    total = sum(row_parts + col_parts, Counter())
+    adj = [
+        [_times_content(a, total - row_parts[j] - col_parts[i]) for j, a in enumerate(row)]
+        for i, row in enumerate(adj)
+    ]
+    return _times_content(det, total), PolyMatrix(adj)
 
 
 def eliminate(matrix, rhs) -> tuple[dict[int, int], list]:

@@ -16,6 +16,7 @@ from .exactalg import (
     NonDivisibleError,
     PolyFraction,
     SparsePolynomial,
+    _divide_by_z_diff,
     discriminant_power,
     eliminate,
     exact_divide,
@@ -90,35 +91,6 @@ def _clip(obj, limit: int = 300) -> str:
 # the differential system
 
 
-def _kz_polynomial_witness(table: SolutionTable) -> dict | None:
-    n = table.lam.size
-    m = table.m
-    comps = table.components
-    for i in range(1, n + 1):
-        for u, c_u in comps.items():
-            rhs = SparsePolynomial.zero(n)
-            for j in range(1, n + 1):
-                if j == i:
-                    continue
-                swapped = comps[act_transposition(u, i, j)]
-                try:
-                    rhs = rhs + exact_divide(
-                        swapped + c_u, SparsePolynomial.z_diff(n, i, j)
-                    )
-                except NonDivisibleError as exc:
-                    return {
-                        "i": i,
-                        "j": j,
-                        "form": str(u),
-                        "reason": "numerator not divisible by the pole",
-                        "remainder": _clip(exc.remainder),
-                    }
-            diff = c_u.partial_derivative(i) - rhs * m
-            if diff:
-                return {"i": i, "form": str(u), "difference": _clip(diff)}
-    return None
-
-
 def _discriminant_power_of(n: int, den: SparsePolynomial) -> tuple[int, object] | None:
     """`(p, C)` when `den == C * Delta^p` for a non-zero constant C, where
     Delta = prod_{a<b} (z_a - z_b) and p = deg(den) / C(n, 2) (p = 0 on
@@ -136,88 +108,86 @@ def _discriminant_power_of(n: int, den: SparsePolynomial) -> tuple[int, object] 
     return p, ratio.constant_value()
 
 
-def _kz_cross_multiplied(n: int, m: int, p: int, nums: dict, act):
+def _kz_witness(n: int, m: int, p: int, nums: dict, act):
     """First failure of the KZ system for components `nums[key] / den`
-    sharing a denominator den = C * Delta^p, C a non-zero constant.
+    sharing a denominator den = C * Delta^p, C a non-zero constant (p = 0
+    and C = 1 for polynomial components); `act(i, j, key)` is the
+    numerator at `key` of the transposition (i j) applied to the whole
+    vector, so act(i, j, .) == act(j, i, .).
 
     Precondition (the caller's to establish): den has that form.  Then
-    d_i den / den = p sum_{l != i} 1 / (z_i - z_l), so the system
-    multiplied by den * P_i, with P_i = prod_{l != i} (z_i - z_l) and
-    cof_j = P_i / (z_i - z_j), reads
+    d_i den / den = p sum_{j != i} 1 / (z_i - z_j), and the system reads
 
-        num' P_i == sum_{j != i} (m (act(i, j, key) + num) + p num) cof_j
+        num' == sum_{j != i} X_j / (z_i - z_j),   X_j = m act(i, j, key) + (m + p) num
 
-    where ' is d/dz_i and `act(i, j, key)` is the numerator at `key` of
-    the transposition (i j) applied to the whole vector; den itself never
-    enters a product.  Since sum_j cof_j = P_i', the right side is
-    evaluated as m sum_j act(i, j, key) cof_j + (m + p) num P_i'.
-    Returns `(i, key, difference)` for the first identity that fails,
-    else None.
-    """
+    with ' = d/dz_i.  Write X_j = (z_i - z_j) q_j + r_j, where
+    r_j = X_j(z_i = z_j) is free of z_i.  Partial fractions in z_i over
+    Q(other z) are unique and the poles z_j are distinct, so the right
+    side is a polynomial only if every r_j is zero: a remainder fails
+    closed, and otherwise the identity is num' == sum_j q_j.  X_j is the
+    same for (i, j) and (j, i), so each quotient is computed once per
+    unordered pair and enters the larger index with its sign flipped.
+    Returns `(i, key, fields)` for the first (i, key) that fails, else
+    None."""
+    later: dict = {}  # (j, i, key) -> X / (z_j - z_i) for j < i
+    own = {key: num * (m + p) for key, num in nums.items()}
     for i in range(1, n + 1):
-        prod_i = SparsePolynomial.constant(n, 1)
-        for l in range(1, n + 1):
-            if l != i:
-                prod_i = prod_i * SparsePolynomial.z_diff(n, i, l)
-        diagonal = prod_i.partial_derivative(i) * (m + p)
-        cofactors = {
-            j: exact_divide(prod_i, SparsePolynomial.z_diff(n, i, j))
-            for j in range(1, n + 1)
-            if j != i
-        }
         for key, num in nums.items():
-            acted = SparsePolynomial.zero(n)
-            for j, cofactor in cofactors.items():
-                acted = acted + act(i, j, key) * cofactor
-            diff = num.partial_derivative(i) * prod_i - acted * m - num * diagonal
+            total = SparsePolynomial.zero(n)
+            for j in range(1, n + 1):
+                if j < i:
+                    total = total - later.pop((j, i, key))
+                elif j > i:
+                    x = act(i, j, key) * m + own[key]
+                    try:
+                        later[(i, j, key)] = q = _divide_by_z_diff(x, i, j)
+                    except NonDivisibleError as exc:
+                        return i, key, {
+                            "j": j,
+                            "reason": "numerator not divisible by the pole",
+                            "remainder": _clip(exc.remainder),
+                        }
+                    total = total + q
+            diff = num.partial_derivative(i) - total
             if diff:
-                return i, key, diff
+                return i, key, {"difference": _clip(diff)}
     return None
-
-
-def _kz_fraction_witness(table: SolutionTable) -> dict | None:
-    """Log-derivative check for tables whose components share one
-    denominator C * Delta^p; the transposition action picks up a sign on
-    twisted tables.  A denominator of any other form fails the check."""
-    swap_sign = -1 if table.twisted else 1
-    comps = table.components
-    dens = {id(c.den): c.den for c in comps.values()}
-    first = next(iter(comps.values())).den
-    for den in dens.values():
-        if den is not first and den != first:
-            return {"reason": "components do not share a denominator"}
-    found = _discriminant_power_of(table.lam.size, first)
-    if found is None:
-        return {
-            "reason": "shared denominator is not a constant times a discriminant power"
-        }
-    failure = _kz_cross_multiplied(
-        table.lam.size,
-        table.m,
-        found[0],
-        {u: c.num for u, c in comps.items()},
-        lambda i, j, u: comps[act_transposition(u, i, j)].num * swap_sign,
-    )
-    if failure is None:
-        return None
-    i, u, diff = failure
-    return {"i": i, "form": str(u), "difference": _clip(diff)}
 
 
 def check_kz(table: SolutionTable) -> CheckReport:
     """The component table satisfies the full differential system for
     its stated parameter and (possibly twisted) transposition action.
 
-    Polynomial tables are checked term by term after exact division by
-    each pole.  Fraction tables (the alternating twist) must share one
-    denominator C * Delta^p, which is verified first by exact division;
-    the system is then checked in the log-derivative form of
-    `_kz_cross_multiplied`, so the denominator never enters a product."""
-    sample = next(iter(table.components.values()))
-    if isinstance(sample, PolyFraction):
-        witness = _kz_fraction_witness(table)
-    else:
-        witness = _kz_polynomial_witness(table)
+    Polynomial tables are checked with p = 0.  Fraction tables (the
+    alternating twist) must share one denominator C * Delta^p, which is
+    verified first by exact division (a denominator of any other form
+    fails); both are then checked by `_kz_witness`: each pole's numerator
+    is divided exactly, a remainder fails by uniqueness of partial
+    fractions, and the quotients must sum to the derivative, so the
+    denominator never enters a product."""
+    comps = nums = table.components
+    p, witness = 0, None
+    first = next(iter(comps.values()))
+    if isinstance(first, PolyFraction):
+        nums = {u: c.num for u, c in comps.items()}
+        if any(c.den is not first.den and c.den != first.den for c in comps.values()):
+            witness = {"reason": "components do not share a denominator"}
+        elif (found := _discriminant_power_of(table.lam.size, first.den)) is None:
+            witness = {
+                "reason": "shared denominator is not a constant times a discriminant power"
+            }
+        else:
+            p = found[0]
+
+    def act(i: int, j: int, u: Tabloid) -> SparsePolynomial:
+        v = nums[act_transposition(u, i, j)]
+        return -v if table.twisted else v
+
+    if witness is None:
+        failure = _kz_witness(table.lam.size, table.m, p, nums, act)
+        if failure is not None:
+            i, u, fields = failure
+            witness = {"i": i, "form": str(u), **fields}
     if witness is not None:
         witness = {"cycle": str(table.cycle), **witness}
     return CheckReport(
@@ -485,17 +455,26 @@ def check_dual(fm: FundamentalMatrix) -> CheckReport:
     Precondition: `check_det` passes, so the shared denominator of the
     dual entries, det = C * Delta^p, has the log-derivative
     d_i det / det = p sum_{l != i} 1 / (z_i - z_l); the system is then
-    checked in the form of `_kz_cross_multiplied`.  If the precondition
+    checked by pole division in `_kz_witness`.  If the precondition
     fails, so does this check, with a witness naming it; it is never
-    skipped."""
+    skipped.  That the rows are the transposed inverse rests on the
+    adjugate identity, which `dual_matrix` asserts exactly on the matrix
+    with its z-difference content stripped (see `det_adjugate`); a
+    failure of it fails this check."""
     lam = fm.lam
     n = lam.size
     det_report = check_det(fm)
-    info = {"precondition": det_report.check}
+    info = {
+        "precondition": det_report.check,
+        "adjugate_identity": "M' adj(M') == det(M') I, M' = M stripped of z-differences",
+    }
     if not det_report.passed:
         witness = {"precondition": det_report.check, **det_report.witness}
         return CheckReport("dual_system", lam, -fm.m, False, witness, info)
-    dm = dual_matrix(fm)
+    try:
+        dm = dual_matrix(fm)
+    except ArithmeticError as exc:
+        return CheckReport("dual_system", lam, -fm.m, False, {"reason": str(exc)}, info)
     info["det_degree"] = dm.det.degree()
     if dm.det != fm.determinant():
         witness = {
@@ -519,11 +498,11 @@ def check_dual(fm: FundamentalMatrix) -> CheckReport:
                 acted = acted + nums[(b, k)] * mat[k][jcol]
         return acted
 
-    failure = _kz_cross_multiplied(n, dm.m, det_report.info["power"], nums, act)
+    failure = _kz_witness(n, dm.m, det_report.info["power"], nums, act)
     witness = None
     if failure is not None:
-        i, (b, jcol), diff = failure
-        witness = {"i": i, "dual_row": b, "coordinate": jcol, "difference": _clip(diff)}
+        i, (b, jcol), fields = failure
+        witness = {"i": i, "dual_row": b, "coordinate": jcol, **fields}
     return CheckReport("dual_system", lam, dm.m, witness is None, witness, info)
 
 
@@ -620,69 +599,85 @@ def check_straightening(lam: Partition, m: int, cycle: Tabloid) -> CheckReport:
 # the reflection representation families
 
 
+def _translation_defect(f: SparsePolynomial) -> SparsePolynomial:
+    """E f, with E = sum_i d/dz_i the generator of z -> z + t (1, ..., 1)."""
+    out = SparsePolynomial.zero(f.nvars)
+    for i in range(1, f.nvars + 1):
+        out = out + f.partial_derivative(i)
+    return out
+
+
+def _reflection_witness(n: int, m: int, psis, phis) -> dict | None:
+    for k in range(n):
+        if sum((psi.components[k] for psi in psis), SparsePolynomial.zero(n)):
+            return {"reason": "residue family does not sum to zero", "component": k + 1}
+    for phi in phis:
+        if sum((comp.num for comp in phi.components), SparsePolynomial.zero(n)):
+            return {
+                "reason": "path family coordinate sum is not zero",
+                "index": phi.index,
+            }
+    families = [("residue", psi.index, psi.components) for psi in psis]
+    families += [("path", phi.index, [c.num for c in phi.components]) for phi in phis]
+    for family, index, comps in families:
+        for k, comp in enumerate(comps, start=1):
+            if _translation_defect(comp):
+                return {
+                    "reason": "not translation invariant: sum_i d/dz_i f != 0",
+                    "family": family,
+                    "index": index,
+                    "component": k,
+                }
+    # the first n-1 residue solutions form the basis dual to the path
+    # family; the last one is minus their sum and pairs to -1/m with
+    # everything, so it stays out of the delta identity
+    disc = discriminant_power(n, 2 * m).restrict_last_to_zero()
+    scaled = []
+    for phi in phis:
+        nums = [comp.num.restrict_last_to_zero() for comp in phi.components]
+        scale = math.lcm(
+            *(Fraction(c).denominator for num in nums for c in num.terms.values())
+        )
+        scaled.append((phi.index, scale, [num * scale for num in nums]))
+    for psi in psis[: n - 1]:
+        comps = [c.restrict_last_to_zero() for c in psi.components]
+        for index, scale, nums in scaled:
+            paired = SparsePolynomial.zero(n)
+            for k in range(n):
+                paired = paired + comps[k] * nums[k]
+            expected = disc * scale if psi.index == index else SparsePolynomial.zero(n)
+            if paired * m != expected:
+                return {
+                    "reason": "pairing is not delta_ab/m on z_n = 0",
+                    "a": psi.index,
+                    "b": index,
+                    "difference": _clip((paired * m - expected) * Fraction(1, scale)),
+                }
+    return None
+
+
 def check_reflection(n: int, m: int) -> CheckReport:
     """The fixed-point residue family sums to zero, each path family
     member has coordinate sum zero, and the two families pair to
     delta_{ab}/m (checked cross-multiplied against the squared
     discriminant power).
 
-    The path numerators carry rational coefficients; each member is
-    scaled once by the lcm L of their denominators, so the pairing runs
-    on integer polynomials and is compared against L times the
-    discriminant power."""
+    The pairing is checked on the slice z_n = 0 only, after a
+    translation-invariance step proves E f = 0, E = sum_i d/dz_i, for
+    every residue-family component and every path numerator f.  Then
+    f(z) = f(z - z_n (1, ..., 1)) for each of them, hence for every
+    product of them, and Delta^{2m} is a product of differences; so the
+    pairing identity holds everywhere if it holds at z_n = 0
+    (restriction is a ring homomorphism).  The path numerators carry
+    rational coefficients; each member is scaled once by the lcm L of
+    their denominators, so the pairing runs on integer polynomials and
+    is compared against L times the discriminant power."""
     lam = Partition((n - 1, 1)) if n > 2 else Partition((1, 1))
-    psis = reflection_solutions(n, m)
-    phis = reflection_dual_solutions(n, m)
-    disc = discriminant_power(n, 2 * m)
-    witness = None
-    for k in range(n):
-        total = SparsePolynomial.zero(n)
-        for psi in psis:
-            total = total + psi.components[k]
-        if total:
-            witness = {"reason": "residue family does not sum to zero", "component": k + 1}
-            break
-    if witness is None:
-        for phi in phis:
-            total = SparsePolynomial.zero(n)
-            for comp in phi.components:
-                total = total + comp.num
-            if total:
-                witness = {
-                    "reason": "path family coordinate sum is not zero",
-                    "index": phi.index,
-                }
-                break
-    if witness is None:
-        # the first n-1 residue solutions form the basis dual to the
-        # path family; the last one is minus their sum and pairs to -1/m
-        # with everything, so it stays out of the delta identity
-        scaled = []
-        for phi in phis:
-            scale = math.lcm(
-                *(
-                    Fraction(c).denominator
-                    for comp in phi.components
-                    for c in comp.num.terms.values()
-                )
-            )
-            nums = [comp.num * scale for comp in phi.components]
-            scaled.append((phi.index, scale, nums))
-        for psi in psis[: n - 1]:
-            for index, scale, nums in scaled:
-                paired = SparsePolynomial.zero(n)
-                for k in range(n):
-                    paired = paired + psi.components[k] * nums[k]
-                expected = (
-                    disc * scale if psi.index == index else SparsePolynomial.zero(n)
-                )
-                if paired * m != expected:
-                    diff = (paired * m - expected) * Fraction(1, scale)
-                    witness = {"a": psi.index, "b": index, "difference": _clip(diff)}
-                    break
-            if witness:
-                break
-    return CheckReport("reflection_families", lam, m, witness is None, witness)
+    witness = _reflection_witness(
+        n, m, reflection_solutions(n, m), reflection_dual_solutions(n, m)
+    )
+    info = {"translation_invariance": "sum_i d/dz_i kills every factor; pairing at z_n = 0"}
+    return CheckReport("reflection_families", lam, m, witness is None, witness, info)
 
 
 # ----------------------------------------------------------------------

@@ -167,6 +167,16 @@ def test_verify_needs_a_target(capsys):
     assert "needs --lambda or --all-partitions" in err
 
 
+def test_verify_refuses_both_targets(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "fundamental_solution", _must_not_solve)
+    monkeypatch.setattr(cli, "run_suite", _must_not_solve)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--lambda", "2,1", "--all-partitions", "2", "--m", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--all-partitions: not allowed with argument --lambda" in err
+
+
 def test_budget_refusal(capsys):
     code, _, err = run(capsys, "solve", "--lambda", "1,1,1,1,1", "--m", "1")
     assert code == 2

@@ -6,6 +6,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kzresidue import exactalg
 from kzresidue.exactalg import (
     FactoredSum,
     NonDivisibleError,
@@ -439,6 +440,35 @@ def test_packed_keys_agree_with_tuple_reference_on_difference_division(case):
         assert exact_divide(p, zij) * zij == p
 
 
+@given(VAR_COUNTS.flatmap(
+    lambda n: st.tuples(ref_polys(n), st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+))
+def test_restrict_last_to_zero_agrees_with_evaluation(case):
+    p, point = case
+    n = p.nvars
+    point[-1] = 0
+    sliced = p.restrict_last_to_zero()
+    assert sliced.nvars == n
+    assert all(exp[-1] == 0 for exp, _ in sliced.items())
+    assert sliced.evaluate(point) == p.evaluate(point)
+    # z_n times anything vanishes on the slice; the slice is idempotent
+    zn = SparsePolynomial.variable(n, n)
+    assert (p * zn).restrict_last_to_zero().is_zero()
+    assert sliced.restrict_last_to_zero() == sliced
+    assert (p - sliced).restrict_last_to_zero().is_zero()
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_restrict_last_to_zero_drops_every_power_of_the_last_variable(n):
+    zn = SparsePolynomial.variable(n, n)
+    rest = SparsePolynomial.constant(n, 3) + SparsePolynomial.variable(n, 1) ** 5
+    if n > 1:
+        rest = rest + SparsePolynomial.variable(n, n - 1) ** (CAP - 1)
+    p = rest + zn + zn * zn * 7 + zn ** (CAP - 1)
+    expected = rest if n > 1 else SparsePolynomial.constant(n, 3)
+    assert p.restrict_last_to_zero() == expected
+
+
 def test_exponents_at_the_cap_stay_exact():
     top = CAP - 1
     p = SparsePolynomial.from_terms(8, [((top,) * 8, 1), ((top,) + (0,) * 7, 2)])
@@ -794,6 +824,47 @@ def test_determinant_agrees_with_leibniz(case):
     with _time_limit(20):
         det = determinant(rows)
     assert det == _leibniz_det(rows, nvars)
+
+
+@settings(max_examples=30, deadline=None)
+@given(z_diff_matrices())
+def test_adjugate_on_stripped_matrix_agrees_with_leibniz_minors(case):
+    """det_adjugate works on the matrix with its z-difference content
+    stripped and multiplies it back; every entry must equal the signed
+    Leibniz minor of the original matrix, and M adj == det I must hold
+    on the full matrix too."""
+    nvars, rows = case
+    n = len(rows)
+    with _time_limit(20):
+        det, adj = det_adjugate(rows)
+    assert det == _leibniz_det(rows, nvars)
+    for i in range(n):
+        for j in range(n):
+            minor = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
+            expected = _leibniz_det(minor, nvars) if minor else det ** 0
+            assert adj.entry(i, j) == (-expected if (i + j) % 2 else expected)
+    prod = PolyMatrix(rows).matmul(adj)
+    zero = SparsePolynomial.zero(nvars)
+    for i in range(n):
+        assert [prod.entry(i, j) for j in range(n)] == [zero] * i + [det] + [zero] * (n - i - 1)
+
+
+def test_adjugate_with_one_corrupted_minor_fails_closed(monkeypatch):
+    z = [zpoly(3, i) for i in (1, 2, 3)]
+    z12 = SparsePolynomial.z_diff(3, 1, 2)
+    rows = [[z[0] * z12, z[1] * z12], [z[2], z[0] + z[1]]]
+    calls = []
+    honest = exactalg.determinant
+
+    def corrupt_second_minor(matrix):
+        calls.append(matrix)
+        det = honest(matrix)
+        return det + 1 if len(calls) == 2 else det
+
+    monkeypatch.setattr(exactalg, "determinant", corrupt_second_minor)
+    with pytest.raises(ArithmeticError, match="adjugate identity failed"):
+        det_adjugate(rows)
+    assert len(calls) == 4  # one call per minor; the stripped determinant is direct
 
 
 def int_matrices(nrows, ncols, bound=3):

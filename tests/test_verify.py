@@ -7,10 +7,12 @@ checker that cannot reject a broken solution proves nothing.
 """
 import dataclasses
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kzresidue import exactalg
 from kzresidue import (
     CheckReport,
     FundamentalMatrix,
@@ -32,7 +34,9 @@ from kzresidue import (
     check_reflection,
     check_shape,
     check_straightening,
+    diagram_stats,
     discriminant_power,
+    dual_matrix,
     enumerate_partitions,
     exact_divide,
     fundamental_solution,
@@ -41,6 +45,7 @@ from kzresidue import (
     run_suite,
     tabloids,
 )
+from kzresidue.verify import _kz_witness, _specht_transposition_matrix
 
 settings.register_profile("suite", derandomize=True, max_examples=60)
 settings.load_profile("suite")
@@ -284,32 +289,41 @@ def test_kz_accepts_twisted_denominator_with_constant(fm21):
     assert rep.passed, rep.witness
 
 
-def _kz_den_squared_reference(table: SolutionTable) -> bool:
-    """The fraction KZ system multiplied through by den^2 and by
-    P_i = prod_{l != i} (z_i - z_l), with den differentiated directly:
-    an independent reference that assumes nothing about the form of den."""
-    n = table.lam.size
-    sign = -1 if table.twisted else 1
-    comps = table.components
-    den = next(iter(comps.values())).den
+def _den_squared_reference(n, m, den, nums, act) -> bool:
+    """The KZ system for components nums[key] / den multiplied through by
+    den^2 and by P_i = prod_{l != i} (z_i - z_l), with den differentiated
+    directly: an independent reference that assumes nothing about the
+    form of den (den = 1 for polynomial components)."""
     for i in range(1, n + 1):
         prod_i = SparsePolynomial.constant(n, 1)
         for l in range(1, n + 1):
             if l != i:
                 prod_i = prod_i * SparsePolynomial.z_diff(n, i, l)
-        for u, c in comps.items():
+        for key, num in nums.items():
             lhs = (
-                c.num.partial_derivative(i) * den - c.num * den.partial_derivative(i)
+                num.partial_derivative(i) * den - num * den.partial_derivative(i)
             ) * prod_i
             rhs = SparsePolynomial.zero(n)
             for j in range(1, n + 1):
                 if j != i:
-                    acted = comps[act_transposition(u, i, j)].num * sign
                     cofactor = exact_divide(prod_i, SparsePolynomial.z_diff(n, i, j))
-                    rhs = rhs + (acted + c.num) * cofactor
-            if lhs != rhs * den * table.m:
+                    rhs = rhs + (act(i, j, key) + num) * cofactor
+            if lhs != rhs * den * m:
                 return False
     return True
+
+
+def _kz_den_squared_reference(table: SolutionTable) -> bool:
+    sign = -1 if table.twisted else 1
+    nums = {u: c.num for u, c in table.components.items()}
+    den = next(iter(table.components.values())).den
+    return _den_squared_reference(
+        table.lam.size,
+        table.m,
+        den,
+        nums,
+        lambda i, j, u: nums[act_transposition(u, i, j)] * sign,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -347,16 +361,109 @@ def test_log_derivative_check_agrees_with_den_squared_reference(
         assert rep.passed
 
 
-def test_reflection_rejects_perturbed_path_coefficient(monkeypatch):
-    n, m = 3, 1
+def _kz_cases():
+    """(n, m, p, den, nums, act_on) for polynomial tables, twisted tables
+    and dual rows; `act_on(nums)` is the transposition action on a
+    (possibly perturbed) copy of the numerators."""
+    cases = []
+    for lam, m in ((LAM21, 1), (LAM21, 2), (Partition((2, 2)), 1)):
+        n = lam.size
+        fm = fundamental_solution(lam, m)
+        table = fm.tables[-1]
+        twisted = alternating_twist(table)
+        den = next(iter(twisted.components.values())).den
+        cases.append((n, m, 0, SparsePolynomial.constant(n, 1), dict(table.components),
+                      lambda nums: lambda i, j, u: nums[act_transposition(u, i, j)]))
+        cases.append((n, twisted.m, den.degree() // (n * (n - 1) // 2), den,
+                      {u: c.num for u, c in twisted.components.items()},
+                      lambda nums: lambda i, j, u: -nums[act_transposition(u, i, j)]))
+        if m == 1:
+            dm = dual_matrix(fm)
+            d = dm.dimension
+            mats = {
+                (i, j): _specht_transposition_matrix(lam, i, j)
+                for i, j in combinations(range(1, n + 1), 2)
+            }
+
+            def act_on(nums, mats=mats, d=d, n=n):
+                def act(i, j, key):
+                    b, col = key
+                    mat = mats[(min(i, j), max(i, j))]
+                    return sum(
+                        (nums[(b, k)] * mat[k][col] for k in range(d) if mat[k][col]),
+                        SparsePolynomial.zero(n),
+                    )
+                return act
+
+            nums = {(b, j): dm.entries.entry(b, j).num for b in range(d) for j in range(d)}
+            p = 2 * m * diagram_stats(lam, m).d_plus
+            cases.append((n, dm.m, p, dm.det, nums, act_on))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def kz_cases():
+    return _kz_cases()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 7),
+    st.integers(0, 11),
+    st.none() | st.tuples(st.lists(st.integers(0, 5), min_size=4, max_size=4),
+                          st.integers(-3, 3).filter(bool)),
+)
+def test_pole_division_agrees_with_den_squared_reference(
+    kz_cases, which, where, perturbation
+):
+    n, m, p, den, nums, act_on = kz_cases[which]
+    nums = dict(nums)
+    if perturbation is not None:
+        exps, coeff = perturbation
+        key = sorted(nums, key=str)[where % len(nums)]
+        nums[key] = nums[key] + SparsePolynomial.from_terms(n, [(exps[:n], coeff)])
+    act = act_on(nums)
+    failure = _kz_witness(n, m, p, nums, act)
+    assert (failure is None) == _den_squared_reference(n, m, den, nums, act)
+    if perturbation is None:
+        assert failure is None
+
+
+def test_pole_division_names_the_remainder(kz_cases):
+    for n, m, p, den, nums, act_on in kz_cases:
+        key = next(iter(nums))
+        nums = {**nums, key: nums[key] + 1}
+        i, _, fields = _kz_witness(n, m, p, nums, act_on(nums))
+        assert fields["reason"] == "numerator not divisible by the pole"
+        assert i < fields["j"] and fields["remainder"] != "0"
+    table = fundamental_solution(LAM21, 1).tables[0]
+    u = next(iter(table.components))
+    rep = check_kz(perturbed(table, u, SparsePolynomial.constant(3, 1)))
+    assert set(rep.witness) == {"cycle", "i", "form", "j", "reason", "remainder"}
+
+
+def test_dual_fails_closed_on_a_corrupted_minor(fm21, monkeypatch):
+    calls = []
+    honest = exactalg.determinant
+
+    def corrupt_first_minor(matrix):
+        calls.append(matrix)
+        det = honest(matrix)
+        return det + 1 if len(calls) == 1 else det
+
+    monkeypatch.setattr(exactalg, "determinant", corrupt_first_minor)
+    rep = check_dual(fm21)
+    assert calls and not rep.passed
+    assert rep.witness == {"reason": "adjugate identity failed; matrix arithmetic bug"}
+    assert rep.info["adjugate_identity"].startswith("M' adj(M') == det(M') I")
+
+
+def _tamper_first_path_solution(monkeypatch, n, m, delta):
+    """Add delta to component 1 of the first path solution and subtract it
+    from component 2, so the coordinate sum still vanishes."""
     phis = reflection_dual_solutions(n, m)
     first = phis[0]
     c0, c1 = first.components[0], first.components[1]
-    exp = next(e for e, c in c0.num.items() if Fraction(c).denominator > 1)
-    # one rational coefficient moves by 1/7; the same monomial moves back
-    # in the next component, so the coordinate sum still vanishes and
-    # only the pairing can catch the change
-    delta = SparsePolynomial.from_terms(n, [(exp, Fraction(1, 7))])
     comps = (
         PolyFraction(c0.num + delta, c0.den),
         PolyFraction(c1.num - delta, c1.den),
@@ -365,9 +472,42 @@ def test_reflection_rejects_perturbed_path_coefficient(monkeypatch):
     monkeypatch.setattr(
         "kzresidue.verify.reflection_dual_solutions", lambda n_, m_: tampered
     )
+    return first
+
+
+def test_reflection_rejects_perturbed_path_coefficient(monkeypatch):
+    n, m = 3, 1
+    c0 = reflection_dual_solutions(n, m)[0].components[0]
+    exp = next(e for e, c in c0.num.items() if Fraction(c).denominator > 1)
+    # one rational coefficient moves by 1/7: a single monomial is not
+    # translation invariant, so the invariance step catches it before
+    # the pairing is formed
+    delta = SparsePolynomial.from_terms(n, [(exp, Fraction(1, 7))])
+    first = _tamper_first_path_solution(monkeypatch, n, m, delta)
+    rep = check_reflection(n, m)
+    assert not rep.passed
+    assert rep.witness == {
+        "reason": "not translation invariant: sum_i d/dz_i f != 0",
+        "family": "path",
+        "index": first.index,
+        "component": 1,
+    }
+    assert "translation_invariance" in rep.info
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (3, 2), (4, 1)])
+def test_reflection_pairing_on_slice_catches_invariant_tamper(monkeypatch, n, m):
+    # (1/7)(z_1 - z_2)^d is translation invariant and of the numerators'
+    # degree d; it moves between two components, so the coordinate sum
+    # and the invariance step both pass and only the sliced pairing can
+    # catch the change
+    d = reflection_dual_solutions(n, m)[0].components[0].num.degree()
+    delta = SparsePolynomial.z_diff(n, 1, 2) ** d * Fraction(1, 7)
+    first = _tamper_first_path_solution(monkeypatch, n, m, delta)
     rep = check_reflection(n, m)
     assert not rep.passed
     assert rep.witness["b"] == first.index
+    assert rep.witness["reason"] == "pairing is not delta_ab/m on z_n = 0"
 
 
 def test_straightening_rejects_wrong_shape_parameter():
