@@ -964,9 +964,11 @@ def z_diff_content(polys, nvars: int) -> tuple[list, dict]:
 
     Returns `(quotients, content)`: `content` maps (i, j), i < j, to that
     power where it is positive, and `quotients` are the polynomials with
-    all of it divided out.  Not all of `polys` may be zero: zero is
-    divisible by every power."""
+    all of it divided out.  ValueError if every one of `polys` is zero:
+    zero is divisible by every power."""
     polys = list(polys)
+    if not any(polys):
+        raise ValueError("z-difference content of zero polynomials is unbounded")
     content: dict = {}
     for i in range(1, nvars + 1):
         for j in range(i + 1, nvars + 1):
@@ -1100,7 +1102,9 @@ def eliminate(matrix, rhs) -> tuple[dict[int, int], list]:
     column to its pivot row, `reduced[row]` of a pivot row is that
     column's coordinate, and `reduced[row]` of any other row is a
     residual, all of which vanish exactly when the right-hand side lies
-    in the column span.
+    in the column span.  Its callers are `verify.check_rank` (pivots of a
+    numeric matrix) and `verify.quotient_coordinates` (straightening);
+    Specht coordinates need no elimination (`solve.coordinates_in_specht_basis`).
     """
     a = [[Fraction(v) for v in row] for row in matrix]
     b = list(rhs)

@@ -33,7 +33,6 @@ from .exactalg import (
     det_adjugate,
     determinant,
     discriminant_power,
-    eliminate,
     normalize_factored,
     t_atom,
     z_atom,
@@ -231,27 +230,28 @@ def polytabloid_columns(lam: Partition) -> tuple[list[list[int]], tuple[Tabloid,
 
 
 def coordinates_in_specht_basis(lam: Partition, component_of) -> list:
-    """Solve for the coordinates of a tabloid-component vector against
-    the standard polytabloids, exactly.
+    """Coordinates of a tabloid-component vector against the standard
+    polytabloids (in `standard_tableaux(lam)` order), by additions alone.
 
-    `component_of(tabloid)` supplies the entries (polynomials, fractions
-    or plain rationals — anything with ring arithmetic and truthiness).
-    Raises SpanError when the vector is not in the span, carrying the
-    first non-zero residual as witness.
+    Peeled in ascending order of the row-index word (rows of labels 1..N),
+    e_t holds {t} with coefficient 1 and every other {s} in it is dominated
+    by {t}, so comes later: e_t's coordinate is the residual at {t}.  R_t
+    and C_t meet trivially, so e_t's coefficients are +-1.  The entries,
+    `component_of(tabloid)`, need only +, - and truthiness.  A zero final
+    residual proves the result; else SpanError carries the first non-zero.
     """
-    a, order = polytabloid_columns(lam)
-    ncols = len(a[0])
-    pivots, reduced = eliminate(a, [component_of(u) for u in order])
-    for col in range(ncols):
-        if col not in pivots:
-            raise SpanError("polytabloid expansion matrix lost rank", col)
-    used = set(pivots.values())
-    for r, residual in enumerate(reduced):
-        if r not in used and residual:
-            raise SpanError(
-                "component vector is not a combination of polytabloids", residual
-            )
-    return [reduced[pivots[col]] for col in range(ncols)]
+    residual = {u: component_of(u) for u in tabloids(lam.parts)}
+    stds = standard_tableaux(lam)
+    coords = {}
+    for t in sorted(stds, key=lambda t: [t.box_of(k)[0] for k in range(1, lam.size + 1)]):
+        c = coords[t] = residual[t.tabloid()]
+        if c:
+            for sign, u in column_expansion(t):
+                residual[u] = residual[u] - c if sign > 0 else residual[u] + c
+    for r in residual.values():
+        if r:
+            raise SpanError("component vector is not a combination of polytabloids", r)
+    return [coords[t] for t in stds]
 
 
 @dataclass(frozen=True)

@@ -431,9 +431,9 @@ def check_frobenius(lam: Partition) -> CheckReport:
 # duality and the straightening of non-standard cycles
 
 
-def _specht_transposition_matrix(lam: Partition, i: int, j: int) -> list[list[Fraction]]:
-    """Matrix M with (i j) . v_col = sum_row M[row][col] v_row, solved
-    exactly from the tabloid expansion."""
+def _specht_transposition_matrix(lam: Partition, i: int, j: int) -> list[list[int]]:
+    """Integer matrix M with (i j) . v_col = sum_row M[row][col] v_row
+    (Young's natural representation), read off the tabloid expansion."""
     stds = standard_tableaux(lam)
     d = len(stds)
     cols = []
@@ -442,9 +442,7 @@ def _specht_transposition_matrix(lam: Partition, i: int, j: int) -> list[list[Fr
         for sign, u in column_expansion(t):
             v = act_transposition(u, i, j)
             vec[v] = vec.get(v, 0) + sign
-        cols.append(
-            coordinates_in_specht_basis(lam, lambda u: Fraction(vec.get(u, 0)))
-        )
+        cols.append(coordinates_in_specht_basis(lam, lambda u: vec.get(u, 0)))
     return [[cols[c][r] for c in range(d)] for r in range(d)]
 
 
@@ -506,20 +504,6 @@ def check_dual(fm: FundamentalMatrix) -> CheckReport:
     return CheckReport("dual_system", lam, dm.m, witness is None, witness, info)
 
 
-def _distributions(labels: tuple[int, ...], sizes: tuple[int, ...]):
-    """All ways to place the labels into ordered rows of the given sizes
-    (sizes may contain zeros)."""
-    if not sizes:
-        if not labels:
-            yield ()
-        return
-    k = sizes[0]
-    for combo in itertools.combinations(labels, k):
-        rest = tuple(x for x in labels if x not in combo)
-        for tail in _distributions(rest, sizes[1:]):
-            yield (combo,) + tail
-
-
 def quotient_coordinates(lam: Partition, cycle: Tabloid) -> list[Fraction]:
     """Coordinates of a tabloid class against the standard-tableau
     classes, modulo the span of all simple lowering images (brute-force
@@ -534,11 +518,10 @@ def quotient_coordinates(lam: Partition, cycle: Tabloid) -> list[Fraction]:
         sizes = list(lam.parts)
         sizes[s - 1] += 1
         sizes[s] -= 1
-        labels = tuple(range(1, lam.size + 1))
-        for rows in _distributions(labels, tuple(sizes)):
+        for u in tabloids(tuple(sizes)):
             col: dict[int, Fraction] = {}
-            for k in rows[s - 1]:
-                moved = list(rows)
+            for k in u.rows[s - 1]:
+                moved = list(u.rows)
                 moved[s - 1] = tuple(x for x in moved[s - 1] if x != k)
                 moved[s] = moved[s] + (k,)
                 r = index[Tabloid(tuple(moved))]

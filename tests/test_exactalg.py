@@ -867,6 +867,26 @@ def test_adjugate_with_one_corrupted_minor_fails_closed(monkeypatch):
     assert len(calls) == 4  # one call per minor; the stripped determinant is direct
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_z_diff_content_of_zero_polynomials_raises(count):
+    # zero is divisible by every power of z_i - z_j: without the guard
+    # the division loop never ends
+    with _time_limit(5), pytest.raises(ValueError):
+        exactalg.z_diff_content([SparsePolynomial.zero(3)] * count, 3)
+
+
+def test_z_diff_content_skips_a_zero_next_to_a_nonzero_polynomial():
+    p = SparsePolynomial.z_diff(3, 1, 2) ** 2 * SparsePolynomial.z_diff(3, 2, 3)
+    p = p * (zpoly(3, 1) + zpoly(3, 3) * 2)
+    zero = SparsePolynomial.zero(3)
+    with _time_limit(5):
+        (q0, q1), content = exactalg.z_diff_content([zero, p], 3)
+        (q,), alone = exactalg.z_diff_content([p], 3)
+    assert content == alone == {(1, 2): 2, (2, 3): 1}
+    assert q1 == q == zpoly(3, 1) + zpoly(3, 3) * 2
+    assert q0 == zero
+
+
 def int_matrices(nrows, ncols, bound=3):
     row = st.lists(st.integers(-bound, bound), min_size=ncols, max_size=ncols)
     return st.lists(row, min_size=nrows, max_size=nrows)

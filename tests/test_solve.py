@@ -9,6 +9,7 @@ coordinates reproduce all three tabloid components.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kzresidue import (
     FactoredSum,
@@ -22,10 +23,12 @@ from kzresidue import (
     Tabloid,
     alternating_twist,
     check_resources,
+    column_expansion,
     coordinates_in_specht_basis,
     cycle_integral,
     discriminant_power,
     dual_matrix,
+    enumerate_partitions,
     fundamental_solution,
     interaction_form,
     level_group_size,
@@ -36,12 +39,14 @@ from kzresidue import (
     residue_budget,
     solve_component,
     solve_cycle,
+    standard_tableaux,
     symmetrized_tableau_form,
     t_atom,
     tableau_form,
     tabloids,
     z_atom,
 )
+from kzresidue.exactalg import eliminate
 
 
 def zd(i, j, n=3):
@@ -284,6 +289,71 @@ def test_coordinates_of_fraction_vector(fm21):
             PolyFraction(fm.matrix.entry(0, j), den) for j in range(fm.dimension)
         ]
         assert all(c.den == den for c in coords)
+
+
+def _row_word(t):
+    return [t.box_of(k)[0] for k in range(1, t.size + 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_polytabloids_are_unitriangular_in_row_word_order(n):
+    # the peeling order: e_t has distinct tabloids, {t} first, and every
+    # other standard tabloid in it belongs to a later tableau
+    for lam in enumerate_partitions(n):
+        stds = sorted(standard_tableaux(lam), key=_row_word)
+        position = {t.tabloid(): k for k, t in enumerate(stds)}
+        for k, t in enumerate(stds):
+            expansion = [u for _, u in column_expansion(t)]
+            assert len(set(expansion)) == len(expansion)
+            assert expansion[0] == t.tabloid()
+            assert all(position[u] > k for u in expansion[1:] if u in position)
+
+
+SMALL_SHAPES = [lam for n in range(1, 6) for lam in enumerate_partitions(n)]
+
+
+@st.composite
+def specht_combinations(draw):
+    """A shape, one coefficient per standard tableau (all integers, all
+    Fractions or all small polynomials in two variables) and the index of
+    a tabloid."""
+    lam = draw(st.sampled_from(SMALL_SHAPES))
+    kind = draw(st.sampled_from(["int", "fraction", "poly"]))
+    ints = st.integers(-5, 5)
+    if kind == "int":
+        coeff = ints
+    elif kind == "fraction":
+        coeff = st.builds(Fraction, ints, st.integers(1, 4))
+    else:
+        term = st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)), ints)
+        coeff = st.builds(
+            lambda items: SparsePolynomial.from_terms(2, items),
+            st.lists(term, max_size=3),
+        )
+    dim = len(standard_tableaux(lam))
+    unit_at = draw(st.integers(0, len(tabloids(lam.parts)) - 1))
+    return lam, draw(st.lists(coeff, min_size=dim, max_size=dim)), unit_at
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(specht_combinations())
+def test_coordinates_agree_with_elimination_reference(case):
+    lam, coords, unit_at = case
+    a, order = polytabloid_columns(lam)
+    vector = [sum((c * x for c, x in zip(coords, row)), coords[0] * 0) for row in a]
+    values = dict(zip(order, vector))
+    got = coordinates_in_specht_basis(lam, values.__getitem__)
+    assert got == coords
+    assert [type(c) for c in got] == [type(c) for c in coords]  # ints stay ints
+    # reference: Gauss-Jordan on the full tabloid matrix
+    pivots, reduced = eliminate(a, vector)
+    assert sorted(pivots) == list(range(len(coords)))
+    assert not any(reduced[r] for r in set(range(len(order))) - set(pivots.values()))
+    assert [reduced[pivots[j]] for j in range(len(coords))] == coords
+    if lam.nrows > 1:  # S^(N) is all of M^(N); otherwise no tabloid is in S^lam
+        values[order[unit_at]] = values[order[unit_at]] + 1
+        with pytest.raises(SpanError):
+            coordinates_in_specht_basis(lam, values.__getitem__)
 
 
 # ---------------------------------------------------------------------------
