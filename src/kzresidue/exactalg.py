@@ -918,47 +918,6 @@ def _cofactor(rows, i, j) -> SparsePolynomial:
     return -minor if (i + j) % 2 else minor
 
 
-def _cofactor_det(rows) -> SparsePolynomial:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = None
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        sub = _cofactor_det(_minor(rows, 0, j))
-        piece = rows[0][j] * sub
-        if j % 2:
-            piece = -piece
-        acc = piece if acc is None else acc + piece
-    if acc is None:
-        return SparsePolynomial.zero(rows[0][0].nvars)
-    return acc
-
-
-def _bareiss_det(rows) -> SparsePolynomial:
-    """Fraction-free determinant; every division along the way is exact."""
-    n = len(rows)
-    nvars = rows[0][0].nvars
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = SparsePolynomial.constant(nvars, 1)
-    for k in range(n - 1):
-        pivot_row = next((r for r in range(k, n) if not a[r][k].is_zero()), None)
-        if pivot_row is None:
-            return SparsePolynomial.zero(nvars)
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = exact_divide(num, prev)
-            a[i][k] = SparsePolynomial.zero(nvars)
-        prev = a[k][k]
-    return a[n - 1][n - 1] * sign
-
-
 def z_diff_content(polys, nvars: int) -> tuple[list, dict]:
     """The largest power of each z_i - z_j dividing every one of `polys`.
 
@@ -1018,9 +977,23 @@ def _has_zero_line(rows) -> bool:
     return not all(any(r) for r in rows) or not all(any(c) for c in zip(*rows))
 
 
-def _det_of_columns(columns) -> SparsePolynomial:
-    # the reduced matrix is kept transposed: det(M^T) == det(M)
-    return _cofactor_det(columns) if len(columns) <= 5 else _bareiss_det(columns)
+def _subset_det(rows) -> SparsePolynomial:
+    # minors[S]: D[S] of `determinant`, S a bitmask of columns
+    minors = {1 << c: a for c, a in enumerate(rows[0]) if a}
+    for row in rows[1:]:
+        grown: dict = {}
+        for s, minor in minors.items():
+            for c, a in enumerate(row):
+                if s >> c & 1 or not a:
+                    continue
+                piece = minor * a
+                if (s >> c).bit_count() % 2:  # c's own bit is clear
+                    piece = -piece
+                t = s | 1 << c
+                grown[t] = grown[t] + piece if t in grown else piece
+        minors = {s: p for s, p in grown.items() if p}
+    full = (1 << len(rows)) - 1
+    return minors.get(full) or SparsePolynomial.zero(rows[0][0].nvars)
 
 
 def determinant(matrix) -> SparsePolynomial:
@@ -1035,16 +1008,25 @@ def determinant(matrix) -> SparsePolynomial:
     z_i - z_j dividing the whole row (column); det(M') is computed and
     the stripped powers are multiplied back once.  A matrix with an
     all-zero row or column has determinant zero and is answered before
-    any stripping.  det(M') is computed by division-free cofactor
-    expansion for small matrices (sparse polynomial entries make the
-    exact divisions of fraction-free elimination the dominant cost, so
-    expansion wins up to the sizes that occur here) and fraction-free
-    elimination beyond."""
+    any stripping.
+
+    det(M') is expanded by Laplace along rows with no division (exact
+    division of sparse polynomials costs more than the products it
+    saves).  Write D[S] for the determinant of the first |S| rows on the
+    columns in the set S; then D[{c}] = M'[0][c], and expanding D[T]
+    along its last row |T| - 1 gives
+
+        D[T]  =  sum over c in T of  (-1)^#{c' in T : c' > c} * D[T - c] * M'[|T| - 1][c].
+
+    Each D[S] is computed once, row by row, with zero entries and zero
+    minors skipped: at most n * 2^(n-1) products, and det(M') is D of
+    all columns.  M' is kept transposed (det(M'^T) == det(M')), so its
+    columns play the rows.  `det_adjugate` uses the same expansion."""
     rows = _square_rows(matrix)
     if _has_zero_line(rows):
         return SparsePolynomial.zero(rows[0][0].nvars)
     columns, row_parts, col_parts = _stripped(rows, rows[0][0].nvars)
-    det = _det_of_columns(columns)
+    det = _subset_det(columns)
     return _times_content(det, sum(row_parts + col_parts, Counter()))
 
 
@@ -1071,7 +1053,7 @@ def det_adjugate(matrix) -> tuple[SparsePolynomial, PolyMatrix]:
     else:
         columns, row_parts, col_parts = _stripped(rows, nvars)
     reduced = [list(r) for r in zip(*columns)]
-    det = _det_of_columns(columns)
+    det = _subset_det(columns)
     if n == 1:
         adj = [[SparsePolynomial.constant(nvars, 1)]]
     else:

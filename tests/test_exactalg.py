@@ -1,7 +1,9 @@
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -773,18 +775,26 @@ def _time_limit(seconds):
 
 
 @st.composite
-def z_diff_matrices(draw):
+def z_diff_matrices(draw, max_size=6):
     """Square matrices of small polynomials with random powers of
     z_i - z_j multiplied into whole rows and whole columns; some are
-    constant, some have an all-zero row or column."""
+    constant, some have an all-zero row or column.
+
+    Returns `(nvars, rows, core, content)`: rows[r][c] is core[r][c]
+    times the content drawn for row r and column c, and `content` is the
+    product of all of those, so det(rows) == content * det(core) by
+    multilinearity.  The core's entries are small, which keeps a Leibniz
+    reference cheap at sizes where one on `rows` takes seconds."""
     nvars = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_size))
+    one = SparsePolynomial.constant(nvars, 1)
     kind = draw(st.sampled_from(["factored"] * 4 + ["constant", "zero_row", "zero_col"]))
     if kind == "constant":
-        return nvars, [
+        rows = [
             [SparsePolynomial.constant(nvars, draw(st.integers(-3, 3))) for _ in range(n)]
             for _ in range(n)
         ]
+        return nvars, rows, rows, one
     pairs = list(combinations(range(1, nvars + 1), 2))
 
     def small():
@@ -795,45 +805,46 @@ def z_diff_matrices(draw):
         return SparsePolynomial.from_terms(nvars, items)
 
     def content():
-        out = SparsePolynomial.constant(nvars, 1)
+        out = one
         if pairs:
             for i, j in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2)):
                 out = out * SparsePolynomial.z_diff(nvars, i, j) ** draw(st.integers(1, 2))
         return out
 
-    rows = [[small() for _ in range(n)] for _ in range(n)]
-    row_content = [content() for _ in range(n)]
-    col_content = [content() for _ in range(n)]
-    rows = [
-        [rows[r][c] * row_content[r] * col_content[c] for c in range(n)]
-        for r in range(n)
-    ]
+    core = [[small() for _ in range(n)] for _ in range(n)]
     zero = SparsePolynomial.zero(nvars)
     k = draw(st.integers(0, n - 1))
     if kind == "zero_row":
-        rows[k] = [zero] * n
+        core[k] = [zero] * n
     elif kind == "zero_col":
-        for row in rows:
+        for row in core:
             row[k] = zero
-    return nvars, rows
+    row_content = [content() for _ in range(n)]
+    col_content = [content() for _ in range(n)]
+    rows = [
+        [core[r][c] * row_content[r] * col_content[c] for c in range(n)]
+        for r in range(n)
+    ]
+    return nvars, rows, core, reduce(mul, row_content + col_content)
 
 
+@settings(deadline=None)
 @given(z_diff_matrices())
 def test_determinant_agrees_with_leibniz(case):
-    nvars, rows = case
+    nvars, rows, core, content = case
     with _time_limit(20):
         det = determinant(rows)
-    assert det == _leibniz_det(rows, nvars)
+    assert det == content * _leibniz_det(core, nvars)
 
 
 @settings(max_examples=30, deadline=None)
-@given(z_diff_matrices())
+@given(z_diff_matrices(max_size=4))
 def test_adjugate_on_stripped_matrix_agrees_with_leibniz_minors(case):
     """det_adjugate works on the matrix with its z-difference content
     stripped and multiplies it back; every entry must equal the signed
     Leibniz minor of the original matrix, and M adj == det I must hold
     on the full matrix too."""
-    nvars, rows = case
+    nvars, rows, _, _ = case
     n = len(rows)
     with _time_limit(20):
         det, adj = det_adjugate(rows)
@@ -927,7 +938,7 @@ def test_eliminate_reports_right_hand_side_outside_span(nfree, ncols, data):
     assert any(reduced[r] for r in range(nfree + 1) if r not in used)
 
 
-@given(st.integers(1, 4).flatmap(lambda n: int_matrices(n, n)))
+@given(st.integers(1, 7).flatmap(lambda n: int_matrices(n, n)))
 def test_eliminate_full_pivots_iff_cofactor_determinant_nonzero(rows):
     n = len(rows)
     pivots, _ = eliminate(rows, [0] * n)

@@ -109,6 +109,13 @@ def test_det_constant(fm21):
     assert rep.info == {"power": 2, "constant": "-2"}
 
 
+def test_det_constant_of_a_six_by_six_matrix():
+    # (3,1,1) has six standard tableaux: the largest determinant in the suite
+    rep = check_det(fundamental_solution(Partition((3, 1, 1)), 1))
+    assert rep.passed, rep.witness
+    assert rep.info["constant"] == "13824"  # frozen regression value
+
+
 def test_equivariance_passes():
     assert check_equivariance(LAM21, 1).passed
 
