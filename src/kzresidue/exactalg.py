@@ -27,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
+from itertools import combinations
 from operator import or_
 
 MAX_VARS = 8
@@ -171,7 +172,7 @@ class SparsePolynomial:
         return len(set(_total_degrees(self.terms))) <= 1
 
     def has_integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in map(Fraction, self.terms.values()))
+        return all(c.denominator == 1 for c in self.terms.values())
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -390,8 +391,8 @@ class SparsePolynomial:
             "terms": [
                 {
                     "exp": list(exp),
-                    "num": str(Fraction(c).numerator),
-                    "den": str(Fraction(c).denominator),
+                    "num": str(c.numerator),
+                    "den": str(c.denominator),
                 }
                 for exp, c in self.sorted_terms()
             ],
@@ -566,14 +567,19 @@ def _zdiff_power(nvars: int, i: int, j: int, e: int) -> SparsePolynomial:
     return SparsePolynomial.z_diff(nvars, i, j) ** e
 
 
+def _times_content(p: SparsePolynomial, content) -> SparsePolynomial:
+    """p times (z_i - z_j)^e for each (i, j): e of `content`."""
+    # smallest powers first: the product grows most slowly that way
+    for (i, j), e in sorted(content.items(), key=lambda kv: (kv[1], kv[0])):
+        p = p * _zdiff_power(p.nvars, i, j, e)
+    return p
+
+
 @cache
 def discriminant_power(nvars: int, e: int) -> SparsePolynomial:
     """The expanded product of (z_i - z_j)^e over all pairs i < j."""
-    out = SparsePolynomial.constant(nvars, 1)
-    for i in range(1, nvars + 1):
-        for j in range(i + 1, nvars + 1):
-            out = out * _zdiff_power(nvars, i, j, e)
-    return out
+    pairs = combinations(range(1, nvars + 1), 2)
+    return _times_content(SparsePolynomial.constant(nvars, 1), dict.fromkeys(pairs, e))
 
 
 # ----------------------------------------------------------------------
@@ -793,10 +799,7 @@ def normalize_factored(fs: FactoredSum, nvars: int) -> SparsePolynomial:
                 quo = _divide_by_z_diff(quo, a[1], b[1])
             except NonDivisibleError as exc:
                 raise NormalizeError(exc.remainder) from None
-    for (a, b), least in lo.items():
-        if least > 0:
-            quo = quo * _zdiff_power(nvars, a[1], b[1], least)
-    return quo
+    return _times_content(quo, {(a[1], b[1]): e for (a, b), e in lo.items() if e > 0})
 
 
 # ----------------------------------------------------------------------
@@ -905,19 +908,6 @@ class PolyMatrix:
         return self.entries == other.entries
 
 
-def _minor(rows, i, j):
-    return [
-        [row[c] for c in range(len(row)) if c != j]
-        for r, row in enumerate(rows)
-        if r != i
-    ]
-
-
-def _cofactor(rows, i, j) -> SparsePolynomial:
-    minor = determinant(_minor(rows, i, j))
-    return -minor if (i + j) % 2 else minor
-
-
 def z_diff_content(polys, nvars: int) -> tuple[list, dict]:
     """The largest power of each z_i - z_j dividing every one of `polys`.
 
@@ -945,25 +935,20 @@ def _stripped(rows, nvars: int) -> tuple[list, list, list]:
     M'[r][c]: `columns` are the columns of M', and `row_parts[r]`
     (`col_parts[c]`) counts the powers of each z_i - z_j in f_r (g_c), the
     largest product of them dividing row r of M (column c of the
-    row-stripped matrix).  No row or column of M may be zero."""
-    row_parts, reduced = [], []
-    for row in rows:
-        row, part = z_diff_content(row, nvars)
-        row_parts.append(Counter(part))
-        reduced.append(row)
-    col_parts, columns = [], []
-    for col in zip(*reduced):
-        col, part = z_diff_content(col, nvars)
-        col_parts.append(Counter(part))
-        columns.append(col)
+    row-stripped matrix).  An all-zero row or column is left as it is,
+    with empty content, since every power divides zero."""
+
+    def strip(lines):
+        out, parts = [], []
+        for line in lines:
+            line, part = z_diff_content(line, nvars) if any(line) else (list(line), {})
+            out.append(line)
+            parts.append(Counter(part))
+        return out, parts
+
+    reduced, row_parts = strip(rows)
+    columns, col_parts = strip(zip(*reduced))
     return columns, row_parts, col_parts
-
-
-def _times_content(p: SparsePolynomial, content: Counter) -> SparsePolynomial:
-    # smallest powers first: the product grows most slowly that way
-    for (i, j), e in sorted(content.items(), key=lambda kv: (kv[1], kv[0])):
-        p = p * _zdiff_power(p.nvars, i, j, e)
-    return p
 
 
 def _square_rows(matrix) -> list:
@@ -973,17 +958,15 @@ def _square_rows(matrix) -> list:
     return rows
 
 
-def _has_zero_line(rows) -> bool:
-    return not all(any(r) for r in rows) or not all(any(c) for c in zip(*rows))
-
-
-def _subset_det(rows) -> SparsePolynomial:
-    # minors[S]: D[S] of `determinant`, S a bitmask of columns
-    minors = {1 << c: a for c, a in enumerate(rows[0]) if a}
-    for row in rows[1:]:
+def _subset_minors(lines, nvars: int) -> dict:
+    """D[S] for every set S of len(lines) positions, S a bitmask: the
+    determinant of `lines`, taken as rows, on the positions in S (see
+    `determinant`).  Zero minors are left out; no lines give D[{}] = 1."""
+    minors = {0: SparsePolynomial.constant(nvars, 1)}
+    for line in lines:
         grown: dict = {}
         for s, minor in minors.items():
-            for c, a in enumerate(row):
+            for c, a in enumerate(line):
                 if s >> c & 1 or not a:
                     continue
                 piece = minor * a
@@ -992,8 +975,7 @@ def _subset_det(rows) -> SparsePolynomial:
                 t = s | 1 << c
                 grown[t] = grown[t] + piece if t in grown else piece
         minors = {s: p for s, p in grown.items() if p}
-    full = (1 << len(rows)) - 1
-    return minors.get(full) or SparsePolynomial.zero(rows[0][0].nvars)
+    return minors
 
 
 def determinant(matrix) -> SparsePolynomial:
@@ -1006,68 +988,73 @@ def determinant(matrix) -> SparsePolynomial:
 
     Each f_r (then each g_c) is the largest product of powers of
     z_i - z_j dividing the whole row (column); det(M') is computed and
-    the stripped powers are multiplied back once.  A matrix with an
-    all-zero row or column has determinant zero and is answered before
-    any stripping.
+    the stripped powers are multiplied back once.  An all-zero row or
+    column is left unstripped (f_r = 1, or g_c = 1): it has no largest
+    such power, and it makes det(M') zero on the same path.
 
     det(M') is expanded by Laplace along rows with no division (exact
     division of sparse polynomials costs more than the products it
     saves).  Write D[S] for the determinant of the first |S| rows on the
-    columns in the set S; then D[{c}] = M'[0][c], and expanding D[T]
-    along its last row |T| - 1 gives
+    columns in the set S; then D[{}] = 1, and expanding D[T] along its
+    last row |T| - 1 gives
 
         D[T]  =  sum over c in T of  (-1)^#{c' in T : c' > c} * D[T - c] * M'[|T| - 1][c].
 
-    Each D[S] is computed once, row by row, with zero entries and zero
-    minors skipped: at most n * 2^(n-1) products, and det(M') is D of
-    all columns.  M' is kept transposed (det(M'^T) == det(M')), so its
-    columns play the rows.  `det_adjugate` uses the same expansion."""
+    One pass computes each D[S] once, row by row, with zero entries and
+    zero minors skipped: at most n * 2^(n-1) products, and det(M') is D
+    of all columns.  M' is kept transposed (det(M'^T) == det(M')), so its
+    columns play the rows.  `det_adjugate` runs the same pass, and once
+    more for each column of M' left out."""
     rows = _square_rows(matrix)
-    if _has_zero_line(rows):
-        return SparsePolynomial.zero(rows[0][0].nvars)
-    columns, row_parts, col_parts = _stripped(rows, rows[0][0].nvars)
-    det = _subset_det(columns)
+    nvars = rows[0][0].nvars
+    columns, row_parts, col_parts = _stripped(rows, nvars)
+    full = (1 << len(rows)) - 1
+    det = _subset_minors(columns, nvars).get(full, SparsePolynomial.zero(nvars))
     return _times_content(det, sum(row_parts + col_parts, Counter()))
 
 
 def det_adjugate(matrix) -> tuple[SparsePolynomial, PolyMatrix]:
     """Determinant and adjugate of a square polynomial matrix.
 
-    With M[r][c] = f_r * g_c * M'[r][c] as in `determinant`, and F, G the
-    products of all f_r, all g_c: every minor of M is the minor of M'
-    times the content of its rows and columns, so
+    With M[r][c] = f_r * g_c * M'[r][c] as in `determinant` (an all-zero
+    row or column left unstripped), and F, G the products of all f_r,
+    all g_c: every minor of M is the minor of M' times the content of its
+    rows and columns, so
 
         det(M) = F G det(M'),   adj(M)[i][j] = F G / (f_j g_i) adj(M')[i][j],
 
     and (M adj(M))[r][s] = F G f_r / f_s (M' adj(M'))[r][s].  Hence
     M adj(M) == det(M) I holds exactly when M' adj(M') == det(M') I,
     which is asserted on the stripped matrix (ArithmeticError otherwise);
-    the content is then multiplied back once per entry.  A matrix with a
-    zero row or column is not stripped."""
+    the content is then multiplied back once per entry.
+
+    det(M') comes from the pass of `determinant` over all columns of M'.
+    Row j of adj(M') comes from one more pass that leaves column j out:
+    its entries D[all - {i}] are the minors of M' without row i and
+    column j, so adj(M')[j][i] = (-1)^(i+j) D[all - {i}].  That is n + 1
+    passes, and no minor is stripped or expanded on its own."""
     rows = _square_rows(matrix)
-    n = len(rows)
-    nvars = rows[0][0].nvars
-    if _has_zero_line(rows):
-        columns = [list(c) for c in zip(*rows)]
-        row_parts = col_parts = [Counter()] * n
-    else:
-        columns, row_parts, col_parts = _stripped(rows, nvars)
+    n, nvars = len(rows), rows[0][0].nvars
+    columns, row_parts, col_parts = _stripped(rows, nvars)
+    full = (1 << n) - 1
+    zero = SparsePolynomial.zero(nvars)
+    det = _subset_minors(columns, nvars).get(full, zero)
+    adj = []
+    for j in range(n):
+        minors = _subset_minors(columns[:j] + columns[j + 1 :], nvars)
+        row = [minors.get(full ^ 1 << i, zero) for i in range(n)]
+        adj.append([-a if (i + j) % 2 else a for i, a in enumerate(row)])
     reduced = [list(r) for r in zip(*columns)]
-    det = _subset_det(columns)
-    if n == 1:
-        adj = [[SparsePolynomial.constant(nvars, 1)]]
-    else:
-        adj = [[_cofactor(reduced, j, i) for j in range(n)] for i in range(n)]
     prod = PolyMatrix(reduced).matmul(PolyMatrix(adj))
     for i in range(n):
         for j in range(n):
-            expected = det if i == j else SparsePolynomial.zero(nvars)
+            expected = det if i == j else zero
             if prod.entry(i, j) != expected:
                 raise ArithmeticError("adjugate identity failed; matrix arithmetic bug")
     total = sum(row_parts + col_parts, Counter())
     adj = [
-        [_times_content(a, total - row_parts[j] - col_parts[i]) for j, a in enumerate(row)]
-        for i, row in enumerate(adj)
+        [_times_content(a, total - row_parts[i] - col_parts[j]) for i, a in enumerate(row)]
+        for j, row in enumerate(adj)
     ]
     return _times_content(det, total), PolyMatrix(adj)
 

@@ -618,9 +618,7 @@ def _reflection_witness(n: int, m: int, psis, phis) -> dict | None:
     scaled = []
     for phi in phis:
         nums = [comp.num.restrict_last_to_zero() for comp in phi.components]
-        scale = math.lcm(
-            *(Fraction(c).denominator for num in nums for c in num.terms.values())
-        )
+        scale = math.lcm(*(c.denominator for num in nums for c in num.terms.values()))
         scaled.append((phi.index, scale, [num * scale for num in nums]))
     for psi in psis[: n - 1]:
         comps = [c.restrict_last_to_zero() for c in psi.components]

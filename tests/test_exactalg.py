@@ -4,9 +4,10 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
 from operator import mul
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kzresidue import exactalg
 from kzresidue.exactalg import (
@@ -828,8 +829,29 @@ def z_diff_matrices(draw, max_size=6):
     return nvars, rows, core, reduce(mul, row_content + col_content)
 
 
+def _zero_row_case():
+    """A zero row next to rows that carry z-difference content."""
+    nvars = 3
+    z1, z2, z3 = (zpoly(nvars, i) for i in (1, 2, 3))
+    z12, z23 = SparsePolynomial.z_diff(nvars, 1, 2), SparsePolynomial.z_diff(nvars, 2, 3)
+    zero = SparsePolynomial.zero(nvars)
+    core = [[z1, z2 + 1, z3 * 2], [zero] * 3, [z1 + z3, z2, z1 * z2 + 3]]
+    row_content = [z12**2, z23, z12 * z23]
+    rows = [[a * f for a in row] for row, f in zip(core, row_content)]
+    return nvars, rows, core, reduce(mul, row_content)
+
+
+def _one_by_one_case():
+    nvars = 2
+    z12 = SparsePolynomial.z_diff(nvars, 1, 2)
+    core = [[zpoly(nvars, 1) + 2]]
+    return nvars, [[core[0][0] * z12**3]], core, z12**3
+
+
 @settings(deadline=None)
 @given(z_diff_matrices())
+@example(_zero_row_case())
+@example(_one_by_one_case())
 def test_determinant_agrees_with_leibniz(case):
     nvars, rows, core, content = case
     with _time_limit(20):
@@ -839,6 +861,8 @@ def test_determinant_agrees_with_leibniz(case):
 
 @settings(max_examples=30, deadline=None)
 @given(z_diff_matrices(max_size=4))
+@example(_zero_row_case())
+@example(_one_by_one_case())
 def test_adjugate_on_stripped_matrix_agrees_with_leibniz_minors(case):
     """det_adjugate works on the matrix with its z-difference content
     stripped and multiplies it back; every entry must equal the signed
@@ -865,17 +889,38 @@ def test_adjugate_with_one_corrupted_minor_fails_closed(monkeypatch):
     z12 = SparsePolynomial.z_diff(3, 1, 2)
     rows = [[z[0] * z12, z[1] * z12], [z[2], z[0] + z[1]]]
     calls = []
-    honest = exactalg.determinant
+    honest = exactalg._subset_minors
 
-    def corrupt_second_minor(matrix):
-        calls.append(matrix)
-        det = honest(matrix)
-        return det + 1 if len(calls) == 2 else det
+    def corrupt_second_minor(lines, nvars):
+        minors = honest(lines, nvars)
+        calls.append(minors)
+        if len(calls) == 2:  # the first adjugate pass; the first gives det(M')
+            s = max(minors)
+            minors[s] = minors[s] + 1
+        return minors
 
-    monkeypatch.setattr(exactalg, "determinant", corrupt_second_minor)
+    monkeypatch.setattr(exactalg, "_subset_minors", corrupt_second_minor)
     with pytest.raises(ArithmeticError, match="adjugate identity failed"):
         det_adjugate(rows)
-    assert len(calls) == 4  # one call per minor; the stripped determinant is direct
+    assert len(calls) == 3  # n + 1 passes: det(M') and one per left-out column
+
+
+@settings(max_examples=30, deadline=None)
+@given(z_diff_matrices(max_size=4))
+@example(_zero_row_case())
+@example(_one_by_one_case())
+def test_adjugate_takes_n_plus_one_passes_and_no_determinant_call(case):
+    _, rows, _, _ = case
+    n = len(rows)
+    with (
+        mock.patch.object(exactalg, "determinant", side_effect=AssertionError),
+        mock.patch.object(exactalg, "z_diff_content", wraps=exactalg.z_diff_content) as content,
+        mock.patch.object(exactalg, "_subset_minors", wraps=exactalg._subset_minors) as passes,
+        _time_limit(20),
+    ):
+        det_adjugate(rows)
+    assert content.call_count <= 2 * n
+    assert passes.call_count == n + 1
 
 
 @pytest.mark.parametrize("count", [1, 3])

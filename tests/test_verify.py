@@ -451,16 +451,21 @@ def test_pole_division_names_the_remainder(kz_cases):
 
 def test_dual_fails_closed_on_a_corrupted_minor(fm21, monkeypatch):
     calls = []
-    honest = exactalg.determinant
+    honest = exactalg._subset_minors
 
-    def corrupt_first_minor(matrix):
-        calls.append(matrix)
-        det = honest(matrix)
-        return det + 1 if len(calls) == 1 else det
+    def corrupt_first_minor(lines, nvars):
+        minors = honest(lines, nvars)
+        calls.append(minors)
+        if len(calls) == 2:  # the first adjugate pass; the first gives det(M')
+            s = min(minors)
+            minors[s] = minors[s] + 1
+        return minors
 
-    monkeypatch.setattr(exactalg, "determinant", corrupt_first_minor)
+    fm21.determinant()  # cached: every pass counted below is dual_matrix's
+    monkeypatch.setattr(exactalg, "_subset_minors", corrupt_first_minor)
     rep = check_dual(fm21)
     assert calls and not rep.passed
+    assert len(calls) == fm21.dimension + 1
     assert rep.witness == {"reason": "adjugate identity failed; matrix arithmetic bug"}
     assert rep.info["adjugate_identity"].startswith("M' adj(M') == det(M') I")
 
