@@ -958,11 +958,12 @@ def _square_rows(matrix) -> list:
     return rows
 
 
-def _subset_minors(lines, nvars: int) -> dict:
+def _subset_minors(lines, one) -> dict:
     """D[S] for every set S of len(lines) positions, S a bitmask: the
     determinant of `lines`, taken as rows, on the positions in S (see
-    `determinant`).  Zero minors are left out; no lines give D[{}] = 1."""
-    minors = {0: SparsePolynomial.constant(nvars, 1)}
+    `determinant`).  Zero minors are left out; no lines give D[{}] = one,
+    the unit of the entries' ring (1 for integers)."""
+    minors = {0: one}
     for line in lines:
         grown: dict = {}
         for s, minor in minors.items():
@@ -1009,7 +1010,8 @@ def determinant(matrix) -> SparsePolynomial:
     nvars = rows[0][0].nvars
     columns, row_parts, col_parts = _stripped(rows, nvars)
     full = (1 << len(rows)) - 1
-    det = _subset_minors(columns, nvars).get(full, SparsePolynomial.zero(nvars))
+    one, zero = SparsePolynomial.constant(nvars, 1), SparsePolynomial.zero(nvars)
+    det = _subset_minors(columns, one).get(full, zero)
     return _times_content(det, sum(row_parts + col_parts, Counter()))
 
 
@@ -1037,11 +1039,11 @@ def det_adjugate(matrix) -> tuple[SparsePolynomial, PolyMatrix]:
     n, nvars = len(rows), rows[0][0].nvars
     columns, row_parts, col_parts = _stripped(rows, nvars)
     full = (1 << n) - 1
-    zero = SparsePolynomial.zero(nvars)
-    det = _subset_minors(columns, nvars).get(full, zero)
+    one, zero = SparsePolynomial.constant(nvars, 1), SparsePolynomial.zero(nvars)
+    det = _subset_minors(columns, one).get(full, zero)
     adj = []
     for j in range(n):
-        minors = _subset_minors(columns[:j] + columns[j + 1 :], nvars)
+        minors = _subset_minors(columns[:j] + columns[j + 1 :], one)
         row = [minors.get(full ^ 1 << i, zero) for i in range(n)]
         adj.append([-a if (i + j) % 2 else a for i, a in enumerate(row)])
     reduced = [list(r) for r in zip(*columns)]
@@ -1071,9 +1073,9 @@ def eliminate(matrix, rhs) -> tuple[dict[int, int], list]:
     column to its pivot row, `reduced[row]` of a pivot row is that
     column's coordinate, and `reduced[row]` of any other row is a
     residual, all of which vanish exactly when the right-hand side lies
-    in the column span.  Its callers are `verify.check_rank` (pivots of a
-    numeric matrix) and `verify.quotient_coordinates` (straightening);
-    Specht coordinates need no elimination (`solve.coordinates_in_specht_basis`).
+    in the column span, which its one caller, `verify.quotient_coordinates`
+    (straightening), rests on.  Specht coordinates and rank need no
+    elimination (`solve.coordinates_in_specht_basis`, `verify.check_rank`).
     """
     a = [[Fraction(v) for v in row] for row in matrix]
     b = list(rhs)

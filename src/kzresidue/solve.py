@@ -264,13 +264,15 @@ class FundamentalMatrix:
     cycles: tuple[Numbering, ...]
     tables: tuple[SolutionTable, ...]
     matrix: PolyMatrix
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # memo of derived data; not an init field, so `dataclasses.replace` starts afresh
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
         return len(self.cycles)
 
     def determinant(self) -> SparsePolynomial:
+        """det M, expanded; no check calls it (see `verify.check_det`)."""
         if "det" not in self._cache:
             self._cache["det"] = determinant(self.matrix)
         return self._cache["det"]
@@ -337,10 +339,7 @@ def fundamental_solution(
     check_resources(lam, m, budget)
     stds = standard_tableaux(lam)
     tables = tuple(solve_cycle(lam, m, t.tabloid()) for t in stds)
-    rows = []
-    for table in tables:
-        coords = coordinates_in_specht_basis(lam, table.components.__getitem__)
-        rows.append(coords)
+    rows = [coordinates_in_specht_basis(lam, t.components.__getitem__) for t in tables]
     return FundamentalMatrix(lam, m, stds, tables, PolyMatrix(rows))
 
 
@@ -364,13 +363,18 @@ class DualMatrix:
         return self.entries.nrows
 
     def to_json(self) -> dict:
+        det = self.det.to_json()  # the den of every `dual_matrix` entry: written once
         return {
             "lambda": list(self.lam.parts),
             "m": self.m,
-            "det": self.det.to_json(),
+            "det": det,
             "entries": [
-                [self.entries.entry(i, j).to_json() for j in range(self.dimension)]
-                for i in range(self.dimension)
+                [
+                    {"num": e.num.to_json(),
+                     "den": det if e.den is self.det else e.den.to_json()}
+                    for e in row
+                ]
+                for row in self.entries.entries
             ],
         }
 

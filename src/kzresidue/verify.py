@@ -17,6 +17,7 @@ from .exactalg import (
     PolyFraction,
     SparsePolynomial,
     _divide_by_z_diff,
+    _subset_minors,
     discriminant_power,
     eliminate,
     exact_divide,
@@ -190,14 +191,8 @@ def check_kz(table: SolutionTable) -> CheckReport:
             witness = {"i": i, "form": str(u), **fields}
     if witness is not None:
         witness = {"cycle": str(table.cycle), **witness}
-    return CheckReport(
-        "kz_system",
-        table.lam,
-        table.m,
-        witness is None,
-        witness,
-        {"twisted": table.twisted},
-    )
+    info = {"twisted": table.twisted}
+    return CheckReport("kz_system", table.lam, table.m, witness is None, witness, info)
 
 
 def check_primitive(table: SolutionTable) -> CheckReport:
@@ -210,16 +205,13 @@ def check_primitive(table: SolutionTable) -> CheckReport:
             for v in raise_row(u, s):
                 cur = buckets.get(v)
                 buckets[v] = comp if cur is None else cur + comp
-        for v, total in buckets.items():
-            if total:
-                witness = {
-                    "cycle": str(table.cycle),
-                    "row": s,
-                    "raised_tabloid": str(v),
-                    "sum": _clip(total),
-                }
-                break
-        if witness:
+        if bad := next(((v, total) for v, total in buckets.items() if total), None):
+            witness = {
+                "cycle": str(table.cycle),
+                "row": s,
+                "raised_tabloid": str(bad[0]),
+                "sum": _clip(bad[1]),
+            }
             break
     return CheckReport("highest_weight", table.lam, table.m, witness is None, witness)
 
@@ -259,23 +251,14 @@ def check_shape(fm: FundamentalMatrix) -> CheckReport:
             return {**where, "reason": "non-integer coefficient"}
         return None
 
-    for table in fm.tables:
-        for u, comp in table.components.items():
-            witness = bad_poly(comp, {"cycle": str(table.cycle), "form": str(u)})
-            if witness:
-                break
-        if witness:
-            break
-    if witness is None:
-        for i in range(fm.dimension):
-            for j in range(fm.dimension):
-                witness = bad_poly(
-                    fm.matrix.entry(i, j), {"row": i, "col": j, "where": "matrix"}
-                )
-                if witness:
-                    break
-            if witness:
-                break
+    d = fm.dimension
+    cells = itertools.chain(
+        ((c, {"cycle": str(t.cycle), "form": str(u)}) for t in fm.tables
+         for u, c in t.components.items()),
+        ((fm.matrix.entry(i, j), {"row": i, "col": j, "where": "matrix"})
+         for i in range(d) for j in range(d)),
+    )
+    witness = next(filter(None, itertools.starmap(bad_poly, cells)), None)
     if witness is None:
         for i, t in enumerate(fm.cycles):
             entry = fm.matrix.entry(i, i)
@@ -293,74 +276,105 @@ def check_shape(fm: FundamentalMatrix) -> CheckReport:
                 }
                 break
             leading[str(t.reading_word())] = str(coeff)
-    return CheckReport(
-        "polynomial_shape",
-        fm.lam,
-        fm.m,
-        witness is None,
-        witness,
-        {"degree": degree, "leading_coefficients": leading},
-    )
+    info = {"degree": degree, "leading_coefficients": leading}
+    return CheckReport("polynomial_shape", fm.lam, fm.m, witness is None, witness, info)
+
+
+def _kz_reports(fm: FundamentalMatrix) -> tuple[CheckReport, ...]:
+    """`check_kz` on every table, memoized: `run_suite` and `check_det` share it."""
+    if "kz" not in fm._cache:
+        fm._cache["kz"] = tuple(check_kz(table) for table in fm.tables)
+    return fm._cache["kz"]
+
+
+def _evaluation_point(n: int) -> tuple[int, ...]:
+    return tuple(1 + k * k for k in range(n))  # (1, 2, 5, 10, ...)
+
+
+def _determinant_at(fm: FundamentalMatrix, point: tuple[int, ...]):
+    """det M(point), one integer determinant by the subset kernel; memoized."""
+    if ("det_at", point) not in fm._cache:
+        rows = [[e.evaluate(point) for e in row] for row in fm.matrix.entries]
+        fm._cache["det_at", point] = _subset_minors(rows, 1).get((1 << len(rows)) - 1, 0)
+    return fm._cache["det_at", point]
+
+
+def _coordinates_witness(fm: FundamentalMatrix) -> dict | None:
+    """First (row r, tabloid) where table r differs from sum_t M[r][t] e_t,
+    by additions over the column expansions, not by the peeling in `solve`."""
+    expansions = [column_expansion(t) for t in standard_tableaux(fm.lam)]
+    for r, table in enumerate(fm.tables):
+        residual = dict(table.components)
+        for c, expansion in enumerate(expansions):
+            if coeff := fm.matrix.entry(r, c):
+                for sign, u in expansion:
+                    residual[u] = residual[u] - coeff if sign > 0 else residual[u] + coeff
+        for u, rest in residual.items():
+            if rest:
+                return {"row": r, "form": str(u), "difference": _clip(rest)}
+    return None
 
 
 def check_rank(fm: FundamentalMatrix) -> CheckReport:
-    """The matrix over standard tableaux is invertible (full rank).
-
-    A full-rank exact evaluation at an integer point (every column gets a
-    pivot) certifies that the determinant polynomial is non-zero; only if
-    a few points all fail does the symbolic determinant decide."""
-    n = fm.lam.size
-    d = fm.dimension
-    witness = None
-    info: dict = {}
-    for base in (1, 2, 3):
-        point = tuple(base + k * k * base for k in range(n))
-        numeric = [
-            [fm.matrix.entry(i, j).evaluate(point) for j in range(d)] for i in range(d)
-        ]
-        pivots, _ = eliminate(numeric, [0] * d)
-        if len(pivots) == d:
-            info["certificate_point"] = list(point)
-            break
-    else:
-        det = fm.determinant()
-        info["det_degree"] = det.degree()
-        if det.is_zero():
-            witness = {"reason": "determinant vanishes identically"}
-    return CheckReport("full_rank", fm.lam, fm.m, witness is None, witness, info)
+    """M is invertible: passes iff det M(z0) != 0 at z0 = (1, 2, 5, 10, ...),
+    the integer determinant `check_det` reuses.  Non-zero alone proves
+    det M != 0; zero means C = 0 in det M = C Delta^p (`check_det`), since
+    Delta(z0) != 0.  Called by `run_suite`."""
+    point = list(_evaluation_point(fm.lam.size))
+    if _determinant_at(fm, tuple(point)):
+        info = {"certificate_point": point}
+        return CheckReport("full_rank", fm.lam, fm.m, True, None, info)
+    witness = {"reason": "determinant vanishes at the certificate point", "point": point}
+    return CheckReport("full_rank", fm.lam, fm.m, False, witness)
 
 
 def check_det(fm: FundamentalMatrix) -> CheckReport:
-    """The determinant equals a non-zero constant times the squared
-    discriminant raised to m times the symmetric fixed-space dimension;
-    the constant is reported, not prescribed."""
-    stats = diagram_stats(fm.lam, fm.m)
-    n = fm.lam.size
-    det = fm.determinant()
-    power = 2 * fm.m * stats.d_plus
-    degree = power * (n * (n - 1) // 2)
-    witness = None
-    constant = None
-    if det.is_zero():
-        witness = {"reason": "determinant vanishes"}
-    elif det.degree() != degree:
-        witness = {"reason": f"determinant degree {det.degree()} != {degree}"}
-    else:
-        found = _discriminant_power_of(n, det)
-        if found is None:
-            witness = {
-                "reason": "determinant is not a constant times a discriminant power"
-            }
-        else:
-            constant = found[1]
-    return CheckReport(
-        "determinant_identity",
-        fm.lam,
-        fm.m,
-        witness is None,
-        witness,
-        {"power": power, "constant": str(constant) if constant is not None else None},
-    )
+    """det M = C Delta^p with Delta = prod_{a<b} (z_a - z_b), p = m (chi + d)
+    for chi the character of a transposition and d the dimension, and C a
+    non-zero constant, reported, not prescribed.  Called by `run_suite`
+    and the CLI's `det`.
+
+    By Liouville's (Jacobi's) formula, not by expanding det M: the rows of
+    M solve d_i psi = Omega_i psi, so d_i log det M = tr Omega_i =
+    p sum_{j != i} 1 / (z_i - z_j), det M / Delta^p is constant, and
+    C = det M(z0) / Delta(z0)^p for one point z0 with distinct coordinates,
+    the point of `check_rank`.  Each premise is established here and
+    fails the check with a witness naming it: `kz_system` (every table
+    passes `check_kz`), `specht_coordinates` (rows of M recombine to the
+    tables) and `transposition_trace` (p from the trace of Young's (1 2)
+    equals 2 m d_plus; with one point Delta = 1 and p plays no role).
+    Delta(z0)^p must divide det M(z0): C is an integer (Gauss's lemma)."""
+    lam, m, n = fm.lam, fm.m, fm.lam.size
+    point = _evaluation_point(n)
+    power = expected = 2 * m * diagram_stats(lam, m).d_plus
+    witness = constant = None
+    if kz := next((rep for rep in _kz_reports(fm) if not rep.passed), None):
+        witness = {"premise": kz.check, **kz.witness}
+    elif mismatch := _coordinates_witness(fm):
+        witness = {"premise": "specht_coordinates", **mismatch}
+    elif n > 1:
+        mat = _specht_transposition_matrix(lam, 1, 2)
+        trace = sum(mat[k][k] for k in range(len(mat)))
+        if (power := m * (trace + len(mat))) != expected:
+            witness = dict(premise="transposition_trace", trace=trace, expected=expected)
+    delta = math.prod(a - b for a, b in itertools.combinations(point, 2))
+    if witness is None and not delta:
+        witness = dict(reason="evaluation point has a repeated coordinate", point=[*point])
+    elif witness is None:
+        value = _determinant_at(fm, point)
+        constant, rest = divmod(value, delta**power)
+        if rest or not constant:
+            reason = "Delta(z0)^p does not divide det M(z0)" if rest else "det M(z0) = 0"
+            witness = {"reason": reason, "point": list(point), "value": _clip(value)}
+    info = {
+        "power": power,
+        "constant": None if witness else str(constant),
+        "identity": "d_i log det M = tr Omega_i (Jacobi), so det M = C Delta^p, "
+        "C = det M(z0) / Delta(z0)^p",
+        "premises": ["kz_system", "specht_coordinates", "transposition_trace"],
+        "point": list(point),
+    }
+    return CheckReport("determinant_identity", lam, m, witness is None, witness, info)
 
 
 # ----------------------------------------------------------------------
@@ -380,25 +394,17 @@ def check_equivariance(lam: Partition, m: int) -> CheckReport:
     witness = None
     forms = tabloids(lam.parts)
     cycles = [t.tabloid() for t in standard_tableaux(lam)]
-    for i in range(1, n):
-        image = _swap_image(n, i, i + 1)
-        for cyc in cycles:
-            gcyc = act_transposition(cyc, i, i + 1)
-            for u in forms:
-                gu = act_transposition(u, i, i + 1)
-                lhs = solve_component(lam, m, gcyc, gu)
-                rhs = solve_component(lam, m, cyc, u).permute_variables(image)
-                if lhs != rhs:
-                    witness = {
-                        "transposition": [i, i + 1],
-                        "cycle": str(cyc),
-                        "form": str(u),
-                        "difference": _clip(lhs - rhs),
-                    }
-                    break
-            if witness:
-                break
-        if witness:
+    for i, cyc, u in itertools.product(range(1, n), cycles, forms):
+        gcyc, gu = act_transposition(cyc, i, i + 1), act_transposition(u, i, i + 1)
+        lhs = solve_component(lam, m, gcyc, gu)
+        rhs = solve_component(lam, m, cyc, u).permute_variables(_swap_image(n, i, i + 1))
+        if lhs != rhs:
+            witness = {
+                "transposition": [i, i + 1],
+                "cycle": str(cyc),
+                "form": str(u),
+                "difference": _clip(lhs - rhs),
+            }
             break
     return CheckReport("equivariance", lam, m, witness is None, witness)
 
@@ -448,36 +454,33 @@ def _specht_transposition_matrix(lam: Partition, i: int, j: int) -> list[list[in
 
 def check_dual(fm: FundamentalMatrix) -> CheckReport:
     """Rows of the transposed-inverse matrix solve the parameter-negated
-    system in the coordinates dual to the polytabloid basis.
+    system in the coordinates dual to the polytabloid basis.  Exported for
+    callers and perfbench; `run_suite` does not call it.
 
-    Precondition: `check_det` passes, so the shared denominator of the
-    dual entries, det = C * Delta^p, has the log-derivative
-    d_i det / det = p sum_{l != i} 1 / (z_i - z_l); the system is then
-    checked by pole division in `_kz_witness`.  If the precondition
-    fails, so does this check, with a witness naming it; it is never
-    skipped.  That the rows are the transposed inverse rests on the
-    adjugate identity, which `dual_matrix` asserts exactly on the matrix
-    with its z-difference content stripped (see `det_adjugate`); a
-    failure of it fails this check."""
+    It rests on two identities, proved here and named in its report.  The
+    adjugate identity makes the rows the transposed inverse: `dual_matrix`
+    asserts it exactly on the matrix with its z-difference content
+    stripped (see `det_adjugate`).  The determinant identity: the shared
+    denominator dm.det from that same pass is C * Delta^p, by exact
+    division (`_discriminant_power_of`), so d_i det / det = p sum_{l != i}
+    1 / (z_i - z_l) and `_kz_witness` checks the system by pole division.
+    A failure of either fails this check; neither `check_det` nor a
+    symbolic determinant of M is called."""
     lam = fm.lam
     n = lam.size
-    det_report = check_det(fm)
     info = {
-        "precondition": det_report.check,
+        "precondition": "determinant_identity",
         "adjugate_identity": "M' adj(M') == det(M') I, M' = M stripped of z-differences",
     }
-    if not det_report.passed:
-        witness = {"precondition": det_report.check, **det_report.witness}
-        return CheckReport("dual_system", lam, -fm.m, False, witness, info)
     try:
         dm = dual_matrix(fm)
     except ArithmeticError as exc:
         return CheckReport("dual_system", lam, -fm.m, False, {"reason": str(exc)}, info)
     info["det_degree"] = dm.det.degree()
-    if dm.det != fm.determinant():
+    if (found := _discriminant_power_of(n, dm.det)) is None:
         witness = {
-            "precondition": det_report.check,
-            "reason": "dual denominator differs from the checked determinant",
+            "precondition": "determinant_identity",
+            "reason": "dual denominator is not a constant times a discriminant power",
         }
         return CheckReport("dual_system", lam, dm.m, False, witness, info)
     d = dm.dimension
@@ -496,7 +499,7 @@ def check_dual(fm: FundamentalMatrix) -> CheckReport:
                 acted = acted + nums[(b, k)] * mat[k][jcol]
         return acted
 
-    failure = _kz_witness(n, dm.m, det_report.info["power"], nums, act)
+    failure = _kz_witness(n, dm.m, found[0], nums, act)
     witness = None
     if failure is not None:
         i, (b, jcol), fields = failure
@@ -568,14 +571,8 @@ def check_straightening(lam: Partition, m: int, cycle: Tabloid) -> CheckReport:
                 "difference": _clip(target.components[u] - combined),
             }
             break
-    return CheckReport(
-        "straightening",
-        lam,
-        m,
-        witness is None,
-        witness,
-        {"coordinates": [str(c) for c in coords]},
-    )
+    info = {"coordinates": [str(c) for c in coords]}
+    return CheckReport("straightening", lam, m, witness is None, witness, info)
 
 
 # ----------------------------------------------------------------------
@@ -596,10 +593,7 @@ def _reflection_witness(n: int, m: int, psis, phis) -> dict | None:
             return {"reason": "residue family does not sum to zero", "component": k + 1}
     for phi in phis:
         if sum((comp.num for comp in phi.components), SparsePolynomial.zero(n)):
-            return {
-                "reason": "path family coordinate sum is not zero",
-                "index": phi.index,
-            }
+            return {"reason": "path family coordinate sum is not zero", "index": phi.index}
     families = [("residue", psi.index, psi.components) for psi in psis]
     families += [("path", phi.index, [c.num for c in phi.components]) for phi in phis]
     for family, index, comps in families:
@@ -674,14 +668,13 @@ def run_suite(
     reports: list[CheckReport] = []
 
     def aggregate(name: str, per_table) -> CheckReport:
-        for table in fm.tables:
-            rep = per_table(table)
+        for rep in per_table:
             if not rep.passed:
                 return rep
         return CheckReport(name, lam, m, True, None, {"cycles": fm.dimension})
 
-    reports.append(aggregate("kz_system", check_kz))
-    reports.append(aggregate("highest_weight", check_primitive))
+    reports.append(aggregate("kz_system", _kz_reports(fm)))
+    reports.append(aggregate("highest_weight", map(check_primitive, fm.tables)))
     reports.append(check_shape(fm))
     reports.append(check_rank(fm))
     reports.append(check_equivariance(lam, m))

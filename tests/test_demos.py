@@ -1,6 +1,9 @@
-"""Every narrative script in demos/ runs to completion and reports no
-failed check.  The scripts print verdicts rather than assert them, so a
-check that starts failing would otherwise go unnoticed here."""
+"""Every narrative script in demos/ runs to completion, reports no
+failed check and prints exactly its recorded output.  The scripts print
+verdicts rather than assert them, so a check that starts failing would
+otherwise go unnoticed here; the digests catch any other change to what
+they print."""
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,10 +13,18 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# SHA-256 of each demo's stdout when run without arguments
+STDOUT_SHA256 = {
+    "duality_and_twist.py": "02445a9ddda88f4e19f228cab56668042dec4d6e688f5739348fb5f6ba64bd22",
+    "reflection_pairing.py": "43a7b20e7877851353dc17c644bc1369fd6ab799847458907687bddd7f0e1065",
+    "three_point_walkthrough.py": "ba39a044ceac53d7c359d332b33cd8a8e7529fed55bffdbdb6167b80ce78f7cc",
+    "verification_sweep.py": "6200e8b9b7e0df896caf43707fb77fc9c40b34f87da1eb98f909a51b36e1418b",
+}
 
 
 def test_demos_are_found():
     assert len(DEMOS) >= 4
+    assert sorted(p.name for p in DEMOS) == sorted(STDOUT_SHA256)
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
@@ -31,3 +42,4 @@ def test_demo_runs_clean(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert "FAIL" not in proc.stdout
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == STDOUT_SHA256[script.name]

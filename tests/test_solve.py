@@ -6,6 +6,7 @@ output: e.g. the first row of the three-point system is
 (z12^2 (z13 + z23), -z12^2 z13, -z12^2 z23) and its polytabloid
 coordinates reproduce all three tabloid components.
 """
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from kzresidue import (
     Numbering,
     Partition,
     PolyFraction,
+    PolyMatrix,
     ResourceGuardError,
     SolutionTable,
     SpanError,
@@ -374,6 +376,19 @@ def test_dual_matrix_inverts_transposed(fm21):
             for k in range(n):
                 acc = acc + dm.entries.entry(k, j) * fm21.matrix.entry(k, i)
             assert acc == (one if i == j else zero)
+
+
+def test_dual_to_json_writes_every_entry_as_its_fraction(fm21):
+    dm = dual_matrix(fm21)
+    doc = dm.to_json()
+    assert doc["det"] == dm.det.to_json()
+    assert doc["entries"] == [[e.to_json() for e in row] for row in dm.entries.entries]
+    # an entry over another denominator keeps its own
+    other = PolyFraction(SparsePolynomial.constant(3, 1), SparsePolynomial.constant(3, 2))
+    rows = [list(row) for row in dm.entries.entries]
+    rows[0][1] = other
+    odd = dataclasses.replace(dm, entries=PolyMatrix(rows))
+    assert odd.to_json()["entries"][0][1] == other.to_json()
 
 
 def test_alternating_twist_structure(fm21):

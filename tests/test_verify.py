@@ -8,11 +8,12 @@ checker that cannot reject a broken solution proves nothing.
 import dataclasses
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kzresidue import exactalg
+from kzresidue import exactalg, verify
 from kzresidue import (
     CheckReport,
     FundamentalMatrix,
@@ -106,7 +107,16 @@ def test_rank_certificate(fm21):
 def test_det_constant(fm21):
     rep = check_det(fm21)
     assert rep.passed
-    assert rep.info == {"power": 2, "constant": "-2"}
+    assert rep.info == {
+        "power": 2,
+        "constant": "-2",
+        "identity": (
+            "d_i log det M = tr Omega_i (Jacobi), so det M = C Delta^p, "
+            "C = det M(z0) / Delta(z0)^p"
+        ),
+        "premises": ["kz_system", "specht_coordinates", "transposition_trace"],
+        "point": [1, 2, 5],
+    }
 
 
 def test_det_constant_of_a_six_by_six_matrix():
@@ -245,8 +255,15 @@ def test_rank_and_det_reject_singular_matrix(fm21):
     )
     rep = check_rank(singular)
     assert not rep.passed
-    assert rep.witness == {"reason": "determinant vanishes identically"}
-    assert not check_det(singular).passed
+    assert rep.witness == {
+        "reason": "determinant vanishes at the certificate point",
+        "point": [1, 2, 5],
+    }
+    rep = check_det(singular)
+    assert not rep.passed
+    # row 1 repeats row 0's coordinates, which do not recombine to table 1
+    assert rep.witness["premise"] == "specht_coordinates"
+    assert rep.witness["row"] == 1
 
 
 def test_shape_rejects_wrong_degree(fm21):
@@ -569,3 +586,154 @@ def test_run_suite_composition():
         "determinant_identity",
     ]
     assert all(r.passed for r in reports)
+
+
+# ---------------------------------------------------------------------------
+# the determinant identity by Liouville's formula at one integer point
+# ---------------------------------------------------------------------------
+
+
+def _with_matrix(fm, rows):
+    return FundamentalMatrix(fm.lam, fm.m, fm.cycles, fm.tables, PolyMatrix(rows))
+
+
+def _rows(fm):
+    return [list(row) for row in fm.matrix.entries]
+
+
+# every shape of two to four points at m = 1 and 2, but (1,1,1,1) at m = 2,
+# whose solve alone takes minutes; (3,2) m = 1 adds a 5 x 5 determinant.
+# (1,) is pinned below: with one point Delta = 1 and p cannot be read off
+SYMBOLIC_POINTS = [
+    (lam.parts, m)
+    for n in range(2, 5)
+    for lam in enumerate_partitions(n)
+    for m in (1, 2)
+    if (lam.parts, m) != ((1, 1, 1, 1), 2)
+] + [((3, 2), 1)]
+
+
+@pytest.mark.parametrize("parts,m", SYMBOLIC_POINTS, ids=str)
+def test_det_agrees_with_the_symbolic_determinant(parts, m):
+    fm = fundamental_solution(Partition(parts), m)
+    rep = check_det(fm)
+    assert rep.passed, rep.witness
+    power, constant = verify._discriminant_power_of(fm.lam.size, fm.determinant())
+    assert (rep.info["power"], rep.info["constant"]) == (power, str(constant))
+
+
+def test_det_constant_of_the_four_one_shape():
+    rep = check_det(fundamental_solution(Partition((4, 1)), 1))
+    assert rep.passed, rep.witness
+    assert (rep.info["power"], rep.info["constant"]) == (6, "24")
+
+
+@pytest.mark.parametrize(
+    "parts,m,power,constant",
+    [((1,), 1, 2, "1"), ((2,), 1, 2, "1"), ((1, 1), 2, 0, "3")],
+    ids=str,
+)
+def test_det_edge_cases_keep_their_values(parts, m, power, constant):
+    # (1,) has no transposition and Delta = 1; the other two have d = 1
+    rep = check_det(fundamental_solution(Partition(parts), m))
+    assert rep.passed, rep.witness
+    assert (rep.info["power"], rep.info["constant"]) == (power, constant)
+
+
+def test_det_rejects_a_perturbed_matrix_entry(fm21):
+    rows = _rows(fm21)
+    rows[1][0] = rows[1][0] + SparsePolynomial.from_terms(3, [((3, 0, 0), 1)])
+    rep = check_det(_with_matrix(fm21, rows))
+    assert not rep.passed and rep.info["constant"] is None
+    assert rep.witness["premise"] == "specht_coordinates" and rep.witness["row"] == 1
+
+
+def test_det_rejects_a_power_off_by_one(fm21, monkeypatch):
+    honest = verify._specht_transposition_matrix
+
+    def shifted_trace(lam, i, j):
+        mat = [list(row) for row in honest(lam, i, j)]
+        mat[0][0] += 1  # tr rho(1 2) + 1: p = m (chi + d) grows by m = 1
+        return mat
+
+    monkeypatch.setattr(verify, "_specht_transposition_matrix", shifted_trace)
+    rep = check_det(fm21)
+    assert not rep.passed
+    assert rep.witness == {"premise": "transposition_trace", "trace": 1, "expected": 2}
+    assert rep.info["power"] == 3
+
+
+@pytest.mark.parametrize("parts", [(2, 1), (1, 1, 1)], ids=str)
+def test_det_rejects_a_point_with_a_repeated_coordinate(parts, monkeypatch):
+    # (1,1,1) has p = 0, where Delta(z0)^p = 1 would not divide by zero
+    fm = fundamental_solution(Partition(parts), 1)
+    monkeypatch.setattr(verify, "_evaluation_point", lambda n: (1, 5, 5))
+    rep = check_det(fm)
+    assert not rep.passed
+    assert rep.witness == {
+        "reason": "evaluation point has a repeated coordinate",
+        "point": [1, 5, 5],
+    }
+
+
+def test_det_fails_when_the_recombination_is_skipped(fm21, monkeypatch):
+    # doubling a row doubles C and leaves the tables solving the system:
+    # only the recombination premise can catch it
+    rows = _rows(fm21)
+    rows[0] = [e * 2 for e in rows[0]]
+    doubled = _with_matrix(fm21, rows)
+    rep = check_det(doubled)
+    assert not rep.passed
+    assert rep.witness["premise"] == "specht_coordinates" and rep.witness["row"] == 0
+    monkeypatch.setattr(verify, "_coordinates_witness", lambda fm: None)
+    assert check_det(doubled).info["constant"] == "-4"
+    monkeypatch.undo()
+    # an expansion that adds nothing leaves every component as residual
+    monkeypatch.setattr(verify, "column_expansion", lambda t: [])
+    rep = check_det(fundamental_solution(LAM21, 1))
+    assert not rep.passed
+    assert rep.witness["premise"] == "specht_coordinates" and rep.witness["row"] == 0
+
+
+def test_det_rejects_a_repeated_solution(fm21):
+    # every premise holds when one solution fills both rows, and C = 0
+    row = [fm21.matrix.entry(0, j) for j in range(fm21.dimension)]
+    tables = (fm21.tables[0], fm21.tables[0])
+    twice = FundamentalMatrix(fm21.lam, fm21.m, fm21.cycles, tables, PolyMatrix([row, row]))
+    rep = check_det(twice)
+    assert not rep.passed and rep.info["constant"] is None
+    assert rep.witness == {"reason": "det M(z0) = 0", "point": [1, 2, 5], "value": "0"}
+    assert not check_rank(twice).passed
+
+
+def test_det_rejects_a_table_that_fails_the_kz_check(fm21):
+    table = fm21.tables[1]
+    u = next(iter(table.components))
+    bad_tables = fm21.tables[:1] + (perturbed(table, u, SparsePolynomial.constant(3, 1)),)
+    broken = FundamentalMatrix(fm21.lam, fm21.m, fm21.cycles, bad_tables, fm21.matrix)
+    rep = check_det(broken)
+    assert not rep.passed
+    assert rep.witness["premise"] == "kz_system"
+    assert rep.witness["cycle"] == str(table.cycle)
+
+
+def test_battery_takes_no_symbolic_determinant(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("symbolic determinant of M")
+
+    monkeypatch.setattr(FundamentalMatrix, "determinant", refuse)
+    monkeypatch.setattr(exactalg, "determinant", refuse)
+    for lam, m in ((LAM21, 1), (LAM21, 2), (Partition((2, 2)), 1)):
+        assert all(rep.passed for rep in run_suite(lam, m)), (lam, m)
+        fm = fundamental_solution(lam, m)
+        assert check_dual(fm).passed, (lam, m)
+
+
+def test_run_suite_and_check_det_share_one_kz_pass(monkeypatch):
+    calls = mock.Mock(wraps=verify.check_kz)
+    monkeypatch.setattr(verify, "check_kz", calls)
+    fm = fundamental_solution(Partition((3, 1)), 1)
+    monkeypatch.setattr(verify, "fundamental_solution", lambda lam, m, budget: fm)
+    reports = run_suite(fm.lam, 1)
+    assert all(rep.passed for rep in reports)
+    assert calls.call_count == fm.dimension
