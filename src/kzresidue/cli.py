@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .exactalg import SparsePolynomial, z_diff_content
+from .exactalg import MAX_VARS, SparsePolynomial, z_diff_content
 from .shapes import Partition, diagram_stats, enumerate_partitions
 from .solve import (
     DEFAULT_BUDGET,
@@ -124,6 +124,11 @@ def cmd_stats(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.all_partitions is not None:
+        # the partition count grows exponentially in N: refuse before listing
+        if args.all_partitions > MAX_VARS:
+            raise ResourceGuardError(
+                f"N={args.all_partitions} exceeds the hard variable limit {MAX_VARS}"
+            )
         shapes = enumerate_partitions(args.all_partitions)
     elif args.shape is not None:
         shapes = [args.shape]

@@ -16,10 +16,10 @@ significant, the order in which `sorted_terms`, `leading_term` and
 bit of every field as a guard: adding two keys adds their exponents field
 by field without carrying between fields, and a field that reaches 2^23
 sets its guard bit, which one mask test catches and turns into
-OverflowError.  Products, sums, derivatives, substitutions, permutations
-and divisions work on keys with additions, shifts and masks; exponent
-tuples appear only at the boundary (`from_terms`, `items`,
-`sorted_terms`, `leading_term`, `evaluate`).
+OverflowError.  Products, sums, derivatives, substitutions, permutations,
+divisions and evaluation work on keys with additions, shifts and masks;
+exponent tuples appear only at the boundary (`from_terms`, `items`,
+`sorted_terms`, `leading_term`).
 """
 from __future__ import annotations
 
@@ -310,13 +310,17 @@ class SparsePolynomial:
         """Exact value at a point (one number per variable)."""
         if len(values) != self.nvars:
             raise ValueError(f"need {self.nvars} values, got {len(values)}")
+        # each exponent is read off its key field; v**e is memoized per variable
+        fields = [(s, v, {}) for s, v in zip(_SHIFTS, values)]
         total = 0
-        for exp, c in self.items():
-            term = c
-            for v, e in zip(values, exp):
-                if e:
-                    term *= v**e
-            total += term
+        for k, c in self.terms.items():
+            for s, v, powers in fields:
+                if e := (k >> s) & _FIELD:
+                    p = powers.get(e)
+                    if p is None:
+                        p = powers[e] = v**e
+                    c *= p
+            total += c
         return total
 
     def permute_variables(self, image: tuple[int, ...]) -> "SparsePolynomial":
@@ -1060,43 +1064,3 @@ def det_adjugate(matrix) -> tuple[SparsePolynomial, PolyMatrix]:
     ]
     return _times_content(det, total), PolyMatrix(adj)
 
-
-def eliminate(matrix, rhs) -> tuple[dict[int, int], list]:
-    """Exact Gauss-Jordan elimination of a rational matrix, carrying one
-    right-hand side whose entries may live in any ring that admits
-    subtraction and scaling by a Fraction (numbers, polynomials,
-    polynomial fractions).
-
-    Columns are taken in order, each pivoting on its first non-zero entry
-    among the rows not yet used; a column without one gets no pivot and
-    is skipped.  Returns `(pivots, reduced)`: `pivots` maps each pivoted
-    column to its pivot row, `reduced[row]` of a pivot row is that
-    column's coordinate, and `reduced[row]` of any other row is a
-    residual, all of which vanish exactly when the right-hand side lies
-    in the column span, which its one caller, `verify.quotient_coordinates`
-    (straightening), rests on.  Specht coordinates and rank need no
-    elimination (`solve.coordinates_in_specht_basis`, `verify.check_rank`).
-    """
-    a = [[Fraction(v) for v in row] for row in matrix]
-    b = list(rhs)
-    ncols = len(a[0]) if a else 0
-    pivots: dict[int, int] = {}
-    used: set[int] = set()
-    for col in range(ncols):
-        pivot = next((r for r in range(len(a)) if r not in used and a[r][col]), None)
-        if pivot is None:
-            continue
-        used.add(pivot)
-        pivots[col] = pivot
-        prow = a[pivot]
-        for r in range(len(a)):
-            if r == pivot or not a[r][col]:
-                continue
-            f = a[r][col] / prow[col]
-            for c in range(col, ncols):
-                if prow[c]:
-                    a[r][c] -= f * prow[c]
-            b[r] = b[r] - b[pivot] * f
-    for col, row in pivots.items():
-        b[row] = b[row] * (1 / a[row][col])
-    return pivots, b

@@ -185,6 +185,14 @@ def standard_tableaux(lam: Partition) -> list[Numbering]:
     return results
 
 
+def row_word(t: Numbering) -> tuple[int, ...]:
+    """The row of each label 1..N.  In ascending order of this word the
+    standard polytabloids are unitriangular: e_t holds {t} with
+    coefficient 1, and every other standard {s} in it has s later."""
+    rows = {x: r for r, row in enumerate(t.rows, start=1) for x in row}
+    return tuple(rows[k] for k in range(1, t.size + 1))
+
+
 def identity_tableau(lam: Partition) -> Numbering:
     """The numbering that fills boxes 1..N in reading order."""
     rows = []

@@ -44,6 +44,7 @@ from .shapes import (
     Tabloid,
     column_expansion,
     diagram_stats,
+    row_word,
     standard_tableaux,
     tabloids,
 )
@@ -233,17 +234,18 @@ def coordinates_in_specht_basis(lam: Partition, component_of) -> list:
     """Coordinates of a tabloid-component vector against the standard
     polytabloids (in `standard_tableaux(lam)` order), by additions alone.
 
-    Peeled in ascending order of the row-index word (rows of labels 1..N),
-    e_t holds {t} with coefficient 1 and every other {s} in it is dominated
-    by {t}, so comes later: e_t's coordinate is the residual at {t}.  R_t
-    and C_t meet trivially, so e_t's coefficients are +-1.  The entries,
-    `component_of(tabloid)`, need only +, - and truthiness.  A zero final
-    residual proves the result; else SpanError carries the first non-zero.
+    Peeled in ascending `shapes.row_word` order (rows of labels 1..N), in
+    which the polytabloids are unitriangular: e_t holds {t} with
+    coefficient 1 and every other standard {s} in it comes later, so e_t's
+    coordinate is the residual at {t}.  R_t and C_t meet trivially, so
+    e_t's coefficients are +-1.  The entries, `component_of(tabloid)`,
+    need only +, - and truthiness.  A zero final residual proves the
+    result; else SpanError carries the first non-zero.
     """
     residual = {u: component_of(u) for u in tabloids(lam.parts)}
     stds = standard_tableaux(lam)
     coords = {}
-    for t in sorted(stds, key=lambda t: [t.box_of(k)[0] for k in range(1, lam.size + 1)]):
+    for t in sorted(stds, key=row_word):
         c = coords[t] = residual[t.tabloid()]
         if c:
             for sign, u in column_expansion(t):

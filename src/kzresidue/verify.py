@@ -19,7 +19,6 @@ from .exactalg import (
     _divide_by_z_diff,
     _subset_minors,
     discriminant_power,
-    eliminate,
     exact_divide,
 )
 from .shapes import (
@@ -30,6 +29,7 @@ from .shapes import (
     column_expansion,
     diagram_stats,
     raise_row,
+    row_word,
     standard_tableaux,
     tabloids,
 )
@@ -37,7 +37,6 @@ from .solve import (
     DEFAULT_BUDGET,
     FundamentalMatrix,
     SolutionTable,
-    SpanError,
     coordinates_in_specht_basis,
     dual_matrix,
     fundamental_solution,
@@ -507,53 +506,42 @@ def check_dual(fm: FundamentalMatrix) -> CheckReport:
     return CheckReport("dual_system", lam, dm.m, witness is None, witness, info)
 
 
-def quotient_coordinates(lam: Partition, cycle: Tabloid) -> list[Fraction]:
-    """Coordinates of a tabloid class against the standard-tableau
-    classes, modulo the span of all simple lowering images (brute-force
-    exact linear algebra over the full tabloid space)."""
-    order = tabloids(lam.parts)
-    index = {u: r for r, u in enumerate(order)}
+def quotient_coordinates(lam: Partition, cycle: Tabloid) -> list[int]:
+    """Integer coordinates of a tabloid class against the standard-tableau
+    classes (in `standard_tableaux(lam)` order), modulo the span of all
+    simple lowering images.
+
+    Lowering one label from row s to row s+1 is adjoint to `raise_row(., s)`
+    under <{u},{v}> = delta_uv, and over Q the raising kernels meet in S^lam
+    (James's kernel intersection theorem), so the quotient is dual to S^lam:
+    [{u}] = sum_t y_t [{t}] exactly when sum_t y_t <{t}, e_s> = <{u}, e_s>
+    for every standard s.  In `shapes.row_word` order that system is
+    unitriangular with +-1 entries, so back-substitution from the last s
+    solves it without division.
+    """
+    if cycle.shape != lam.parts:
+        raise ValueError(f"cycle {cycle} does not have shape {lam}")
     stds = standard_tableaux(lam)
-    columns: list[dict[int, Fraction]] = []
-    for t in stds:
-        columns.append({index[t.tabloid()]: Fraction(1)})
-    for s in range(1, lam.nrows):
-        sizes = list(lam.parts)
-        sizes[s - 1] += 1
-        sizes[s] -= 1
-        for u in tabloids(tuple(sizes)):
-            col: dict[int, Fraction] = {}
-            for k in u.rows[s - 1]:
-                moved = list(u.rows)
-                moved[s - 1] = tuple(x for x in moved[s - 1] if x != k)
-                moved[s] = moved[s] + (k,)
-                r = index[Tabloid(tuple(moved))]
-                col[r] = col.get(r, Fraction(0)) + 1
-            if col:
-                columns.append(col)
-    a = [[0] * len(columns) for _ in order]
-    for c, col in enumerate(columns):
-        for r, v in col.items():
-            a[r][c] = v
-    rhs = [Fraction(0)] * len(order)
-    rhs[index[cycle]] = Fraction(1)
-    pivots, reduced = eliminate(a, rhs)
-    used = set(pivots.values())
-    for r, residual in enumerate(reduced):
-        if r not in used and residual:
-            raise SpanError(
-                "tabloid class is not spanned by standard classes and lowerings",
-                str(order[r]),
-            )
-    return [
-        reduced[pivots[c]] if c in pivots else Fraction(0) for c in range(len(stds))
-    ]
+    standard = {t.tabloid(): t for t in stds}
+    coords: dict[Numbering, int] = {}
+    for s in sorted(stds, key=row_word, reverse=True):
+        # y_s = <{u}, e_s> - sum over later t of y_t <{t}, e_s>
+        y = 0
+        for sign, u in column_expansion(s):
+            if u == cycle:
+                y += sign
+            if (t := standard.get(u)) in coords:
+                y -= sign * coords[t]
+        coords[s] = y
+    return [coords[t] for t in stds]
 
 
 def check_straightening(lam: Partition, m: int, cycle: Tabloid) -> CheckReport:
     """A non-standard cycle's table equals the combination of standard
     cycles' tables given by straightening its class in the quotient by
-    lowering images."""
+    lowering images (`quotient_coordinates`).  That quotient is paired
+    with S^lam, the common kernel of the raising operators, in which
+    `check_primitive` (report `highest_weight`) proves every table lies."""
     coords = quotient_coordinates(lam, cycle)
     stds = standard_tableaux(lam)
     target = solve_cycle(lam, m, cycle)
@@ -571,7 +559,12 @@ def check_straightening(lam: Partition, m: int, cycle: Tabloid) -> CheckReport:
                 "difference": _clip(target.components[u] - combined),
             }
             break
-    info = {"coordinates": [str(c) for c in coords]}
+    info = {
+        "coordinates": [str(c) for c in coords],
+        "identity": "M^lam / lowering images is dual to S^lam = kernel of the raisings "
+        "(James), so [{u}] = sum_t y_t [{t}] iff <{u}, e_s> = sum_t y_t <{t}, e_s>",
+        "premises": ["highest_weight"],
+    }
     return CheckReport("straightening", lam, m, witness is None, witness, info)
 
 

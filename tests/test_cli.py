@@ -196,6 +196,19 @@ def test_verify_all_partitions_refused_before_solving(capsys, monkeypatch):
     assert out == "" and err.startswith("refused:")
 
 
+def test_verify_all_partitions_variable_limit_refused_before_listing(capsys, monkeypatch):
+    # the partition count grows exponentially: N over the limit is refused
+    # without listing a single partition
+    def must_not_list(n):
+        raise AssertionError("partitions were listed before the request was refused")
+
+    monkeypatch.setattr(cli, "enumerate_partitions", must_not_list)
+    for n in ("9", "50"):
+        code, out, err = run(capsys, "verify", "--all-partitions", n, "--m", "1")
+        assert code == 2
+        assert out == "" and err.startswith(f"refused: N={n} exceeds")
+
+
 def test_reflection_variable_limit_refused_before_solving(capsys, monkeypatch):
     monkeypatch.setattr(cli, "reflection_solutions", _must_not_solve)
     code, out, err = run(capsys, "reflection", "--n", "8", "--m", "1")

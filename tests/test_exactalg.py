@@ -21,7 +21,6 @@ from kzresidue.exactalg import (
     det_adjugate,
     determinant,
     discriminant_power,
-    eliminate,
     exact_divide,
     normalize_factored,
     t_atom,
@@ -158,6 +157,23 @@ def test_evaluate():
     assert p.evaluate((1, 1, 7)) == 0
     with pytest.raises(ValueError):
         p.evaluate((1, 2))
+
+
+@given(polys(), st.data())
+def test_evaluate_matches_term_by_term_reference(p, data):
+    """The packed-key evaluation agrees with summing c * prod v_i^e_i over
+    the exponent tuples, at int and Fraction points, for int and Fraction
+    coefficients."""
+    n = p.nvars
+    ints = st.integers(-4, 4)
+    for poly in (p, p * Fraction(1, 3)):
+        point = data.draw(st.one_of(
+            st.lists(ints, min_size=n, max_size=n),
+            st.lists(st.builds(Fraction, ints, st.integers(1, 3)), min_size=n, max_size=n),
+        ))
+        expected = sum(c * reduce(mul, (v**e for v, e in zip(point, exp)), 1)
+                       for exp, c in poly.items())
+        assert poly.evaluate(point) == expected
 
 
 def test_json_round_trip_and_sorted_terms():
@@ -941,54 +957,6 @@ def test_z_diff_content_skips_a_zero_next_to_a_nonzero_polynomial():
     assert content == alone == {(1, 2): 2, (2, 3): 1}
     assert q1 == q == zpoly(3, 1) + zpoly(3, 3) * 2
     assert q0 == zero
-
-
-def int_matrices(nrows, ncols, bound=3):
-    row = st.lists(st.integers(-bound, bound), min_size=ncols, max_size=ncols)
-    return st.lists(row, min_size=nrows, max_size=nrows)
-
-
-def _apply(rows, xs, zero):
-    return [sum((a * x for a, x in zip(row, xs)), zero) for row in rows]
-
-
-@given(st.integers(1, 4), st.integers(1, 4), st.data())
-def test_eliminate_coordinates_reproduce_spanned_right_hand_side(nrows, ncols, data):
-    """Right-hand sides built as A x, with x polynomial: every residual
-    vanishes and the returned coordinates multiply back exactly."""
-    rows = data.draw(int_matrices(nrows, ncols))
-    xs = data.draw(st.lists(polys(nvars=2), min_size=ncols, max_size=ncols))
-    zero = SparsePolynomial.zero(2)
-    rhs = _apply(rows, xs, zero)
-    pivots, reduced = eliminate(rows, rhs)
-    used = set(pivots.values())
-    assert all(not reduced[r] for r in range(nrows) if r not in used)
-    coords = [reduced[pivots[c]] if c in pivots else zero for c in range(ncols)]
-    assert _apply(rows, coords, zero) == rhs
-
-
-@given(st.integers(1, 3), st.integers(1, 4), st.data())
-def test_eliminate_reports_right_hand_side_outside_span(nfree, ncols, data):
-    """The last row is minus a y-combination of the others, so y . (A x)
-    vanishes for every x; a right-hand side with y . b != 0 is outside
-    the span and must leave a non-zero residual."""
-    rows = data.draw(int_matrices(nfree, ncols))
-    y = data.draw(st.lists(st.integers(-3, 3), min_size=nfree, max_size=nfree))
-    rows.append([-sum(yi * row[c] for yi, row in zip(y, rows)) for c in range(ncols)])
-    rhs = data.draw(st.lists(st.integers(-5, 5), min_size=nfree + 1, max_size=nfree + 1))
-    if sum(yi * b for yi, b in zip(y + [1], rhs)) == 0:
-        rhs[-1] += 1
-    pivots, reduced = eliminate(rows, rhs)
-    used = set(pivots.values())
-    assert any(reduced[r] for r in range(nfree + 1) if r not in used)
-
-
-@given(st.integers(1, 7).flatmap(lambda n: int_matrices(n, n)))
-def test_eliminate_full_pivots_iff_cofactor_determinant_nonzero(rows):
-    n = len(rows)
-    pivots, _ = eliminate(rows, [0] * n)
-    det = determinant([[SparsePolynomial.constant(1, v) for v in row] for row in rows])
-    assert (len(pivots) == n) == (not det.is_zero())
 
 
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=3, max_size=3))

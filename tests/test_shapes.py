@@ -13,6 +13,7 @@ from kzresidue.shapes import (
     level_profile,
     perm_sign,
     raise_row,
+    row_word,
     standard_tableaux,
     tabloids,
 )
@@ -99,6 +100,7 @@ def test_numbering_basics():
     assert t.label(1, 2) == 3
     assert t.box_of(2) == (2, 1)
     assert t.reading_word() == (1, 3, 2)
+    assert row_word(t) == (1, 2, 1) == tuple(t.box_of(k)[0] for k in (1, 2, 3))
     assert t.is_standard()
     assert not Numbering(((2, 3), (1,))).is_standard()
     with pytest.raises(ValueError):

@@ -44,6 +44,7 @@ from kzresidue import (
     quotient_coordinates,
     reflection_dual_solutions,
     run_suite,
+    standard_tableaux,
     tabloids,
 )
 from kzresidue.verify import _kz_witness, _specht_transposition_matrix
@@ -171,11 +172,96 @@ def test_straightening_coordinates_frozen():
         assert quotient_coordinates(lam22, u) == expected[str(u)]
 
 
+def _straighten_reference(lam, cycle):
+    """Brute force: write {cycle} in the span of the standard tabloids and
+    every simple lowering image (one label moved from row s down to row
+    s+1, summed over the labels) by Fraction Gauss-Jordan elimination."""
+    order = tabloids(lam.parts)
+    index = {u: r for r, u in enumerate(order)}
+    stds = standard_tableaux(lam)
+    columns = [{index[t.tabloid()]: 1} for t in stds]
+    for s in range(1, lam.nrows):
+        sizes = list(lam.parts)
+        sizes[s - 1] += 1
+        sizes[s] -= 1
+        for u in tabloids(tuple(sizes)):
+            col = {}
+            for k in u.rows[s - 1]:
+                rows = list(u.rows)
+                rows[s - 1] = tuple(x for x in rows[s - 1] if x != k)
+                rows[s] += (k,)
+                r = index[Tabloid(tuple(rows))]
+                col[r] = col.get(r, 0) + 1
+            columns.append(col)
+    # augmented rows [A | e_cycle], reduced column by column
+    a = [[Fraction(c.get(r, 0)) for c in columns] + [Fraction(u == cycle)]
+         for r, u in enumerate(order)]
+    rank = 0
+    for c in range(len(columns)):
+        p = next((r for r in range(rank, len(a)) if a[r][c]), None)
+        if p is None:
+            continue
+        a[rank], a[p] = a[p], a[rank]
+        lead = a[rank][c]
+        pivot = a[rank] = [x / lead for x in a[rank]]
+        for r, row in enumerate(a):
+            if r != rank and row[c]:
+                a[r] = [x - row[c] * y for x, y in zip(row, pivot)]
+        rank += 1
+    assert not any(row[-1] for row in a[rank:])  # {cycle} lies in the span
+    # the standard columns come first and are independent, so column j
+    # pivots in row j
+    return [a[j][-1] for j in range(len(stds))]
+
+
+def _straightening_cases():
+    for n in range(1, 6):
+        for lam in enumerate_partitions(n):
+            us = tabloids(lam.parts)
+            if n == 5:
+                us = [us[len(us) // 3], us[2 * len(us) // 3], us[-1]]
+            for u in us:
+                yield lam, u
+
+
+def test_quotient_coordinates_match_elimination_reference():
+    # every tabloid with N <= 4, three fixed tabloids of each N = 5 shape
+    for lam, u in _straightening_cases():
+        got = quotient_coordinates(lam, u)
+        assert got == _straighten_reference(lam, u), (str(lam), str(u))
+        assert all(type(y) is int for y in got)
+
+
+def test_quotient_coordinates_reject_a_cycle_of_another_shape():
+    for lam, cycle in (
+        (Partition((2, 2)), Tabloid(((1, 2), (3,)))),
+        (Partition((3, 1)), Tabloid(((1, 2), (3, 4)))),
+        (LAM21, Tabloid(((1,), (2, 3)))),
+    ):
+        with pytest.raises(ValueError):
+            quotient_coordinates(lam, cycle)
+
+
 def test_straightening_check_passes():
-    for u in tabloids((2, 1)):
-        assert check_straightening(LAM21, 1, u).passed
-    for u in tabloids((2, 2)):
-        assert check_straightening(Partition((2, 2)), 1, u).passed
+    # every tabloid of every shape with N <= 4; (1,1,1,1) dominates the time
+    for n in range(1, 5):
+        for lam in enumerate_partitions(n):
+            for u in tabloids(lam.parts):
+                rep = check_straightening(lam, 1, u)
+                assert rep.passed, (str(lam), str(u), rep.witness)
+    assert rep.info["premises"] == ["highest_weight"]
+
+
+def test_straightening_fails_closed_on_a_wrong_coordinate(monkeypatch):
+    lam, cycle = Partition((2, 2)), Tabloid(((1, 4), (2, 3)))
+    right = quotient_coordinates(lam, cycle)
+    monkeypatch.setattr(
+        verify, "quotient_coordinates", lambda lam, cycle: [right[0] + 1, *right[1:]]
+    )
+    rep = check_straightening(lam, 1, cycle)
+    assert not rep.passed
+    assert rep.witness["cycle"] == str(cycle)
+    assert rep.witness["form"] in {str(u) for u in tabloids(lam.parts)}
 
 
 # ---------------------------------------------------------------------------
