@@ -74,6 +74,18 @@ def demote(c):
     return c
 
 
+def _add_into(acc: dict, terms: dict, negate: bool = False) -> dict:
+    """acc += terms, or acc -= terms when `negate`, in place on two
+    key -> coefficient maps, dropping the keys that cancel; returns acc."""
+    for key, c in terms.items():
+        cur = acc.get(key, 0) - c if negate else acc.get(key, 0) + c
+        if cur:
+            acc[key] = cur
+        elif key in acc:
+            del acc[key]
+    return acc
+
+
 def _check_cap(keys) -> None:
     """OverflowError when a key made by adding to fields has an exponent
     at the cap (its field's guard bit is set)."""
@@ -201,14 +213,7 @@ class SparsePolynomial:
         small, large = self.terms, other.terms
         if len(small) > len(large):
             small, large = large, small
-        terms = dict(large)
-        for key, c in small.items():
-            cur = terms.get(key, 0) + c
-            if cur:
-                terms[key] = cur
-            elif key in terms:
-                del terms[key]
-        return SparsePolynomial(self.nvars, terms)
+        return SparsePolynomial(self.nvars, _add_into(dict(large), small))
 
     __radd__ = __add__
 
@@ -220,7 +225,8 @@ class SparsePolynomial:
             other = SparsePolynomial.constant(self.nvars, other)
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
-        return self + (-other)
+        self._require_same_ring(other)
+        return SparsePolynomial(self.nvars, _add_into(dict(self.terms), other.terms, True))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -477,21 +483,37 @@ def _as_variable_difference(q: SparsePolynomial) -> tuple[int, int] | None:
     return pos, neg
 
 
-def _divide_by_z_diff(p: SparsePolynomial, i: int, j: int) -> SparsePolynomial:
+def _divide_by_z_diff(p, i: int, j: int) -> SparsePolynomial:
     """Exact division by (z_i - z_j) via synthetic division in z_i.
+
+    `p` is a polynomial or a combination sum_k c_k f_k, given as
+    (c_k, f_k) pairs of scalars and polynomials in one ring; a
+    combination is expanded as its terms are sorted by their power of
+    z_i, so it is never built as a polynomial of its own.  Terms that
+    cancel at one power, or everywhere, are dropped by the same additions
+    that run the division.
 
     With p = sum_t p_t z_i^t, the quotient is sum_t q_t z_i^t with
     q_top = 0 and q_(t-1) = p_t + z_j q_t, and the remainder is
     p_0 + z_j q_0.  On keys, q_t z_i^t becomes z_j q_t z_i^(t-1) by adding
     z_j's unit and taking off z_i's."""
-    if p.is_zero():
-        return p
+    if isinstance(p, SparsePolynomial):
+        p = ((1, p),)
+    nvars = p[0][1].nvars
     si = _SHIFTS[i - 1]
     unit_i, unit_j = _UNIT[i], _UNIT[j]
     down = unit_j - unit_i
     levels: dict[int, list] = {}
-    for k, c in p.terms.items():
-        levels.setdefault((k >> si) & _FIELD, []).append((k, c))
+    for scale, f in p:
+        f._require_same_ring(p[0][1])
+        if scale == 1:
+            for k, c in f.terms.items():
+                levels.setdefault((k >> si) & _FIELD, []).append((k, c))
+        elif scale:
+            for k, c in f.terms.items():
+                levels.setdefault((k >> si) & _FIELD, []).append((k, c * scale))
+    if not levels:
+        return SparsePolynomial.zero(nvars)
     quo: dict = {}
     carry: dict = {}  # q_(t-1) z_i^(t-1)
     for t in range(max(levels), 0, -1):
@@ -514,8 +536,8 @@ def _divide_by_z_diff(p: SparsePolynomial, i: int, j: int) -> SparsePolynomial:
     if rem:
         # z_j's exponent can pass the cap only in a remainder
         _check_cap(rem)
-        raise NonDivisibleError(SparsePolynomial(p.nvars, rem))
-    return SparsePolynomial(p.nvars, quo)
+        raise NonDivisibleError(SparsePolynomial(nvars, rem))
+    return SparsePolynomial(nvars, quo)
 
 
 def exact_divide(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
@@ -671,17 +693,10 @@ class FactoredSum:
         return self.terms == other.terms
 
     def __add__(self, other: "FactoredSum") -> "FactoredSum":
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            cur = terms.get(key, 0) + c
-            if cur:
-                terms[key] = cur
-            elif key in terms:
-                del terms[key]
-        return FactoredSum(terms)
+        return FactoredSum(_add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other: "FactoredSum") -> "FactoredSum":
-        return self + other.scale(-1)
+        return FactoredSum(_add_into(dict(self.terms), other.terms, True))
 
     def scale(self, c) -> "FactoredSum":
         if not c:

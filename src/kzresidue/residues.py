@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .exactalg import FactoredSum, atom_sort_key, is_t_atom, t_atom, z_atom
+from .exactalg import FactoredSum, _add_into, atom_sort_key, is_t_atom, t_atom, z_atom
 from .shapes import Numbering
 
 
@@ -63,7 +63,7 @@ def residue_at(fs: FactoredSum, var: tuple, center: tuple) -> FactoredSum:
         raise ValueError("residue center must differ from the variable")
     if not is_t_atom(var):
         raise ValueError(f"cannot integrate over the fixed point {var}")
-    out = FactoredSum()
+    out: dict = {}  # the residue's terms, summed in place
     for coeff, key in fs.iter_terms():
         spectators = []
         expanders = []  # (a, b, e, tau_sign): factor (a-b)^e with +/- tau
@@ -99,10 +99,9 @@ def residue_at(fs: FactoredSum, var: tuple, center: tuple) -> FactoredSum:
                     cur = nxt.get(d + k)
                     nxt[d + k] = piece if cur is None else cur + piece
             state = nxt
-        res = state.get(order)
-        if res:
-            out = out + res
-    return out
+        if res := state.get(order):
+            _add_into(out, res.terms)
+    return FactoredSum(out)
 
 
 def residue_plan(cycle: Numbering) -> tuple[tuple[tuple, tuple], ...]:

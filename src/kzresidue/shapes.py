@@ -4,7 +4,8 @@ Partitions index the irreducible S_N-modules.  A numbering labels the
 boxes of a diagram bijectively with 1..N; a tabloid is the class of a
 numbering up to reordering within rows and indexes the weight basis in
 which solution components are written.  Everything here is immutable
-and every function is pure.
+and every function is pure, so the enumerations and the transposition
+action are memoized; the memoized sequences are tuples.
 """
 from __future__ import annotations
 
@@ -164,8 +165,10 @@ class Numbering:
         return Tabloid(self.rows)
 
 
-def standard_tableaux(lam: Partition) -> list[Numbering]:
-    """All standard tableaux of a shape, sorted by reading word."""
+@cache
+def standard_tableaux(lam: Partition) -> tuple[Numbering, ...]:
+    """All standard tableaux of a shape, sorted by reading word; memoized,
+    so the result is a tuple that no caller can change."""
     n = lam.size
     results: list[Numbering] = []
     fill: list[list[int]] = [[] for _ in lam.parts]
@@ -181,8 +184,7 @@ def standard_tableaux(lam: Partition) -> list[Numbering]:
                 fill[r].pop()
 
     place(1)
-    results.sort(key=lambda t: t.reading_word())
-    return results
+    return tuple(sorted(results, key=Numbering.reading_word))
 
 
 def row_word(t: Numbering) -> tuple[int, ...]:
@@ -236,8 +238,15 @@ class Tabloid:
         return "|".join("{" + ",".join(map(str, row)) + "}" for row in self.rows)
 
 
-def tabloids(shape: tuple[int, ...]) -> list[Tabloid]:
-    """All tabloids with the given row sizes, in lexicographic row-set order."""
+def tabloids(shape) -> tuple[Tabloid, ...]:
+    """All tabloids with the given row sizes (any sequence of them), in
+    lexicographic row-set order; memoized on the sizes as a tuple, so the
+    result is a tuple that no caller can change."""
+    return _tabloids(tuple(shape))
+
+
+@cache
+def _tabloids(shape: tuple[int, ...]) -> tuple[Tabloid, ...]:
     if any(int(s) != s or s < 0 for s in shape):
         raise ValueError(f"row sizes must be non-negative integers: {shape}")
     n = sum(shape)
@@ -254,14 +263,16 @@ def tabloids(shape: tuple[int, ...]) -> list[Tabloid]:
             acc.pop()
 
     rec(tuple(range(1, n + 1)), 0, [])
-    return out
+    return tuple(out)
 
 
-def column_expansion(t: Numbering) -> list[tuple[int, Tabloid]]:
+@cache
+def column_expansion(t: Numbering) -> tuple[tuple[int, Tabloid], ...]:
     """Signed tabloids of sigma * T over the column group of T.
 
     The identity term (+1, tabloid of T) comes first; the remaining order
-    follows the per-column permutation product.
+    follows the per-column permutation product.  Memoized, so the result
+    is a tuple that no caller can change.
     """
     ncols = t.shape.parts[0]
     columns = [
@@ -277,11 +288,12 @@ def column_expansion(t: Numbering) -> list[tuple[int, Tabloid]]:
                 mapping[col[pos]] = col[target]
         rows = tuple(tuple(mapping.get(x, x) for x in row) for row in t.rows)
         out.append((sign, Tabloid(rows)))
-    return out
+    return tuple(out)
 
 
+@cache
 def act_transposition(u: Tabloid, i: int, j: int) -> Tabloid:
-    """Relabel a tabloid by the transposition (i j)."""
+    """Relabel a tabloid by the transposition (i j); memoized."""
     if i == j:
         raise ValueError("a transposition needs two distinct labels")
 

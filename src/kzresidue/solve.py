@@ -193,7 +193,7 @@ class SolutionTable:
     twisted: bool = False
 
     def tabloid_order(self) -> tuple[Tabloid, ...]:
-        return tuple(tabloids(self.lam.parts))
+        return tabloids(self.lam.parts)
 
     def to_json(self) -> dict:
         return {
@@ -220,7 +220,7 @@ def polytabloid_columns(lam: Partition) -> tuple[list[list[int]], tuple[Tabloid,
     """Integer matrix whose column j holds the tabloid coefficients of
     the j-th standard tableau's signed column expansion, along with the
     row (tabloid) order."""
-    order = tuple(tabloids(lam.parts))
+    order = tabloids(lam.parts)
     index = {u: i for i, u in enumerate(order)}
     stds = standard_tableaux(lam)
     a = [[0] * len(stds) for _ in order]

@@ -16,6 +16,7 @@ from .exactalg import (
     NonDivisibleError,
     PolyFraction,
     SparsePolynomial,
+    _add_into,
     _divide_by_z_diff,
     _subset_minors,
     discriminant_power,
@@ -108,7 +109,7 @@ def _discriminant_power_of(n: int, den: SparsePolynomial) -> tuple[int, object] 
     return p, ratio.constant_value()
 
 
-def _kz_witness(n: int, m: int, p: int, nums: dict, act):
+def _kz_witness(n: int, m: int, p: int, nums: dict, act, partner=None):
     """First failure of the KZ system for components `nums[key] / den`
     sharing a denominator den = C * Delta^p, C a non-zero constant (p = 0
     and C = 1 for polynomial components); `act(i, j, key)` is the
@@ -124,33 +125,45 @@ def _kz_witness(n: int, m: int, p: int, nums: dict, act):
     r_j = X_j(z_i = z_j) is free of z_i.  Partial fractions in z_i over
     Q(other z) are unique and the poles z_j are distinct, so the right
     side is a polynomial only if every r_j is zero: a remainder fails
-    closed, and otherwise the identity is num' == sum_j q_j.  X_j is the
-    same for (i, j) and (j, i), so each quotient is computed once per
-    unordered pair and enters the larger index with its sign flipped.
-    Returns `(i, key, fields)` for the first (i, key) that fails, else
-    None."""
-    later: dict = {}  # (j, i, key) -> X / (z_j - z_i) for j < i
-    own = {key: num * (m + p) for key, num in nums.items()}
+    closed, and otherwise the identity is num' == sum_j q_j.  X_j goes to
+    the division as the combination it is, and num' - sum_j q_j is kept
+    in one map.  X_j is the same for (i, j) and (j, i), so each quotient
+    is computed once per unordered pair and enters the larger index with
+    its sign flipped.
+
+    `partner(key, i, j)`, for a table whose action moves components,
+    act(i, j, U) == eps nums[s_ij U] with eps = +-1, is U's key s_ij U.
+    Pass it only when m eps == m + p: then
+
+        X_ij(U) = m eps psi_{s_ij U} + (m + p) psi_U
+                = (m + p) (psi_U + psi_{s_ij U}) = X_ij(s_ij U),
+
+    so the quotient for U serves s_ij U as well, and the return value is
+    the same as without it.  Returns `(i, key, fields)` for the first
+    (i, key) that fails, else None."""
+    quotients: dict = {}  # (i, j, key) -> X_ij(key) / (z_i - z_j) for i < j
     for i in range(1, n + 1):
         for key, num in nums.items():
-            total = SparsePolynomial.zero(n)
+            rest = dict(num.partial_derivative(i).terms)  # num' - sum_j q_j
             for j in range(1, n + 1):
                 if j < i:
-                    total = total - later.pop((j, i, key))
+                    _add_into(rest, quotients.pop((j, i, key)).terms)
                 elif j > i:
-                    x = act(i, j, key) * m + own[key]
-                    try:
-                        later[(i, j, key)] = q = _divide_by_z_diff(x, i, j)
-                    except NonDivisibleError as exc:
-                        return i, key, {
-                            "j": j,
-                            "reason": "numerator not divisible by the pole",
-                            "remainder": _clip(exc.remainder),
-                        }
-                    total = total + q
-            diff = num.partial_derivative(i) - total
-            if diff:
-                return i, key, {"difference": _clip(diff)}
+                    if (q := quotients.get((i, j, key))) is None:
+                        x = ((m, act(i, j, key)), (m + p, num))
+                        try:
+                            q = quotients[(i, j, key)] = _divide_by_z_diff(x, i, j)
+                        except NonDivisibleError as exc:
+                            return i, key, {
+                                "j": j,
+                                "reason": "numerator not divisible by the pole",
+                                "remainder": _clip(exc.remainder),
+                            }
+                        if partner is not None:
+                            quotients[(i, j, partner(key, i, j))] = q
+                    _add_into(rest, q.terms, True)
+            if rest:
+                return i, key, {"difference": _clip(SparsePolynomial(n, rest))}
     return None
 
 
@@ -164,7 +177,10 @@ def check_kz(table: SolutionTable) -> CheckReport:
     fails); both are then checked by `_kz_witness`: each pole's numerator
     is divided exactly, a remainder fails by uniqueness of partial
     fractions, and the quotients must sum to the derivative, so the
-    denominator never enters a product."""
+    denominator never enters a product.  When m eps == m + p, with
+    eps = -1 on twisted tables and 1 otherwise (every polynomial table
+    and every alternating twist), X_ij(U) == X_ij(s_ij U) and one
+    quotient serves both; `info` names that identity when it is used."""
     comps = nums = table.components
     p, witness = 0, None
     first = next(iter(comps.values()))
@@ -183,14 +199,21 @@ def check_kz(table: SolutionTable) -> CheckReport:
         v = nums[act_transposition(u, i, j)]
         return -v if table.twisted else v
 
+    info = {"twisted": table.twisted}
     if witness is None:
-        failure = _kz_witness(table.lam.size, table.m, p, nums, act)
+        partner = None
+        eps = -1 if table.twisted else 1
+        if table.m * eps == table.m + p:
+            partner = act_transposition
+            info["shared_quotients"] = (
+                "X_ij(U) = X_ij(s_ij U) as m eps = m + p: one quotient serves both"
+            )
+        failure = _kz_witness(table.lam.size, table.m, p, nums, act, partner)
         if failure is not None:
             i, u, fields = failure
             witness = {"i": i, "form": str(u), **fields}
     if witness is not None:
         witness = {"cycle": str(table.cycle), **witness}
-    info = {"twisted": table.twisted}
     return CheckReport("kz_system", table.lam, table.m, witness is None, witness, info)
 
 
@@ -574,10 +597,10 @@ def check_straightening(lam: Partition, m: int, cycle: Tabloid) -> CheckReport:
 
 def _translation_defect(f: SparsePolynomial) -> SparsePolynomial:
     """E f, with E = sum_i d/dz_i the generator of z -> z + t (1, ..., 1)."""
-    out = SparsePolynomial.zero(f.nvars)
+    out: dict = {}
     for i in range(1, f.nvars + 1):
-        out = out + f.partial_derivative(i)
-    return out
+        _add_into(out, f.partial_derivative(i).terms)
+    return SparsePolynomial(f.nvars, out)
 
 
 def _reflection_witness(n: int, m: int, psis, phis) -> dict | None:

@@ -17,6 +17,7 @@ from kzresidue.exactalg import (
     PolyFraction,
     PolyMatrix,
     SparsePolynomial,
+    _divide_by_z_diff,
     demote,
     det_adjugate,
     determinant,
@@ -256,6 +257,76 @@ def test_divide_inverts_multiplication(a, b):
     if b.is_zero():
         return
     assert exact_divide(a * b, b) == a
+
+
+def _z_part(f, i, keep):
+    """The terms of f whose power of z_i passes `keep`."""
+    return SparsePolynomial.from_terms(f.nvars, [(e, c) for e, c in f.items() if keep(e[i - 1])])
+
+
+@st.composite
+def combination_dividends(draw):
+    """(i, j, pairs): a combination sum_k c_k f_k in three variables, as
+    (c_k, f_k) pairs.  Either every f_k is a multiple of z_i - z_j, so the
+    sum divides, or none is made one.  The combination may cancel to
+    zero in total (c f and -c f alone), or at one power of z_i:
+    c (z_i - z_j) g and -c (z_i - z_j) h are added, where h has the top z_i
+    part of g and lower powers of its own, so the sum still divides when
+    the rest does."""
+    n = 3
+    i, j = draw(st.permutations(range(1, n + 1)))[:2]
+    zij = SparsePolynomial.z_diff(n, i, j)
+    scalars = st.sampled_from((-3, -1, 0, 1, 2, Fraction(1, 2), Fraction(-2, 3)))
+    divisible = draw(st.booleans())
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        f = draw(polys(nvars=n))
+        pairs.append((draw(scalars), f * zij if divisible else f))
+    cancel = draw(st.sampled_from(("none", "total", "one power")))
+    if cancel == "total":
+        c, f = pairs[0]
+        pairs = [(c, f), (-c, f)]
+    elif cancel == "one power":
+        c, g = draw(scalars.filter(bool)), draw(polys(nvars=n))
+        top = max((e[i - 1] for e, _ in g.items()), default=0)
+        h = _z_part(g, i, lambda e: e == top) + _z_part(draw(polys(nvars=n)), i, lambda e: e < top)
+        pairs += [(c, g * zij), (-c, h * zij)]
+    return i, j, pairs
+
+
+@settings(max_examples=150)
+@given(combination_dividends())
+def test_dividing_a_combination_equals_dividing_its_sum(case):
+    i, j, pairs = case
+    total = sum((f * c for c, f in pairs), SparsePolynomial.zero(3))
+    try:
+        expected = _divide_by_z_diff(total, i, j)
+    except NonDivisibleError as exc:
+        with pytest.raises(NonDivisibleError) as caught:
+            _divide_by_z_diff(pairs, i, j)
+        assert caught.value.remainder == exc.remainder
+    else:
+        quotient = _divide_by_z_diff(pairs, i, j)
+        assert quotient == expected
+        assert quotient * SparsePolynomial.z_diff(3, i, j) == total
+
+
+def test_combination_cancelling_to_zero_divides_to_zero():
+    z1, z2, z3 = (zpoly(3, k) for k in (1, 2, 3))
+    f = z1**3 * z2 + z3 - 4
+    assert _divide_by_z_diff([(2, f), (-2, f)], 1, 2).is_zero()
+    assert _divide_by_z_diff([(0, f)], 1, 3).is_zero()
+    # the z_1^3 parts cancel, the rest is z1 - z2 times 5
+    g, h = z1**3 * z3 + z1 * 5, z1**3 * z3 + z2 * 5
+    assert _divide_by_z_diff([(1, g), (-1, h)], 1, 2) == SparsePolynomial.constant(3, 5)
+
+
+@given(polys(nvars=3), polys(nvars=3), st.integers(-3, 3))
+def test_subtraction_is_adding_the_negation(a, b, c):
+    assert a - b == a + (-b)
+    assert (a - b).terms == (a + (-b)).terms  # no zero coefficient is stored
+    assert a - c == a + (-c)
+    assert a - a == SparsePolynomial.zero(3)
 
 
 def test_nondivisible_carries_remainder():
@@ -637,6 +708,13 @@ def fixed_point_sums(draw, nvars, lo, hi):
         ]
         fs = fs + FactoredSum.term(draw(st.integers(-5, 5).filter(bool)), factors)
     return fs
+
+
+@given(fixed_point_sums(3, -2, 2), fixed_point_sums(3, -2, 2))
+def test_factored_subtraction_is_adding_the_negation(a, b):
+    assert a - b == a + b.scale(-1)
+    assert (a - b) + b == a
+    assert (a - a).is_zero()
 
 
 @st.composite

@@ -131,6 +131,25 @@ def test_tabloids_enumeration():
     assert len(tabloids((2, 2, 1))) == 30
 
 
+def test_memoized_enumerations_are_tuples_a_caller_cannot_corrupt():
+    lam = Partition((2, 1))
+    us = tabloids([2, 1])  # any sequence of row sizes
+    assert us is tabloids((2, 1)) is tabloids(iter((2, 1)))
+    stds = standard_tableaux(lam)
+    expansion = column_expansion(stds[0])
+    for memo in (us, stds, expansion):
+        assert isinstance(memo, tuple)
+        with pytest.raises(TypeError):
+            memo[0] = memo[-1]
+        with pytest.raises(AttributeError):
+            memo.reverse()
+    mine = list(us)
+    mine.reverse()  # a caller's own copy changes nothing shared
+    assert [str(u) for u in tabloids((2, 1))] == ["{1,2}|{3}", "{1,3}|{2}", "{2,3}|{1}"]
+    assert [t.rows for t in standard_tableaux(lam)] == [((1, 2), (3,)), ((1, 3), (2,))]
+    assert column_expansion(stds[0]) == ((1, stds[0].tabloid()), (-1, Tabloid(((2, 3), (1,)))))
+
+
 def test_column_expansion_identity_first_signs():
     t = Numbering(((1, 2), (3,)))
     exp = column_expansion(t)

@@ -53,6 +53,7 @@ settings.register_profile("suite", derandomize=True, max_examples=60)
 settings.load_profile("suite")
 
 LAM21 = Partition((2, 1))
+SHARED = "X_ij(U) = X_ij(s_ij U) as m eps = m + p: one quotient serves both"
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +82,7 @@ def test_kz_passes_on_solved_tables(fm21):
 def test_kz_passes_on_twisted_table(fm21):
     rep = check_kz(alternating_twist(fm21.tables[0]))
     assert rep.passed
-    assert rep.m == -1 and rep.info == {"twisted": True}
+    assert rep.m == -1 and rep.info == {"twisted": True, "shared_quotients": SHARED}
 
 
 def test_primitive_passes(fm21):
@@ -552,6 +553,67 @@ def test_pole_division_names_the_remainder(kz_cases):
     assert set(rep.witness) == {"cycle", "i", "form", "j", "reason", "remainder"}
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 5),
+    st.integers(0, 11),
+    st.none() | st.tuples(st.lists(st.integers(0, 5), min_size=4, max_size=4),
+                          st.integers(-3, 3).filter(bool)),
+)
+def test_shared_quotients_leave_the_result_unchanged(kz_cases, which, where, perturbation):
+    """Polynomial and twisted tables have m eps == m + p, so the quotient
+    for U serves s_ij U: the return value and witness are the same with
+    and without sharing, on solutions and on single-monomial perturbations."""
+    tables = [case for case in kz_cases if isinstance(next(iter(case[4])), Tabloid)]
+    n, m, p, _, nums, act_on = tables[which % len(tables)]
+    nums = dict(nums)
+    if perturbation is not None:
+        exps, coeff = perturbation
+        key = sorted(nums, key=str)[where % len(nums)]
+        nums[key] = nums[key] + SparsePolynomial.from_terms(n, [(exps[:n], coeff)])
+    act = act_on(nums)
+    shared = _kz_witness(n, m, p, nums, act, act_transposition)
+    assert shared == _kz_witness(n, m, p, nums, act)
+    if perturbation is None:
+        assert shared is None
+
+
+def test_shared_quotients_take_one_division_per_orbit(kz_cases, monkeypatch):
+    n, m, p, _, nums, act_on = kz_cases[0]  # the polynomial (2,1) table at m = 1
+    calls = []
+    honest = verify._divide_by_z_diff
+    monkeypatch.setattr(
+        verify, "_divide_by_z_diff", lambda x, i, j: calls.append((i, j)) or honest(x, i, j)
+    )
+    assert _kz_witness(n, m, p, nums, act_on(nums)) is None
+    assert len(calls) == len(nums) * n * (n - 1) // 2
+    calls.clear()
+    assert _kz_witness(n, m, p, nums, act_on(nums), act_transposition) is None
+    orbits = sum(
+        len({frozenset((u, act_transposition(u, i, j))) for u in nums})
+        for i, j in combinations(range(1, n + 1), 2)
+    )
+    assert len(calls) == orbits < len(nums) * n * (n - 1) // 2
+
+
+def test_kz_shares_no_quotient_when_m_eps_is_not_m_plus_p():
+    """Components 1 / (z1 - z2) at {1}|{2} and -2 / (z1 - z2) at {2}|{1},
+    untwisted, m = 1: p = 1, so m eps = 1 != m + p.  The first component
+    solves its equation with X_12 = 0; the second does not, with X_12 = -3.
+    A quotient shared between them would pass the table."""
+    a, b = tabloids((1, 1))
+    den = SparsePolynomial.z_diff(2, 1, 2)
+    comps = {
+        a: PolyFraction(SparsePolynomial.constant(2, 1), den),
+        b: PolyFraction(SparsePolynomial.constant(2, -2), den),
+    }
+    rep = check_kz(SolutionTable(Partition((1, 1)), 1, a, comps))
+    assert not rep.passed and "shared_quotients" not in rep.info
+    assert rep.witness["form"] == str(b) and rep.witness["j"] == 2
+    assert rep.witness["reason"] == "numerator not divisible by the pole"
+    assert rep.witness["remainder"] == str(SparsePolynomial.constant(2, -3))
+
+
 def test_dual_fails_closed_on_a_corrupted_minor(fm21, monkeypatch):
     calls = []
     honest = exactalg._subset_minors
@@ -647,7 +709,7 @@ def test_report_serialization(fm21):
         "m": 1,
         "verdict": "pass",
         "witness": None,
-        "info": {"twisted": False},
+        "info": {"twisted": False, "shared_quotients": SHARED},
     }
     assert rep.one_line() == "[PASS] kz_system shape=(2,1) m=1"
 
