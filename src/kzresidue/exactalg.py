@@ -39,9 +39,8 @@ _FIELD = (1 << _BITS) - 1
 EXPONENT_CAP = 1 << (_BITS - 1)  # every exponent stays below this
 _SHIFTS = tuple(range(0, _BITS * MAX_VARS, _BITS))
 _GUARDS = sum(EXPONENT_CAP << s for s in _SHIFTS)
-# the key of z_i, and back
+# the key of z_i
 _UNIT = {i: 1 << s for i, s in enumerate(_SHIFTS, 1)}
-_UNIT_INDEX = {u: i for i, u in _UNIT.items()}
 # bits 21..23 of every field: while they are all clear, each exponent is
 # below 2^21, so at most eight of them sum to less than 2^24 - 1, and that
 # sum is the key's residue mod 2^24 - 1 (as 2^24 = 1 mod 2^24 - 1)
@@ -463,26 +462,6 @@ class NonDivisibleError(ArithmeticError):
         self.remainder = remainder
 
 
-def _as_variable_difference(q: SparsePolynomial) -> tuple[int, int] | None:
-    """(i, j) when q == z_i - z_j, else None."""
-    if len(q.terms) != 2:
-        return None
-    pos = neg = None
-    for k, c in q.terms.items():
-        i = _UNIT_INDEX.get(k)
-        if i is None:
-            return None
-        if c == 1:
-            pos = i
-        elif c == -1:
-            neg = i
-        else:
-            return None
-    if pos is None or neg is None:
-        return None
-    return pos, neg
-
-
 def _divide_by_z_diff(p, i: int, j: int) -> SparsePolynomial:
     """Exact division by (z_i - z_j) via synthetic division in z_i.
 
@@ -538,54 +517,6 @@ def _divide_by_z_diff(p, i: int, j: int) -> SparsePolynomial:
         _check_cap(rem)
         raise NonDivisibleError(SparsePolynomial(nvars, rem))
     return SparsePolynomial(nvars, quo)
-
-
-def exact_divide(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
-    """Quotient p / q when the division is exact.
-
-    Raises NonDivisibleError carrying the remainder otherwise; the
-    remainder satisfies p == q * quotient + remainder with no remainder
-    monomial divisible by the leading monomial of q.
-    """
-    if q.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero():
-        return p
-    p._require_same_ring(q)
-    if q.is_constant():
-        inv = Fraction(1, 1) / Fraction(q.constant_value())
-        return p * inv
-    ij = _as_variable_difference(q)
-    if ij is not None:
-        return _divide_by_z_diff(p, *ij)
-    qkey = max(q.terms)
-    qc = q.terms[qkey]
-    tail = [(k, c) for k, c in q.terms.items() if k != qkey]
-    cur = dict(p.terms)
-    quo: dict = {}
-    rem: dict = {}
-    while cur:
-        key = max(cur)
-        c = cur.pop(key)
-        _check_cap((key,))
-        # with every guard bit set, a field of key below q's borrows its guard
-        diff = (key | _GUARDS) - qkey
-        if diff & _GUARDS != _GUARDS:
-            rem[key] = c
-            continue
-        diff ^= _GUARDS
-        f = demote(Fraction(c) / Fraction(qc))
-        quo[diff] = demote(quo.get(diff, 0) + f)
-        for k2, c2 in tail:
-            k = diff + k2
-            nxt = cur.get(k, 0) - f * c2
-            if nxt:
-                cur[k] = nxt
-            elif k in cur:
-                del cur[k]
-    if rem:
-        raise NonDivisibleError(SparsePolynomial(p.nvars, rem))
-    return SparsePolynomial(p.nvars, {k: c for k, c in quo.items() if c})
 
 
 @cache
@@ -902,9 +833,6 @@ class PolyMatrix:
 
     def entry(self, i: int, j: int):
         return self.entries[i][j]
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(tuple(zip(*self.entries)))
 
     def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.ncols != other.nrows:

@@ -19,8 +19,8 @@ from .exactalg import (
     _add_into,
     _divide_by_z_diff,
     _subset_minors,
+    demote,
     discriminant_power,
-    exact_divide,
 )
 from .shapes import (
     Numbering,
@@ -95,18 +95,23 @@ def _clip(obj, limit: int = 300) -> str:
 def _discriminant_power_of(n: int, den: SparsePolynomial) -> tuple[int, object] | None:
     """`(p, C)` when `den == C * Delta^p` for a non-zero constant C, where
     Delta = prod_{a<b} (z_a - z_b) and p = deg(den) / C(n, 2) (p = 0 on
-    one point, where Delta = 1); None otherwise."""
+    one point, where Delta = 1); None otherwise, also when den lives in
+    another number of variables.
+
+    Decided by comparison, without division: den = C Delta^p forces
+    C = a / b, with a and b the coefficients of den and of Delta^p at the
+    leading monomial of Delta^p, and den == C Delta^p for that C proves
+    the converse."""
     pairs = n * (n - 1) // 2
     if den.is_zero() or (pairs and den.degree() % pairs):
         return None
     p = den.degree() // pairs if pairs else 0
-    try:
-        ratio = exact_divide(den, discriminant_power(n, p))
-    except NonDivisibleError:
+    disc = discriminant_power(n, p)
+    lead = max(disc.terms)
+    c = demote(Fraction(den.terms.get(lead, 0)) / disc.terms[lead])
+    if not c or den != disc * c:
         return None
-    if ratio.is_zero() or not ratio.is_constant():
-        return None
-    return p, ratio.constant_value()
+    return p, c
 
 
 def _kz_witness(n: int, m: int, p: int, nums: dict, act, partner=None):
@@ -114,7 +119,9 @@ def _kz_witness(n: int, m: int, p: int, nums: dict, act, partner=None):
     sharing a denominator den = C * Delta^p, C a non-zero constant (p = 0
     and C = 1 for polynomial components); `act(i, j, key)` is the
     numerator at `key` of the transposition (i j) applied to the whole
-    vector, so act(i, j, .) == act(j, i, .).
+    vector, given as the combination it is: (coefficient, polynomial)
+    pairs of scalars and polynomials, so the acted numerator is never
+    built.  act(i, j, .) == act(j, i, .).
 
     Precondition (the caller's to establish): den has that form.  Then
     d_i den / den = p sum_{j != i} 1 / (z_i - z_j), and the system reads
@@ -126,14 +133,14 @@ def _kz_witness(n: int, m: int, p: int, nums: dict, act, partner=None):
     Q(other z) are unique and the poles z_j are distinct, so the right
     side is a polynomial only if every r_j is zero: a remainder fails
     closed, and otherwise the identity is num' == sum_j q_j.  X_j goes to
-    the division as the combination it is, and num' - sum_j q_j is kept
-    in one map.  X_j is the same for (i, j) and (j, i), so each quotient
-    is computed once per unordered pair and enters the larger index with
-    its sign flipped.
+    the division as the combination it is, with each coefficient of act
+    scaled by m, and num' - sum_j q_j is kept in one map.  X_j is the
+    same for (i, j) and (j, i), so each quotient is computed once per
+    unordered pair and enters the larger index with its sign flipped.
 
     `partner(key, i, j)`, for a table whose action moves components,
-    act(i, j, U) == eps nums[s_ij U] with eps = +-1, is U's key s_ij U.
-    Pass it only when m eps == m + p: then
+    act(i, j, U) == ((eps, nums[s_ij U]),) with eps = +-1, is U's key
+    s_ij U.  Pass it only when m eps == m + p: then
 
         X_ij(U) = m eps psi_{s_ij U} + (m + p) psi_U
                 = (m + p) (psi_U + psi_{s_ij U}) = X_ij(s_ij U),
@@ -150,7 +157,7 @@ def _kz_witness(n: int, m: int, p: int, nums: dict, act, partner=None):
                     _add_into(rest, quotients.pop((j, i, key)).terms)
                 elif j > i:
                     if (q := quotients.get((i, j, key))) is None:
-                        x = ((m, act(i, j, key)), (m + p, num))
+                        x = (*((m * c, f) for c, f in act(i, j, key)), (m + p, num))
                         try:
                             q = quotients[(i, j, key)] = _divide_by_z_diff(x, i, j)
                         except NonDivisibleError as exc:
@@ -173,11 +180,11 @@ def check_kz(table: SolutionTable) -> CheckReport:
 
     Polynomial tables are checked with p = 0.  Fraction tables (the
     alternating twist) must share one denominator C * Delta^p, which is
-    verified first by exact division (a denominator of any other form
-    fails); both are then checked by `_kz_witness`: each pole's numerator
-    is divided exactly, a remainder fails by uniqueness of partial
-    fractions, and the quotients must sum to the derivative, so the
-    denominator never enters a product.  When m eps == m + p, with
+    verified first by comparison with C * Delta^p (a denominator of any
+    other form fails); both are then checked by `_kz_witness`: each
+    pole's numerator is divided exactly, a remainder fails by uniqueness
+    of partial fractions, and the quotients must sum to the derivative,
+    so the denominator never enters a product.  When m eps == m + p, with
     eps = -1 on twisted tables and 1 otherwise (every polynomial table
     and every alternating twist), X_ij(U) == X_ij(s_ij U) and one
     quotient serves both; `info` names that identity when it is used."""
@@ -194,15 +201,14 @@ def check_kz(table: SolutionTable) -> CheckReport:
             }
         else:
             p = found[0]
+    eps = -1 if table.twisted else 1
 
-    def act(i: int, j: int, u: Tabloid) -> SparsePolynomial:
-        v = nums[act_transposition(u, i, j)]
-        return -v if table.twisted else v
+    def act(i: int, j: int, u: Tabloid) -> tuple:
+        return ((eps, nums[act_transposition(u, i, j)]),)
 
     info = {"twisted": table.twisted}
     if witness is None:
         partner = None
-        eps = -1 if table.twisted else 1
         if table.m * eps == table.m + p:
             partner = act_transposition
             info["shared_quotients"] = (
@@ -483,9 +489,10 @@ def check_dual(fm: FundamentalMatrix) -> CheckReport:
     adjugate identity makes the rows the transposed inverse: `dual_matrix`
     asserts it exactly on the matrix with its z-difference content
     stripped (see `det_adjugate`).  The determinant identity: the shared
-    denominator dm.det from that same pass is C * Delta^p, by exact
-    division (`_discriminant_power_of`), so d_i det / det = p sum_{l != i}
-    1 / (z_i - z_l) and `_kz_witness` checks the system by pole division.
+    denominator dm.det from that same pass is C * Delta^p, by comparison
+    with C * Delta^p (`_discriminant_power_of`), so
+    d_i det / det = p sum_{l != i} 1 / (z_i - z_l) and `_kz_witness`
+    checks the system by pole division.
     A failure of either fails this check; neither `check_det` nor a
     symbolic determinant of M is called."""
     lam = fm.lam
@@ -512,14 +519,10 @@ def check_dual(fm: FundamentalMatrix) -> CheckReport:
         for i, j in itertools.combinations(range(1, n + 1), 2)
     }
 
-    def act(i: int, l: int, key: tuple[int, int]) -> SparsePolynomial:
+    def act(i: int, l: int, key: tuple[int, int]) -> list:
         b, jcol = key
         mat = specht[(min(i, l), max(i, l))]
-        acted = SparsePolynomial.zero(n)
-        for k in range(d):
-            if mat[k][jcol]:
-                acted = acted + nums[(b, k)] * mat[k][jcol]
-        return acted
+        return [(mat[k][jcol], nums[(b, k)]) for k in range(d) if mat[k][jcol]]
 
     failure = _kz_witness(n, dm.m, found[0], nums, act)
     witness = None

@@ -43,7 +43,6 @@ from kzresidue import (
     discriminant_power,
     dual_matrix,
     enumerate_partitions,
-    exact_divide,
     fundamental_solution,
     iterated_residue,
     normalize_factored,
@@ -192,18 +191,22 @@ def test_criterion_02_three_point_parameter_two_span(battery):
         rep = check_kz(table)
         assert rep.passed, rep.witness
     # computed basis = constant-matrix times closed-form basis: multiply
-    # by the adjugate and divide by the determinant, entry by entry
+    # by the adjugate, and each entry must be c * det_p for a constant c:
+    # c is the entry's coefficient at det_p's leading monomial divided by
+    # det_p's, and comparing the entry with c * det_p proves it
     fm = battery[((2, 1), 2)]
     p = PolyMatrix([list(first), list(second)])
     det_p, adj_p = det_adjugate(p)
     assert not det_p.is_zero()
+    lead, lead_c = det_p.leading_term()
     product = fm.matrix.matmul(adj_p)
     change = [[None, None], [None, None]]
     for i in range(2):
         for j in range(2):
-            ratio = exact_divide(product.entry(i, j), det_p)
-            assert ratio.is_constant(), (i, j)
-            change[i][j] = ratio.constant_value()
+            entry = product.entry(i, j)
+            c = Fraction(dict(entry.items()).get(lead, 0)) / lead_c
+            assert entry == det_p * c, (i, j)
+            change[i][j] = c
     assert change[0][0] * change[1][1] - change[0][1] * change[1][0] != 0
 
 

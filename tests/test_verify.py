@@ -39,7 +39,6 @@ from kzresidue import (
     discriminant_power,
     dual_matrix,
     enumerate_partitions,
-    exact_divide,
     fundamental_solution,
     quotient_coordinates,
     reflection_dual_solutions,
@@ -400,16 +399,69 @@ def test_kz_accepts_twisted_denominator_with_constant(fm21):
     assert rep.passed, rep.witness
 
 
+@pytest.mark.parametrize("c", [1, -3, Fraction(5, 2)], ids=str)
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_discriminant_power_of_reads_power_and_constant(n, p, c):
+    found = verify._discriminant_power_of(n, discriminant_power(n, p) * c)
+    assert found == (p if n > 1 else 0, c)  # Delta = 1 on one point
+    assert type(found[1]) is (int if c.denominator == 1 else Fraction)
+
+
+def _not_c_delta_p(kind, n, p):
+    """A polynomial of the named kind that is not C * Delta^p in n variables."""
+    disc = discriminant_power(n, p)
+    if kind == "zero":
+        return SparsePolynomial.zero(n)
+    if kind == "degree":  # deg = p C(n, 2) + 1
+        return disc * SparsePolynomial.variable(n, 1)
+    if kind == "not_proportional":  # the same degree
+        return discriminant_power(n, p - 1) * SparsePolynomial.z_diff(n, 1, 2) ** (n * (n - 1) // 2)
+    if kind == "minus_leading":
+        return disc - SparsePolynomial.from_terms(n, [disc.leading_term()])
+    if kind == "plus_below":
+        den = disc + SparsePolynomial.variable(n, 1) ** disc.degree()
+        assert den.leading_term() == disc.leading_term()
+        return den
+    assert kind == "other_variable_count"
+    return SparsePolynomial.from_terms(n + 1, [(e + (0,), c) for e, c in disc.items()])
+
+
+NOT_C_DELTA_P = [
+    *[("zero", n, 0) for n in (1, 2, 3, 4)],
+    *[("degree", n, p) for n in (3, 4) for p in (0, 1, 2)],
+    *[("not_proportional", n, p) for n in (3, 4) for p in (1, 2)],
+    *[
+        (kind, n, p)
+        for kind in ("minus_leading", "plus_below", "other_variable_count")
+        for n in (2, 3, 4)
+        for p in (1, 2)
+    ],
+]
+
+
+@pytest.mark.parametrize("kind,n,p", NOT_C_DELTA_P, ids=str)
+def test_discriminant_power_of_refuses_other_forms(kind, n, p):
+    assert verify._discriminant_power_of(n, _not_c_delta_p(kind, n, p)) is None
+
+
 def _den_squared_reference(n, m, den, nums, act) -> bool:
     """The KZ system for components nums[key] / den multiplied through by
     den^2 and by P_i = prod_{l != i} (z_i - z_l), with den differentiated
     directly: an independent reference that assumes nothing about the
-    form of den (den = 1 for polynomial components)."""
-    for i in range(1, n + 1):
-        prod_i = SparsePolynomial.constant(n, 1)
+    form of den (den = 1 for polynomial components) and divides nothing;
+    each cofactor P_i / (z_i - z_j) is built as its own product.  `act`
+    returns the acted numerator as a polynomial."""
+    def product(i, *skip):
+        """prod (z_i - z_l) over l != i not in `skip`."""
+        prod = SparsePolynomial.constant(n, 1)
         for l in range(1, n + 1):
-            if l != i:
-                prod_i = prod_i * SparsePolynomial.z_diff(n, i, l)
+            if l != i and l not in skip:
+                prod = prod * SparsePolynomial.z_diff(n, i, l)
+        return prod
+
+    for i in range(1, n + 1):
+        prod_i = product(i)
         for key, num in nums.items():
             lhs = (
                 num.partial_derivative(i) * den - num * den.partial_derivative(i)
@@ -417,8 +469,7 @@ def _den_squared_reference(n, m, den, nums, act) -> bool:
             rhs = SparsePolynomial.zero(n)
             for j in range(1, n + 1):
                 if j != i:
-                    cofactor = exact_divide(prod_i, SparsePolynomial.z_diff(n, i, j))
-                    rhs = rhs + (act(i, j, key) + num) * cofactor
+                    rhs = rhs + (act(i, j, key) + num) * product(i, j)
             if lhs != rhs * den * m:
                 return False
     return True
@@ -472,10 +523,16 @@ def test_log_derivative_check_agrees_with_den_squared_reference(
         assert rep.passed
 
 
+def _as_pairs(act):
+    """A polynomial-valued action as the one (coefficient, polynomial)
+    pair that `_kz_witness` takes."""
+    return lambda i, j, key: ((1, act(i, j, key)),)
+
+
 def _kz_cases():
     """(n, m, p, den, nums, act_on) for polynomial tables, twisted tables
     and dual rows; `act_on(nums)` is the transposition action on a
-    (possibly perturbed) copy of the numerators."""
+    (possibly perturbed) copy of the numerators, as polynomials."""
     cases = []
     for lam, m in ((LAM21, 1), (LAM21, 2), (Partition((2, 2)), 1)):
         n = lam.size
@@ -534,7 +591,7 @@ def test_pole_division_agrees_with_den_squared_reference(
         key = sorted(nums, key=str)[where % len(nums)]
         nums[key] = nums[key] + SparsePolynomial.from_terms(n, [(exps[:n], coeff)])
     act = act_on(nums)
-    failure = _kz_witness(n, m, p, nums, act)
+    failure = _kz_witness(n, m, p, nums, _as_pairs(act))
     assert (failure is None) == _den_squared_reference(n, m, den, nums, act)
     if perturbation is None:
         assert failure is None
@@ -544,7 +601,7 @@ def test_pole_division_names_the_remainder(kz_cases):
     for n, m, p, den, nums, act_on in kz_cases:
         key = next(iter(nums))
         nums = {**nums, key: nums[key] + 1}
-        i, _, fields = _kz_witness(n, m, p, nums, act_on(nums))
+        i, _, fields = _kz_witness(n, m, p, nums, _as_pairs(act_on(nums)))
         assert fields["reason"] == "numerator not divisible by the pole"
         assert i < fields["j"] and fields["remainder"] != "0"
     table = fundamental_solution(LAM21, 1).tables[0]
@@ -571,7 +628,7 @@ def test_shared_quotients_leave_the_result_unchanged(kz_cases, which, where, per
         exps, coeff = perturbation
         key = sorted(nums, key=str)[where % len(nums)]
         nums[key] = nums[key] + SparsePolynomial.from_terms(n, [(exps[:n], coeff)])
-    act = act_on(nums)
+    act = _as_pairs(act_on(nums))
     shared = _kz_witness(n, m, p, nums, act, act_transposition)
     assert shared == _kz_witness(n, m, p, nums, act)
     if perturbation is None:
@@ -585,10 +642,10 @@ def test_shared_quotients_take_one_division_per_orbit(kz_cases, monkeypatch):
     monkeypatch.setattr(
         verify, "_divide_by_z_diff", lambda x, i, j: calls.append((i, j)) or honest(x, i, j)
     )
-    assert _kz_witness(n, m, p, nums, act_on(nums)) is None
+    assert _kz_witness(n, m, p, nums, _as_pairs(act_on(nums))) is None
     assert len(calls) == len(nums) * n * (n - 1) // 2
     calls.clear()
-    assert _kz_witness(n, m, p, nums, act_on(nums), act_transposition) is None
+    assert _kz_witness(n, m, p, nums, _as_pairs(act_on(nums)), act_transposition) is None
     orbits = sum(
         len({frozenset((u, act_transposition(u, i, j))) for u in nums})
         for i, j in combinations(range(1, n + 1), 2)
