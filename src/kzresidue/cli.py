@@ -30,6 +30,10 @@ from .verify import check_det, check_kz, check_reflection, run_suite
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 OUTPUT_CLOSED = 141
+# largest N that `stats` answers: the hook-length product takes
+# O(N * rows) steps (under 0.1 s for (1^1000)), and the dimension, at most
+# sqrt(N!), prints in under 1300 digits, below Python's default 4300
+MAX_STATS_SIZE = 1000
 
 
 def parse_shape(text: str) -> Partition:
@@ -101,6 +105,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if args.shape.size > MAX_STATS_SIZE:
+        raise ResourceGuardError(
+            f"N={args.shape.size} exceeds the stats limit {MAX_STATS_SIZE}"
+        )
     stats = diagram_stats(args.shape, args.m)
     payload = {
         "lambda": list(args.shape.parts),

@@ -24,11 +24,12 @@ exponent tuples appear only at the boundary (`from_terms`, `items`,
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
 from operator import or_
+
+from ._frozen import Frozen
 
 MAX_VARS = 8
 
@@ -756,17 +757,17 @@ def normalize_factored(fs: FactoredSum, nvars: int) -> SparsePolynomial:
 # fractions and matrices
 
 
-@dataclass(frozen=True, eq=False)
-class PolyFraction:
+class PolyFraction(Frozen):
     """Unreduced quotient of two polynomials; equality by cross-multiplication."""
 
-    num: SparsePolynomial
-    den: SparsePolynomial
+    __slots__ = ("num", "den")
 
-    def __post_init__(self) -> None:
-        if self.den.is_zero():
+    def __init__(self, num: SparsePolynomial, den: SparsePolynomial) -> None:
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        if den.is_zero():
             raise ZeroDivisionError("fraction with zero denominator")
-        self.num._require_same_ring(self.den)
+        num._require_same_ring(den)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

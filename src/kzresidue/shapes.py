@@ -9,10 +9,11 @@ action are memoized; the memoized sequences are tuples.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache
+from functools import cache, total_ordering
 from itertools import combinations, permutations, product
 from math import factorial
+
+from ._frozen import Frozen
 
 
 def perm_sign(indices: tuple[int, ...]) -> int:
@@ -25,14 +26,14 @@ def perm_sign(indices: tuple[int, ...]) -> int:
     return sign
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
+@total_ordering
+class Partition(Frozen):
     """A Young diagram: non-increasing positive row lengths."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        parts = tuple(int(p) for p in parts)
         object.__setattr__(self, "parts", parts)
         if not parts:
             raise ValueError("a partition needs at least one row")
@@ -40,6 +41,19 @@ class Partition:
             raise ValueError(f"row lengths must be positive: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"row lengths must be non-increasing: {parts}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts < other.parts
+
+    def __hash__(self):
+        return hash((self.parts,))
 
     @property
     def size(self) -> int:
@@ -111,14 +125,14 @@ def hook_length_dim(lam: Partition) -> int:
     return factorial(lam.size) // prod
 
 
-@dataclass(frozen=True, order=True)
-class Numbering:
+@total_ordering
+class Numbering(Frozen):
     """A bijective labeling of diagram boxes by 1..N, stored row by row."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        rows = tuple(tuple(int(x) for x in row) for row in rows)
         object.__setattr__(self, "rows", rows)
         if not rows or any(len(r) == 0 for r in rows):
             raise ValueError("empty rows are not allowed in a numbering")
@@ -127,6 +141,19 @@ class Numbering:
         labels = sorted(x for row in rows for x in row)
         if labels != list(range(1, len(labels) + 1)):
             raise ValueError(f"labels must be a bijection onto 1..N: {rows}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows < other.rows
+
+    def __hash__(self):
+        return hash((self.rows,))
 
     @property
     def shape(self) -> Partition:
@@ -205,22 +232,35 @@ def identity_tableau(lam: Partition) -> Numbering:
     return Numbering(tuple(rows))
 
 
-@dataclass(frozen=True, order=True)
-class Tabloid:
+@total_ordering
+class Tabloid(Frozen):
     """A row-equivalence class of numberings: each row kept as a sorted set.
 
     The shape is a composition; empty rows are legal so the raising maps
     can leave the partition lattice.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(sorted(int(x) for x in row)) for row in self.rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        rows = tuple(tuple(sorted(int(x) for x in row)) for row in rows)
         object.__setattr__(self, "rows", rows)
         labels = sorted(x for row in rows for x in row)
         if labels != list(range(1, len(labels) + 1)):
             raise ValueError(f"rows must partition 1..N: {rows}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows < other.rows
+
+    def __hash__(self):
+        return hash((self.rows,))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -320,18 +360,18 @@ def raise_row(u: Tabloid, s: int) -> list[Tabloid]:
     return out
 
 
-@dataclass(frozen=True)
-class DiagramStats:
+class DiagramStats(Frozen):
     """Closed-form scalars attached to a diagram and a positive integer m."""
 
-    f2: int
-    specht_dim: int
-    d_plus: int
-    transpose: Partition
-    m_profile: tuple[int, ...]
-    config_dim: int
-    m: int
-    solution_degree: int
+    __slots__ = ("f2", "specht_dim", "d_plus", "transpose", "m_profile",
+                 "config_dim", "m", "solution_degree")
+
+    def __init__(
+        self, f2: int, specht_dim: int, d_plus: int, transpose: Partition,
+        m_profile: tuple[int, ...], config_dim: int, m: int, solution_degree: int,
+    ) -> None:
+        self._set(f2, specht_dim, d_plus, transpose, m_profile, config_dim, m,
+                  solution_degree)
 
 
 @cache

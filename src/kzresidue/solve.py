@@ -21,9 +21,9 @@ is non-trivial, e.g. (2,2).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 
+from ._frozen import Frozen
 from .exactalg import (
     MAX_VARS,
     FactoredSum,
@@ -177,8 +177,7 @@ def solve_component(
     return cycle_integral(m, cycle.representative(), form.representative())
 
 
-@dataclass(frozen=True)
-class SolutionTable:
+class SolutionTable(Frozen):
     """All tabloid components of the solution attached to one cycle.
 
     Components are polynomials (positive parameter) or shared-denominator
@@ -186,11 +185,13 @@ class SolutionTable:
     table claims to solve and `twisted` marks the extra sign in the
     transposition action."""
 
-    lam: Partition
-    m: int
-    cycle: Tabloid
-    components: dict
-    twisted: bool = False
+    __slots__ = ("lam", "m", "cycle", "components", "twisted")
+
+    def __init__(
+        self, lam: Partition, m: int, cycle: Tabloid, components: dict,
+        twisted: bool = False,
+    ) -> None:
+        self._set(lam, m, cycle, components, twisted)
 
     def tabloid_order(self) -> tuple[Tabloid, ...]:
         return tabloids(self.lam.parts)
@@ -256,18 +257,19 @@ def coordinates_in_specht_basis(lam: Partition, component_of) -> list:
     return [coords[t] for t in stds]
 
 
-@dataclass(frozen=True)
-class FundamentalMatrix:
+class FundamentalMatrix(Frozen):
     """Square solution matrix over standard tableaux, plus the full
     per-tabloid component tables it was read from."""
 
-    lam: Partition
-    m: int
-    cycles: tuple[Numbering, ...]
-    tables: tuple[SolutionTable, ...]
-    matrix: PolyMatrix
-    # memo of derived data; not an init field, so `dataclasses.replace` starts afresh
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # `_cache` memoizes derived data (the determinant, check results);
+    # every new instance starts with an empty one
+    __slots__ = ("lam", "m", "cycles", "tables", "matrix", "_cache")
+
+    def __init__(
+        self, lam: Partition, m: int, cycles: tuple[Numbering, ...],
+        tables: tuple[SolutionTable, ...], matrix: PolyMatrix,
+    ) -> None:
+        self._set(lam, m, cycles, tables, matrix, {})
 
     @property
     def dimension(self) -> int:
@@ -349,16 +351,17 @@ def fundamental_solution(
 # companions: duality, twist, reflection representation
 
 
-@dataclass(frozen=True)
-class DualMatrix:
+class DualMatrix(Frozen):
     """Transposed-inverse companion of a fundamental matrix: rows solve
     the parameter-negated system in coordinates dual to the polytabloid
-    basis."""
+    basis; `m` is the (negative) parameter it solves."""
 
-    lam: Partition
-    m: int  # the (negative) parameter this matrix solves
-    det: SparsePolynomial
-    entries: PolyMatrix
+    __slots__ = ("lam", "m", "det", "entries")
+
+    def __init__(
+        self, lam: Partition, m: int, det: SparsePolynomial, entries: PolyMatrix
+    ) -> None:
+        self._set(lam, m, det, entries)
 
     @property
     def dimension(self) -> int:
@@ -407,15 +410,14 @@ def alternating_twist(table: SolutionTable) -> SolutionTable:
     return SolutionTable(table.lam, -table.m, table.cycle, components, twisted=True)
 
 
-@dataclass(frozen=True)
-class ReflectionSolution:
+class ReflectionSolution(Frozen):
     """A solution with values in the (N-1,1) module written in the
     standard coordinates of C^N (components along the unit vectors)."""
 
-    n: int
-    m: int
-    index: int
-    components: tuple
+    __slots__ = ("n", "m", "index", "components")
+
+    def __init__(self, n: int, m: int, index: int, components: tuple) -> None:
+        self._set(n, m, index, components)
 
     def to_json(self) -> dict:
         return {

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._frozen import Frozen
 from .exactalg import (
     NonDivisibleError,
     PolyFraction,
@@ -48,17 +48,17 @@ from .solve import (
 )
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Frozen):
     """Outcome of one verification; `witness` is set exactly when the
     verdict is fail and names the first broken instance."""
 
-    check: str
-    lam: Partition | None
-    m: int | None
-    passed: bool
-    witness: dict | None = None
-    info: dict = field(default_factory=dict)
+    __slots__ = ("check", "lam", "m", "passed", "witness", "info")
+
+    def __init__(
+        self, check: str, lam: Partition | None, m: int | None, passed: bool,
+        witness: dict | None = None, info: dict | None = None,
+    ) -> None:
+        self._set(check, lam, m, passed, witness, {} if info is None else info)
 
     @property
     def verdict(self) -> str:

@@ -230,6 +230,25 @@ def test_bad_shape_rejected(capsys):
         main(["stats", "--lambda", "2,x", "--m", "1"])
 
 
+@pytest.mark.parametrize("shape", ["99999999999999999999", f"{cli.MAX_STATS_SIZE},1"])
+def test_stats_refuses_a_shape_over_the_size_limit(capsys, monkeypatch, shape):
+    def never(*args):
+        raise AssertionError("an over-large shape reached diagram_stats")
+
+    monkeypatch.setattr(cli, "diagram_stats", never)
+    code, out, err = run(capsys, "stats", "--lambda", shape, "--m", "1")
+    assert code == 2
+    assert out == "" and err.startswith("refused:")
+    assert f"limit {cli.MAX_STATS_SIZE}" in err
+
+
+def test_stats_answers_the_largest_admitted_shapes(capsys):
+    # one row and one column of MAX_STATS_SIZE boxes: both one-dimensional
+    for shape in (str(cli.MAX_STATS_SIZE), ",".join(["1"] * cli.MAX_STATS_SIZE)):
+        code, out, _ = run(capsys, "stats", "--lambda", shape, "--m", "1")
+        assert code == 0 and "dimension: 1\n" in out
+
+
 def test_missing_subcommand_rejected():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -281,3 +300,19 @@ def test_stdout_closed_before_output_ends_quietly():
         os.close(write_end)
     assert proc.returncode == cli.OUTPUT_CLOSED
     assert proc.stderr == b""
+
+
+def test_cli_import_loads_no_dataclasses():
+    """`import kzresidue.cli` loads neither `dataclasses` nor the modules
+    it pulls in, which every CLI call would pay for at start-up."""
+    code = (
+        "import sys; before = set(sys.modules); import kzresidue.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=_cli_env(), timeout=60, check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "kzresidue.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}

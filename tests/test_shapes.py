@@ -143,6 +143,8 @@ def test_memoized_enumerations_are_tuples_a_caller_cannot_corrupt():
             memo[0] = memo[-1]
         with pytest.raises(AttributeError):
             memo.reverse()
+    with pytest.raises(AttributeError):
+        us[0].rows = us[-1].rows  # nor the tabloids the tuples hold
     mine = list(us)
     mine.reverse()  # a caller's own copy changes nothing shared
     assert [str(u) for u in tabloids((2, 1))] == ["{1,2}|{3}", "{1,3}|{2}", "{2,3}|{1}"]

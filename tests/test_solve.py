@@ -6,13 +6,13 @@ output: e.g. the first row of the three-point system is
 (z12^2 (z13 + z23), -z12^2 z13, -z12^2 z23) and its polytabloid
 coordinates reproduce all three tabloid components.
 """
-import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kzresidue import (
+    DualMatrix,
     FactoredSum,
     Numbering,
     Partition,
@@ -378,7 +378,7 @@ def test_dual_to_json_writes_every_entry_as_its_fraction(fm21):
     other = PolyFraction(SparsePolynomial.constant(3, 1), SparsePolynomial.constant(3, 2))
     rows = [list(row) for row in dm.entries.entries]
     rows[0][1] = other
-    odd = dataclasses.replace(dm, entries=PolyMatrix(rows))
+    odd = DualMatrix(dm.lam, dm.m, dm.det, PolyMatrix(rows))
     assert odd.to_json()["entries"][0][1] == other.to_json()
 
 

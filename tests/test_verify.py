@@ -5,7 +5,6 @@ instances; the other half feed deliberately corrupted tables, matrices
 and duals to the same checks and insist they fail with a witness.  A
 checker that cannot reject a broken solution proves nothing.
 """
-import dataclasses
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -20,6 +19,7 @@ from kzresidue import (
     Partition,
     PolyFraction,
     PolyMatrix,
+    ReflectionSolution,
     SolutionTable,
     SparsePolynomial,
     Tabloid,
@@ -702,7 +702,7 @@ def _tamper_first_path_solution(monkeypatch, n, m, delta):
         PolyFraction(c0.num + delta, c0.den),
         PolyFraction(c1.num - delta, c1.den),
     ) + first.components[2:]
-    tampered = (dataclasses.replace(first, components=comps),) + phis[1:]
+    tampered = (ReflectionSolution(first.n, first.m, first.index, comps),) + phis[1:]
     monkeypatch.setattr(
         "kzresidue.verify.reflection_dual_solutions", lambda n_, m_: tampered
     )
