@@ -7,6 +7,7 @@ residue operator, and finally assembles the full fundamental matrix.
 from kzresidue import (
     Numbering,
     Partition,
+    determinant,
     fundamental_solution,
     interaction_form,
     iterated_residue,
@@ -59,7 +60,7 @@ for i, cyc in enumerate(fm.cycles):
     row = [factored_text(fm.matrix.entry(i, j)) for j in range(fm.dimension)]
     print(f"  row {cyc.rows}: [{', '.join(row)}]")
 print()
-print("determinant:", factored_text(fm.determinant()))
+print("determinant:", factored_text(determinant(fm.matrix)))
 print()
 
 # The matrix rows read off the standard-polytabloid coordinates; the

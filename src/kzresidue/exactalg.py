@@ -93,13 +93,14 @@ def _check_cap(keys) -> None:
         raise OverflowError(f"an exponent reached 2^{_BITS - 1}, beyond its key field")
 
 
-class SparsePolynomial:
+class SparsePolynomial(Frozen):
     """Polynomial in z_1..z_n: a map from packed monomial keys (see the
     module docstring) to rationals.
 
     Zero coefficients are never stored, so the zero polynomial has an
-    empty term map.  Instances are immutable by convention; arithmetic
-    always builds fresh objects.
+    empty term map.  The fields cannot be reassigned, and the term map
+    is never changed after construction; arithmetic always builds fresh
+    objects.
 
     >>> z1 = SparsePolynomial.variable(2, 1)
     >>> z2 = SparsePolynomial.variable(2, 2)
@@ -113,9 +114,6 @@ class SparsePolynomial:
         _check_nvars(nvars)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", terms if terms is not None else {})
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("SparsePolynomial is immutable")
 
     # ------------------------------------------------------------------
     # constructors
@@ -811,10 +809,11 @@ class PolyFraction(Frozen):
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
 
-class PolyMatrix:
+class PolyMatrix(Frozen):
     """Rectangular matrix of polynomial (or fraction) entries."""
 
     __slots__ = ("entries",)
+    __hash__ = None  # a matrix is never a dictionary key
 
     def __init__(self, entries):
         rows = tuple(tuple(row) for row in entries)
@@ -822,7 +821,7 @@ class PolyMatrix:
             raise ValueError("matrix needs at least one entry")
         if any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged matrix")
-        self.entries = rows
+        object.__setattr__(self, "entries", rows)
 
     @property
     def nrows(self) -> int:
@@ -849,11 +848,6 @@ class PolyMatrix:
                 row.append(acc)
             out.append(row)
         return PolyMatrix(out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return self.entries == other.entries
 
 
 def z_diff_content(polys, nvars: int) -> tuple[list, dict]:

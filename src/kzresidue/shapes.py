@@ -178,7 +178,11 @@ class Numbering(Frozen):
         return tuple(x for row in self.rows for x in row)
 
     def is_standard(self) -> bool:
-        """True when labels increase along every row and down every column."""
+        """True when labels increase along every row and down every column.
+
+        No solver path calls it: `standard_tableaux` builds only standard
+        numberings.  It is kept as the tests' independent reference for
+        that enumeration."""
         for row in self.rows:
             if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
                 return False

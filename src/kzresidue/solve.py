@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import factorial, prod
 
 from ._frozen import Frozen
 from .exactalg import (
@@ -31,7 +32,6 @@ from .exactalg import (
     PolyMatrix,
     SparsePolynomial,
     det_adjugate,
-    determinant,
     discriminant_power,
     normalize_factored,
     t_atom,
@@ -118,12 +118,7 @@ def tableau_form(t: Numbering) -> FactoredSum:
 
 
 def level_group_size(lam: Partition) -> int:
-    size = 1
-    for s in range(1, lam.nrows):
-        k = len(level_boxes(lam, s))
-        for i in range(2, k + 1):
-            size *= i
-    return size
+    return prod(factorial(len(level_boxes(lam, s))) for s in range(1, lam.nrows))
 
 
 def _level_relabelings(lam: Partition):
@@ -220,7 +215,11 @@ def solve_cycle(lam: Partition, m: int, cycle: Tabloid) -> SolutionTable:
 def polytabloid_columns(lam: Partition) -> tuple[list[list[int]], tuple[Tabloid, ...]]:
     """Integer matrix whose column j holds the tabloid coefficients of
     the j-th standard tableau's signed column expansion, along with the
-    row (tabloid) order."""
+    row (tabloid) order.
+
+    No solver path calls it: `coordinates_in_specht_basis` peels the
+    column expansions directly.  It is kept as the tests' reference that
+    rebuilds component vectors from Specht coordinates."""
     order = tabloids(lam.parts)
     index = {u: i for i, u in enumerate(order)}
     stds = standard_tableaux(lam)
@@ -261,8 +260,8 @@ class FundamentalMatrix(Frozen):
     """Square solution matrix over standard tableaux, plus the full
     per-tabloid component tables it was read from."""
 
-    # `_cache` memoizes derived data (the determinant, check results);
-    # every new instance starts with an empty one
+    # `_cache` memoizes check results (`verify._kz_reports`,
+    # `verify._determinant_at`); every new instance starts with an empty one
     __slots__ = ("lam", "m", "cycles", "tables", "matrix", "_cache")
 
     def __init__(
@@ -274,18 +273,6 @@ class FundamentalMatrix(Frozen):
     @property
     def dimension(self) -> int:
         return len(self.cycles)
-
-    def determinant(self) -> SparsePolynomial:
-        """det M, expanded; no check calls it (see `verify.check_det`)."""
-        if "det" not in self._cache:
-            self._cache["det"] = determinant(self.matrix)
-        return self._cache["det"]
-
-    def table_for(self, cycle: Tabloid) -> SolutionTable:
-        for table in self.tables:
-            if table.cycle == cycle:
-                return table
-        raise KeyError(f"no cycle {cycle} in the fundamental system")
 
     def to_json(self) -> dict:
         stats = diagram_stats(self.lam, self.m)
@@ -312,13 +299,7 @@ def residue_budget(lam: Partition, m: int) -> int:
     """Elementary residue count of the full fundamental table: cycles x
     forms x level-group size x schedule depth."""
     stats = diagram_stats(lam, m)
-    n_forms = 1
-    seen = 1
-    for size in sorted(lam.parts):
-        for k in range(1, size + 1):
-            n_forms = n_forms * seen // k
-            seen += 1
-    # n_forms = multinomial(N; parts)
+    n_forms = factorial(lam.size) // prod(map(factorial, lam.parts))
     return stats.specht_dim * n_forms * level_group_size(lam) * max(stats.config_dim, 1)
 
 
@@ -430,8 +411,6 @@ class ReflectionSolution(Frozen):
 
 def _hook_tabloid(n: int, k: int) -> Tabloid:
     """The tabloid of the two-row hook shape with k alone in row 2."""
-    if n == 2:
-        return Tabloid(((3 - k,), (k,)))
     return Tabloid((tuple(i for i in range(1, n + 1) if i != k), (k,)))
 
 
@@ -444,7 +423,7 @@ def reflection_solutions(n: int, m: int) -> tuple[ReflectionSolution, ...]:
     at k, so this is a re-indexing of hook-shape solution tables."""
     if n < 2:
         raise ValueError("the reflection representation needs n >= 2")
-    lam = Partition((n - 1, 1)) if n > 2 else Partition((1, 1))
+    lam = Partition((n - 1, 1))
     out = []
     for a in range(1, n + 1):
         comps = tuple(

@@ -666,7 +666,7 @@ def check_reflection(n: int, m: int) -> CheckReport:
     rational coefficients; each member is scaled once by the lcm L of
     their denominators, so the pairing runs on integer polynomials and
     is compared against L times the discriminant power."""
-    lam = Partition((n - 1, 1)) if n > 2 else Partition((1, 1))
+    lam = Partition((n - 1, 1))
     witness = _reflection_witness(
         n, m, reflection_solutions(n, m), reflection_dual_solutions(n, m)
     )

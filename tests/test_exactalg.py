@@ -1,3 +1,4 @@
+import json
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
@@ -223,6 +224,46 @@ def test_from_json_round_trips_or_raises_value_error(doc):
         return
     with pytest.raises(ValueError):
         SparsePolynomial.from_json(doc)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _polynomial_documents(draw):
+    """A well-formed document with up to two places replaced by any JSON value."""
+    nvars = draw(st.integers(1, 3))
+    num = st.integers(-2, 3)
+    den = st.integers(1, 3) | st.integers(-2, -1)
+    term = st.fixed_dictionaries({
+        "exp": st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars),
+        "num": num | num.map(str),
+        "den": den | den.map(str),
+    })
+    doc = {"vars": nvars, "terms": draw(st.lists(term, max_size=3))}
+    places = [(doc, "vars"), (doc, "terms")]
+    for t in doc["terms"]:
+        places += [(t, "exp"), (t, "num"), (t, "den")]
+        places += [(t["exp"], i) for i in range(nvars)]
+    for holder, key in draw(st.lists(st.sampled_from(places), max_size=2)):
+        holder[key] = draw(_JSON)
+    return doc
+
+
+@settings(max_examples=300)
+@given(_polynomial_documents() | _JSON)
+def test_from_json_fuzz_raises_value_error_or_round_trips(doc):
+    try:
+        p = SparsePolynomial.from_json(doc)
+    except ValueError:
+        return
+    again = SparsePolynomial.from_json(json.loads(json.dumps(p.to_json())))
+    assert again == p and again.to_json() == p.to_json()
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,8 @@ from kzresidue import (
     column_expansion,
     coordinates_in_specht_basis,
     cycle_integral,
+    determinant,
+    diagram_stats,
     discriminant_power,
     dual_matrix,
     enumerate_partitions,
@@ -49,6 +51,7 @@ from kzresidue import (
     z_atom,
 )
 from kzresidue.shapes import row_word
+from kzresidue.solve import _level_relabelings
 
 
 def zd(i, j, n=3):
@@ -178,11 +181,11 @@ def test_trivial_shape_is_discriminant_power():
 
 def test_three_point_hook_table_frozen(fm21):
     z12, z13, z23 = zd(1, 2), zd(1, 3), zd(2, 3)
-    t1 = fm21.table_for(Tabloid(((1, 2), (3,))))
+    t1, t2 = fm21.tables
+    assert t1.cycle == Tabloid(((1, 2), (3,))) and t2.cycle == Tabloid(((1, 3), (2,)))
     assert t1.components[Tabloid(((1, 2), (3,)))] == z12 * z12 * (z13 + z23)
     assert t1.components[Tabloid(((1, 3), (2,)))] == -(z12 * z12 * z13)
     assert t1.components[Tabloid(((2, 3), (1,)))] == -(z12 * z12 * z23)
-    t2 = fm21.table_for(Tabloid(((1, 3), (2,))))
     assert t2.components[Tabloid(((1, 2), (3,)))] == -(z12 * z13 * z13)
     assert t2.components[Tabloid(((1, 3), (2,)))] == z13 * z13 * (z12 - z23)
     assert t2.components[Tabloid(((2, 3), (1,)))] == z13 * z13 * z23
@@ -199,7 +202,7 @@ def test_three_point_hook_matrix_frozen(fm21):
 
 def test_three_point_hook_determinant(fm21):
     disc = discriminant_power(3, 2)
-    assert fm21.determinant() == disc * SparsePolynomial.constant(3, -2)
+    assert determinant(fm21.matrix) == disc * SparsePolynomial.constant(3, -2)
 
 
 def test_components_are_homogeneous_of_expected_degree(fm21):
@@ -357,7 +360,7 @@ def test_coordinates_recover_polytabloid_combinations(case):
 def test_dual_matrix_inverts_transposed(fm21):
     dm = dual_matrix(fm21)
     assert dm.m == -1
-    assert dm.det == fm21.determinant()
+    assert dm.det == determinant(fm21.matrix)
     n = fm21.dimension
     one = SparsePolynomial.constant(3, 1)
     zero = SparsePolynomial.zero(3)
@@ -468,6 +471,20 @@ def test_reflection_pairing_with_duals():
 def test_budget_arithmetic():
     assert residue_budget(Partition((2, 1)), 1) == 2 * 3 * 1 * 1
     assert residue_budget(Partition((1, 1)), 1) == 1 * 2 * 1 * 1
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_budget_factors_count_what_the_solver_enumerates(n):
+    # the multinomial counts the forms, and the factorial product the
+    # level-group relabelings the symmetrized forms sum over
+    for lam in enumerate_partitions(n):
+        relabelings = sum(1 for _ in _level_relabelings(lam))
+        assert level_group_size(lam) == relabelings, lam
+        stats = diagram_stats(lam, 1)
+        assert residue_budget(lam, 1) == (
+            stats.specht_dim * len(tabloids(lam.parts)) * relabelings
+            * max(stats.config_dim, 1)
+        ), lam
 
 
 def test_budget_guard_refuses_tall_column():

@@ -1,6 +1,10 @@
 """The value classes: immutable, with the reprs, equality, hashing,
-ordering and defaults of frozen dataclasses."""
+ordering and defaults of frozen dataclasses, and every one pickles and
+deep-copies."""
+import ast
+import copy
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +21,12 @@ from kzresidue import (
     SolutionTable,
     SparsePolynomial,
     Tabloid,
+    alternating_twist,
     diagram_stats,
+    dual_matrix,
+    fundamental_solution,
+    reflection_dual_solutions,
+    reflection_solutions,
 )
 
 ONE = SparsePolynomial.constant(2, 1)
@@ -43,11 +52,13 @@ CASES = {
     "FundamentalMatrix": (
         lambda: FundamentalMatrix(Partition((1,)), 1, (Numbering(((1,),)),), (), MATRIX),
         "FundamentalMatrix(lam=Partition(parts=(1,)), m=1, "
-        f"cycles=(Numbering(rows=((1,),)),), tables=(), matrix={MATRIX!r})",
+        "cycles=(Numbering(rows=((1,),)),), tables=(), "
+        "matrix=PolyMatrix(entries=((1,),)))",
     ),
     "DualMatrix": (
         lambda: DualMatrix(Partition((1,)), -1, ONE, MATRIX),
-        f"DualMatrix(lam=Partition(parts=(1,)), m=-1, det=1, entries={MATRIX!r})",
+        "DualMatrix(lam=Partition(parts=(1,)), m=-1, det=1, "
+        "entries=PolyMatrix(entries=((1,),)))",
     ),
     "ReflectionSolution": (
         lambda: ReflectionSolution(2, 1, 1, (Z1,)),
@@ -59,9 +70,6 @@ CASES = {
         "witness=None, info={})",
     ),
 }
-# the cases that hold no SparsePolynomial, which does not pickle
-PICKLABLE = {"Partition", "Numbering", "Tabloid", "DiagramStats", "SolutionTable",
-             "CheckReport"}
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -87,8 +95,13 @@ def test_value_class_contract(name):
             hash(value)
     else:
         assert hash(value) == hash(make())
-    if name in PICKLABLE:
-        assert pickle.loads(pickle.dumps(value)) == value
+    _assert_round_trips(value)
+
+
+def _assert_round_trips(value):
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin is not value
+        assert twin == value and repr(twin) == repr(value)
 
 
 @pytest.mark.parametrize("cls, field", [(Partition, "parts"), (Numbering, "rows"),
@@ -118,10 +131,72 @@ def test_value_class_defaults():
     fm = FundamentalMatrix(Partition((1,)), 1, (), (), MATRIX)
     other = FundamentalMatrix(Partition((1,)), 1, (), (), MATRIX)
     assert fm._cache == {} and fm._cache is not other._cache
-    fm._cache["det"] = ONE  # the memo is out of equality and repr
+    fm._cache["kz"] = ()  # the memo is out of equality and repr
     assert fm == other and repr(fm) == repr(other)
+    assert copy.deepcopy(fm)._cache == {}  # a copy starts with an empty memo
 
 
 def test_poly_fraction_refuses_a_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         PolyFraction(Z1, SparsePolynomial.zero(2))
+
+
+@pytest.mark.parametrize("value, field", [(Z1, "terms"), (MATRIX, "entries")],
+                         ids=["SparsePolynomial", "PolyMatrix"])
+def test_polynomial_and_matrix_refuse_assignment_and_deletion(value, field):
+    before = repr(value)
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert repr(value) == before
+    _assert_round_trips(value)
+
+
+def test_matrix_repr_equality_and_hash():
+    assert repr(MATRIX) == "PolyMatrix(entries=((1,),))"
+    assert MATRIX == PolyMatrix([[ONE]]) and MATRIX != PolyMatrix([[Z1]])
+    assert MATRIX != ((ONE,),)
+    with pytest.raises(TypeError):
+        hash(MATRIX)
+
+
+def test_solved_values_round_trip():
+    fm = fundamental_solution(Partition((2, 1)), 1)
+    assert "0x" not in repr(fm)  # every field writes its value, not its address
+    for value in (
+        fm,
+        dual_matrix(fm),
+        alternating_twist(fm.tables[0]),
+        reflection_solutions(3, 1),
+        reflection_dual_solutions(3, 1),
+    ):
+        _assert_round_trips(value)
+
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kzresidue"
+
+
+def _class_members(tree):
+    """(class, name) for every method and plain assignment in a class body."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield node.name, item.name
+                for target in getattr(item, "targets", ()):
+                    if isinstance(target, ast.Name):
+                        yield node.name, target.id
+
+
+def test_only_frozen_defines_setattr_or_delattr():
+    """Immutability has one implementation, which every value class inherits."""
+    owners = [
+        f"{path.name}:{cls}.{name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for cls, name in _class_members(ast.parse(path.read_text(), str(path)))
+        if name in ("__setattr__", "__delattr__")
+    ]
+    assert owners == ["_frozen.py:Frozen.__setattr__", "_frozen.py:Frozen.__delattr__"]
