@@ -25,7 +25,7 @@ from .solve import (
     reflection_dual_solutions,
     reflection_solutions,
 )
-from .verify import check_det, check_kz, check_reflection, run_suite
+from .verify import _kz_reports, check_det, check_kz, check_reflection, run_suite
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -153,7 +153,7 @@ def cmd_verify(args) -> int:
             reports = run_suite(lam, args.m, budget=args.budget)
         else:
             fm = fundamental_solution(lam, args.m, budget=args.budget)
-            reports = [check_kz(table) for table in fm.tables]
+            reports = _kz_reports(fm)
         for rep in reports:
             reports_json.append(rep.to_json())
             failures += 0 if rep.passed else 1

@@ -342,6 +342,8 @@ class SparsePolynomial(Frozen):
                 moves[d] = moves.get(d, 0) | (_FIELD << s)
             else:
                 fixed |= _FIELD << s
+        if not moves:
+            return self  # the identity: an immutable value serves as its own image
         up = [(mask, d) for d, mask in moves.items() if d > 0]
         down = [(mask, -d) for d, mask in moves.items() if d < 0]
         terms = {}
@@ -408,11 +410,17 @@ class SparsePolynomial(Frozen):
 
     @classmethod
     def from_json(cls, data: dict) -> "SparsePolynomial":
-        """Inverse of `to_json`; any malformed document raises ValueError."""
+        """Inverse of `to_json`, accepting only what it writes: `vars` and
+        exponents as JSON integers, `num` and `den` as integers or ASCII
+        strings -?[0-9]+.  Any other document raises ValueError."""
 
-        def whole(v) -> int:
-            # int() would silently truncate floats and accept bools
-            if isinstance(v, bool) or not isinstance(v, (int, str)):
+        def whole(v, text: bool = False) -> int:
+            # int() would truncate floats, take bools, and parse non-ASCII
+            # digits, '1_0', ' 2 ' and '+3', none of which `to_json` writes
+            if isinstance(v, int) and not isinstance(v, bool):
+                return v
+            digits = v.removeprefix("-") if text and isinstance(v, str) else ""
+            if not (digits.isascii() and digits.isdigit()):
                 raise ValueError(f"expected an integer, got {v!r}")
             return int(v)
 
@@ -423,7 +431,7 @@ class SparsePolynomial(Frozen):
                 if not isinstance(t["exp"], list):
                     raise ValueError(f"exponent vector must be a list: {t['exp']!r}")
                 exp = tuple(whole(e) for e in t["exp"])
-                items.append((exp, Fraction(whole(t["num"]), whole(t["den"]))))
+                items.append((exp, Fraction(whole(t["num"], True), whole(t["den"], True))))
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed polynomial document: {exc!r}") from exc
         return cls.from_terms(nvars, items)

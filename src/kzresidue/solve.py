@@ -17,6 +17,20 @@ the plain, unsigned sum over relabelings implemented here; the signed
 variant would (and in tests does) break row-equivalence invariance and
 the differential equations themselves for shapes where the level group
 is non-trivial, e.g. (2,2).
+
+The system is S_N-equivariant: renaming the labels 1..N by sigma in the
+tabloids and in the variables alike maps solutions to solutions, so
+cycle_integral(sigma C, sigma U) is cycle_integral(C, U) with each z_i
+replaced by z_sigma(i).  The solver (`solve_cycle`, hence
+`fundamental_solution`, and `reflection_solutions`) computes one integral
+per S_N-orbit of (cycle, form) pairs, at the pair `_orbit_key` picks, and
+reaches the others by permuting variables (`_orbit_component`).
+`cycle_integral` and `solve_component` stay the direct residue path.
+Two checks rest on the same identity without trusting the solver:
+`check_equivariance` compares direct values (its left side) with
+orbit-built ones, and the battery runs `check_kz` on the first table of a
+fundamental matrix only, proving every other table equal to the first
+one relabeled, exactly on the stored data (`verify._kz_reports`).
 """
 from __future__ import annotations
 
@@ -166,10 +180,41 @@ def cycle_integral(m: int, cycle: Numbering, form: Numbering) -> SparsePolynomia
 def solve_component(
     lam: Partition, m: int, cycle: Tabloid, form: Tabloid
 ) -> SparsePolynomial:
-    """Component of the cycle's solution at the given form tabloid."""
+    """Component of the cycle's solution at the given form tabloid, by the
+    direct residue path (`check_equivariance` compares the orbit path
+    against it)."""
     if Partition(tuple(cycle.shape)) != lam or Partition(tuple(form.shape)) != lam:
         raise ValueError("cycle and form tabloids must have the requested shape")
     return cycle_integral(m, cycle.representative(), form.representative())
+
+
+def _orbit_key(cycle: Tabloid, form: Tabloid) -> tuple[tuple[int, ...], Numbering, Numbering]:
+    """`(image, C0, U0)` with cycle = sigma C0, form = sigma U0 and
+    image[p-1] = sigma(p).
+
+    sigma lists the labels of each row of the cycle sorted by (row in the
+    form, label), rows concatenated, so C0 is the canonical tabloid (rows
+    1..lam_1, lam_1+1..lam_1+lam_2, ...) and U0 gives the positions of
+    each row of C0 to the rows of the form in ascending order.  U0 is thus
+    fixed by the counts |C_r & U_s| alone: one key per S_N-orbit of pairs."""
+    row_of = {x: s for s, row in enumerate(form.rows) for x in row}
+    image = tuple(
+        x for row in cycle.rows for x in sorted(row, key=lambda x: (row_of[x], x))
+    )
+    back = {x: p for p, x in enumerate(image, start=1)}
+    c0, u0 = (
+        Numbering(tuple(tuple(sorted(back[x] for x in row)) for row in t.rows))
+        for t in (cycle, form)
+    )
+    return image, c0, u0
+
+
+def _orbit_component(m: int, cycle: Tabloid, form: Tabloid) -> SparsePolynomial:
+    """The component at (cycle, form) from the one integral of its orbit:
+    cycle_integral(sigma C0, sigma U0) is cycle_integral(C0, U0) with each
+    z_p replaced by z_sigma(p) (see the module docstring)."""
+    image, c0, u0 = _orbit_key(cycle, form)
+    return cycle_integral(m, c0, u0).permute_variables(image)
 
 
 class SolutionTable(Frozen):
@@ -205,10 +250,7 @@ class SolutionTable(Frozen):
 
 def solve_cycle(lam: Partition, m: int, cycle: Tabloid) -> SolutionTable:
     """Full component table of one cycle over every tabloid of the shape."""
-    rep = cycle.representative()
-    components = {
-        u: cycle_integral(m, rep, u.representative()) for u in tabloids(lam.parts)
-    }
+    components = {u: _orbit_component(m, cycle, u) for u in tabloids(lam.parts)}
     return SolutionTable(lam, m, cycle, components)
 
 
@@ -423,11 +465,10 @@ def reflection_solutions(n: int, m: int) -> tuple[ReflectionSolution, ...]:
     at k, so this is a re-indexing of hook-shape solution tables."""
     if n < 2:
         raise ValueError("the reflection representation needs n >= 2")
-    lam = Partition((n - 1, 1))
     out = []
     for a in range(1, n + 1):
         comps = tuple(
-            solve_component(lam, m, _hook_tabloid(n, a), _hook_tabloid(n, k))
+            _orbit_component(m, _hook_tabloid(n, a), _hook_tabloid(n, k))
             for k in range(1, n + 1)
         )
         out.append(ReflectionSolution(n, m, a, comps))

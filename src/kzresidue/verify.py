@@ -38,6 +38,7 @@ from .solve import (
     DEFAULT_BUDGET,
     FundamentalMatrix,
     SolutionTable,
+    _orbit_component,
     coordinates_in_specht_basis,
     dual_matrix,
     fundamental_solution,
@@ -308,10 +309,64 @@ def check_shape(fm: FundamentalMatrix) -> CheckReport:
     return CheckReport("polynomial_shape", fm.lam, fm.m, witness is None, witness, info)
 
 
+RELABELING = (
+    "table(sigma C)[sigma U] = table(C)[U] with z_i -> z_sigma(i): renaming the "
+    "labels in tabloids and variables alike maps KZ solutions to KZ solutions"
+)
+
+
+def _row_relabeling(source: Tabloid, target: Tabloid) -> tuple[int, ...]:
+    """image[x-1] = sigma(x) for the sigma with sigma(source) = target that
+    maps the sorted labels of each row of source to those of target."""
+    image = [0] * source.size
+    for row, images in zip(source.rows, target.rows):
+        for x, y in zip(row, images):
+            image[x - 1] = y
+    return tuple(image)
+
+
+def _relabeling_witness(first: SolutionTable, table: SolutionTable, image) -> dict | None:
+    """First form where table differs from first relabeled by sigma, else None."""
+    if (table.lam, table.m, table.twisted) != (first.lam, first.m, first.twisted):
+        return {"reason": "shape, parameter or action differs from the first table"}
+    for u, comp in first.components.items():
+        v = Tabloid(tuple(tuple(image[x - 1] for x in row) for row in u.rows))
+        expected = comp.permute_variables(image)
+        if table.components[v] != expected:
+            return {"form": str(v), "difference": _clip(table.components[v] - expected)}
+    return None
+
+
 def _kz_reports(fm: FundamentalMatrix) -> tuple[CheckReport, ...]:
-    """`check_kz` on every table, memoized: `run_suite` and `check_det` share it."""
+    """One report per table, memoized: `run_suite`, `check_det` and the
+    CLI's `verify` share it.
+
+    `check_kz` runs in full on the first table only.  Every cycle C_k is
+    sigma_k C_1, with sigma_k mapping the sorted labels of each row of C_1
+    to those of C_k, and the system is unchanged by renaming labels and
+    variables alike (`RELABELING`).  So table k passes when
+    table(C_k)[sigma_k U] == table(C_1)[U] with z_i -> z_sigma_k(i) for
+    every U, compared exactly on the stored data, and the first table
+    passes; whatever built the tables, a difference or a failing first
+    table fails it."""
     if "kz" not in fm._cache:
-        fm._cache["kz"] = tuple(check_kz(table) for table in fm.tables)
+        first = fm.tables[0]
+        reports = [check_kz(first)]
+        for table in fm.tables[1:]:
+            image = _row_relabeling(first.cycle, table.cycle)
+            relabeling = {"identity": RELABELING, "from_cycle": str(first.cycle),
+                          "sigma": list(image)}
+            if not reports[0].passed:
+                witness = {"reason": "relabeling of a first table that fails the system"}
+            else:
+                witness = _relabeling_witness(first, table, image)
+            if witness is not None:
+                witness = {"cycle": str(table.cycle), **witness, **relabeling}
+            info = {"twisted": table.twisted, **relabeling}
+            reports.append(
+                CheckReport("kz_system", table.lam, table.m, witness is None, witness, info)
+            )
+        fm._cache["kz"] = tuple(reports)
     return fm._cache["kz"]
 
 
@@ -367,8 +422,9 @@ def check_det(fm: FundamentalMatrix) -> CheckReport:
     p sum_{j != i} 1 / (z_i - z_j), det M / Delta^p is constant, and
     C = det M(z0) / Delta(z0)^p for one point z0 with distinct coordinates,
     the point of `check_rank`.  Each premise is established here and
-    fails the check with a witness naming it: `kz_system` (every table
-    passes `check_kz`), `specht_coordinates` (rows of M recombine to the
+    fails the check with a witness naming it: `kz_system` (`check_kz` on
+    the first table, the relabeling premise on the rest: `_kz_reports`),
+    `specht_coordinates` (rows of M recombine to the
     tables) and `transposition_trace` (p from the trace of Young's (1 2)
     equals 2 m d_plus; with one point Delta = 1 and p plays no role).
     Delta(z0)^p must divide det M(z0): C is an integer (Gauss's lemma)."""
@@ -417,7 +473,13 @@ def _swap_image(n: int, i: int, j: int) -> tuple[int, ...]:
 
 def check_equivariance(lam: Partition, m: int) -> CheckReport:
     """Adjacent transpositions act compatibly: relabeling both tabloids
-    matches permuting the variables of the component."""
+    matches permuting the variables of the component.
+
+    The left side is the direct residue path (`solve_component`), the
+    right side the orbit path the solver uses (`solve._orbit_component`),
+    so it compares the solver's relabeled values with values built
+    without relabeling; were both sides built by the orbit path, it would
+    prove nothing."""
     n = lam.size
     witness = None
     forms = tabloids(lam.parts)
@@ -425,7 +487,7 @@ def check_equivariance(lam: Partition, m: int) -> CheckReport:
     for i, cyc, u in itertools.product(range(1, n), cycles, forms):
         gcyc, gu = act_transposition(cyc, i, i + 1), act_transposition(u, i, i + 1)
         lhs = solve_component(lam, m, gcyc, gu)
-        rhs = solve_component(lam, m, cyc, u).permute_variables(_swap_image(n, i, i + 1))
+        rhs = _orbit_component(m, cyc, u).permute_variables(_swap_image(n, i, i + 1))
         if lhs != rhs:
             witness = {
                 "transposition": [i, i + 1],
@@ -686,13 +748,16 @@ def run_suite(
     fm = fundamental_solution(lam, m, budget=budget)
     reports: list[CheckReport] = []
 
-    def aggregate(name: str, per_table) -> CheckReport:
+    def aggregate(name: str, per_table, **info) -> CheckReport:
         for rep in per_table:
             if not rep.passed:
                 return rep
-        return CheckReport(name, lam, m, True, None, {"cycles": fm.dimension})
+        return CheckReport(name, lam, m, True, None, {"cycles": fm.dimension, **info})
 
-    reports.append(aggregate("kz_system", _kz_reports(fm)))
+    reports.append(aggregate(
+        "kz_system", _kz_reports(fm),
+        checked_in_full=1, by_relabeling=fm.dimension - 1, identity=RELABELING,
+    ))
     reports.append(aggregate("highest_weight", map(check_primitive, fm.tables)))
     reports.append(check_shape(fm))
     reports.append(check_rank(fm))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from kzresidue import SparsePolynomial, discriminant_power
-from kzresidue import cli
+from kzresidue import cli, verify
 from kzresidue.cli import factored_text, main
 
 
@@ -145,6 +145,18 @@ def test_verify_all_partitions(capsys):
     assert code == 0
     # one table for (3), two for (2,1), one for (1,1,1)
     assert out.count("[PASS] kz_system") == 4
+
+
+def test_verify_checks_one_table_in_full_and_relabels_the_rest(capsys, monkeypatch):
+    calls = []
+    real = verify.check_kz
+    monkeypatch.setattr(verify, "check_kz", lambda table: calls.append(table) or real(table))
+    code, out, _ = run(capsys, "verify", "--lambda", "3,1", "--m", "1")
+    assert code == 0 and len(calls) == 1
+    assert out.splitlines() == ["[PASS] kz_system shape=(3,1) m=1"] * 3
+    code, out, _ = run(capsys, "verify", "--lambda", "3,1", "--m", "1", "--format", "json")
+    doc = json.loads(out)
+    assert [rep["info"].get("identity") for rep in doc] == [None] + [verify.RELABELING] * 2
 
 
 def test_verify_json_is_array(capsys):

@@ -226,6 +226,38 @@ def test_from_json_round_trips_or_raises_value_error(doc):
         SparsePolynomial.from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param({"vars": "\u0662", "terms": []}, id="unicode-digit-vars"),
+        pytest.param({"vars": "2", "terms": []}, id="string-vars"),
+        pytest.param({"vars": True, "terms": []}, id="bool-vars"),
+        pytest.param({"vars": 2, "terms": [_term(["1_0", 2])]}, id="underscore-exponent"),
+        pytest.param({"vars": 2, "terms": [_term([" 2 ", 0])]}, id="padded-exponent"),
+        pytest.param({"vars": 2, "terms": [_term(["1", 0])]}, id="string-exponent"),
+        pytest.param({"vars": 2, "terms": [_term([1, 0], num="+3")]}, id="plus-num"),
+        pytest.param({"vars": 2, "terms": [_term([1, 0], num="1_0")]}, id="underscore-num"),
+        pytest.param({"vars": 2, "terms": [_term([1, 0], den=" 2 ")]}, id="padded-den"),
+        pytest.param({"vars": 2, "terms": [_term([1, 0], den="\u0662")]}, id="unicode-den"),
+        pytest.param({"vars": 2, "terms": [_term([1, 0], num="-")]}, id="bare-minus"),
+        pytest.param({"vars": 2, "terms": [_term([1, 0], num=True)]}, id="bool-num"),
+        pytest.param(
+            {"vars": "\u0662", "terms": [{"exp": ["1_0", " 2 "], "num": "+3", "den": "1"}]},
+            id="text-int-document",
+        ),
+    ],
+)
+def test_from_json_refuses_integers_to_json_never_writes(doc):
+    with pytest.raises(ValueError):
+        SparsePolynomial.from_json(doc)
+
+
+def test_from_json_reads_integer_and_ascii_coefficients():
+    doc = {"vars": 2, "terms": [_term([1, 0], num=-7, den="-02"), _term([0, 3], num="-0")]}
+    expected = SparsePolynomial.from_terms(2, [((1, 0), Fraction(7, 2))])
+    assert SparsePolynomial.from_json(doc) == expected
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)

@@ -50,8 +50,9 @@ from kzresidue import (
     tabloids,
     z_atom,
 )
+from kzresidue import solve
 from kzresidue.shapes import row_word
-from kzresidue.solve import _level_relabelings
+from kzresidue.solve import _level_relabelings, _orbit_component, _orbit_key
 
 
 def zd(i, j, n=3):
@@ -227,6 +228,91 @@ def test_cycle_integral_row_invariance_with_level_group():
     assert one == two
     three = cycle_integral(1, Numbering(((2, 1), (4, 3))), Numbering(((1, 3), (2, 4))))
     assert one == three
+
+
+ORBIT_POINTS = [
+    (lam, m)
+    for n in range(1, 5)
+    for lam in enumerate_partitions(n)
+    if lam.parts != (1, 1, 1, 1)  # 576 direct integrals; its orbits are covered below
+    for m in ((1, 2) if n <= 3 else (1,))
+]
+
+
+@pytest.mark.parametrize("lam,m", ORBIT_POINTS, ids=str)
+def test_orbit_component_equals_the_direct_integral(lam, m):
+    # every (cycle, form) pair, not only those the solver meets
+    for cycle in tabloids(lam.parts):
+        for form in tabloids(lam.parts):
+            direct = solve_component(lam, m, cycle, form)
+            assert _orbit_component(m, cycle, form) == direct, (cycle, form)
+
+
+def test_orbit_key_relabels_a_canonical_pair():
+    cycle, form = Tabloid(((2, 4), (1,), (3,))), Tabloid(((1, 4), (2,), (3,)))
+    image, c0, u0 = _orbit_key(cycle, form)
+    assert c0 == Numbering(((1, 2), (3,), (4,)))
+    # row {2,4} of the cycle: 4 lies in form row 1, 2 in row 2
+    assert image == (4, 2, 1, 3)
+    assert u0.tabloid() == Tabloid(((1, 3), (2,), (4,)))
+    for t, target in ((c0, cycle), (u0, form)):
+        assert Tabloid(tuple(tuple(image[p - 1] for p in row) for row in t.rows)) == target
+
+
+def _orbits(cycles, forms) -> int:
+    """S_N-orbits of (cycle, form) pairs: an orbit is fixed by |C_r & U_s|."""
+    return len({
+        tuple(len(set(r) & set(s)) for r in c.rows for s in u.rows)
+        for c in cycles for u in forms
+    })
+
+
+def _assert_one_integral_per_orbit(monkeypatch, lam, m):
+    keys = set()
+    real = solve.cycle_integral
+    monkeypatch.setattr(
+        solve, "cycle_integral", lambda m, c, u: keys.add((m, c, u)) or real(m, c, u)
+    )
+    fm = fundamental_solution(lam, m)
+    forms = tabloids(lam.parts)
+    assert len(keys) == _orbits([t.tabloid() for t in standard_tableaux(lam)], forms)
+    return fm, keys
+
+
+@pytest.mark.parametrize(
+    "parts,m,pairs,integrals", [((2, 1, 1), 2, 36, 7), ((2, 2, 1), 1, 150, 11)]
+)
+def test_solve_takes_one_integral_per_orbit(monkeypatch, parts, m, pairs, integrals):
+    fm, keys = _assert_one_integral_per_orbit(monkeypatch, Partition(parts), m)
+    assert fm.dimension * len(tabloids(parts)) == pairs and len(keys) == integrals
+
+
+def test_straightening_solves_each_orbit_once(monkeypatch):
+    # (1^4): S_lam is trivial, so the 24 integrals of the standard cycle
+    # serve every other cycle of the shape
+    calls = []
+    real = solve.cycle_integral
+    monkeypatch.setattr(solve, "cycle_integral", lambda *a: calls.append(a) or real(*a))
+    lam = Partition((1, 1, 1, 1))
+    for u in tabloids(lam.parts):
+        solve_cycle(lam, 1, u)
+    assert len(calls) == 24 * 24 and len(set(calls)) == 24
+
+
+def test_orbit_key_mutation_without_the_form_row_is_caught(monkeypatch):
+    # seeded mutation: sort each cycle row by label alone
+    def key_without_form_rows(cycle, form):
+        image = tuple(x for row in cycle.rows for x in row)
+        back = {x: p for p, x in enumerate(image, start=1)}
+        c0, u0 = (
+            Numbering(tuple(tuple(sorted(back[x] for x in row)) for row in t.rows))
+            for t in (cycle, form)
+        )
+        return image, c0, u0
+
+    monkeypatch.setattr(solve, "_orbit_key", key_without_form_rows)
+    with pytest.raises(AssertionError):
+        _assert_one_integral_per_orbit(monkeypatch, Partition((2, 1, 1)), 2)
 
 
 def test_solve_component_validates_shapes():

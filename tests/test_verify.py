@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kzresidue import exactalg, verify
+from kzresidue import exactalg, solve, verify
 from kzresidue import (
     CheckReport,
     FundamentalMatrix,
@@ -46,7 +46,7 @@ from kzresidue import (
     standard_tableaux,
     tabloids,
 )
-from kzresidue.verify import _kz_witness, _specht_transposition_matrix
+from kzresidue.verify import RELABELING, _kz_reports, _kz_witness, _specht_transposition_matrix
 
 settings.register_profile("suite", derandomize=True, max_examples=60)
 settings.load_profile("suite")
@@ -940,4 +940,102 @@ def test_run_suite_and_check_det_share_one_kz_pass(monkeypatch):
     monkeypatch.setattr(verify, "fundamental_solution", lambda lam, m, budget: fm)
     reports = run_suite(fm.lam, 1)
     assert all(rep.passed for rep in reports)
-    assert calls.call_count == fm.dimension
+    # in full on the first table; the relabeling premise covers the others
+    assert calls.call_count == 1
+    assert reports[0].check == "kz_system"
+    assert reports[0].info["by_relabeling"] == fm.dimension - 1
+
+
+# ---------------------------------------------------------------------------
+# the relabeling premise and the orbit solve, under seeded mutations
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fm31():
+    return fundamental_solution(Partition((3, 1)), 1)
+
+
+def _rebuilt(fm, tables=None):
+    """The same matrix with an empty report memo, optionally other tables."""
+    return FundamentalMatrix(fm.lam, fm.m, fm.cycles, tables or fm.tables, fm.matrix)
+
+
+def _run_suite_on(fm, monkeypatch):
+    fresh = _rebuilt(fm)
+    monkeypatch.setattr(verify, "fundamental_solution", lambda lam, m, budget: fresh)
+    return run_suite(fm.lam, fm.m)
+
+
+def test_kz_reports_check_the_first_table_and_relabel_the_rest(fm31):
+    reports = _kz_reports(_rebuilt(fm31))
+    assert len(reports) == fm31.dimension == 3
+    assert all(rep.passed and rep.check == "kz_system" for rep in reports)
+    assert "shared_quotients" in reports[0].info
+    first = fm31.tables[0].cycle
+    for rep, table in zip(reports[1:], fm31.tables[1:]):
+        image = rep.info["sigma"]
+        assert rep.info["identity"] == RELABELING and rep.info["from_cycle"] == str(first)
+        assert Tabloid(tuple(tuple(image[x - 1] for x in row) for row in first.rows)) == table.cycle
+
+
+def test_run_suite_names_the_relabeling_identity():
+    rep = run_suite(Partition((3, 1)), 1)[0]
+    assert rep.check == "kz_system" and rep.passed
+    assert rep.info == {"cycles": 3, "checked_in_full": 1, "by_relabeling": 2, "identity": RELABELING}
+
+
+def test_premise_rejects_a_perturbed_component_of_a_later_table(fm31):
+    table = fm31.tables[2]
+    u = tabloids((3, 1))[1]
+    bad = fm31.tables[:2] + (perturbed(table, u, SparsePolynomial.variable(4, 1)),)
+    reports = _kz_reports(_rebuilt(fm31, bad))
+    assert [rep.passed for rep in reports] == [True, True, False]
+    witness = reports[2].witness
+    assert witness["cycle"] == str(table.cycle) and witness["form"] == str(u)
+    assert witness["identity"] == RELABELING and witness["sigma"] == reports[2].info["sigma"]
+    assert "premise" not in witness
+    rep = check_det(_rebuilt(fm31, bad))
+    assert not rep.passed
+    assert rep.witness["premise"] == "kz_system" and rep.witness["form"] == str(u)
+
+
+def test_premise_fails_closed_when_sigma_is_the_identity(fm31, monkeypatch):
+    monkeypatch.setattr(verify, "_row_relabeling", lambda source, target: (1, 2, 3, 4))
+    reports = _kz_reports(_rebuilt(fm31))
+    assert reports[0].passed and not any(rep.passed for rep in reports[1:])
+    assert all(rep.witness["sigma"] == [1, 2, 3, 4] for rep in reports[1:])
+    assert not _run_suite_on(fm31, monkeypatch)[0].passed
+
+
+def test_every_relabeled_report_fails_with_a_failing_first_table(fm31, monkeypatch):
+    first = fm31.tables[0]
+    bad = (perturbed(first, tabloids((3, 1))[0], SparsePolynomial.constant(4, 1)),)
+    # the later tables stay the true ones, so only the first table is wrong
+    reports = _kz_reports(_rebuilt(fm31, bad + fm31.tables[1:]))
+    assert not any(rep.passed for rep in reports)
+    assert reports[0].witness["cycle"] == str(first.cycle)
+    for rep, table in zip(reports[1:], fm31.tables[1:]):
+        assert rep.witness["cycle"] == str(table.cycle)
+        assert rep.witness["from_cycle"] == str(first.cycle)
+    assert not check_det(_rebuilt(fm31, bad + fm31.tables[1:])).passed
+
+
+def test_premise_rejects_a_table_claiming_another_parameter(fm31):
+    table = fm31.tables[1]
+    other = SolutionTable(table.lam, 2, table.cycle, table.components)
+    reports = _kz_reports(_rebuilt(fm31, (fm31.tables[0], other, fm31.tables[2])))
+    assert [rep.passed for rep in reports] == [True, False, True]
+
+
+def test_equivariance_catches_an_orbit_path_with_the_inverse_convention(monkeypatch):
+    # seeded mutation: z_sigma(p) -> z_p instead of z_p -> z_sigma(p)
+    def inverse_convention(m, cycle, form):
+        image, c0, u0 = solve._orbit_key(cycle, form)
+        inverse = sorted(range(1, len(image) + 1), key=lambda p: image[p - 1])
+        return solve.cycle_integral(m, c0, u0).permute_variables(tuple(inverse))
+
+    monkeypatch.setattr(verify, "_orbit_component", inverse_convention)
+    rep = check_equivariance(Partition((3, 1)), 1)
+    assert not rep.passed
+    assert set(rep.witness) == {"transposition", "cycle", "form", "difference"}
