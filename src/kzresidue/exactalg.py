@@ -194,11 +194,6 @@ class SparsePolynomial(Frozen):
         if not 1 <= i <= self.nvars:
             raise ValueError(f"variable index {i} out of range")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparsePolynomial):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
@@ -929,6 +924,18 @@ def _subset_minors(lines, one) -> dict:
     return minors
 
 
+def _stripped_det(matrix) -> tuple[list, list, list, Counter, SparsePolynomial]:
+    """The pass `determinant` and `det_adjugate` share: `_stripped`'s
+    `(columns, row_parts, col_parts)`, the total `content` of the parts,
+    and det(M'), D of all columns of M' (see `determinant`)."""
+    rows = _square_rows(matrix)
+    nvars = rows[0][0].nvars
+    columns, row_parts, col_parts = _stripped(rows, nvars)
+    minors = _subset_minors(columns, SparsePolynomial.constant(nvars, 1))
+    det = minors.get((1 << len(rows)) - 1, SparsePolynomial.zero(nvars))
+    return columns, row_parts, col_parts, sum(row_parts + col_parts, Counter()), det
+
+
 def determinant(matrix) -> SparsePolynomial:
     """Determinant alone.
 
@@ -956,13 +963,8 @@ def determinant(matrix) -> SparsePolynomial:
     of all columns.  M' is kept transposed (det(M'^T) == det(M')), so its
     columns play the rows.  `det_adjugate` runs the same pass, and once
     more for each column of M' left out."""
-    rows = _square_rows(matrix)
-    nvars = rows[0][0].nvars
-    columns, row_parts, col_parts = _stripped(rows, nvars)
-    full = (1 << len(rows)) - 1
-    one, zero = SparsePolynomial.constant(nvars, 1), SparsePolynomial.zero(nvars)
-    det = _subset_minors(columns, one).get(full, zero)
-    return _times_content(det, sum(row_parts + col_parts, Counter()))
+    *_, content, det = _stripped_det(matrix)
+    return _times_content(det, content)
 
 
 def det_adjugate(matrix) -> tuple[SparsePolynomial, PolyMatrix]:
@@ -985,12 +987,9 @@ def det_adjugate(matrix) -> tuple[SparsePolynomial, PolyMatrix]:
     its entries D[all - {i}] are the minors of M' without row i and
     column j, so adj(M')[j][i] = (-1)^(i+j) D[all - {i}].  That is n + 1
     passes, and no minor is stripped or expanded on its own."""
-    rows = _square_rows(matrix)
-    n, nvars = len(rows), rows[0][0].nvars
-    columns, row_parts, col_parts = _stripped(rows, nvars)
-    full = (1 << n) - 1
-    one, zero = SparsePolynomial.constant(nvars, 1), SparsePolynomial.zero(nvars)
-    det = _subset_minors(columns, one).get(full, zero)
+    columns, row_parts, col_parts, total, det = _stripped_det(matrix)
+    n, full = len(columns), (1 << len(columns)) - 1
+    one, zero = SparsePolynomial.constant(det.nvars, 1), SparsePolynomial.zero(det.nvars)
     adj = []
     for j in range(n):
         minors = _subset_minors(columns[:j] + columns[j + 1 :], one)
@@ -1003,7 +1002,6 @@ def det_adjugate(matrix) -> tuple[SparsePolynomial, PolyMatrix]:
             expected = det if i == j else zero
             if prod.entry(i, j) != expected:
                 raise ArithmeticError("adjugate identity failed; matrix arithmetic bug")
-    total = sum(row_parts + col_parts, Counter())
     adj = [
         [_times_content(a, total - row_parts[i] - col_parts[j]) for i, a in enumerate(row)]
         for j, row in enumerate(adj)

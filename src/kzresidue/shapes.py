@@ -27,7 +27,19 @@ def perm_sign(indices: tuple[int, ...]) -> int:
 
 
 @total_ordering
-class Partition(Frozen):
+class _Young(Frozen):
+    """Frozen, and ordered within one class by its field: the Young data."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        get = self._get
+        return get(self) < get(other)
+
+
+class Partition(_Young):
     """A Young diagram: non-increasing positive row lengths."""
 
     __slots__ = ("parts",)
@@ -41,19 +53,6 @@ class Partition(Frozen):
             raise ValueError(f"row lengths must be positive: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"row lengths must be non-increasing: {parts}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.parts < other.parts
-
-    def __hash__(self):
-        return hash((self.parts,))
 
     @property
     def size(self) -> int:
@@ -125,8 +124,7 @@ def hook_length_dim(lam: Partition) -> int:
     return factorial(lam.size) // prod
 
 
-@total_ordering
-class Numbering(Frozen):
+class Numbering(_Young):
     """A bijective labeling of diagram boxes by 1..N, stored row by row."""
 
     __slots__ = ("rows",)
@@ -141,19 +139,6 @@ class Numbering(Frozen):
         labels = sorted(x for row in rows for x in row)
         if labels != list(range(1, len(labels) + 1)):
             raise ValueError(f"labels must be a bijection onto 1..N: {rows}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rows < other.rows
-
-    def __hash__(self):
-        return hash((self.rows,))
 
     @property
     def shape(self) -> Partition:
@@ -236,8 +221,7 @@ def identity_tableau(lam: Partition) -> Numbering:
     return Numbering(tuple(rows))
 
 
-@total_ordering
-class Tabloid(Frozen):
+class Tabloid(_Young):
     """A row-equivalence class of numberings: each row kept as a sorted set.
 
     The shape is a composition; empty rows are legal so the raising maps
@@ -252,19 +236,6 @@ class Tabloid(Frozen):
         labels = sorted(x for row in rows for x in row)
         if labels != list(range(1, len(labels) + 1)):
             raise ValueError(f"rows must partition 1..N: {rows}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rows < other.rows
-
-    def __hash__(self):
-        return hash((self.rows,))
 
     @property
     def shape(self) -> tuple[int, ...]:

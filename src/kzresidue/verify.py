@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import cache
 
 from ._frozen import Frozen
 from .exactalg import (
@@ -500,24 +501,21 @@ def check_equivariance(lam: Partition, m: int) -> CheckReport:
 
 
 def check_frobenius(lam: Partition) -> CheckReport:
-    """The sum of all transpositions acts on every standard polytabloid
-    as the content-sum scalar (a pure representation-theory identity,
-    no solving involved)."""
-    n = lam.size
-    stats = diagram_stats(lam, 1)
+    """The sum of all transpositions acts on the Specht module as the
+    content-sum scalar: sum_{i<j} rho(i j) = f2 I on Young's matrices
+    (a pure representation-theory identity, no solving involved).  These
+    are the matrices that `check_det` and `check_dual` read; the witness
+    is the first standard tableau whose column of the sum is wrong."""
+    n, stds = lam.size, standard_tableaux(lam)
+    f2 = diagram_stats(lam, 1).f2
+    mats = [
+        _specht_transposition_matrix(lam, i, j)
+        for i, j in itertools.combinations(range(1, n + 1), 2)
+    ]
     witness = None
-    for t in standard_tableaux(lam):
-        vec: dict[Tabloid, int] = {}
-        for sign, u in column_expansion(t):
-            vec[u] = vec.get(u, 0) + sign
-        image: dict[Tabloid, int] = {}
-        for i, j in itertools.combinations(range(1, n + 1), 2):
-            for u, c in vec.items():
-                v = act_transposition(u, i, j)
-                image[v] = image.get(v, 0) + c
-        expected = {u: stats.f2 * c for u, c in vec.items() if stats.f2 * c}
-        image = {u: c for u, c in image.items() if c}
-        if image != expected:
+    for c, t in enumerate(stds):
+        column = [sum(mat[r][c] for mat in mats) for r in range(len(stds))]
+        if column != [f2 if r == c else 0 for r in range(len(stds))]:
             witness = {"tableau": str(t.rows)}
             break
     return CheckReport("content_sum_action", lam, None, witness is None, witness)
@@ -527,9 +525,13 @@ def check_frobenius(lam: Partition) -> CheckReport:
 # duality and the straightening of non-standard cycles
 
 
-def _specht_transposition_matrix(lam: Partition, i: int, j: int) -> list[list[int]]:
+@cache
+def _specht_transposition_matrix(
+    lam: Partition, i: int, j: int
+) -> tuple[tuple[int, ...], ...]:
     """Integer matrix M with (i j) . v_col = sum_row M[row][col] v_row
-    (Young's natural representation), read off the tabloid expansion."""
+    (Young's natural representation), read off the tabloid expansion.
+    Memoized, so a tuple of tuples that no caller can change."""
     stds = standard_tableaux(lam)
     d = len(stds)
     cols = []
@@ -539,7 +541,7 @@ def _specht_transposition_matrix(lam: Partition, i: int, j: int) -> list[list[in
             v = act_transposition(u, i, j)
             vec[v] = vec.get(v, 0) + sign
         cols.append(coordinates_in_specht_basis(lam, lambda u: vec.get(u, 0)))
-    return [[cols[c][r] for c in range(d)] for r in range(d)]
+    return tuple(tuple(cols[c][r] for c in range(d)) for r in range(d))
 
 
 def check_dual(fm: FundamentalMatrix) -> CheckReport:
@@ -576,14 +578,10 @@ def check_dual(fm: FundamentalMatrix) -> CheckReport:
         return CheckReport("dual_system", lam, dm.m, False, witness, info)
     d = dm.dimension
     nums = {(b, j): dm.entries.entry(b, j).num for b in range(d) for j in range(d)}
-    specht = {
-        (i, j): _specht_transposition_matrix(lam, i, j)
-        for i, j in itertools.combinations(range(1, n + 1), 2)
-    }
 
     def act(i: int, l: int, key: tuple[int, int]) -> list:
         b, jcol = key
-        mat = specht[(min(i, l), max(i, l))]
+        mat = _specht_transposition_matrix(lam, min(i, l), max(i, l))
         return [(mat[k][jcol], nums[(b, k)]) for k in range(d) if mat[k][jcol]]
 
     failure = _kz_witness(n, dm.m, found[0], nums, act)

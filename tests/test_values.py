@@ -200,3 +200,25 @@ def test_only_frozen_defines_setattr_or_delattr():
         if name in ("__setattr__", "__delattr__")
     ]
     assert owners == ["_frozen.py:Frozen.__setattr__", "_frozen.py:Frozen.__delattr__"]
+
+
+def test_only_the_value_protocol_defines_equality_hash_or_order():
+    """`Frozen` compares, hashes and orders by the field tuple for every
+    value class; only the classes whose equality or hash differs on purpose
+    define their own."""
+    owners = [
+        f"{path.name}:{cls}.{name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for cls, name in _class_members(ast.parse(path.read_text(), str(path)))
+        if name in ("__eq__", "__hash__", "__lt__")
+    ]
+    assert sorted(owners) == [
+        "_frozen.py:Frozen.__eq__",
+        "_frozen.py:Frozen.__hash__",
+        "exactalg.py:FactoredSum.__eq__",
+        "exactalg.py:PolyFraction.__eq__",
+        "exactalg.py:PolyFraction.__hash__",
+        "exactalg.py:PolyMatrix.__hash__",
+        "exactalg.py:SparsePolynomial.__hash__",
+        "shapes.py:_Young.__lt__",
+    ]

@@ -139,6 +139,56 @@ def test_frobenius_sweep_small_shapes():
             assert rep.m is None
 
 
+def _matmul(a, b):
+    return tuple(
+        tuple(sum(a[r][k] * b[k][c] for k in range(len(b))) for c in range(len(b[0])))
+        for r in range(len(a))
+    )
+
+
+@pytest.mark.parametrize("lam", [lam for n in range(1, 6) for lam in enumerate_partitions(n)],
+                         ids=str)
+def test_young_matrices_square_to_one_and_satisfy_the_braid_relations(lam):
+    n, d = lam.size, len(standard_tableaux(lam))
+    one = tuple(tuple(int(r == c) for c in range(d)) for r in range(d))
+    rho = {(i, j): _specht_transposition_matrix(lam, i, j)
+           for i, j in combinations(range(1, n + 1), 2)}
+    for mat in rho.values():
+        assert _matmul(mat, mat) == one
+    for i in range(1, n - 1):
+        a, b = rho[(i, i + 1)], rho[(i + 1, i + 2)]
+        assert _matmul(_matmul(a, b), a) == _matmul(_matmul(b, a), b)
+    for i, j in combinations(range(1, n), 2):
+        if j > i + 1:  # far-apart adjacent transpositions commute
+            a, b = rho[(i, i + 1)], rho[(j, j + 1)]
+            assert _matmul(a, b) == _matmul(b, a)
+
+
+def test_young_matrices_are_memoized_tuples():
+    lam = Partition((3, 2))
+    mat = _specht_transposition_matrix(lam, 2, 4)
+    assert type(mat) is tuple and all(type(row) is tuple for row in mat)
+    assert _specht_transposition_matrix(Partition((3, 2)), 2, 4) is mat
+
+
+@pytest.mark.parametrize("parts", [(2, 1), (3, 2), (2, 2, 1)], ids=str)
+def test_frobenius_fails_closed_on_a_changed_young_matrix(parts, monkeypatch):
+    lam = Partition(parts)
+    honest = verify._specht_transposition_matrix
+    col = len(standard_tableaux(lam)) - 1
+
+    def changed(lam, i, j):
+        mat = [list(row) for row in honest(lam, i, j)]
+        if (i, j) == (1, 2):
+            mat[0][col] += 1
+        return mat
+
+    monkeypatch.setattr(verify, "_specht_transposition_matrix", changed)
+    rep = check_frobenius(lam)
+    assert not rep.passed and rep.m is None
+    assert rep.witness == {"tableau": str(standard_tableaux(lam)[col].rows)}
+
+
 def test_dual_passes(fm21):
     rep = check_dual(fm21)
     assert rep.passed
