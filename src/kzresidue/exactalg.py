@@ -571,7 +571,7 @@ def _freeze(fmap: dict) -> tuple:
     return tuple(sorted(fmap.items()))
 
 
-class FactoredSum:
+class FactoredSum(Frozen):
     """Sum of terms  coefficient * prod (a - b)^e  over distinct atoms a, b.
 
     Factor orientation is canonical (a before b in the atom order) with
@@ -581,9 +581,10 @@ class FactoredSum:
     """
 
     __slots__ = ("terms",)
+    __hash__ = None  # its terms are a dict
 
     def __init__(self, terms: dict | None = None):
-        self.terms = terms if terms is not None else {}
+        object.__setattr__(self, "terms", terms if terms is not None else {})
 
     @classmethod
     def zero(cls) -> "FactoredSum":
@@ -619,11 +620,6 @@ class FactoredSum:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FactoredSum):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __add__(self, other: "FactoredSum") -> "FactoredSum":
         return FactoredSum(_add_into(dict(self.terms), other.terms))

@@ -21,6 +21,15 @@ circle is anti-clockwise, so a single extraction is literally "the
 coefficient of tau^{-1} after substituting var = center + tau", with no
 extra sign anywhere.  This fixes the global sign of every computed
 solution.
+
+One extraction is one coefficient.  With var = center + tau a term reads
+c S tau^(-order-1) prod_j (D_j + s_j tau)^e_j, where S holds the factors
+free of var, D_j is the difference of the center with the j-th other
+atom joined to var and s_j = +/-1.  By the generalized binomial series
+its residue is the sum over the picks k_1 + ... + k_r = order of
+    c S prod_j C(e_j, k_j) s_j^k_j D_j^(e_j - k_j).
+Distinct picks (k_1, ..., k_r) differ in the exponent of some D_j, so no
+two picks of a term merge; only equal monomials of different terms add.
 """
 from __future__ import annotations
 
@@ -50,14 +59,10 @@ class ScheduleError(ValueError):
 
 def residue_at(fs: FactoredSum, var: tuple, center: tuple) -> FactoredSum:
     """Residue of `fs` in the variable `var` on a small anti-clockwise
-    circle around `center`.
-
-    Substitutes var = center + tau term by term.  A factor joining var
-    directly to the center contributes a pure power of tau; any other
-    factor containing var becomes (D +/- tau)^e with D a non-zero point
-    difference and is expanded by the generalized binomial series up to
-    the needed order.  The result is the coefficient of tau^{-1}; terms
-    with no pole at the center contribute nothing.
+    circle around `center`: the coefficient of tau^{-1} after var =
+    center + tau, term by term, as the module docstring states.  Each
+    pick of a term, pruned once its tau degree passes the order, becomes
+    one output term; terms with no pole at the center contribute nothing.
     """
     if var == center:
         raise ValueError("residue center must differ from the variable")
@@ -65,13 +70,13 @@ def residue_at(fs: FactoredSum, var: tuple, center: tuple) -> FactoredSum:
         raise ValueError(f"cannot integrate over the fixed point {var}")
     out: dict = {}  # the residue's terms, summed in place
     for coeff, key in fs.iter_terms():
-        spectators = []
+        spectators = ()
         expanders = []  # (a, b, e, tau_sign): factor (a-b)^e with +/- tau
         tau_exp = 0
         sign = 1
         for (a, b), e in key:
             if a != var and b != var:
-                spectators.append((a, b, e))
+                spectators += ((a, b, e),)
             elif (a, b) == (center, var) or (a, b) == (var, center):
                 tau_exp += e
                 if b == var and e % 2:
@@ -83,24 +88,18 @@ def residue_at(fs: FactoredSum, var: tuple, center: tuple) -> FactoredSum:
         if tau_exp >= 0:
             continue  # analytic at the center
         order = -tau_exp - 1  # want the coefficient of tau^order
-        state = {0: FactoredSum.term(coeff * sign, spectators)}
+        picks = [(coeff * sign, 0, ())]  # (coefficient, tau degree, chosen factors)
         for a, b, e, tau_sign in expanders:
-            nxt: dict[int, FactoredSum] = {}
-            for d, acc in state.items():
-                for k in range(order - d + 1):
-                    c = binom_int(e, k)
-                    if not c:
-                        continue
-                    if tau_sign < 0 and k % 2:
-                        c = -c
-                    piece = acc * FactoredSum.term(c, [(a, b, e - k)])
-                    if not piece:
-                        continue
-                    cur = nxt.get(d + k)
-                    nxt[d + k] = piece if cur is None else cur + piece
-            state = nxt
-        if res := state.get(order):
-            _add_into(out, res.terms)
+            series = [binom_int(e, k) * tau_sign**k for k in range(order + 1)]
+            picks = [
+                (c * series[k], d + k, chosen + ((a, b, e - k),))
+                for c, d, chosen in picks
+                for k in range(order - d + 1)
+                if series[k]
+            ]
+        for c, d, chosen in picks:
+            if d == order:
+                _add_into(out, FactoredSum.term(c, spectators + chosen).terms)
     return FactoredSum(out)
 
 

@@ -489,18 +489,19 @@ def reflection_dual_solutions(n: int, m: int) -> tuple[ReflectionSolution, ...]:
     den = discriminant_power(n, 2 * m)
     one = SparsePolynomial.constant(nv, 1)
     t = SparsePolynomial.variable(nv, nv)
+    primitives = []  # (antiderivative, its value at t = z_n) per component
+    for k in range(1, n + 1):
+        integrand = one
+        for i in range(1, n + 1):
+            e = m - 1 if i == k else m
+            integrand = integrand * (t - SparsePolynomial.variable(nv, i)) ** e
+        anti = integrand.antiderivative(nv)
+        primitives.append((anti, anti.substitute_variable(nv, n)))
     out = []
     for a in range(1, n):
-        comps = []
-        for k in range(1, n + 1):
-            integrand = one
-            for i in range(1, n + 1):
-                e = m - 1 if i == k else m
-                integrand = integrand * (t - SparsePolynomial.variable(nv, i)) ** e
-            anti = integrand.antiderivative(nv)
-            upper = anti.substitute_variable(nv, n)
-            lower = anti.substitute_variable(nv, a)
-            num = (upper - lower).drop_last_variable()
-            comps.append(PolyFraction(num, den))
-        out.append(ReflectionSolution(n, -m, a, tuple(comps)))
+        comps = tuple(
+            PolyFraction((upper - anti.substitute_variable(nv, a)).drop_last_variable(), den)
+            for anti, upper in primitives
+        )
+        out.append(ReflectionSolution(n, -m, a, comps))
     return tuple(out)

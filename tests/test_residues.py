@@ -6,7 +6,7 @@ sum of all residues of a rational function decaying like 1/t^2, and the
 order sensitivity of nested contours.
 """
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kzresidue import (
     FactoredSum,
@@ -23,6 +23,7 @@ from kzresidue import (
     t_atom,
     z_atom,
 )
+from kzresidue.exactalg import _add_into, is_t_atom
 
 settings.register_profile("suite", derandomize=True, max_examples=60)
 settings.load_profile("suite")
@@ -184,6 +185,77 @@ def test_residue_coefficients_stay_integral(e1, e2, c):
     out = residue_at(f, TA, Z1)
     for coeff, _ in out.iter_terms():
         assert isinstance(coeff, int)
+
+
+def _per_degree_residue_at(fs, var, center):
+    """The residue step as the series product it was first written as: for
+    each term, the coefficients of tau^0 .. tau^order as factored sums,
+    one binomial series multiplied in at a time, kept as the reference."""
+    if var == center:
+        raise ValueError("residue center must differ from the variable")
+    if not is_t_atom(var):
+        raise ValueError(f"cannot integrate over the fixed point {var}")
+    out: dict = {}
+    for coeff, key in fs.iter_terms():
+        spectators = []
+        expanders = []
+        tau_exp = 0
+        sign = 1
+        for (a, b), e in key:
+            if a != var and b != var:
+                spectators.append((a, b, e))
+            elif (a, b) == (center, var) or (a, b) == (var, center):
+                tau_exp += e
+                if b == var and e % 2:
+                    sign = -sign
+            elif a == var:
+                expanders.append((center, b, e, 1))
+            else:
+                expanders.append((a, center, e, -1))
+        if tau_exp >= 0:
+            continue
+        order = -tau_exp - 1
+        state = {0: FactoredSum.term(coeff * sign, spectators)}
+        for a, b, e, tau_sign in expanders:
+            nxt = {}
+            for d, acc in state.items():
+                for k in range(order - d + 1):
+                    c = binom_int(e, k)
+                    if not c:
+                        continue
+                    if tau_sign < 0 and k % 2:
+                        c = -c
+                    piece = acc * FactoredSum.term(c, [(a, b, e - k)])
+                    if not piece:
+                        continue
+                    cur = nxt.get(d + k)
+                    nxt[d + k] = piece if cur is None else cur + piece
+            state = nxt
+        if res := state.get(order):
+            _add_into(out, res.terms)
+    return FactoredSum(out)
+
+
+# partners of TB: z2, z3 and TA sort before it and give (a - z1 - tau)^e,
+# TC sorts after it and gives (z1 - TC + tau)^e
+PARTNERS = (Z2, Z3, TA, TC)
+
+
+@given(
+    st.integers(1, 4),
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+    st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+    st.integers(-5, 5).filter(bool),
+)
+@example(2, [-1, 0, 0, 0], [0, 0, 0], 1)  # one (z2 - z1 - tau)^-1 series
+def test_residue_matches_the_per_degree_series_product(pole, exps, spect, c):
+    # a pole of order 1..4 at z1, up to four expanded factors of both
+    # orientations, and spectators on the pairs (z1, z2) and (z1, TC) that
+    # the expansions also produce, besides one on (z2, z3)
+    factors = [(TB, Z1, -pole), *((TB, p, e) for p, e in zip(PARTNERS, exps))]
+    factors += [(Z1, Z2, spect[0]), (Z1, TC, spect[1]), (Z2, Z3, spect[2])]
+    f = FactoredSum.term(c, factors)
+    assert residue_at(f, TB, Z1) == _per_degree_residue_at(f, TB, Z1)
 
 
 # ---------------------------------------------------------------------------

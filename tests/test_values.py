@@ -12,6 +12,7 @@ from kzresidue import (
     CheckReport,
     DiagramStats,
     DualMatrix,
+    FactoredSum,
     FundamentalMatrix,
     Numbering,
     Partition,
@@ -27,11 +28,13 @@ from kzresidue import (
     fundamental_solution,
     reflection_dual_solutions,
     reflection_solutions,
+    z_atom,
 )
 
 ONE = SparsePolynomial.constant(2, 1)
 Z1 = SparsePolynomial.variable(2, 1)
 MATRIX = PolyMatrix([[ONE]])
+FACTORED = FactoredSum.term(3, [(z_atom(1), z_atom(2), -2)])
 
 # (constructor of a fresh instance, its repr as the dataclass wrote it)
 CASES = {
@@ -141,8 +144,9 @@ def test_poly_fraction_refuses_a_zero_denominator():
         PolyFraction(Z1, SparsePolynomial.zero(2))
 
 
-@pytest.mark.parametrize("value, field", [(Z1, "terms"), (MATRIX, "entries")],
-                         ids=["SparsePolynomial", "PolyMatrix"])
+@pytest.mark.parametrize("value, field",
+                         [(Z1, "terms"), (MATRIX, "entries"), (FACTORED, "terms")],
+                         ids=["SparsePolynomial", "PolyMatrix", "FactoredSum"])
 def test_polynomial_and_matrix_refuse_assignment_and_deletion(value, field):
     before = repr(value)
     with pytest.raises(AttributeError):
@@ -215,7 +219,7 @@ def test_only_the_value_protocol_defines_equality_hash_or_order():
     assert sorted(owners) == [
         "_frozen.py:Frozen.__eq__",
         "_frozen.py:Frozen.__hash__",
-        "exactalg.py:FactoredSum.__eq__",
+        "exactalg.py:FactoredSum.__hash__",
         "exactalg.py:PolyFraction.__eq__",
         "exactalg.py:PolyFraction.__hash__",
         "exactalg.py:PolyMatrix.__hash__",
