@@ -86,6 +86,26 @@ def _add_into(acc: dict, terms: dict, negate: bool = False) -> dict:
     return acc
 
 
+def _mul_into(acc: dict, a: dict, b: dict) -> dict:
+    """acc += a * b, in place on key -> coefficient maps: the one product
+    kernel, dropping the keys that cancel; returns acc."""
+    small, large = a, b
+    if len(small) > len(large):  # the longer operand in the inner loop
+        small, large = large, small
+    get = acc.get
+    inner = large.items()
+    for k1, c1 in small.items():
+        for k2, c2 in inner:
+            k = k1 + k2
+            cur = get(k, 0) + c1 * c2
+            if cur:
+                acc[k] = cur
+            else:  # every product is non-zero, so k was present
+                del acc[k]
+    _check_cap(acc)
+    return acc
+
+
 def _check_cap(keys) -> None:
     """OverflowError when a key made by adding to fields has an exponent
     at the cap (its field's guard bit is set)."""
@@ -234,22 +254,7 @@ class SparsePolynomial(Frozen):
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
         self._require_same_ring(other)
-        small, large = self.terms, other.terms
-        if len(small) > len(large):  # the longer operand in the inner loop
-            small, large = large, small
-        terms: dict = {}
-        get = terms.get
-        inner = large.items()
-        for k1, c1 in small.items():
-            for k2, c2 in inner:
-                k = k1 + k2
-                cur = get(k, 0) + c1 * c2
-                if cur:
-                    terms[k] = cur
-                else:  # coefficients are non-zero, so k was present
-                    del terms[k]
-        _check_cap(terms)
-        return SparsePolynomial(self.nvars, terms)
+        return SparsePolynomial(self.nvars, _mul_into({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -454,6 +459,25 @@ class SparsePolynomial(Frozen):
         return " ".join(chunks).replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+def _translation_defect(f: SparsePolynomial) -> SparsePolynomial:
+    """E f = sum_i d/dz_i f, the generator of z -> z + t (1, ..., 1), in
+    one pass over the terms: c z^k gives c k_i to key - unit_i for every
+    z_i in the monomial."""
+    fields = [(s, 1 << s) for s in _SHIFTS[: f.nvars]]  # (shift, unit key) of each z_i
+    out: dict = {}
+    get = out.get
+    for k, c in f.terms.items():
+        for s, unit in fields:
+            if e := (k >> s) & _FIELD:
+                key = k - unit
+                cur = get(key, 0) + c * e
+                if cur:
+                    out[key] = cur
+                else:  # c * e is non-zero, so key was present
+                    del out[key]
+    return SparsePolynomial(f.nvars, out)
 
 
 class NonDivisibleError(ArithmeticError):
@@ -732,15 +756,15 @@ def normalize_factored(fs: FactoredSum, nvars: int) -> SparsePolynomial:
         terms.append((coeff, dict(key)))
     pairs = sorted({pd for _, fmap in terms for pd in fmap})
     lo = {pd: min(fmap.get(pd, 0) for _, fmap in terms) for pd in pairs}
-    num = SparsePolynomial.zero(nvars)
+    num: dict = {}  # the residual sum, accumulated in place
     for coeff, fmap in terms:
         poly = SparsePolynomial.constant(nvars, coeff)
         for (a, b), least in lo.items():
             e = fmap.get((a, b), 0) - least
             if e:
                 poly = poly * _zdiff_power(nvars, a[1], b[1], e)
-        num = num + poly
-    quo = num
+        _add_into(num, poly.terms)
+    quo = SparsePolynomial(nvars, num)
     for (a, b), least in lo.items():
         for _ in range(-least):
             try:

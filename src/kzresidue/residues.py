@@ -30,6 +30,7 @@ its residue is the sum over the picks k_1 + ... + k_r = order of
     c S prod_j C(e_j, k_j) s_j^k_j D_j^(e_j - k_j).
 Distinct picks (k_1, ..., k_r) differ in the exponent of some D_j, so no
 two picks of a term merge; only equal monomials of different terms add.
+The orientation of each D_j is fixed once per term, not once per pick.
 """
 from __future__ import annotations
 
@@ -63,6 +64,12 @@ def residue_at(fs: FactoredSum, var: tuple, center: tuple) -> FactoredSum:
     center + tau, term by term, as the module docstring states.  Each
     pick of a term, pruned once its tau degree passes the order, becomes
     one output term; terms with no pole at the center contribute nothing.
+
+    Orientation is fixed once per term: each expander's output factor
+    D_j is stored in the canonical order of `FactoredSum` (first atom
+    first in `atom_sort_key`), the sign (-1)^(e_j - k) of a flipped pair
+    folded into its series, and a complete pick's factors are merged
+    into the term's spectators and sorted once into the output key.
     """
     if var == center:
         raise ValueError("residue center must differ from the variable")
@@ -70,14 +77,15 @@ def residue_at(fs: FactoredSum, var: tuple, center: tuple) -> FactoredSum:
         raise ValueError(f"cannot integrate over the fixed point {var}")
     out: dict = {}  # the residue's terms, summed in place
     for coeff, key in fs.iter_terms():
-        spectators = ()
+        spectators = {}  # canonical pair -> exponent, as in the input key
         expanders = []  # (a, b, e, tau_sign): factor (a-b)^e with +/- tau
         tau_exp = 0
         sign = 1
-        for (a, b), e in key:
+        for pair, e in key:
+            a, b = pair
             if a != var and b != var:
-                spectators += ((a, b, e),)
-            elif (a, b) == (center, var) or (a, b) == (var, center):
+                spectators[pair] = e
+            elif pair == (center, var) or pair == (var, center):
                 tau_exp += e
                 if b == var and e % 2:
                     sign = -sign  # (center - var)^e = (-tau)^e
@@ -90,16 +98,31 @@ def residue_at(fs: FactoredSum, var: tuple, center: tuple) -> FactoredSum:
         order = -tau_exp - 1  # want the coefficient of tau^order
         picks = [(coeff * sign, 0, ())]  # (coefficient, tau degree, chosen factors)
         for a, b, e, tau_sign in expanders:
-            series = [binom_int(e, k) * tau_sign**k for k in range(order + 1)]
+            # (a - b)^x = (-1)^x (b - a)^x keeps a flipped pair canonical
+            flip = atom_sort_key(a) > atom_sort_key(b)
+            pair = (b, a) if flip else (a, b)
+            series = [
+                binom_int(e, k) * tau_sign**k * (-1 if flip and (e - k) % 2 else 1)
+                for k in range(order + 1)
+            ]
             picks = [
-                (c * series[k], d + k, chosen + ((a, b, e - k),))
+                (c * series[k], d + k, chosen + ((pair, e - k),))
                 for c, d, chosen in picks
                 for k in range(order - d + 1)
                 if series[k]
             ]
+        residue = {}
         for c, d, chosen in picks:
             if d == order:
-                _add_into(out, FactoredSum.term(c, spectators + chosen).terms)
+                fmap = dict(spectators)
+                for pair, x in chosen:
+                    x += fmap.get(pair, 0)
+                    if x:
+                        fmap[pair] = x
+                    else:
+                        fmap.pop(pair, None)
+                residue[tuple(sorted(fmap.items()))] = c
+        _add_into(out, residue)
     return FactoredSum(out)
 
 

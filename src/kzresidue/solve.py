@@ -209,11 +209,17 @@ def _orbit_key(cycle: Tabloid, form: Tabloid) -> tuple[tuple[int, ...], Numberin
     return image, c0, u0
 
 
-def _orbit_component(m: int, cycle: Tabloid, form: Tabloid) -> SparsePolynomial:
+def _orbit_component(
+    m: int, cycle: Tabloid, form: Tabloid, then: tuple[int, ...] | None = None
+) -> SparsePolynomial:
     """The component at (cycle, form) from the one integral of its orbit:
     cycle_integral(sigma C0, sigma U0) is cycle_integral(C0, U0) with each
-    z_p replaced by z_sigma(p) (see the module docstring)."""
+    z_p replaced by z_sigma(p) (see the module docstring).  With `then`,
+    the image of a permutation tau, the result is that component with
+    z_q -> z_tau(q) applied after, in the one permutation tau sigma."""
     image, c0, u0 = _orbit_key(cycle, form)
+    if then is not None:
+        image = tuple(then[p - 1] for p in image)
     return cycle_integral(m, c0, u0).permute_variables(image)
 
 

@@ -19,7 +19,9 @@ from .exactalg import (
     SparsePolynomial,
     _add_into,
     _divide_by_z_diff,
+    _mul_into,
     _subset_minors,
+    _translation_defect,
     demote,
     discriminant_power,
 )
@@ -472,23 +474,35 @@ def _swap_image(n: int, i: int, j: int) -> tuple[int, ...]:
     return tuple(image)
 
 
+EQUIVARIANCE = (
+    "component(s_i C, s_i U) == cycle_integral(C0, U0) with z_p -> z_(s_i sigma)(p),"
+    " where C = sigma C0, U = sigma U0"
+)
+
+
 def check_equivariance(lam: Partition, m: int) -> CheckReport:
     """Adjacent transpositions act compatibly: relabeling both tabloids
     matches permuting the variables of the component.
 
-    The left side is the direct residue path (`solve_component`), the
-    right side the orbit path the solver uses (`solve._orbit_component`),
-    so it compares the solver's relabeled values with values built
-    without relabeling; were both sides built by the orbit path, it would
-    prove nothing."""
+    The left side is the direct residue path (`solve_component` at
+    (s_i C, s_i U)), the right side the orbit path the solver uses
+    (`solve._orbit_component`): the one integral of the orbit of (C, U),
+    cycle_integral(C0, U0), permuted once by the composed image of
+    s_i sigma, image[p-1] = s_i(sigma(p)).  So it compares the solver's
+    relabeled values with values built without relabeling; were both
+    sides built by the orbit path, it would prove nothing."""
     n = lam.size
     witness = None
     forms = tabloids(lam.parts)
     cycles = [t.tabloid() for t in standard_tableaux(lam)]
+    pairs = 0
+    direct = set()
     for i, cyc, u in itertools.product(range(1, n), cycles, forms):
         gcyc, gu = act_transposition(cyc, i, i + 1), act_transposition(u, i, i + 1)
         lhs = solve_component(lam, m, gcyc, gu)
-        rhs = _orbit_component(m, cyc, u).permute_variables(_swap_image(n, i, i + 1))
+        rhs = _orbit_component(m, cyc, u, then=_swap_image(n, i, i + 1))
+        pairs += 1
+        direct.add((gcyc, gu))
         if lhs != rhs:
             witness = {
                 "transposition": [i, i + 1],
@@ -497,7 +511,8 @@ def check_equivariance(lam: Partition, m: int) -> CheckReport:
                 "difference": _clip(lhs - rhs),
             }
             break
-    return CheckReport("equivariance", lam, m, witness is None, witness)
+    info = {"pairs": pairs, "direct_integrals": len(direct), "identity": EQUIVARIANCE}
+    return CheckReport("equivariance", lam, m, witness is None, witness, info)
 
 
 def check_frobenius(lam: Partition) -> CheckReport:
@@ -658,14 +673,6 @@ def check_straightening(lam: Partition, m: int, cycle: Tabloid) -> CheckReport:
 # the reflection representation families
 
 
-def _translation_defect(f: SparsePolynomial) -> SparsePolynomial:
-    """E f, with E = sum_i d/dz_i the generator of z -> z + t (1, ..., 1)."""
-    out: dict = {}
-    for i in range(1, f.nvars + 1):
-        _add_into(out, f.partial_derivative(i).terms)
-    return SparsePolynomial(f.nvars, out)
-
-
 def _reflection_witness(n: int, m: int, psis, phis) -> dict | None:
     for k in range(n):
         if sum((psi.components[k] for psi in psis), SparsePolynomial.zero(n)):
@@ -673,8 +680,16 @@ def _reflection_witness(n: int, m: int, psis, phis) -> dict | None:
     for phi in phis:
         if sum((comp.num for comp in phi.components), SparsePolynomial.zero(n)):
             return {"reason": "path family coordinate sum is not zero", "index": phi.index}
+    # each path member's numerators scaled once to integers by the lcm L of
+    # their denominators: E (L f) = L E f with L != 0, so the translation
+    # test runs on them, and so does the pairing
+    scaled = []
+    for phi in phis:
+        nums = [comp.num for comp in phi.components]
+        scale = math.lcm(*(c.denominator for num in nums for c in num.terms.values()))
+        scaled.append((phi.index, scale, [num * scale for num in nums]))
     families = [("residue", psi.index, psi.components) for psi in psis]
-    families += [("path", phi.index, [c.num for c in phi.components]) for phi in phis]
+    families += [("path", index, nums) for index, _, nums in scaled]
     for family, index, comps in families:
         for k, comp in enumerate(comps, start=1):
             if _translation_defect(comp):
@@ -688,17 +703,17 @@ def _reflection_witness(n: int, m: int, psis, phis) -> dict | None:
     # family; the last one is minus their sum and pairs to -1/m with
     # everything, so it stays out of the delta identity
     disc = discriminant_power(n, 2 * m).restrict_last_to_zero()
-    scaled = []
-    for phi in phis:
-        nums = [comp.num.restrict_last_to_zero() for comp in phi.components]
-        scale = math.lcm(*(c.denominator for num in nums for c in num.terms.values()))
-        scaled.append((phi.index, scale, [num * scale for num in nums]))
+    sliced = [
+        (index, scale, [num.restrict_last_to_zero().terms for num in nums])
+        for index, scale, nums in scaled
+    ]
     for psi in psis[: n - 1]:
-        comps = [c.restrict_last_to_zero() for c in psi.components]
-        for index, scale, nums in scaled:
-            paired = SparsePolynomial.zero(n)
-            for k in range(n):
-                paired = paired + comps[k] * nums[k]
+        comps = [c.restrict_last_to_zero().terms for c in psi.components]
+        for index, scale, nums in sliced:
+            acc: dict = {}  # sum_k comps[k] * nums[k], accumulated in one map
+            for a, b in zip(comps, nums):
+                _mul_into(acc, a, b)
+            paired = SparsePolynomial(n, acc)
             expected = disc * scale if psi.index == index else SparsePolynomial.zero(n)
             if paired * m != expected:
                 return {
@@ -724,8 +739,10 @@ def check_reflection(n: int, m: int) -> CheckReport:
     pairing identity holds everywhere if it holds at z_n = 0
     (restriction is a ring homomorphism).  The path numerators carry
     rational coefficients; each member is scaled once by the lcm L of
-    their denominators, so the pairing runs on integer polynomials and
-    is compared against L times the discriminant power."""
+    their denominators, so the translation step (E (L f) = L E f, L != 0)
+    and the pairing run on integer polynomials, the pairing compared
+    against L times the discriminant power.  Each pairing sum_k a_k b_k
+    is accumulated in one map."""
     lam = Partition((n - 1, 1))
     witness = _reflection_witness(
         n, m, reflection_solutions(n, m), reflection_dual_solutions(n, m)

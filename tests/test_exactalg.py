@@ -19,6 +19,8 @@ from kzresidue.exactalg import (
     PolyMatrix,
     SparsePolynomial,
     _divide_by_z_diff,
+    _mul_into,
+    _translation_defect,
     demote,
     det_adjugate,
     determinant,
@@ -451,13 +453,14 @@ def _lex_key(e):
     return tuple(reversed(e))
 
 
+INTS = st.integers(-9, 9)
+FRACTIONS = st.fractions(-3, 3, max_denominator=4)
+
+
 @st.composite
-def ref_polys(draw, n):
+def ref_polys(draw, n, coefficients=INTS | FRACTIONS):
     items = [
-        (
-            tuple(draw(st.integers(0, 4)) for _ in range(n)),
-            draw(st.integers(-9, 9) | st.fractions(-3, 3, max_denominator=4)),
-        )
+        (tuple(draw(st.integers(0, 4)) for _ in range(n)), draw(coefficients))
         for _ in range(draw(st.integers(0, 6)))
     ]
     return SparsePolynomial.from_terms(n, items)
@@ -520,6 +523,35 @@ def test_packed_keys_agree_with_tuple_reference_on_calculus(case):
         if any(e[-1] for e in ra):
             with pytest.raises(ValueError):
                 a.drop_last_variable()
+
+
+@pytest.mark.parametrize("coefficients", [INTS, FRACTIONS], ids=["int", "Fraction"])
+def test_one_pass_kernels_agree_with_the_sums_they_fuse(coefficients):
+    @given(VAR_COUNTS.flatmap(lambda n: st.tuples(
+        ref_polys(n, coefficients),
+        st.lists(st.tuples(ref_polys(n, coefficients), ref_polys(n, coefficients)), max_size=4),
+    )))
+    def check(case):
+        f, pairs = case
+        n = f.nvars
+        derivatives = SparsePolynomial.zero(n)
+        for i in range(1, n + 1):
+            derivatives = derivatives + f.partial_derivative(i)
+        assert _translation_defect(f) == derivatives
+        # the fused pairing against products and sums on exponent tuples
+        acc: dict = {}
+        for a, b in pairs:
+            assert _mul_into(acc, a.terms, b.terms) is acc
+        expected: dict = {}
+        for a, b in pairs:
+            expected = _ref_add(expected, _ref_mul(dict(a.items()), dict(b.items())))
+        _same(SparsePolynomial(n, acc), expected)
+        # a pair and its negation cancel to the empty map
+        for a, b in pairs:
+            _mul_into(acc, (-a).terms, b.terms)
+        assert acc == {}
+
+    check()
 
 
 @given(VAR_COUNTS.filter(lambda n: n > 1).flatmap(

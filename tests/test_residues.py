@@ -236,26 +236,40 @@ def _per_degree_residue_at(fs, var, center):
     return FactoredSum(out)
 
 
-# partners of TB: z2, z3 and TA sort before it and give (a - z1 - tau)^e,
-# TC sorts after it and gives (z1 - TC + tau)^e
-PARTNERS = (Z2, Z3, TA, TC)
+# partners of TB for each center: atoms that sort before TB give
+# (a - center - tau)^e, TC sorts after it and gives (center - TC + tau)^e.
+# About z1, the first atom, (z2 - z1) is stored flipped as (z1 - z2); about
+# z2, (z2 - z1) is the flipped one and (z2 - z3), (z2 - TA), (z2 - TC) are not
+CENTERS = ((Z1, (Z2, Z3, TA, TC)), (Z2, (Z1, Z3, TA, TC)))
 
 
 @given(
+    st.sampled_from(CENTERS),
     st.integers(1, 4),
     st.lists(st.integers(-3, 3), min_size=4, max_size=4),
     st.lists(st.integers(-2, 2), min_size=3, max_size=3),
     st.integers(-5, 5).filter(bool),
 )
-@example(2, [-1, 0, 0, 0], [0, 0, 0], 1)  # one (z2 - z1 - tau)^-1 series
-def test_residue_matches_the_per_degree_series_product(pole, exps, spect, c):
-    # a pole of order 1..4 at z1, up to four expanded factors of both
-    # orientations, and spectators on the pairs (z1, z2) and (z1, TC) that
-    # the expansions also produce, besides one on (z2, z3)
-    factors = [(TB, Z1, -pole), *((TB, p, e) for p, e in zip(PARTNERS, exps))]
-    factors += [(Z1, Z2, spect[0]), (Z1, TC, spect[1]), (Z2, Z3, spect[2])]
+@example(CENTERS[0], 2, [-1, 0, 0, 0], [0, 0, 0], 1)  # one (z2 - z1 - tau)^-1 series
+@example(CENTERS[0], 1, [1, 0, 0, 0], [-1, 0, 0], 3)  # (z1 - z2)^-1 cancelled to ^0
+@example(CENTERS[1], 2, [1, -2, 0, 1], [1, -1, 2], -2)  # flipped pairs about z2
+def test_residue_matches_the_per_degree_series_product(center, pole, exps, spect, c):
+    # a pole of order 1..4 at the center, up to four expanded factors of
+    # both orientations, and spectators on the pairs (center, first
+    # partner) and (center, TC) that the expansions also produce, besides
+    # one on (z2, z3)
+    center, partners = center
+    factors = [(TB, center, -pole), *((TB, p, e) for p, e in zip(partners, exps))]
+    factors += [(center, partners[0], spect[0]), (center, TC, spect[1]), (Z2, Z3, spect[2])]
     f = FactoredSum.term(c, factors)
-    assert residue_at(f, TB, Z1) == _per_degree_residue_at(f, TB, Z1)
+    assert residue_at(f, TB, center) == _per_degree_residue_at(f, TB, center)
+
+
+def test_residue_drops_a_spectator_that_a_chosen_factor_cancels():
+    # Res_{TB = z1} 3 (z1 - z2)^-1 (TB - z2) / (TB - z1) = 3: the chosen
+    # (z1 - z2)^1 meets the spectator (z1 - z2)^-1 and leaves no factor
+    f = FactoredSum.term(3, [(Z1, Z2, -1), (TB, Z2, 1), (TB, Z1, -1)])
+    assert residue_at(f, TB, Z1).terms == {(): 3}
 
 
 # ---------------------------------------------------------------------------

@@ -1080,12 +1080,57 @@ def test_premise_rejects_a_table_claiming_another_parameter(fm31):
 
 def test_equivariance_catches_an_orbit_path_with_the_inverse_convention(monkeypatch):
     # seeded mutation: z_sigma(p) -> z_p instead of z_p -> z_sigma(p)
-    def inverse_convention(m, cycle, form):
+    def inverse_convention(m, cycle, form, then=None):
         image, c0, u0 = solve._orbit_key(cycle, form)
         inverse = sorted(range(1, len(image) + 1), key=lambda p: image[p - 1])
+        if then is not None:
+            inverse = [then[p - 1] for p in inverse]
         return solve.cycle_integral(m, c0, u0).permute_variables(tuple(inverse))
 
     monkeypatch.setattr(verify, "_orbit_component", inverse_convention)
     rep = check_equivariance(Partition((3, 1)), 1)
     assert not rep.passed
     assert set(rep.witness) == {"transposition", "cycle", "form", "difference"}
+
+
+@pytest.mark.parametrize("parts", [(3, 1), (2, 2)])
+def test_equivariance_catches_sigma_and_s_i_composed_in_the_wrong_order(monkeypatch, parts):
+    # seeded mutation: the image of sigma s_i, z_p -> z_sigma(s_i(p)),
+    # where the right side is s_i sigma
+    def wrong_order(m, cycle, form, then=None):
+        image, c0, u0 = solve._orbit_key(cycle, form)
+        if then is not None:
+            image = tuple(image[q - 1] for q in then)
+        return solve.cycle_integral(m, c0, u0).permute_variables(image)
+
+    monkeypatch.setattr(verify, "_orbit_component", wrong_order)
+    rep = check_equivariance(Partition(parts), 1)
+    assert not rep.passed
+    assert set(rep.witness) == {"transposition", "cycle", "form", "difference"}
+
+
+@pytest.mark.parametrize("parts, m", [((2, 1), 1), ((3, 1), 1), ((2, 2), 2)])
+def test_equivariance_permutes_once_per_compared_pair(monkeypatch, parts, m):
+    lam = Partition(parts)
+    pairs = (lam.size - 1) * len(standard_tableaux(lam)) * len(tabloids(parts))
+    calls = []
+    permute = SparsePolynomial.permute_variables
+
+    def counted(self, image):
+        calls.append(image)
+        return permute(self, image)
+
+    monkeypatch.setattr(SparsePolynomial, "permute_variables", counted)
+    rep = check_equivariance(lam, m)
+    assert rep.passed and len(calls) == pairs
+    direct = {
+        (act_transposition(t.tabloid(), i, i + 1), act_transposition(u, i, i + 1))
+        for i in range(1, lam.size)
+        for t in standard_tableaux(lam)
+        for u in tabloids(parts)
+    }
+    assert rep.info == {
+        "pairs": pairs,
+        "direct_integrals": len(direct),
+        "identity": verify.EQUIVARIANCE,
+    }
