@@ -26,11 +26,16 @@ replaced by z_sigma(i).  The solver (`solve_cycle`, hence
 per S_N-orbit of (cycle, form) pairs, at the pair `_orbit_key` picks, and
 reaches the others by permuting variables (`_orbit_component`).
 `cycle_integral` and `solve_component` stay the direct residue path.
-Two checks rest on the same identity without trusting the solver:
-`check_equivariance` compares direct values (its left side) with
-orbit-built ones, and the battery runs `check_kz` on the first table of a
-fundamental matrix only, proving every other table equal to the first
-one relabeled, exactly on the stored data (`verify._kz_reports`).
+Two checks rest on the same identity without trusting the solver, both
+on the stored data of a fundamental matrix: `check_equivariance` compares
+every entry of every table with the direct value at its (cycle, form),
+so each relabeled entry is proved to be the integral at exactly the sigma
+the solver used; and the battery runs `check_kz` on the first table only,
+proving every other table equal to the first one relabeled
+(`verify._kz_reports`).  Non-standard cycles belong to no table of the
+matrix, so the battery does not compare their orbit-built components
+with direct values; `check_straightening` exercises the orbit path on
+them, and the tests compare it with the direct path for N <= 4.
 """
 from __future__ import annotations
 
@@ -181,8 +186,8 @@ def solve_component(
     lam: Partition, m: int, cycle: Tabloid, form: Tabloid
 ) -> SparsePolynomial:
     """Component of the cycle's solution at the given form tabloid, by the
-    direct residue path (`check_equivariance` compares the orbit path
-    against it)."""
+    direct residue path (`check_equivariance` compares every stored entry
+    of a fundamental matrix with it)."""
     if Partition(tuple(cycle.shape)) != lam or Partition(tuple(form.shape)) != lam:
         raise ValueError("cycle and form tabloids must have the requested shape")
     return cycle_integral(m, cycle.representative(), form.representative())
@@ -209,17 +214,13 @@ def _orbit_key(cycle: Tabloid, form: Tabloid) -> tuple[tuple[int, ...], Numberin
     return image, c0, u0
 
 
-def _orbit_component(
-    m: int, cycle: Tabloid, form: Tabloid, then: tuple[int, ...] | None = None
-) -> SparsePolynomial:
+def _orbit_component(m: int, cycle: Tabloid, form: Tabloid) -> SparsePolynomial:
     """The component at (cycle, form) from the one integral of its orbit:
     cycle_integral(sigma C0, sigma U0) is cycle_integral(C0, U0) with each
-    z_p replaced by z_sigma(p) (see the module docstring).  With `then`,
-    the image of a permutation tau, the result is that component with
-    z_q -> z_tau(q) applied after, in the one permutation tau sigma."""
+    z_p replaced by z_sigma(p) (see the module docstring).
+    `check_equivariance` compares every such value that a fundamental
+    matrix stores with the direct path."""
     image, c0, u0 = _orbit_key(cycle, form)
-    if then is not None:
-        image = tuple(then[p - 1] for p in image)
     return cycle_integral(m, c0, u0).permute_variables(image)
 
 

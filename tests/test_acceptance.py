@@ -220,7 +220,7 @@ def test_criterion_03_differential_battery(battery):
             assert rep.passed, (str(lam), m, "primitive", rep.witness)
         for rep in (
             check_shape(fm),
-            check_equivariance(lam, m),
+            check_equivariance(fm),
             check_rank(fm),
         ):
             assert rep.passed, (str(lam), m, rep.check, rep.witness)
