@@ -111,17 +111,11 @@ def residue_at(fs: FactoredSum, var: tuple, center: tuple) -> FactoredSum:
                 for k in range(order - d + 1)
                 if series[k]
             ]
-        residue = {}
-        for c, d, chosen in picks:
-            if d == order:
-                fmap = dict(spectators)
-                for pair, x in chosen:
-                    x += fmap.get(pair, 0)
-                    if x:
-                        fmap[pair] = x
-                    else:
-                        fmap.pop(pair, None)
-                residue[tuple(sorted(fmap.items()))] = c
+        residue = (
+            (tuple(sorted(_add_into(dict(spectators), chosen).items())), c)
+            for c, d, chosen in picks
+            if d == order
+        )
         _add_into(out, residue)
     return FactoredSum(out)
 

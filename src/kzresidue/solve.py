@@ -50,6 +50,7 @@ from .exactalg import (
     PolyFraction,
     PolyMatrix,
     SparsePolynomial,
+    _add_into,
     det_adjugate,
     discriminant_power,
     normalize_factored,
@@ -165,10 +166,10 @@ def symmetrized_tableau_form(t: Numbering) -> FactoredSum:
     relabelings of its variables (see the module docstring for why the
     sum is unsigned)."""
     base = tableau_form(t)
-    total = FactoredSum()
+    total: dict = {}
     for mapping in _level_relabelings(t.shape):
-        total = total + base.relabel(mapping)
-    return total
+        _add_into(total, base.relabel(mapping).terms.items())
+    return FactoredSum(total)
 
 
 @lru_cache(maxsize=None)

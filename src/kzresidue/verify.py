@@ -157,7 +157,7 @@ def _kz_witness(n: int, m: int, p: int, nums: dict, act, partner=None):
             rest = dict(num.partial_derivative(i).terms)  # num' - sum_j q_j
             for j in range(1, n + 1):
                 if j < i:
-                    _add_into(rest, quotients.pop((j, i, key)).terms)
+                    _add_into(rest, quotients.pop((j, i, key)).terms.items())
                 elif j > i:
                     if (q := quotients.get((i, j, key))) is None:
                         x = (*((m * c, f) for c, f in act(i, j, key)), (m + p, num))
@@ -171,7 +171,7 @@ def _kz_witness(n: int, m: int, p: int, nums: dict, act, partner=None):
                             }
                         if partner is not None:
                             quotients[(i, j, partner(key, i, j))] = q
-                    _add_into(rest, q.terms, True)
+                    _add_into(rest, q.terms.items(), True)
             if rest:
                 return i, key, {"difference": _clip(SparsePolynomial(n, rest))}
     return None

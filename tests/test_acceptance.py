@@ -55,12 +55,6 @@ from kzresidue import (
     z_atom,
 )
 
-# Derandomized hypothesis = fixed documented seed: the example sequence
-# is derived deterministically from each property, reproducible across
-# runs and machines.
-settings.register_profile("acceptance", derandomize=True, max_examples=40)
-settings.load_profile("acceptance")
-
 M1_SHAPES = [lam for n in range(1, 5) for lam in enumerate_partitions(n)]
 M2_SHAPES = [
     Partition((2, 1)),

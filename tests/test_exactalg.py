@@ -1,5 +1,6 @@
 import json
 import signal
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
@@ -18,6 +19,7 @@ from kzresidue.exactalg import (
     PolyFraction,
     PolyMatrix,
     SparsePolynomial,
+    _add_into,
     _divide_by_z_diff,
     _mul_into,
     _translation_defect,
@@ -29,11 +31,6 @@ from kzresidue.exactalg import (
     t_atom,
     z_atom,
 )
-
-# Property tests run derandomized: hypothesis derives the sequence from the
-# test body itself, so runs are reproducible without an external seed.
-settings.register_profile("suite", derandomize=True, max_examples=60)
-settings.load_profile("suite")
 
 
 def zpoly(n, i):
@@ -378,6 +375,30 @@ def test_combination_cancelling_to_zero_divides_to_zero():
     assert _divide_by_z_diff([(1, g), (-1, h)], 1, 2) == SparsePolynomial.constant(3, 5)
 
 
+SUMMANDS = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=3)
+)
+
+
+@given(
+    st.dictionaries(st.integers(0, 5), SUMMANDS.filter(bool)),
+    st.lists(st.tuples(st.integers(0, 5), SUMMANDS), max_size=12),
+    st.booleans(),
+)
+@example({1: 2}, [(1, -1), (1, -1), (2, Fraction(1, 2)), (2, Fraction(-1, 2)), (3, 0)], False)
+@example({1: 2, 2: Fraction(1, 3)}, [(1, 1), (2, Fraction(1, 3)), (1, 1)], True)
+def test_add_into_matches_a_counter_reference(acc, pairs, negate):
+    # keys repeat within `pairs` and cancel against `acc`; pairs come as a
+    # plain iterator, and the map passed in is the map returned
+    expected = Counter(acc)
+    for key, c in pairs:
+        expected[key] += -c if negate else c
+    out = _add_into(acc, iter(pairs), negate)
+    assert out is acc
+    assert out == {key: c for key, c in expected.items() if c}
+    assert all(out.values())  # no zero is stored
+
+
 @given(polys(nvars=3), polys(nvars=3), st.integers(-3, 3))
 def test_subtraction_is_adding_the_negation(a, b, c):
     assert a - b == a + (-b)
@@ -657,6 +678,21 @@ def test_factored_merge_and_zero():
     assert FactoredSum.term(0, [(z1, z2, 1)]).is_zero()
     with pytest.raises(ValueError):
         FactoredSum.term(1, [(z1, z1, 2)])
+
+
+def test_factored_term_merges_repeated_reversed_and_cancelling_pairs():
+    z1, z2, z3 = z_atom(1), z_atom(2), z_atom(3)
+    fs = FactoredSum.term(
+        3,
+        [
+            (z1, z2, 2), (z2, z1, 1),  # repeated, reversed at an odd power: sign -1
+            (z1, z3, 1), (z3, z1, -1),  # cancels to exponent 0, reversed at -1: sign -1
+            (z2, z3, 1), (z3, z2, 1), (z3, z2, 2),  # reversed at odd, then even: -1
+        ],
+    )
+    assert fs.terms == {(((z1, z2), 3), ((z2, z3), 4)): -3}
+    z12, z23 = SparsePolynomial.z_diff(3, 1, 2), SparsePolynomial.z_diff(3, 2, 3)
+    assert normalize_factored(fs, 3) == z12**3 * z23**4 * -3
 
 
 def test_factored_multiplication_merges_exponents():

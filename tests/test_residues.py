@@ -6,7 +6,7 @@ sum of all residues of a rational function decaying like 1/t^2, and the
 order sensitivity of nested contours.
 """
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from kzresidue import (
     FactoredSum,
@@ -24,9 +24,6 @@ from kzresidue import (
     z_atom,
 )
 from kzresidue.exactalg import _add_into, is_t_atom
-
-settings.register_profile("suite", derandomize=True, max_examples=60)
-settings.load_profile("suite")
 
 Z1, Z2, Z3 = z_atom(1), z_atom(2), z_atom(3)
 TA = t_atom(2, 1, 1)  # a level-1 variable
@@ -232,7 +229,7 @@ def _per_degree_residue_at(fs, var, center):
                     nxt[d + k] = piece if cur is None else cur + piece
             state = nxt
         if res := state.get(order):
-            _add_into(out, res.terms)
+            _add_into(out, res.terms.items())
     return FactoredSum(out)
 
 

@@ -148,6 +148,24 @@ def test_symmetrized_form_is_plain_relabel_sum():
     assert total == base + base.relabel(swap)
 
 
+def test_relabeling_sums_build_one_map_without_factored_addition(monkeypatch):
+    # a sum built by repeated `+` copies its whole map once per summand
+    t = Numbering(((1, 2), (3, 4), (5,)))
+    base = tableau_form(t)
+    mappings = list(_level_relabelings(t.shape))
+    relabeled = [base.relabel(mapping) for mapping in mappings]
+    expected = FactoredSum.zero()
+    for fs in relabeled:
+        expected = expected + fs
+
+    def refuse(self, other):
+        raise AssertionError("FactoredSum.__add__ called")
+
+    monkeypatch.setattr(FactoredSum, "__add__", refuse)
+    assert [base.relabel(mapping) for mapping in mappings] == relabeled
+    assert symmetrized_tableau_form.__wrapped__(t) == expected
+
+
 # ---------------------------------------------------------------------------
 # component values
 # ---------------------------------------------------------------------------

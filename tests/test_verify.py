@@ -48,9 +48,6 @@ from kzresidue import (
 )
 from kzresidue.verify import RELABELING, _kz_reports, _kz_witness, _specht_transposition_matrix
 
-settings.register_profile("suite", derandomize=True, max_examples=60)
-settings.load_profile("suite")
-
 LAM21 = Partition((2, 1))
 SHARED = "X_ij(U) = X_ij(s_ij U) as m eps = m + p: one quotient serves both"
 
