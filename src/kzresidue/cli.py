@@ -5,6 +5,11 @@ ran and failed, 2 for usage errors and refused (over-budget) instances,
 141 (as for a process ended by SIGPIPE) when the reader closed standard
 output early, e.g. `kzresidue solve ... | head -1`; nothing is written
 to standard error then.
+
+`--format json` output is streamed: `emit` writes the chunks of the
+indented encoder in batches of `JSON_BATCH`, so the bytes are those of
+`json.dumps(payload, indent=2)` plus a newline, and memory holds the
+payload and one batch, never the whole text.
 """
 from __future__ import annotations
 
@@ -12,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from .exactalg import MAX_VARS, SparsePolynomial, z_diff_content
 from .shapes import Partition, diagram_stats, enumerate_partitions
@@ -34,6 +40,12 @@ OUTPUT_CLOSED = 141
 # O(N * rows) steps (under 0.1 s for (1^1000)), and the dimension, at most
 # sqrt(N!), prints in under 1300 digits, below Python's default 4300
 MAX_STATS_SIZE = 1000
+# most digits of a number `stats` prints, Python's default limit for
+# int-to-str; only the degree, m*(f2 + N(N-1)/2), can reach it
+MAX_STATS_DIGITS = 4300
+# encoder chunks per write: about 70 kB of text on a solved table, one
+# system call per batch even when standard output is unbuffered
+JSON_BATCH = 8192
 
 
 def parse_shape(text: str) -> Partition:
@@ -68,9 +80,15 @@ def factored_text(p: SparsePolynomial) -> str:
     return "*".join(powers + [tail]) if powers else str(rest)
 
 
-def emit(args, payload: dict, text_lines) -> None:
+def emit(args, payload, text_lines) -> None:
+    """The one JSON writer: `payload` as `json.dumps(payload, indent=2)`
+    and a newline, written in batches; otherwise each of `text_lines()`."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        chunks = json.JSONEncoder(indent=2).iterencode(payload)
+        # the encoder yields no empty chunk, so only the end gives ""
+        while batch := "".join(islice(chunks, JSON_BATCH)):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
     else:
         for line in text_lines():
             print(line)
@@ -110,6 +128,10 @@ def cmd_stats(args) -> int:
             f"N={args.shape.size} exceeds the stats limit {MAX_STATS_SIZE}"
         )
     stats = diagram_stats(args.shape, args.m)
+    if stats.solution_degree >= 10 ** MAX_STATS_DIGITS:
+        raise ResourceGuardError(
+            f"the degree m*(f2 + N(N-1)/2) has more than {MAX_STATS_DIGITS} digits"
+        )
     payload = {
         "lambda": list(args.shape.parts),
         "m": args.m,
@@ -162,7 +184,7 @@ def cmd_verify(args) -> int:
                 if rep.witness:
                     print(f"    witness: {rep.witness}")
     if args.format == "json":
-        print(json.dumps(reports_json, indent=2))
+        emit(args, reports_json, None)
     return CHECK_FAILED if failures else 0
 
 

@@ -1,13 +1,15 @@
 """Front-end behavior: exit codes, output formats, argument validation."""
+import argparse
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from kzresidue import SparsePolynomial, discriminant_power
+from kzresidue import Partition, SparsePolynomial, discriminant_power, fundamental_solution
 from kzresidue import cli, verify
 from kzresidue.cli import factored_text, main
 
@@ -169,6 +171,71 @@ def test_verify_json_is_array(capsys):
 
 
 # ---------------------------------------------------------------------------
+# JSON documents: streamed, byte for byte
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--lambda", "3,1", "--m", "2"),
+    ("stats", "--lambda", "3,1", "--m", "2"),
+    ("det", "--lambda", "2,1", "--m", "1"),
+    ("dual", "--lambda", "2,1", "--m", "1"),
+    ("twist", "--lambda", "2,1", "--m", "1"),
+    ("reflection", "--n", "3", "--m", "1", "--pairing"),
+    ("verify", "--lambda", "2,1", "--m", "2", "--all"),
+    ("verify", "--all-partitions", "3", "--m", "1"),
+], ids=lambda argv: " ".join(argv))
+def test_json_output_is_the_indented_dump_byte_for_byte(capsys, monkeypatch, argv):
+    payloads = []
+    real = cli.emit
+
+    def spy(args, payload, text_lines):
+        payloads.append(payload)
+        real(args, payload, text_lines)
+
+    monkeypatch.setattr(cli, "emit", spy)
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0 and err == ""
+    assert len(payloads) == 1
+    assert out == json.dumps(payloads[0], indent=2) + "\n"
+
+
+class _CountingSink:
+    """A standard output that keeps nothing: it counts writes and characters."""
+
+    def __init__(self):
+        self.writes = 0
+        self.chars = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_json_is_written_in_batches_within_bounded_memory(monkeypatch):
+    payload = fundamental_solution(Partition((3, 1)), 2).to_json()
+    chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(payload))
+    length = len(json.dumps(payload, indent=2)) + 1
+    assert chunks > cli.JSON_BATCH  # several batches
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        cli.emit(argparse.Namespace(format="json"), payload, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars == length
+    # the whole text (or the encoder's list of its chunks) is never held
+    assert peak < length
+    assert sink.writes <= -(-chunks // cli.JSON_BATCH) + 1
+
+
+# ---------------------------------------------------------------------------
 # refusals and usage errors
 # ---------------------------------------------------------------------------
 
@@ -259,6 +326,35 @@ def test_stats_answers_the_largest_admitted_shapes(capsys):
     for shape in (str(cli.MAX_STATS_SIZE), ",".join(["1"] * cli.MAX_STATS_SIZE)):
         code, out, _ = run(capsys, "stats", "--lambda", shape, "--m", "1")
         assert code == 0 and "dimension: 1\n" in out
+
+
+# one row of 1000 boxes: the degree is m * 999000
+_LARGEST_PRINTABLE_M = (10 ** cli.MAX_STATS_DIGITS - 1) // 999000
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("m", [str(_LARGEST_PRINTABLE_M + 1), "9" * 4299],
+                         ids=["first refused", "4299 nines"])
+def test_stats_refuses_a_degree_too_long_to_print(capsys, fmt, m):
+    code, out, err = run(capsys, "stats", "--lambda", "1000", "--m", m, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"refused: the degree m*(f2 + N(N-1)/2) has more than {cli.MAX_STATS_DIGITS} digits\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_stats_prints_the_longest_admitted_degree(capsys, fmt):
+    m = str(_LARGEST_PRINTABLE_M)
+    code, out, _ = run(capsys, "stats", "--lambda", "1000", "--m", m, "--format", fmt)
+    assert code == 0
+    degree = _LARGEST_PRINTABLE_M * 999000
+    assert len(str(degree)) == cli.MAX_STATS_DIGITS
+    if fmt == "json":
+        assert json.loads(out)["degree"] == degree
+    else:
+        assert f"degree: {degree}\n" in out
 
 
 def test_missing_subcommand_rejected():
