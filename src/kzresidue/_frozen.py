@@ -3,7 +3,9 @@
 A subclass names its fields in `__slots__`, in the order its `__init__`
 takes them, and sets each once there, by `_set` or `object.__setattr__`.
 A slot whose name starts with an underscore is private memo state: it is
-left out of `repr`, equality, hashing and pickling.  Equality and hash
+left out of `repr`, equality, hashing and pickling.  Every instance can
+be weakly referenced: the base's one slot, `__weakref__`, is in no
+subclass's own `__slots__`, so it is never a field.  Equality and hash
 go by the tuple of fields, and only between instances of one class;
 `shapes._Young` orders the Young data by it too.
 
@@ -19,7 +21,7 @@ from operator import attrgetter
 
 
 class Frozen:
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)

@@ -31,7 +31,7 @@ from .solve import (
     reflection_dual_solutions,
     reflection_solutions,
 )
-from .verify import _kz_reports, check_det, check_kz, check_reflection, run_suite
+from .verify import _kz_reports, _reflection_report, check_det, check_kz, run_suite
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -248,7 +248,7 @@ def cmd_reflection(args) -> int:
     }
     rc = 0
     if args.pairing:
-        rep = check_reflection(args.n, args.m)
+        rep = _reflection_report(args.n, args.m, psis, phis)
         payload["pairing"] = rep.to_json()
         rc = 0 if rep.passed else CHECK_FAILED
 

@@ -40,6 +40,7 @@ them, and the tests compare it with the direct path for N <= 4.
 from __future__ import annotations
 
 import itertools
+import weakref
 from functools import lru_cache
 from math import factorial, prod
 
@@ -70,6 +71,11 @@ from .shapes import (
 )
 
 DEFAULT_BUDGET = 10_000
+
+# The live results of `solve_cycle` and `fundamental_solution`, by their
+# arguments.  Weak: an entry goes when the last caller drops its object.
+_live_tables = weakref.WeakValueDictionary()
+_live_matrices = weakref.WeakValueDictionary()
 
 
 class ResourceGuardError(RuntimeError):
@@ -257,9 +263,15 @@ class SolutionTable(Frozen):
 
 
 def solve_cycle(lam: Partition, m: int, cycle: Tabloid) -> SolutionTable:
-    """Full component table of one cycle over every tabloid of the shape."""
+    """Full component table of one cycle over every tabloid of the shape.
+
+    Equal arguments return the same table for as long as a caller holds
+    it (`_live_tables`)."""
+    if (table := _live_tables.get((lam, m, cycle))) is not None:
+        return table
     components = {u: _orbit_component(m, cycle, u) for u in tabloids(lam.parts)}
-    return SolutionTable(lam, m, cycle, components)
+    table = _live_tables[lam, m, cycle] = SolutionTable(lam, m, cycle, components)
+    return table
 
 
 def polytabloid_columns(lam: Partition) -> tuple[list[list[int]], tuple[Tabloid, ...]]:
@@ -311,7 +323,8 @@ class FundamentalMatrix(Frozen):
     per-tabloid component tables it was read from."""
 
     # `_cache` memoizes check results (`verify._kz_reports`,
-    # `verify._determinant_at`); every new instance starts with an empty one
+    # `verify._determinant_at`) and the dual (`dual_matrix`); every new
+    # instance starts with an empty one
     __slots__ = ("lam", "m", "cycles", "tables", "matrix", "_cache")
 
     def __init__(
@@ -370,12 +383,19 @@ def fundamental_solution(
     lam: Partition, m: int, *, budget: int = DEFAULT_BUDGET
 ) -> FundamentalMatrix:
     """Solution tables for every standard-tableau cycle, with the square
-    matrix of their coordinates against the standard polytabloids."""
+    matrix of their coordinates against the standard polytabloids.
+
+    The guard runs on every call, with the caller's budget; then equal
+    arguments return the same matrix for as long as a caller holds it
+    (`_live_matrices`)."""
     check_resources(lam, m, budget)
+    if (fm := _live_matrices.get((lam, m))) is not None:
+        return fm
     stds = standard_tableaux(lam)
     tables = tuple(solve_cycle(lam, m, t.tabloid()) for t in stds)
     rows = [coordinates_in_specht_basis(lam, t.components.__getitem__) for t in tables]
-    return FundamentalMatrix(lam, m, stds, tables, PolyMatrix(rows))
+    fm = _live_matrices[lam, m] = FundamentalMatrix(lam, m, stds, tables, PolyMatrix(rows))
+    return fm
 
 
 # ----------------------------------------------------------------------
@@ -416,6 +436,9 @@ class DualMatrix(Frozen):
 
 
 def dual_matrix(fm: FundamentalMatrix) -> DualMatrix:
+    """The dual of `fm`, built once and kept in `fm._cache`."""
+    if (dm := fm._cache.get("dual")) is not None:
+        return dm
     det, adj = det_adjugate(fm.matrix)
     if det.is_zero():
         raise ArithmeticError(
@@ -425,7 +448,8 @@ def dual_matrix(fm: FundamentalMatrix) -> DualMatrix:
     entries = PolyMatrix(
         [[PolyFraction(adj.entry(j, i), det) for j in range(n)] for i in range(n)]
     )
-    return DualMatrix(fm.lam, -fm.m, det, entries)
+    dm = fm._cache["dual"] = DualMatrix(fm.lam, -fm.m, det, entries)
+    return dm
 
 
 def alternating_twist(table: SolutionTable) -> SolutionTable:

@@ -546,7 +546,9 @@ def check_dual(fm: FundamentalMatrix) -> CheckReport:
     d_i det / det = p sum_{l != i} 1 / (z_i - z_l) and `_kz_witness`
     checks the system by pole division.
     A failure of either fails this check; neither `check_det` nor a
-    symbolic determinant of M is called."""
+    symbolic determinant of M is called.  The dual is the one
+    `dual_matrix(fm)` keeps on `fm`, so a dual the caller already built
+    is not built again."""
     lam = fm.lam
     n = lam.size
     info = {
@@ -716,10 +718,17 @@ def check_reflection(n: int, m: int) -> CheckReport:
     and the pairing run on integer polynomials, the pairing compared
     against L times the discriminant power.  Each pairing sum_k a_k b_k
     is accumulated in one map."""
-    lam = Partition((n - 1, 1))
-    witness = _reflection_witness(
+    return _reflection_report(
         n, m, reflection_solutions(n, m), reflection_dual_solutions(n, m)
     )
+
+
+def _reflection_report(n: int, m: int, psis, phis) -> CheckReport:
+    """`check_reflection` on families already built: `psis` from
+    `reflection_solutions(n, m)` and `phis` from
+    `reflection_dual_solutions(n, m)`."""
+    lam = Partition((n - 1, 1))
+    witness = _reflection_witness(n, m, psis, phis)
     info = {"translation_invariance": "sum_i d/dz_i kills every factor; pairing at z_n = 0"}
     return CheckReport("reflection_families", lam, m, witness is None, witness, info)
 

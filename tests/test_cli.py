@@ -6,11 +6,12 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from kzresidue import Partition, SparsePolynomial, discriminant_power, fundamental_solution
-from kzresidue import cli, verify
+from kzresidue import cli, solve, verify
 from kzresidue.cli import factored_text, main
 
 
@@ -125,6 +126,17 @@ def test_reflection_with_pairing(capsys):
     assert "residue solution 1:" in out
     assert "path solution 1 (m=-1):" in out
     assert "pass pairing" in out
+
+
+def test_reflection_pairing_builds_each_family_once(capsys, monkeypatch):
+    spies = []
+    for name in ("reflection_solutions", "reflection_dual_solutions"):
+        spies.append(spy := mock.Mock(wraps=getattr(solve, name)))
+        for module in (cli, verify):
+            monkeypatch.setattr(module, name, spy)
+    code, out, _ = run(capsys, "reflection", "--n", "3", "--m", "1", "--pairing")
+    assert code == 0 and "pass pairing" in out
+    assert [spy.call_count for spy in spies] == [1, 1]
 
 
 def test_verify_single_shape(capsys):

@@ -6,6 +6,7 @@ output: e.g. the first row of the three-point system is
 (z12^2 (z13 + z23), -z12^2 z13, -z12^2 z23) and its polytabloid
 coordinates reproduce all three tabloid components.
 """
+import gc
 from fractions import Fraction
 
 import pytest
@@ -642,3 +643,45 @@ def test_solve_cycle_returns_complete_table():
     assert isinstance(table, SolutionTable)
     assert set(table.components) == set(tabloids((2, 1)))
     assert not table.twisted and table.m == 1
+
+
+# ---------------------------------------------------------------------------
+# one live solve per point
+# ---------------------------------------------------------------------------
+
+
+def test_equal_arguments_return_the_live_table_and_matrix(fm21):
+    lam = Partition((2, 1))
+    assert fundamental_solution(lam, 1) is fm21
+    for t, table in zip(fm21.cycles, fm21.tables):
+        assert solve_cycle(lam, 1, t.tabloid()) is table
+    assert fundamental_solution(lam, 2) is not fm21
+
+
+def test_the_memos_hold_nothing_once_callers_drop_the_objects(monkeypatch):
+    # empty memos of the module's own kind, so other tests' objects stay out
+    for name in ("_live_tables", "_live_matrices"):
+        monkeypatch.setattr(solve, name, type(getattr(solve, name))())
+    calls = []
+    real = solve._orbit_component
+    monkeypatch.setattr(solve, "_orbit_component", lambda *a: calls.append(a) or real(*a))
+    lam = Partition((2, 1))
+    fm = fundamental_solution(lam, 1)
+    assert len(calls) == 2 * 3  # two tables of three forms
+    assert len(solve._live_matrices) == 1 and len(solve._live_tables) == 2
+    assert fundamental_solution(lam, 1) is fm and len(calls) == 6
+    doc = fm.to_json()
+    del fm
+    gc.collect()
+    assert len(solve._live_matrices) == 0 and len(solve._live_tables) == 0
+    assert fundamental_solution(lam, 1).to_json() == doc and len(calls) == 12
+
+
+def test_a_live_point_still_meets_the_guard(fm21, monkeypatch):
+    def must_not_solve(*args):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(solve, "solve_cycle", must_not_solve)
+    assert fundamental_solution(fm21.lam, 1) is fm21
+    with pytest.raises(ResourceGuardError):
+        fundamental_solution(fm21.lam, 1, budget=1)

@@ -5,6 +5,7 @@ instances; the other half feed deliberately corrupted tables, matrices
 and duals to the same checks and insist they fail with a witness.  A
 checker that cannot reject a broken solution proves nothing.
 """
+import weakref
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -731,11 +732,21 @@ def test_dual_fails_closed_on_a_corrupted_minor(fm21, monkeypatch):
         return minors
 
     monkeypatch.setattr(exactalg, "_subset_minors", corrupt_first_minor)
-    rep = check_dual(fm21)
+    fm = _rebuilt(fm21)  # an empty memo: fm21 keeps the dual an earlier test built
+    rep = check_dual(fm)
     assert calls and not rep.passed
-    assert len(calls) == fm21.dimension + 1
+    assert len(calls) == fm.dimension + 1
     assert rep.witness == {"reason": "adjugate identity failed; matrix arithmetic bug"}
     assert rep.info["adjugate_identity"].startswith("M' adj(M') == det(M') I")
+
+
+def test_check_dual_reuses_the_dual_kept_on_its_matrix(fm21, monkeypatch):
+    spy = mock.Mock(wraps=solve.det_adjugate)
+    monkeypatch.setattr(solve, "det_adjugate", spy)
+    fm = _rebuilt(fm21)
+    dm = dual_matrix(fm)
+    assert check_dual(fm).passed
+    assert dual_matrix(fm) is dm and spy.call_count == 1
 
 
 def _tamper_first_path_solution(monkeypatch, n, m, delta):
@@ -1089,11 +1100,13 @@ def test_equivariance_catches_an_orbit_path_with_the_inverse_convention(monkeypa
         return solve.cycle_integral(m, c0, u0).permute_variables(tuple(inverse))
 
     # the tables are rebuilt under the mutation and the correct matrix is
-    # kept: a mutated solve can stop in the Specht peeling before any check
+    # kept: a mutated solve can stop in the Specht peeling before any check.
+    # An empty table memo, or `solve_cycle` returns fm's live honest tables
     for parts in ((2, 1), (3, 1), (2, 2), (2, 1, 1)):
         fm = fundamental_solution(Partition(parts), 1)
         with monkeypatch.context() as patch:
             patch.setattr(solve, "_orbit_component", inverse_convention)
+            patch.setattr(solve, "_live_tables", weakref.WeakValueDictionary())
             tables = tuple(solve.solve_cycle(fm.lam, 1, t.tabloid()) for t in fm.cycles)
         rep = check_equivariance(_rebuilt(fm, tables))
         assert not rep.passed, parts
