@@ -34,8 +34,9 @@ the solver used; and the battery runs `check_kz` on the first table only,
 proving every other table equal to the first one relabeled
 (`verify._kz_reports`).  Non-standard cycles belong to no table of the
 matrix, so the battery does not compare their orbit-built components
-with direct values; `check_straightening` exercises the orbit path on
-them, and the tests compare it with the direct path for N <= 4.
+with direct values; `check_straightening` solves them by the orbit path
+against the tables of the live matrix (`_live_matrices`, the one memo),
+and the tests compare that path with the direct one for N <= 4.
 """
 from __future__ import annotations
 
@@ -72,9 +73,8 @@ from .shapes import (
 
 DEFAULT_BUDGET = 10_000
 
-# The live results of `solve_cycle` and `fundamental_solution`, by their
-# arguments.  Weak: an entry goes when the last caller drops its object.
-_live_tables = weakref.WeakValueDictionary()
+# The live results of `fundamental_solution`, by (lam, m).  Weak: an
+# entry goes when the last caller drops its matrix.
 _live_matrices = weakref.WeakValueDictionary()
 
 
@@ -263,15 +263,12 @@ class SolutionTable(Frozen):
 
 
 def solve_cycle(lam: Partition, m: int, cycle: Tabloid) -> SolutionTable:
-    """Full component table of one cycle over every tabloid of the shape.
-
-    Equal arguments return the same table for as long as a caller holds
-    it (`_live_tables`)."""
-    if (table := _live_tables.get((lam, m, cycle))) is not None:
-        return table
+    """Full component table of one cycle over every tabloid of the shape,
+    solved on every call (`cycle_integral` caches the orbit integrals)."""
+    if cycle.shape != lam.parts:
+        raise ValueError(f"cycle {cycle} does not have shape {lam}")
     components = {u: _orbit_component(m, cycle, u) for u in tabloids(lam.parts)}
-    table = _live_tables[lam, m, cycle] = SolutionTable(lam, m, cycle, components)
-    return table
+    return SolutionTable(lam, m, cycle, components)
 
 
 def polytabloid_columns(lam: Partition) -> tuple[list[list[int]], tuple[Tabloid, ...]]:
@@ -323,8 +320,8 @@ class FundamentalMatrix(Frozen):
     per-tabloid component tables it was read from."""
 
     # `_cache` memoizes check results (`verify._kz_reports`,
-    # `verify._determinant_at`) and the dual (`dual_matrix`); every new
-    # instance starts with an empty one
+    # `verify._determinant_at`) and the dual (`dual_matrix`) for every
+    # caller of the live matrix; a new instance starts with an empty one
     __slots__ = ("lam", "m", "cycles", "tables", "matrix", "_cache")
 
     def __init__(

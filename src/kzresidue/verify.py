@@ -376,12 +376,13 @@ def _evaluation_point(n: int) -> tuple[int, ...]:
     return tuple(1 + k * k for k in range(n))  # (1, 2, 5, 10, ...)
 
 
-def _determinant_at(fm: FundamentalMatrix, point: tuple[int, ...]):
-    """det M(point), one integer determinant by the subset kernel; memoized."""
-    if ("det_at", point) not in fm._cache:
+def _determinant_at(fm: FundamentalMatrix):
+    """det M(z0), one integer determinant by the subset kernel; memoized."""
+    if "det_at" not in fm._cache:
+        point = _evaluation_point(fm.lam.size)
         rows = [[e.evaluate(point) for e in row] for row in fm.matrix.entries]
-        fm._cache["det_at", point] = _subset_minors(rows, 1).get((1 << len(rows)) - 1, 0)
-    return fm._cache["det_at", point]
+        fm._cache["det_at"] = _subset_minors(rows, 1).get((1 << len(rows)) - 1, 0)
+    return fm._cache["det_at"]
 
 
 def _coordinates_witness(fm: FundamentalMatrix) -> dict | None:
@@ -406,7 +407,7 @@ def check_rank(fm: FundamentalMatrix) -> CheckReport:
     det M != 0; zero means C = 0 in det M = C Delta^p (`check_det`), since
     Delta(z0) != 0.  Called by `run_suite`."""
     point = list(_evaluation_point(fm.lam.size))
-    if _determinant_at(fm, tuple(point)):
+    if _determinant_at(fm):
         info = {"certificate_point": point}
         return CheckReport("full_rank", fm.lam, fm.m, True, None, info)
     witness = {"reason": "determinant vanishes at the certificate point", "point": point}
@@ -447,7 +448,7 @@ def check_det(fm: FundamentalMatrix) -> CheckReport:
     if witness is None and not delta:
         witness = dict(reason="evaluation point has a repeated coordinate", point=[*point])
     elif witness is None:
-        value = _determinant_at(fm, point)
+        value = _determinant_at(fm)
         constant, rest = divmod(value, delta**power)
         if rest or not constant:
             reason = "Delta(z0)^p does not divide det M(z0)" if rest else "det M(z0) = 0"
@@ -617,11 +618,12 @@ def check_straightening(lam: Partition, m: int, cycle: Tabloid) -> CheckReport:
     cycles' tables given by straightening its class in the quotient by
     lowering images (`quotient_coordinates`).  That quotient is paired
     with S^lam, the common kernel of the raising operators, in which
-    `check_primitive` (report `highest_weight`) proves every table lies."""
+    `check_primitive` (report `highest_weight`) proves every table lies.
+    The standard tables are those of `fundamental_solution`, so the guard
+    prices the point before any solving."""
     coords = quotient_coordinates(lam, cycle)
-    stds = standard_tableaux(lam)
+    basis = fundamental_solution(lam, m).tables
     target = solve_cycle(lam, m, cycle)
-    basis = [solve_cycle(lam, m, t.tabloid()) for t in stds]
     witness = None
     for u in tabloids(lam.parts):
         combined = SparsePolynomial.zero(lam.size)

@@ -287,6 +287,9 @@ def _orbits(cycles, forms) -> int:
 
 
 def _assert_one_integral_per_orbit(monkeypatch, lam, m):
+    # an empty matrix memo of the module's own kind, or a live matrix of
+    # the point is returned without solving and nothing is counted
+    monkeypatch.setattr(solve, "_live_matrices", type(solve._live_matrices)())
     keys = set()
     real = solve.cycle_integral
     monkeypatch.setattr(
@@ -339,6 +342,15 @@ def test_solve_component_validates_shapes():
         solve_component(
             Partition((2, 1)), 1, Tabloid(((1, 2), (3,))), Tabloid(((1,), (2,)))
         )
+    # cycles of another shape: unchecked, the first two were solved as
+    # tables of the requested shape and the third raised KeyError
+    for parts, cycle in (
+        ((3, 1), Tabloid(((1, 2), (3, 4)))),
+        ((3,), Tabloid(((1, 2), (3,)))),
+        ((2, 1), Tabloid(((1, 2), (4,), (3,)))),
+    ):
+        with pytest.raises(ValueError):
+            solve_cycle(Partition(parts), 1, cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -651,29 +663,30 @@ def test_solve_cycle_returns_complete_table():
 
 
 def test_equal_arguments_return_the_live_table_and_matrix(fm21):
+    # the matrix is live; a table is solved afresh, equal to the stored one
     lam = Partition((2, 1))
     assert fundamental_solution(lam, 1) is fm21
     for t, table in zip(fm21.cycles, fm21.tables):
-        assert solve_cycle(lam, 1, t.tabloid()) is table
+        fresh = solve_cycle(lam, 1, t.tabloid())
+        assert fresh == table and fresh is not table
     assert fundamental_solution(lam, 2) is not fm21
 
 
 def test_the_memos_hold_nothing_once_callers_drop_the_objects(monkeypatch):
-    # empty memos of the module's own kind, so other tests' objects stay out
-    for name in ("_live_tables", "_live_matrices"):
-        monkeypatch.setattr(solve, name, type(getattr(solve, name))())
+    # an empty memo of the module's own kind, so other tests' objects stay out
+    monkeypatch.setattr(solve, "_live_matrices", type(solve._live_matrices)())
     calls = []
     real = solve._orbit_component
     monkeypatch.setattr(solve, "_orbit_component", lambda *a: calls.append(a) or real(*a))
     lam = Partition((2, 1))
     fm = fundamental_solution(lam, 1)
     assert len(calls) == 2 * 3  # two tables of three forms
-    assert len(solve._live_matrices) == 1 and len(solve._live_tables) == 2
+    assert len(solve._live_matrices) == 1
     assert fundamental_solution(lam, 1) is fm and len(calls) == 6
     doc = fm.to_json()
     del fm
     gc.collect()
-    assert len(solve._live_matrices) == 0 and len(solve._live_tables) == 0
+    assert len(solve._live_matrices) == 0
     assert fundamental_solution(lam, 1).to_json() == doc and len(calls) == 12
 
 

@@ -5,7 +5,6 @@ instances; the other half feed deliberately corrupted tables, matrices
 and duals to the same checks and insist they fail with a witness.  A
 checker that cannot reject a broken solution proves nothing.
 """
-import weakref
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -21,6 +20,7 @@ from kzresidue import (
     PolyFraction,
     PolyMatrix,
     ReflectionSolution,
+    ResourceGuardError,
     SolutionTable,
     SparsePolynomial,
     Tabloid,
@@ -310,6 +310,30 @@ def test_straightening_fails_closed_on_a_wrong_coordinate(monkeypatch):
     assert not rep.passed
     assert rep.witness["cycle"] == str(cycle)
     assert rep.witness["form"] in {str(u) for u in tabloids(lam.parts)}
+
+
+def test_straightening_reads_the_standard_tables_off_the_live_matrix(monkeypatch):
+    lam, cycle = Partition((2, 2)), Tabloid(((1, 4), (2, 3)))
+    fm = fundamental_solution(lam, 1)
+    solves = mock.Mock(wraps=solve.solve_cycle)
+    peels = mock.Mock(wraps=solve.coordinates_in_specht_basis)
+    monkeypatch.setattr(verify, "solve_cycle", solves)
+    monkeypatch.setattr(solve, "solve_cycle", solves)
+    monkeypatch.setattr(solve, "coordinates_in_specht_basis", peels)
+    assert check_straightening(lam, 1, cycle).passed
+    assert [c.args for c in solves.call_args_list] == [(lam, 1, cycle)]
+    assert peels.call_count == 0
+    assert fundamental_solution(lam, 1) is fm
+
+
+def test_straightening_over_the_budget_is_refused_before_solving(monkeypatch):
+    def must_not_solve(*args):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(solve, "_orbit_component", must_not_solve)
+    lam = Partition((1, 1, 1, 1, 1))
+    with pytest.raises(ResourceGuardError):
+        check_straightening(lam, 1, Tabloid(((2,), (1,), (3,), (4,), (5,))))
 
 
 # ---------------------------------------------------------------------------
@@ -1100,13 +1124,11 @@ def test_equivariance_catches_an_orbit_path_with_the_inverse_convention(monkeypa
         return solve.cycle_integral(m, c0, u0).permute_variables(tuple(inverse))
 
     # the tables are rebuilt under the mutation and the correct matrix is
-    # kept: a mutated solve can stop in the Specht peeling before any check.
-    # An empty table memo, or `solve_cycle` returns fm's live honest tables
+    # kept: a mutated solve can stop in the Specht peeling before any check
     for parts in ((2, 1), (3, 1), (2, 2), (2, 1, 1)):
         fm = fundamental_solution(Partition(parts), 1)
         with monkeypatch.context() as patch:
             patch.setattr(solve, "_orbit_component", inverse_convention)
-            patch.setattr(solve, "_live_tables", weakref.WeakValueDictionary())
             tables = tuple(solve.solve_cycle(fm.lam, 1, t.tabloid()) for t in fm.cycles)
         rep = check_equivariance(_rebuilt(fm, tables))
         assert not rep.passed, parts
