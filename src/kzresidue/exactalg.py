@@ -571,25 +571,19 @@ def discriminant_power(nvars: int, e: int) -> SparsePolynomial:
 
 
 def z_atom(i: int) -> tuple:
-    """Fixed point z_i."""
-    return ("z", i)
+    """Fixed point z_i, as (0, i).  Atoms are tuples whose own order is
+    the canonical one, fixed points by index and then variables by
+    (level, row, column); it orients every factor of a `FactoredSum`."""
+    return (0, i)
 
 
 def t_atom(row: int, col: int, level: int) -> tuple:
-    """Level-`level` variable attached to box (row, col)."""
-    return ("t", row, col, level)
+    """Level-`level` variable of box (row, col), as (1, level, row, col)."""
+    return (1, level, row, col)
 
 
 def is_t_atom(a: tuple) -> bool:
-    return a[0] == "t"
-
-
-def atom_sort_key(a: tuple) -> tuple:
-    """Total order on atoms: fixed points first (by index), then variables
-    by (level, row, column)."""
-    if a[0] == "z":
-        return (0, a[1], 0, 0)
-    return (1, a[3], a[1], a[2])
+    return a[0] == 1
 
 
 def _freeze(fmap: dict) -> tuple:
@@ -599,10 +593,11 @@ def _freeze(fmap: dict) -> tuple:
 class FactoredSum(Frozen):
     """Sum of terms  coefficient * prod (a - b)^e  over distinct atoms a, b.
 
-    Factor orientation is canonical (a before b in the atom order) with
-    the sign folded into the coefficient; terms with identical factor
-    maps are merged and zero terms dropped, so equality of the maps is
-    equality of the sums term by term.
+    Factor orientation is canonical (a < b in the atom order of `z_atom`),
+    with the sign folded into the coefficient, and each term key lists
+    its pairs in that order; terms with identical factor maps are merged
+    and zero terms dropped, so equality of the maps is equality of the
+    sums term by term.
     """
 
     __slots__ = ("terms",)
@@ -626,7 +621,7 @@ class FactoredSum(Frozen):
             if a == b:
                 raise ValueError(f"degenerate difference at atom {a}")
             e = int(e)
-            if atom_sort_key(a) > atom_sort_key(b):
+            if a > b:
                 a, b = b, a
                 if e % 2:
                     sign = -sign
@@ -699,9 +694,9 @@ class FactoredSum(Frozen):
 
 
 def _atom_str(a: tuple) -> str:
-    if a[0] == "z":
-        return f"z{a[1]}"
-    return f"t[{a[1]},{a[2]}]_{a[3]}"
+    if is_t_atom(a):
+        return f"t[{a[2]},{a[3]}]_{a[1]}"
+    return f"z{a[1]}"
 
 
 class NormalizeError(ArithmeticError):

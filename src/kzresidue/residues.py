@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .exactalg import FactoredSum, _add_into, atom_sort_key, is_t_atom, t_atom, z_atom
+from .exactalg import FactoredSum, _add_into, is_t_atom, t_atom, z_atom
 from .shapes import Numbering
 
 
@@ -66,8 +66,8 @@ def residue_at(fs: FactoredSum, var: tuple, center: tuple) -> FactoredSum:
     one output term; terms with no pole at the center contribute nothing.
 
     Orientation is fixed once per term: each expander's output factor
-    D_j is stored in the canonical order of `FactoredSum` (first atom
-    first in `atom_sort_key`), the sign (-1)^(e_j - k) of a flipped pair
+    D_j is stored in the canonical order of `FactoredSum` (the smaller
+    atom tuple first), the sign (-1)^(e_j - k) of a flipped pair
     folded into its series, and a complete pick's factors are merged
     into the term's spectators and sorted once into the output key.
     """
@@ -99,7 +99,7 @@ def residue_at(fs: FactoredSum, var: tuple, center: tuple) -> FactoredSum:
         picks = [(coeff * sign, 0, ())]  # (coefficient, tau degree, chosen factors)
         for a, b, e, tau_sign in expanders:
             # (a - b)^x = (-1)^x (b - a)^x keeps a flipped pair canonical
-            flip = atom_sort_key(a) > atom_sort_key(b)
+            flip = a > b
             pair = (b, a) if flip else (a, b)
             series = [
                 binom_int(e, k) * tau_sign**k * (-1 if flip and (e - k) % 2 else 1)
@@ -152,7 +152,7 @@ def iterated_residue(fs: FactoredSum, plan) -> FactoredSum:
         raise ScheduleError("schedule integrates some variable twice")
     live = fs.live_variables()
     if not live <= planned:
-        extra = sorted(live - planned, key=atom_sort_key)
+        extra = sorted(live - planned)
         raise ScheduleError(f"form has variables outside the schedule: {extra}")
     for idx, (var, center) in enumerate(plan):
         if any(center == later_var for later_var, _ in plan[idx + 1 :]):

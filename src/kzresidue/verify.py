@@ -55,13 +55,17 @@ class CheckReport(Frozen):
     """Outcome of one verification; `witness` is set exactly when the
     verdict is fail and names the first broken instance."""
 
-    __slots__ = ("check", "lam", "m", "passed", "witness", "info")
+    __slots__ = ("check", "lam", "m", "witness", "info")
 
     def __init__(
-        self, check: str, lam: Partition | None, m: int | None, passed: bool,
+        self, check: str, lam: Partition | None, m: int | None,
         witness: dict | None = None, info: dict | None = None,
     ) -> None:
-        self._set(check, lam, m, passed, witness, {} if info is None else info)
+        self._set(check, lam, m, witness, {} if info is None else info)
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
     @property
     def verdict(self) -> str:
@@ -86,9 +90,9 @@ def _jsonable(v) -> bool:
     return isinstance(v, (str, int, float, bool, type(None), list, dict))
 
 
-def _clip(obj, limit: int = 300) -> str:
+def _clip(obj) -> str:
     s = str(obj)
-    return s if len(s) <= limit else s[: limit - 3] + "..."
+    return s if len(s) <= 300 else s[:297] + "..."
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +227,7 @@ def check_kz(table: SolutionTable) -> CheckReport:
             witness = {"i": i, "form": str(u), **fields}
     if witness is not None:
         witness = {"cycle": str(table.cycle), **witness}
-    return CheckReport("kz_system", table.lam, table.m, witness is None, witness, info)
+    return CheckReport("kz_system", table.lam, table.m, witness, info)
 
 
 def check_primitive(table: SolutionTable) -> CheckReport:
@@ -244,7 +248,7 @@ def check_primitive(table: SolutionTable) -> CheckReport:
                 "sum": _clip(bad[1]),
             }
             break
-    return CheckReport("highest_weight", table.lam, table.m, witness is None, witness)
+    return CheckReport("highest_weight", table.lam, table.m, witness)
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +312,7 @@ def check_shape(fm: FundamentalMatrix) -> CheckReport:
                 break
             leading[str(t.reading_word())] = str(coeff)
     info = {"degree": degree, "leading_coefficients": leading}
-    return CheckReport("polynomial_shape", fm.lam, fm.m, witness is None, witness, info)
+    return CheckReport("polynomial_shape", fm.lam, fm.m, witness, info)
 
 
 RELABELING = (
@@ -365,9 +369,7 @@ def _kz_reports(fm: FundamentalMatrix) -> tuple[CheckReport, ...]:
             if witness is not None:
                 witness = {"cycle": str(table.cycle), **witness, **relabeling}
             info = {"twisted": table.twisted, **relabeling}
-            reports.append(
-                CheckReport("kz_system", table.lam, table.m, witness is None, witness, info)
-            )
+            reports.append(CheckReport("kz_system", table.lam, table.m, witness, info))
         fm._cache["kz"] = tuple(reports)
     return fm._cache["kz"]
 
@@ -407,11 +409,11 @@ def check_rank(fm: FundamentalMatrix) -> CheckReport:
     det M != 0; zero means C = 0 in det M = C Delta^p (`check_det`), since
     Delta(z0) != 0.  Called by `run_suite`."""
     point = list(_evaluation_point(fm.lam.size))
-    if _determinant_at(fm):
-        info = {"certificate_point": point}
-        return CheckReport("full_rank", fm.lam, fm.m, True, None, info)
-    witness = {"reason": "determinant vanishes at the certificate point", "point": point}
-    return CheckReport("full_rank", fm.lam, fm.m, False, witness)
+    witness, info = None, {"certificate_point": point}
+    if not _determinant_at(fm):
+        witness = {"reason": "determinant vanishes at the certificate point", "point": point}
+        info = None
+    return CheckReport("full_rank", fm.lam, fm.m, witness, info)
 
 
 def check_det(fm: FundamentalMatrix) -> CheckReport:
@@ -461,7 +463,7 @@ def check_det(fm: FundamentalMatrix) -> CheckReport:
         "premises": ["kz_system", "specht_coordinates", "transposition_trace"],
         "point": list(point),
     }
-    return CheckReport("determinant_identity", lam, m, witness is None, witness, info)
+    return CheckReport("determinant_identity", lam, m, witness, info)
 
 
 # ----------------------------------------------------------------------
@@ -486,7 +488,7 @@ def check_equivariance(fm: FundamentalMatrix) -> CheckReport:
             witness = {"cycle": str(cycle), "form": str(u), "difference": _clip(comp - direct)}
             break
     info = {"pairs": pairs, "identity": RELABELING}
-    return CheckReport("equivariance", fm.lam, fm.m, witness is None, witness, info)
+    return CheckReport("equivariance", fm.lam, fm.m, witness, info)
 
 
 def check_frobenius(lam: Partition) -> CheckReport:
@@ -507,7 +509,7 @@ def check_frobenius(lam: Partition) -> CheckReport:
         if column != [f2 if r == c else 0 for r in range(len(stds))]:
             witness = {"tableau": str(t.rows)}
             break
-    return CheckReport("content_sum_action", lam, None, witness is None, witness)
+    return CheckReport("content_sum_action", lam, None, witness)
 
 
 # ----------------------------------------------------------------------
@@ -559,14 +561,14 @@ def check_dual(fm: FundamentalMatrix) -> CheckReport:
     try:
         dm = dual_matrix(fm)
     except ArithmeticError as exc:
-        return CheckReport("dual_system", lam, -fm.m, False, {"reason": str(exc)}, info)
+        return CheckReport("dual_system", lam, -fm.m, {"reason": str(exc)}, info)
     info["det_degree"] = dm.det.degree()
     if (found := _discriminant_power_of(n, dm.det)) is None:
         witness = {
             "precondition": "determinant_identity",
             "reason": "dual denominator is not a constant times a discriminant power",
         }
-        return CheckReport("dual_system", lam, dm.m, False, witness, info)
+        return CheckReport("dual_system", lam, dm.m, witness, info)
     d = dm.dimension
     nums = {(b, j): dm.entries.entry(b, j).num for b in range(d) for j in range(d)}
 
@@ -580,7 +582,7 @@ def check_dual(fm: FundamentalMatrix) -> CheckReport:
     if failure is not None:
         i, (b, jcol), fields = failure
         witness = {"i": i, "dual_row": b, "coordinate": jcol, **fields}
-    return CheckReport("dual_system", lam, dm.m, witness is None, witness, info)
+    return CheckReport("dual_system", lam, dm.m, witness, info)
 
 
 def quotient_coordinates(lam: Partition, cycle: Tabloid) -> list[int]:
@@ -643,7 +645,7 @@ def check_straightening(lam: Partition, m: int, cycle: Tabloid) -> CheckReport:
         "(James), so [{u}] = sum_t y_t [{t}] iff <{u}, e_s> = sum_t y_t <{t}, e_s>",
         "premises": ["highest_weight"],
     }
-    return CheckReport("straightening", lam, m, witness is None, witness, info)
+    return CheckReport("straightening", lam, m, witness, info)
 
 
 # ----------------------------------------------------------------------
@@ -732,7 +734,7 @@ def _reflection_report(n: int, m: int, psis, phis) -> CheckReport:
     lam = Partition((n - 1, 1))
     witness = _reflection_witness(n, m, psis, phis)
     info = {"translation_invariance": "sum_i d/dz_i kills every factor; pairing at z_n = 0"}
-    return CheckReport("reflection_families", lam, m, witness is None, witness, info)
+    return CheckReport("reflection_families", lam, m, witness, info)
 
 
 # ----------------------------------------------------------------------
@@ -751,7 +753,7 @@ def run_suite(
         for rep in per_table:
             if not rep.passed:
                 return rep
-        return CheckReport(name, lam, m, True, None, {"cycles": fm.dimension, **info})
+        return CheckReport(name, lam, m, None, {"cycles": fm.dimension, **info})
 
     reports.append(aggregate(
         "kz_system", _kz_reports(fm),

@@ -17,7 +17,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 STDOUT_SHA256 = {
     "duality_and_twist.py": "02445a9ddda88f4e19f228cab56668042dec4d6e688f5739348fb5f6ba64bd22",
     "reflection_pairing.py": "43a7b20e7877851353dc17c644bc1369fd6ab799847458907687bddd7f0e1065",
-    "three_point_walkthrough.py": "ba39a044ceac53d7c359d332b33cd8a8e7529fed55bffdbdb6167b80ce78f7cc",
+    "three_point_walkthrough.py": "c164692c2f6c7741823fc41e9dc68080c2091fed34f900d8fda9a8a32a7cf98f",
     "verification_sweep.py": "6200e8b9b7e0df896caf43707fb77fc9c40b34f87da1eb98f909a51b36e1418b",
 }
 
@@ -42,4 +42,5 @@ def test_demo_runs_clean(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert "FAIL" not in proc.stdout
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == STDOUT_SHA256[script.name]
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == STDOUT_SHA256[script.name], proc.stdout

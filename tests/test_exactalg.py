@@ -11,7 +11,16 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kzresidue import exactalg
+from kzresidue import (
+    Partition,
+    enumerate_partitions,
+    exactalg,
+    identity_tableau,
+    interaction_form,
+    residue_at,
+    residue_plan,
+    tableau_form,
+)
 from kzresidue.exactalg import (
     FactoredSum,
     NonDivisibleError,
@@ -718,6 +727,45 @@ def test_factored_relabel():
 def test_factored_live_variables():
     a = FactoredSum.term(1, [(t_atom(2, 1, 1), z_atom(2), -1), (z_atom(1), z_atom(2), 2)])
     assert a.live_variables() == {t_atom(2, 1, 1)}
+
+
+def _meaning_order(n):
+    """Sort key for the atoms of n points, read off what each atom means:
+    fixed points by index, then variables by (level, row, column)."""
+    key = {z_atom(i): (0, i) for i in range(1, n + 1)}
+    for r in range(1, n + 1):
+        for c in range(1, n + 1):
+            key.update({t_atom(r, c, s): (1, s, r, c) for s in range(1, n)})
+    return key.__getitem__
+
+
+def _assert_keys_in_meaning_order(fs, order):
+    for _, key in fs.iter_terms():
+        assert all(order(a) < order(b) for (a, b), _ in key), key
+        pairs = [(order(a), order(b)) for (a, b), _ in key]
+        assert pairs == sorted(pairs), key
+
+
+@pytest.mark.parametrize(
+    "lam", [lam for n in range(1, 6) for lam in enumerate_partitions(n)], ids=str
+)
+def test_atoms_sort_as_tuples_in_the_order_of_their_meaning(lam):
+    order = _meaning_order(lam.size)
+    atoms = {a for _, key in interaction_form(lam, 1).iter_terms() for pair, _ in key
+             for a in pair}
+    atoms.update(a for step in residue_plan(identity_tableau(lam)) for a in step)
+    assert sorted(atoms) == sorted(atoms, key=order)
+
+
+def test_term_keys_list_their_pairs_in_the_atom_order():
+    lam = Partition((2, 1, 1))
+    cycle = identity_tableau(lam)
+    order = _meaning_order(lam.size)
+    _assert_keys_in_meaning_order(interaction_form(lam, 1), order)
+    integrand = interaction_form(lam, 1) * tableau_form(cycle)
+    out = residue_at(integrand, *residue_plan(cycle)[0])
+    assert out.live_variables()  # mixed pairs of variables and fixed points remain
+    _assert_keys_in_meaning_order(out, order)
 
 
 def test_normalize_factored():

@@ -68,9 +68,8 @@ CASES = {
         "ReflectionSolution(n=2, m=1, index=1, components=(z1,))",
     ),
     "CheckReport": (
-        lambda: CheckReport("kz", Partition((1,)), 1, True),
-        "CheckReport(check='kz', lam=Partition(parts=(1,)), m=1, passed=True, "
-        "witness=None, info={})",
+        lambda: CheckReport("kz", Partition((1,)), 1),
+        "CheckReport(check='kz', lam=Partition(parts=(1,)), m=1, witness=None, info={})",
     ),
 }
 
@@ -125,9 +124,18 @@ def test_young_data_compare_and_hash_as_their_field_tuple(cls, field):
         small < getattr(small, field)
 
 
+def test_a_report_fails_exactly_when_it_has_a_witness():
+    bad = CheckReport("kz", Partition((1,)), 1, {"reason": "r"})
+    good = CheckReport("kz", Partition((1,)), 1, None, {"cycles": 1})
+    for rep in (bad, good):
+        for twin in (rep, pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep)):
+            assert twin.passed is (rep is good)
+            assert twin.verdict == ("pass" if rep is good else "fail")
+
+
 def test_value_class_defaults():
-    a = CheckReport("kz", None, None, False)
-    b = CheckReport("kz", None, None, False)
+    a = CheckReport("kz", None, None)
+    b = CheckReport("kz", None, None)
     assert a.witness is None and a.info == {} and a.info is not b.info
     table = SolutionTable(Partition((1,)), 1, Tabloid(((1,),)), {})
     assert table.twisted is False

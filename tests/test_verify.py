@@ -294,6 +294,7 @@ def test_straightening_check_passes():
     # every tabloid of every shape with N <= 4; (1,1,1,1) dominates the time
     for n in range(1, 5):
         for lam in enumerate_partitions(n):
+            fm = fundamental_solution(lam, 1)  # held, so every cycle reads its tables
             for u in tabloids(lam.parts):
                 rep = check_straightening(lam, 1, u)
                 assert rep.passed, (str(lam), str(u), rep.witness)
