@@ -619,7 +619,7 @@ class FactoredSum(Frozen):
         sign = 1
         for a, b, e in factors:
             if a == b:
-                raise ValueError(f"degenerate difference at atom {a}")
+                raise ValueError(f"degenerate difference at atom {_atom_str(a)}")
             e = int(e)
             if a > b:
                 a, b = b, a

@@ -121,7 +121,7 @@ def _discriminant_power_of(n: int, den: SparsePolynomial) -> tuple[int, object] 
     return p, c
 
 
-def _kz_witness(n: int, m: int, p: int, nums: dict, act, partner=None):
+def _kz_witness(n: int, m: int, p: int, nums: dict, act, partner=None, equations=None):
     """First failure of the KZ system for components `nums[key] / den`
     sharing a denominator den = C * Delta^p, C a non-zero constant (p = 0
     and C = 1 for polynomial components); `act(i, j, key)` is the
@@ -153,32 +153,102 @@ def _kz_witness(n: int, m: int, p: int, nums: dict, act, partner=None):
                 = (m + p) (psi_U + psi_{s_ij U}) = X_ij(s_ij U),
 
     so the quotient for U serves s_ij U as well, and the return value is
-    the same as without it.  Returns `(i, key, fields)` for the first
+    the same as without it.  `equations`, when given, lists the (i, key)
+    to check in the default's order (i ascending, then key); they share
+    quotients as all do.  Returns `(i, key, fields)` for the first
     (i, key) that fails, else None."""
     quotients: dict = {}  # (i, j, key) -> X_ij(key) / (z_i - z_j) for i < j
-    for i in range(1, n + 1):
-        for key, num in nums.items():
-            rest = dict(num.partial_derivative(i).terms)  # num' - sum_j q_j
-            for j in range(1, n + 1):
-                if j < i:
-                    _add_into(rest, quotients.pop((j, i, key)).terms.items())
-                elif j > i:
-                    if (q := quotients.get((i, j, key))) is None:
-                        x = (*((m * c, f) for c, f in act(i, j, key)), (m + p, num))
-                        try:
-                            q = quotients[(i, j, key)] = _divide_by_z_diff(x, i, j)
-                        except NonDivisibleError as exc:
-                            return i, key, {
-                                "j": j,
-                                "reason": "numerator not divisible by the pole",
-                                "remainder": _clip(exc.remainder),
-                            }
-                        if partner is not None:
-                            quotients[(i, j, partner(key, i, j))] = q
-                    _add_into(rest, q.terms.items(), True)
-            if rest:
-                return i, key, {"difference": _clip(SparsePolynomial(n, rest))}
+    if equations is None:
+        equations = ((i, key) for i in range(1, n + 1) for key in nums)
+    for i, key in equations:
+        num = nums[key]
+        rest = dict(num.partial_derivative(i).terms)  # num' - sum_j q_j
+        for j in range(1, n + 1):
+            if j == i:
+                continue
+            a, b = (j, i) if j < i else (i, j)
+            # a quotient (a, b, key) is read at (a, key) and then at (b, key)
+            q = quotients.pop((a, b, key), None) if j < i else quotients.get((a, b, key))
+            if q is None:
+                x = (*((m * c, f) for c, f in act(a, b, key)), (m + p, num))
+                try:
+                    q = _divide_by_z_diff(x, a, b)
+                except NonDivisibleError as exc:
+                    return i, key, {
+                        "j": j,
+                        "reason": "numerator not divisible by the pole",
+                        "remainder": _clip(exc.remainder),
+                    }
+                if j > i:
+                    quotients[(a, b, key)] = q
+                if partner is not None:
+                    quotients[(a, b, partner(key, a, b))] = q
+            _add_into(rest, q.terms.items(), j > i)
+        if rest:
+            return i, key, {"difference": _clip(SparsePolynomial(n, rest))}
     return None
+
+
+ROW_GROUP = (
+    "table[sigma U] = table[U] with z_i -> z_sigma(i) for sigma in the cycle's row group, "
+    "proved on its generators: the equation at (i, U) holds iff that at (sigma(i), sigma U) does"
+)
+
+
+def _row_swaps(cycle: Tabloid) -> tuple[tuple[int, int], ...]:
+    """Generators of the cycle's row group: the swaps (a b) of labels
+    adjacent in a sorted row."""
+    return tuple(pair for row in cycle.rows for pair in zip(row, row[1:]))
+
+
+def _row_moves(cycle: Tabloid, keys: list) -> list[tuple[int, int, list[int]]]:
+    """(a, b, move) for each generator s = (a b) of `_row_swaps(cycle)`,
+    with keys[move[k]] == s keys[k]."""
+    index = {u: k for k, u in enumerate(keys)}
+    return [
+        (a, b, [index[act_transposition(u, a, b)] for u in keys])
+        for a, b in _row_swaps(cycle)
+    ]
+
+
+def _premise_witness(n: int, moves, keys: list, nums: dict, sign: int) -> dict | None:
+    """First (generator, form) where nums[s U] != sign * nums[U] with
+    z_a <-> z_b, for a generator s = (a b) of `moves`, else None.
+    Applying s to both sides turns the relation at U into the one at
+    s U, so each pair {U, s U} is compared once."""
+    for a, b, move in moves:
+        image = list(range(1, n + 1))
+        image[a - 1], image[b - 1] = b, a
+        for k, u in enumerate(keys):
+            if move[k] < k:
+                continue
+            moved = nums[u].permute_variables(tuple(image))
+            if nums[keys[move[k]]] != (moved if sign > 0 else -moved):
+                return {"generator": [a, b], "form": str(u)}
+    return None
+
+
+def _representatives(n: int, moves, keys: list) -> list[tuple[int, Tabloid]]:
+    """One (i, U) per orbit of the group the generators of `moves`
+    generate, acting by (i, U) -> (s(i), s U): the orbit's first pair in
+    `_kz_witness`'s order (i ascending, then U in the order of `keys`)."""
+    reps: list = []
+    seen: set = set()  # (i, position of U in keys)
+    for i in range(1, n + 1):
+        for k, u in enumerate(keys):
+            if (i, k) in seen:
+                continue
+            reps.append((i, u))
+            seen.add((i, k))
+            stack = [(i, k)]
+            while stack:
+                x, y = stack.pop()
+                for a, b, move in moves:
+                    w = (b if x == a else a if x == b else x, move[y])
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+    return reps
 
 
 def check_kz(table: SolutionTable) -> CheckReport:
@@ -194,15 +264,33 @@ def check_kz(table: SolutionTable) -> CheckReport:
     so the denominator never enters a product.  When m eps == m + p, with
     eps = -1 on twisted tables and 1 otherwise (every polynomial table
     and every alternating twist), X_ij(U) == X_ij(s_ij U) and one
-    quotient serves both; `info` names that identity when it is used."""
+    quotient serves both; `info` names that identity when it is used.
+
+    When table[sigma U] == table[U] with z_i -> z_sigma(i) for sigma in
+    the row group R_C of the cycle (`ROW_GROUP`), the equation at (i, U)
+    holds iff the one at (sigma(i), sigma U) does.  That premise is
+    proved exactly for the swaps (a b) of labels adjacent in a row, which
+    generate R_C: nums[s U] == (-1)^p nums[U] with z_a <-> z_b, the sign
+    +1 on polynomial and twisted tables.  Then only the first equation of
+    each R_C-orbit is checked, so a failing table keeps the full check's
+    witness.  A table that fails the premise may still solve the system
+    and is checked at every (i, U).  `info` counts the equations checked
+    and names the identity, or the generator and form where the premise
+    failed.  A table not indexed by exactly the tabloids of its shape, or
+    whose cycle has another shape, raises ValueError."""
+    lam, n = table.lam, table.lam.size
+    if table.cycle.shape != lam.parts:
+        raise ValueError(f"cycle {table.cycle} does not have shape {lam}")
     comps = nums = table.components
+    if comps.keys() != set(tabloids(lam.parts)):
+        raise ValueError(f"components are not indexed by the tabloids of {lam}")
     p, witness = 0, None
     first = next(iter(comps.values()))
     if isinstance(first, PolyFraction):
         nums = {u: c.num for u, c in comps.items()}
         if any(c.den is not first.den and c.den != first.den for c in comps.values()):
             witness = {"reason": "components do not share a denominator"}
-        elif (found := _discriminant_power_of(table.lam.size, first.den)) is None:
+        elif (found := _discriminant_power_of(n, first.den)) is None:
             witness = {
                 "reason": "shared denominator is not a constant times a discriminant power"
             }
@@ -221,7 +309,17 @@ def check_kz(table: SolutionTable) -> CheckReport:
             info["shared_quotients"] = (
                 "X_ij(U) = X_ij(s_ij U) as m eps = m + p: one quotient serves both"
             )
-        failure = _kz_witness(table.lam.size, table.m, p, nums, act, partner)
+        keys = list(nums)
+        moves = _row_moves(table.cycle, keys)
+        info["equations"] = total = n * len(keys)
+        if (broken := _premise_witness(n, moves, keys, nums, (-1) ** p)) is not None:
+            equations = None
+            info.update(equations_checked=total, premise_failed=broken)
+        else:
+            equations = _representatives(n, moves, keys)
+            info.update(equations_checked=len(equations),
+                        by_row_group=total - len(equations), row_group=ROW_GROUP)
+        failure = _kz_witness(n, table.m, p, nums, act, partner, equations)
         if failure is not None:
             i, u, fields = failure
             witness = {"i": i, "form": str(u), **fields}
@@ -270,6 +368,12 @@ def check_shape(fm: FundamentalMatrix) -> CheckReport:
     the reversed-variable order) with the monomial whose exponents are
     read off the content and position of each label in the indexing
     tableau."""
+    return _shape_report(fm, fm.tables)
+
+
+def _shape_report(fm: FundamentalMatrix, tables, **info) -> CheckReport:
+    """`check_shape` with the component cells read from `tables` only;
+    `info` enters the report (`run_suite` names its premise there)."""
     stats = diagram_stats(fm.lam, fm.m)
     degree = stats.solution_degree
     witness = None
@@ -288,7 +392,7 @@ def check_shape(fm: FundamentalMatrix) -> CheckReport:
 
     d = fm.dimension
     cells = itertools.chain(
-        ((c, {"cycle": str(t.cycle), "form": str(u)}) for t in fm.tables
+        ((c, {"cycle": str(t.cycle), "form": str(u)}) for t in tables
          for u, c in t.components.items()),
         ((fm.matrix.entry(i, j), {"row": i, "col": j, "where": "matrix"})
          for i in range(d) for j in range(d)),
@@ -311,7 +415,7 @@ def check_shape(fm: FundamentalMatrix) -> CheckReport:
                 }
                 break
             leading[str(t.reading_word())] = str(coeff)
-    info = {"degree": degree, "leading_coefficients": leading}
+    info = {"degree": degree, "leading_coefficients": leading, **info}
     return CheckReport("polynomial_shape", fm.lam, fm.m, witness, info)
 
 
@@ -347,7 +451,7 @@ def _kz_reports(fm: FundamentalMatrix) -> tuple[CheckReport, ...]:
     """One report per table, memoized: `run_suite`, `check_det` and the
     CLI's `verify` share it.
 
-    `check_kz` runs in full on the first table only.  Every cycle C_k is
+    `check_kz` runs on the first table only.  Every cycle C_k is
     sigma_k C_1, with sigma_k mapping the sorted labels of each row of C_1
     to those of C_k, and the system is unchanged by renaming labels and
     variables alike (`RELABELING`).  So table k passes when
@@ -745,7 +849,14 @@ def run_suite(
     lam: Partition, m: int, *, budget: int = DEFAULT_BUDGET
 ) -> list[CheckReport]:
     """Solve the full fundamental system for a shape and run every
-    applicable check on it."""
+    applicable check on it.
+
+    When every `kz_system` report passes (`_kz_reports`), each table is
+    the first one relabeled, and raising, degree, homogeneity and
+    integrality commute with relabeling: `highest_weight` and the
+    component cells of `polynomial_shape` then read the first table only
+    and name `kz_system` as their premise.  Matrix entries and leading
+    terms are always checked in full."""
     fm = fundamental_solution(lam, m, budget=budget)
     reports: list[CheckReport] = []
 
@@ -755,12 +866,19 @@ def run_suite(
                 return rep
         return CheckReport(name, lam, m, None, {"cycles": fm.dimension, **info})
 
+    kz = _kz_reports(fm)
+    counts = {k: kz[0].info.get(k) for k in ("equations", "equations_checked")}
     reports.append(aggregate(
-        "kz_system", _kz_reports(fm),
-        checked_in_full=1, by_relabeling=fm.dimension - 1, identity=RELABELING,
+        "kz_system", kz, checked_by_check_kz=1, by_relabeling=fm.dimension - 1,
+        identity=RELABELING, **counts,
     ))
-    reports.append(aggregate("highest_weight", map(check_primitive, fm.tables)))
-    reports.append(check_shape(fm))
+    tables, premise = fm.tables, {}
+    if len(tables) > 1 and all(rep.passed for rep in kz):
+        tables = tables[:1]
+        premise = {"tables_checked": 1, "by_relabeling": fm.dimension - 1,
+                   "premises": ["kz_system"]}
+    reports.append(aggregate("highest_weight", map(check_primitive, tables), **premise))
+    reports.append(_shape_report(fm, tables, **premise))
     reports.append(check_rank(fm))
     reports.append(check_equivariance(fm))
     if lam.size <= 6:

@@ -326,6 +326,22 @@ def test_iterated_rejects_center_integrated_later():
         iterated_residue(f, ((TA, TB), (TB, Z1)))
 
 
+def test_error_messages_name_atoms_as_they_print():
+    # z3 is a fixed point and t[2,1]_1 the level-1 variable of box (2, 1)
+    with pytest.raises(ValueError) as err:
+        residue_at(FactoredSum.term(1, [(TA, Z3, -1)]), Z3, TA)
+    assert str(err.value) == "cannot integrate over the fixed point z3"
+    with pytest.raises(ScheduleError) as err:
+        iterated_residue(FactoredSum.term(1, [(TA, Z3, -1)]), ())
+    assert str(err.value) == "form has variables outside the schedule: t[2,1]_1"
+    with pytest.raises(ScheduleError) as err:
+        iterated_residue(FactoredSum.term(1, [(TA, TB, -1)]), ((TA, TB), (TB, Z3)))
+    assert str(err.value).startswith("step for t[2,1]_1 expands about t[2,2]_1,")
+    with pytest.raises(ValueError) as err:
+        FactoredSum.term(1, [(Z3, Z3, 1)])
+    assert str(err.value) == "degenerate difference at atom z3"
+
+
 def test_same_level_steps_commute():
     # distinct centers, small equal radii: either extraction order computes
     # the same double contour integral

@@ -6,7 +6,7 @@ and duals to the same checks and insist they fail with a witness.  A
 checker that cannot reject a broken solution proves nothing.
 """
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 from unittest import mock
 
 import pytest
@@ -44,6 +44,7 @@ from kzresidue import (
     quotient_coordinates,
     reflection_dual_solutions,
     run_suite,
+    solve_cycle,
     standard_tableaux,
     tabloids,
 )
@@ -51,6 +52,10 @@ from kzresidue.verify import RELABELING, _kz_reports, _kz_witness, _specht_trans
 
 LAM21 = Partition((2, 1))
 SHARED = "X_ij(U) = X_ij(s_ij U) as m eps = m + p: one quotient serves both"
+# (2,1), first cycle {1,2}|{3}: 3 * 3 equations, 5 orbits of its row group
+ROW_GROUP_INFO = {
+    "equations": 9, "equations_checked": 5, "by_row_group": 4, "row_group": verify.ROW_GROUP,
+}
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +84,8 @@ def test_kz_passes_on_solved_tables(fm21):
 def test_kz_passes_on_twisted_table(fm21):
     rep = check_kz(alternating_twist(fm21.tables[0]))
     assert rep.passed
-    assert rep.m == -1 and rep.info == {"twisted": True, "shared_quotients": SHARED}
+    assert rep.m == -1
+    assert rep.info == {"twisted": True, "shared_quotients": SHARED, **ROW_GROUP_INFO}
 
 
 def test_primitive_passes(fm21):
@@ -848,7 +854,7 @@ def test_report_serialization(fm21):
         "m": 1,
         "verdict": "pass",
         "witness": None,
-        "info": {"twisted": False, "shared_quotients": SHARED},
+        "info": {"twisted": False, "shared_quotients": SHARED, **ROW_GROUP_INFO},
     }
     assert rep.one_line() == "[PASS] kz_system shape=(2,1) m=1"
 
@@ -1069,9 +1075,20 @@ def test_kz_reports_check_the_first_table_and_relabel_the_rest(fm31):
 
 
 def test_run_suite_names_the_relabeling_identity():
-    rep = run_suite(Partition((3, 1)), 1)[0]
+    reports = run_suite(Partition((3, 1)), 1)
+    rep = reports[0]
     assert rep.check == "kz_system" and rep.passed
-    assert rep.info == {"cycles": 3, "checked_in_full": 1, "by_relabeling": 2, "identity": RELABELING}
+    assert rep.info == {
+        "cycles": 3, "checked_by_check_kz": 1, "by_relabeling": 2, "identity": RELABELING,
+        "equations": 16, "equations_checked": 5,
+    }
+    # highest weight and the component cells of the shape check read the
+    # first table only, resting on the kz_system reports
+    premise = {"tables_checked": 1, "by_relabeling": 2, "premises": ["kz_system"]}
+    assert reports[1].check == "highest_weight"
+    assert reports[1].info == {"cycles": 3, **premise}
+    assert reports[2].check == "polynomial_shape"
+    assert {k: reports[2].info[k] for k in premise} == premise
 
 
 def test_premise_rejects_a_perturbed_component_of_a_later_table(fm31):
@@ -1158,3 +1175,245 @@ def test_equivariance_takes_one_direct_integral_per_stored_entry(monkeypatch, pa
     compared = {(c.args[2], c.args[3]) for c in calls.call_args_list}
     assert compared == {(t.cycle, u) for t in fm.tables for u in tabloids(parts)}
     assert rep.info == {"pairs": pairs, "identity": RELABELING}
+
+
+# ---------------------------------------------------------------------------
+# one equation per orbit of the cycle's row group
+# ---------------------------------------------------------------------------
+
+
+def _row_group(cycle):
+    """Every sigma of the row group of `cycle`, as image[x-1] = sigma(x)."""
+    group = []
+    for perms in product(*(permutations(row) for row in cycle.rows)):
+        image = [0] * cycle.size
+        for row, perm in zip(cycle.rows, perms):
+            for x, y in zip(row, perm):
+                image[x - 1] = y
+        group.append(tuple(image))
+    return group
+
+
+def _relabeled(u, image):
+    return Tabloid(tuple(tuple(image[x - 1] for x in row) for row in u.rows))
+
+
+def _with_deltas(table, deltas):
+    """The table with deltas[U] added to the numerator at U."""
+    comps = dict(table.components)
+    for u, delta in deltas.items():
+        c = comps[u]
+        comps[u] = PolyFraction(c.num + delta, c.den) if isinstance(c, PolyFraction) else c + delta
+    return SolutionTable(table.lam, table.m, table.cycle, comps, table.twisted)
+
+
+def _row_symmetric(cycle, u, delta):
+    """sum over sigma in the row group of delta with z_i -> z_sigma(i), at
+    sigma U: a perturbation that keeps the row-group premise."""
+    deltas = {}
+    for image in _row_group(cycle):
+        v, moved = _relabeled(u, image), delta.permute_variables(image)
+        deltas[v] = deltas[v] + moved if v in deltas else moved
+    return deltas
+
+
+def _full_check(table):
+    """`check_kz` at every (i, U), the reference for the reduction."""
+    with mock.patch.object(verify, "_premise_witness", lambda n, moves, keys, nums, sign: {}):
+        return check_kz(table)
+
+
+@pytest.mark.parametrize("parts, total, checked", [
+    ((2, 1), 9, 5), ((2, 2), 24, 8), ((3, 1), 16, 5), ((2, 1, 1), 48, 26),
+    ((4, 1), 25, 5), ((3, 2), 50, 9), ((4, 2), 90, 9),
+])
+def test_kz_checks_one_equation_per_orbit_of_the_row_group(parts, total, checked, monkeypatch):
+    lam = Partition(parts)
+    cycle = standard_tableaux(lam)[0].tabloid()
+    table = solve_cycle(lam, 1, cycle)
+    # the orbits of (i, U) under the whole row group, by brute force
+    orbits = {
+        frozenset((image[i - 1], _relabeled(u, image)) for image in _row_group(cycle))
+        for i in range(1, lam.size + 1) for u in tabloids(parts)
+    }
+    assert len(orbits) == checked
+    divisions = mock.Mock(wraps=verify._divide_by_z_diff)
+    monkeypatch.setattr(verify, "_divide_by_z_diff", divisions)
+    rep = check_kz(table)
+    assert rep.passed and "premise_failed" not in rep.info
+    assert rep.info["equations"] == total and rep.info["equations_checked"] == checked
+    assert rep.info["by_row_group"] == total - checked
+    assert rep.info["row_group"] == verify.ROW_GROUP
+    assert divisions.call_count <= checked * (lam.size - 1)
+
+
+def test_kz_checks_in_full_a_solution_that_is_not_row_symmetric(fm21):
+    # the second table solves the system, but not symmetrically under the
+    # row group of the first cycle
+    first, second = fm21.tables
+    table = SolutionTable(LAM21, 1, first.cycle, dict(second.components))
+    rep = check_kz(table)
+    assert rep.passed
+    assert rep.info["premise_failed"] == {"generator": [1, 2], "form": "{1,2}|{3}"}
+    assert rep.info["equations_checked"] == rep.info["equations"] == 9
+    assert "row_group" not in rep.info and "by_row_group" not in rep.info
+    broken = perturbed(table, tabloids((2, 1))[1], SparsePolynomial.variable(3, 1) ** 3)
+    rep = check_kz(broken)
+    assert not rep.passed and "premise_failed" in rep.info
+    assert rep.witness == _full_check(broken).witness
+
+
+def test_a_perturbation_off_the_representatives_breaks_the_premise_and_is_caught(fm31):
+    table = fm31.tables[0]
+    keys = list(table.components)
+    reps = verify._representatives(4, verify._row_moves(table.cycle, keys), keys)
+    off = [u for u in tabloids((3, 1)) if u not in {u for _, u in reps}]
+    assert off
+    for u in off:
+        broken = perturbed(table, u, SparsePolynomial.variable(4, 1))
+        rep = check_kz(broken)
+        assert not rep.passed and "premise_failed" in rep.info
+        assert rep.info["equations_checked"] == 16
+        assert rep.witness == _full_check(broken).witness
+
+
+def test_a_row_symmetric_perturbation_is_caught_at_a_representative(fm31):
+    table = fm31.tables[0]
+    delta = SparsePolynomial.variable(4, 1) * SparsePolynomial.variable(4, 4)
+    for u in tabloids((3, 1)):
+        broken = _with_deltas(table, _row_symmetric(table.cycle, u, delta))
+        rep = check_kz(broken)
+        assert not rep.passed
+        assert rep.info["equations_checked"] == 5 and "premise_failed" not in rep.info
+        assert rep.witness == _full_check(broken).witness
+
+
+def test_generators_taken_across_rows_fail_closed(fm31, monkeypatch):
+    # seeded mutation: swaps of labels adjacent in the reading word, so one
+    # crosses from the first row to the second
+    def across(cycle):
+        word = sum(cycle.rows, ())
+        return tuple(zip(word, word[1:]))
+
+    monkeypatch.setattr(verify, "_row_swaps", across)
+    table = fm31.tables[0]
+    rep = check_kz(table)
+    assert rep.passed and rep.info["premise_failed"]["generator"] == [3, 4]
+    delta = SparsePolynomial.variable(4, 1) * SparsePolynomial.variable(4, 4)
+    for u in tabloids((3, 1)):
+        broken = _with_deltas(table, _row_symmetric(table.cycle, u, delta))
+        rep = check_kz(broken)
+        assert not rep.passed
+        assert rep.witness == _full_check(broken).witness
+
+
+def test_the_sign_of_an_odd_power_fails_closed(fm21, monkeypatch):
+    """Tables written over Delta (p = 1): Delta changes sign under a swap,
+    so the premise reads nums[s U] == -nums[U] with z_a <-> z_b."""
+    disc = discriminant_power(3, 1)
+    table = fm21.tables[0]
+    cycle = table.cycle
+
+    def over_disc(nums):
+        return SolutionTable(LAM21, 1, cycle, {u: PolyFraction(c, disc) for u, c in nums.items()})
+
+    delta = SparsePolynomial.variable(3, 1) ** 3
+    spread = _row_symmetric(cycle, tabloids((2, 1))[0], delta)
+    solution = over_disc({u: c * disc for u, c in table.components.items()})
+    # psi + a row-symmetric perturbation, over Delta: numerators odd under a swap
+    odd = over_disc({u: (c + spread.get(u, 0)) * disc for u, c in table.components.items()})
+    # numerators even under a swap: what the premise with the wrong sign admits
+    even = over_disc({u: spread.get(u, SparsePolynomial.zero(3)) for u in table.components})
+    assert check_kz(solution).passed and "row_group" in check_kz(solution).info
+    assert "row_group" in check_kz(odd).info and "premise_failed" in check_kz(even).info
+    # seeded mutation: the premise compares with the sign of an even power
+    honest = verify._premise_witness
+    monkeypatch.setattr(
+        verify, "_premise_witness",
+        lambda n, moves, keys, nums, sign: honest(n, moves, keys, nums, -sign),
+    )
+    rep = check_kz(solution)
+    assert rep.passed and "premise_failed" in rep.info
+    assert "premise_failed" in check_kz(odd).info and "row_group" in check_kz(even).info
+    for broken in (odd, even):
+        rep = check_kz(broken)
+        assert not rep.passed
+        assert rep.witness == _full_check(broken).witness
+
+
+@pytest.fixture(scope="module")
+def kz_tables():
+    """The tables of the `kz_cases` points, polynomial and twisted."""
+    tables = []
+    for lam, m in ((LAM21, 1), (LAM21, 2), (Partition((2, 2)), 1)):
+        table = fundamental_solution(lam, m).tables[-1]
+        tables += [table, alternating_twist(table)]
+    return tables
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.booleans(),
+    st.none() | st.tuples(st.lists(st.integers(0, 4), min_size=4, max_size=4),
+                          st.integers(-3, 3).filter(bool)),
+)
+def test_representatives_give_the_verdict_of_the_full_check(
+    kz_tables, which, where, symmetric, perturbation
+):
+    table = kz_tables[which]
+    forms = tabloids(table.lam.parts)
+    if perturbation is not None:
+        exps, coeff = perturbation
+        u, n = forms[where % len(forms)], table.lam.size
+        delta = SparsePolynomial.from_terms(n, [(exps[:n], coeff)])
+        table = _with_deltas(
+            table, _row_symmetric(table.cycle, u, delta) if symmetric else {u: delta}
+        )
+    rep = check_kz(table)
+    full = _full_check(table)
+    assert (rep.passed, rep.witness) == (full.passed, full.witness)
+    if perturbation is None or symmetric:
+        assert rep.info["equations_checked"] < rep.info["equations"]
+    if perturbation is None:
+        assert rep.passed
+
+
+def test_run_suite_reads_every_table_when_a_kz_report_fails(fm31, monkeypatch):
+    calls = mock.Mock(wraps=verify.check_primitive)
+    monkeypatch.setattr(verify, "check_primitive", calls)
+    reports = _run_suite_on(fm31, monkeypatch)
+    assert all(rep.passed for rep in reports) and calls.call_count == 1
+    table, u = fm31.tables[2], tabloids((3, 1))[1]
+    bad = _rebuilt(fm31, fm31.tables[:2] + (perturbed(table, u, SparsePolynomial.constant(4, 1)),))
+    calls.reset_mock()
+    reports = {rep.check: rep for rep in _run_suite_on(bad, monkeypatch)}
+    kz = reports["kz_system"]
+    assert not kz.passed and kz.witness["cycle"] == str(table.cycle)
+    assert calls.call_count == 3
+    for name in ("highest_weight", "polynomial_shape"):
+        assert "premises" not in reports[name].info
+    # the constant is seen by the shape check, which read the third table
+    shape = reports["polynomial_shape"]
+    assert shape.witness == {"cycle": str(table.cycle), "form": str(u), "reason": "not homogeneous"}
+
+
+def test_kz_refuses_a_table_without_components(fm21):
+    with pytest.raises(ValueError, match="not indexed by the tabloids"):
+        check_kz(SolutionTable(LAM21, 1, fm21.tables[0].cycle, {}))
+
+
+def test_kz_refuses_a_table_missing_a_tabloid(fm21):
+    table = fm21.tables[0]
+    comps = dict(table.components)
+    del comps[tabloids((2, 1))[2]]
+    with pytest.raises(ValueError, match="not indexed by the tabloids"):
+        check_kz(SolutionTable(LAM21, 1, table.cycle, comps))
+
+
+def test_kz_refuses_a_cycle_of_another_shape(fm21):
+    table = fm21.tables[0]
+    cycle = Tabloid(((1,), (2,), (3,)))
+    with pytest.raises(ValueError, match="does not have shape"):
+        check_kz(SolutionTable(LAM21, 1, cycle, dict(table.components)))
