@@ -115,8 +115,8 @@ def cmd_solve(args) -> int:
             yield "  [" + ",  ".join(row) + "]"
         for table in fm.tables:
             yield f"cycle {table.cycle}:"
-            for u in table.tabloid_order():
-                yield f"  {u}: {factored_text(table.components[u])}"
+            for u, c in table.components.items():
+                yield f"  {u}: {factored_text(c)}"
 
     emit(args, fm.to_json(), lines)
     return 0
@@ -229,8 +229,7 @@ def cmd_twist(args) -> int:
     def lines():
         for t, rep in zip(twisted, reports):
             yield f"cycle {t.cycle} (m={t.m}, twisted): {rep.verdict}"
-            for u in t.tabloid_order():
-                frac = t.components[u]
+            for u, frac in t.components.items():
                 yield f"  {u}: ({factored_text(frac.num)}) / ({factored_text(frac.den)})"
 
     emit(args, payload, lines)

@@ -237,7 +237,10 @@ class SolutionTable(Frozen):
     Components are polynomials (positive parameter) or shared-denominator
     fractions (twisted tables); `m` is the parameter of the system the
     table claims to solve and `twisted` marks the extra sign in the
-    transposition action."""
+    transposition action.  The cycle has shape `lam` and `components` is
+    keyed by exactly `tabloids(lam.parts)`, stored in that order, or the
+    constructor raises ValueError; every check that indexes a table by
+    tabloid relies on this."""
 
     __slots__ = ("lam", "m", "cycle", "components", "twisted")
 
@@ -245,20 +248,20 @@ class SolutionTable(Frozen):
         self, lam: Partition, m: int, cycle: Tabloid, components: dict,
         twisted: bool = False,
     ) -> None:
-        self._set(lam, m, cycle, components, twisted)
-
-    def tabloid_order(self) -> tuple[Tabloid, ...]:
-        return tabloids(self.lam.parts)
+        if cycle.shape != lam.parts:
+            raise ValueError(f"cycle {cycle} does not have shape {lam}")
+        order = tabloids(lam.parts)
+        if components.keys() != set(order):
+            raise ValueError(f"components are not indexed by the tabloids of {lam}")
+        self._set(lam, m, cycle, {u: components[u] for u in order}, twisted)
 
     def to_json(self) -> dict:
         return {
             "lambda": list(self.lam.parts),
             "m": self.m,
             "cycle": [list(r) for r in self.cycle.rows],
-            "forms": [[list(r) for r in u.rows] for u in self.tabloid_order()],
-            "components": [
-                self.components[u].to_json() for u in self.tabloid_order()
-            ],
+            "forms": [[list(r) for r in u.rows] for u in self.components],
+            "components": [c.to_json() for c in self.components.values()],
         }
 
 
@@ -341,12 +344,9 @@ class FundamentalMatrix(Frozen):
             "m": self.m,
             "degree": stats.solution_degree,
             "cycles": [[list(r) for r in t.tabloid().rows] for t in self.cycles],
-            "forms": [
-                [list(r) for r in u.rows] for u in self.tables[0].tabloid_order()
-            ],
+            "forms": [[list(r) for r in u.rows] for u in self.tables[0].components],
             "components": [
-                [table.components[u].to_json() for u in table.tabloid_order()]
-                for table in self.tables
+                [c.to_json() for c in table.components.values()] for table in self.tables
             ],
             "matrix": [
                 [self.matrix.entry(i, j).to_json() for j in range(self.dimension)]

@@ -649,6 +649,39 @@ def test_solution_table_json_schema(fm21):
     assert len(doc["components"]) == 3
 
 
+def test_solution_table_stores_its_forms_in_the_order_of_tabloids(fm21):
+    table = fm21.tables[1]
+    shuffled = dict(reversed(table.components.items()))
+    rebuilt = SolutionTable(table.lam, table.m, table.cycle, shuffled)
+    assert list(rebuilt.components) == list(tabloids((2, 1)))
+    assert rebuilt == table and rebuilt.to_json() == table.to_json()
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("cycle of another shape", "does not have shape"),
+    ("missing form", "not indexed by the tabloids"),
+    ("extra form", "not indexed by the tabloids"),
+])
+def test_solution_table_refuses_a_malformed_table_before_storing_it(
+    fm21, monkeypatch, fault, message
+):
+    table = fm21.tables[0]
+    cycle, comps = table.cycle, dict(table.components)
+    if fault == "cycle of another shape":
+        cycle = Tabloid(((1,), (2,), (3,)))
+    elif fault == "missing form":
+        del comps[tabloids((2, 1))[2]]
+    else:
+        comps[Tabloid(((1, 2, 3),))] = SparsePolynomial.zero(3)
+
+    def store(self, *values):
+        raise AssertionError("a malformed table was stored")
+
+    monkeypatch.setattr(SolutionTable, "_set", store)
+    with pytest.raises(ValueError, match=message):
+        SolutionTable(table.lam, table.m, cycle, comps)
+
+
 def test_solve_cycle_returns_complete_table():
     lam = Partition((2, 1))
     table = solve_cycle(lam, 1, Tabloid(((1, 2), (3,))))

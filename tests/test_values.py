@@ -35,6 +35,7 @@ ONE = SparsePolynomial.constant(2, 1)
 Z1 = SparsePolynomial.variable(2, 1)
 MATRIX = PolyMatrix([[ONE]])
 FACTORED = FactoredSum.term(3, [(z_atom(1), z_atom(2), -2)])
+POINT = Tabloid(((1,),))  # the one tabloid of (1,)
 
 # (constructor of a fresh instance, its repr as the dataclass wrote it)
 CASES = {
@@ -48,9 +49,9 @@ CASES = {
     ),
     "PolyFraction": (lambda: PolyFraction(Z1, ONE), "PolyFraction(num=z1, den=1)"),
     "SolutionTable": (
-        lambda: SolutionTable(Partition((1,)), 1, Tabloid(((1,),)), {}),
+        lambda: SolutionTable(Partition((1,)), 1, POINT, {POINT: SparsePolynomial.constant(1, 1)}),
         "SolutionTable(lam=Partition(parts=(1,)), m=1, cycle=Tabloid(rows=((1,),)), "
-        "components={}, twisted=False)",
+        "components={Tabloid(rows=((1,),)): 1}, twisted=False)",
     ),
     "FundamentalMatrix": (
         lambda: FundamentalMatrix(Partition((1,)), 1, (Numbering(((1,),)),), (), MATRIX),
@@ -137,7 +138,7 @@ def test_value_class_defaults():
     a = CheckReport("kz", None, None)
     b = CheckReport("kz", None, None)
     assert a.witness is None and a.info == {} and a.info is not b.info
-    table = SolutionTable(Partition((1,)), 1, Tabloid(((1,),)), {})
+    table = SolutionTable(Partition((1,)), 1, POINT, {POINT: SparsePolynomial.constant(1, 1)})
     assert table.twisted is False
     fm = FundamentalMatrix(Partition((1,)), 1, (), (), MATRIX)
     other = FundamentalMatrix(Partition((1,)), 1, (), (), MATRIX)

@@ -43,6 +43,7 @@ from kzresidue import (
     fundamental_solution,
     quotient_coordinates,
     reflection_dual_solutions,
+    reflection_solutions,
     run_suite,
     solve_cycle,
     standard_tableaux,
@@ -441,6 +442,49 @@ def test_shape_rejects_wrong_degree(fm21):
     assert rep.witness["reason"] == "not homogeneous"
 
 
+def _with_component(fm, u, comp):
+    """fm with table 1's component at u replaced by comp."""
+    comps = dict(fm.tables[0].components)
+    comps[u] = comp
+    first = SolutionTable(fm.lam, fm.m, fm.tables[0].cycle, comps)
+    return FundamentalMatrix(fm.lam, fm.m, fm.cycles, (first, *fm.tables[1:]), fm.matrix)
+
+
+def test_shape_names_a_component_of_another_degree(fm21):
+    u = tabloids((2, 1))[1]
+    comp = fm21.tables[0].components[u] * SparsePolynomial.variable(3, 1)
+    rep = check_shape(_with_component(fm21, u, comp))
+    assert rep.witness == {"cycle": "{1,2}|{3}", "form": str(u), "reason": "degree 4 != 3"}
+
+
+def test_shape_names_a_non_integer_coefficient(fm21):
+    u = tabloids((2, 1))[2]
+    half = SparsePolynomial.from_terms(3, [((3, 0, 0), Fraction(1, 2))])
+    rep = check_shape(_with_component(fm21, u, fm21.tables[0].components[u] + half))
+    assert rep.witness == {"cycle": "{1,2}|{3}", "form": str(u), "reason": "non-integer coefficient"}
+
+
+def test_shape_names_a_zero_diagonal_entry(fm21):
+    rows = _rows(fm21)
+    rows[1][1] = SparsePolynomial.zero(3)
+    rep = check_shape(_with_matrix(fm21, rows))
+    assert rep.witness == {"row": 1, "reason": "zero diagonal entry"}
+
+
+def test_shape_names_a_diagonal_entry_with_the_wrong_leading_term(fm21):
+    rows = _rows(fm21)
+    rows[0][0] = rows[1][1]  # homogeneous, integral and of the right degree
+    rep = check_shape(_with_matrix(fm21, rows))
+    t = fm21.cycles[0]
+    assert rep.witness == {
+        "row": 0,
+        "tableau": str(t.rows),
+        "leading": list(rows[1][1].leading_term()[0]),
+        "expected": list(verify._expected_leading_exponents(t, 1)),
+    }
+    assert rep.witness["leading"] != rep.witness["expected"]
+
+
 def test_dual_rejects_tampered_fundamental_matrix(fm21):
     rows = [
         [fm21.matrix.entry(i, j) for j in range(fm21.dimension)]
@@ -468,6 +512,16 @@ def test_kz_rejects_twisted_denominator_of_wrong_form(fm21):
     assert rep.witness["reason"] == (
         "shared denominator is not a constant times a discriminant power"
     )
+
+
+def test_kz_names_components_without_a_shared_denominator(fm21):
+    tw = alternating_twist(fm21.tables[0])
+    comps = dict(tw.components)
+    u = tabloids((2, 1))[1]
+    comps[u] = PolyFraction(comps[u].num * 2, comps[u].den * 2)  # the same value
+    rep = check_kz(SolutionTable(tw.lam, tw.m, tw.cycle, comps, twisted=True))
+    assert rep.witness == {"cycle": str(tw.cycle), "reason": "components do not share a denominator"}
+    assert rep.info == {"twisted": True}
 
 
 def test_kz_accepts_twisted_denominator_with_constant(fm21):
@@ -771,6 +825,22 @@ def test_dual_fails_closed_on_a_corrupted_minor(fm21, monkeypatch):
     assert rep.info["adjugate_identity"].startswith("M' adj(M') == det(M') I")
 
 
+def test_dual_names_the_first_equation_a_tampered_dual_row_breaks(fm21, monkeypatch):
+    # the denominator is untouched, so the determinant identity holds and
+    # only the system itself can fail
+    dm = dual_matrix(fm21)
+    rows = [list(row) for row in dm.entries.entries]
+    rows[0][0] = PolyFraction(rows[0][0].num + SparsePolynomial.constant(3, 1), dm.det)
+    tampered = solve.DualMatrix(dm.lam, dm.m, dm.det, PolyMatrix(rows))
+    monkeypatch.setattr(verify, "dual_matrix", lambda fm: tampered)
+    rep = check_dual(fm21)
+    assert rep.witness == {
+        "i": 1, "dual_row": 0, "coordinate": 0, "j": 3,
+        "reason": "numerator not divisible by the pole", "remainder": "2",
+    }
+    assert rep.m == -1
+
+
 def test_check_dual_reuses_the_dual_kept_on_its_matrix(fm21, monkeypatch):
     spy = mock.Mock(wraps=solve.det_adjugate)
     monkeypatch.setattr(solve, "det_adjugate", spy)
@@ -815,6 +885,33 @@ def test_reflection_rejects_perturbed_path_coefficient(monkeypatch):
         "component": 1,
     }
     assert "translation_invariance" in rep.info
+
+
+def test_reflection_names_a_residue_component_that_breaks_the_zero_sum(monkeypatch):
+    n, m = 3, 1
+    psis = reflection_solutions(n, m)
+    first = psis[0]
+    comps = (first.components[0], first.components[1] + SparsePolynomial.constant(n, 1),
+             *first.components[2:])
+    tampered = (ReflectionSolution(n, m, first.index, comps), *psis[1:])
+    monkeypatch.setattr(verify, "reflection_solutions", lambda n_, m_: tampered)
+    rep = check_reflection(n, m)
+    assert rep.witness == {"reason": "residue family does not sum to zero", "component": 2}
+
+
+def test_reflection_names_a_path_member_whose_coordinates_do_not_sum_to_zero(monkeypatch):
+    n, m = 3, 1
+    phis = reflection_dual_solutions(n, m)
+    second = phis[1]
+    c0 = second.components[0]
+    comps = (PolyFraction(c0.num + SparsePolynomial.constant(n, 1), c0.den),
+             *second.components[1:])
+    tampered = (phis[0], ReflectionSolution(n, second.m, second.index, comps), *phis[2:])
+    monkeypatch.setattr(verify, "reflection_dual_solutions", lambda n_, m_: tampered)
+    rep = check_reflection(n, m)
+    assert rep.witness == {
+        "reason": "path family coordinate sum is not zero", "index": second.index,
+    }
 
 
 @pytest.mark.parametrize("n, m", [(3, 1), (3, 2), (4, 1)])
@@ -867,18 +964,57 @@ def test_failed_report_one_line(fm21):
     assert rep.to_json()["verdict"] == "fail"
 
 
+BATTERY = [
+    "kz_system",
+    "highest_weight",
+    "polynomial_shape",
+    "full_rank",
+    "equivariance",
+    "content_sum_action",
+    "determinant_identity",
+]
+
+
 def test_run_suite_composition():
     reports = run_suite(LAM21, 1)
-    assert [r.check for r in reports] == [
-        "kz_system",
-        "highest_weight",
-        "polynomial_shape",
-        "full_rank",
-        "equivariance",
-        "content_sum_action",
-        "determinant_identity",
-    ]
+    assert [r.check for r in reports] == BATTERY
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("parts", [(3, 3), (2, 2, 1, 1), (6, 1), (4, 3), (6, 2)], ids=str)
+def test_run_suite_runs_one_battery_at_every_size(parts, monkeypatch):
+    # every step that reads a solved matrix is stubbed by a passing report
+    # of its name, so nothing is solved; check_frobenius runs for real
+    lam = Partition(parts)
+
+    def passing(name):
+        return lambda *args, **info: CheckReport(name, lam, 1)
+
+    monkeypatch.setattr(verify, "fundamental_solution", lambda lam_, m, budget: mock.Mock(
+        dimension=1, tables=(None,)))
+    monkeypatch.setattr(verify, "_kz_reports", lambda fm: (CheckReport("kz_system", lam, 1),))
+    for step, name in (("check_primitive", "highest_weight"), ("_shape_report", "polynomial_shape"),
+                       ("check_rank", "full_rank"), ("check_equivariance", "equivariance"),
+                       ("check_det", "determinant_identity")):
+        monkeypatch.setattr(verify, step, passing(name))
+    reports = run_suite(lam, 1)
+    assert [r.check for r in reports] == BATTERY
+    assert all(r.passed for r in reports)
+    assert reports[BATTERY.index("content_sum_action")] == check_frobenius(lam)
+
+
+def test_frobenius_passes_on_every_admitted_shape_of_seven_and_eight_points():
+    # the price never falls as m grows, so m = 1 admits every shape any m admits
+    admitted = []
+    for n in (7, 8):
+        for lam in enumerate_partitions(n):
+            try:
+                solve.check_resources(lam, 1)
+            except ResourceGuardError:
+                continue
+            admitted.append(lam)
+            assert check_frobenius(lam).passed, lam
+    assert len(admitted) == 9
 
 
 @pytest.mark.parametrize("lam", [Partition((2, 2, 1)), Partition((3, 2))], ids=str)
@@ -1410,6 +1546,15 @@ def test_kz_refuses_a_table_missing_a_tabloid(fm21):
     del comps[tabloids((2, 1))[2]]
     with pytest.raises(ValueError, match="not indexed by the tabloids"):
         check_kz(SolutionTable(LAM21, 1, table.cycle, comps))
+
+
+def test_a_partial_table_is_refused_before_check_det_reads_it(fm21):
+    # the relabeling premise reads every form of the second table
+    table = fm21.tables[1]
+    comps = dict(table.components)
+    del comps[tabloids((2, 1))[0]]
+    with pytest.raises(ValueError, match="not indexed by the tabloids"):
+        check_det(_rebuilt(fm21, (fm21.tables[0], SolutionTable(LAM21, 1, table.cycle, comps))))
 
 
 def test_kz_refuses_a_cycle_of_another_shape(fm21):
