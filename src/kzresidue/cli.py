@@ -219,6 +219,9 @@ def cmd_dual(args) -> int:
 
 def cmd_twist(args) -> int:
     fm = fundamental_solution(args.shape, args.m, budget=args.budget)
+    # one full check of the first table and the relabeling premise on the
+    # rest leave a KZ record on each table, which its twist reads
+    _kz_reports(fm)
     twisted = [alternating_twist(t) for t in fm.tables]
     reports = [check_kz(t) for t in twisted]
     payload = {

@@ -240,9 +240,19 @@ class SolutionTable(Frozen):
     transposition action.  The cycle has shape `lam` and `components` is
     keyed by exactly `tabloids(lam.parts)`, stored in that order, or the
     constructor raises ValueError; every check that indexes a table by
-    tabloid relies on this."""
+    tabloid relies on this.
 
-    __slots__ = ("lam", "m", "cycle", "components", "twisted")
+    `_cache` is the table's record of its KZ proof (`verify.check_kz`):
+    key (m eps, m + p), the two coefficients of
+    X_ij = (m eps) psi_{s_ij U} + (m + p) psi_U, mapped to the witness (or
+    None) and the `info` of the proof that made it, which names how it was
+    proved.  `alternating_twist` hands its table the same record, and
+    `verify._kz_reports` writes one for each table it proves by
+    relabeling.  Like `FundamentalMatrix._cache` it is out of equality,
+    hash, repr and pickling, and every constructor call starts it empty;
+    so `components` must not be changed in place after a check."""
+
+    __slots__ = ("lam", "m", "cycle", "components", "twisted", "_cache")
 
     def __init__(
         self, lam: Partition, m: int, cycle: Tabloid, components: dict,
@@ -253,7 +263,7 @@ class SolutionTable(Frozen):
         order = tabloids(lam.parts)
         if components.keys() != set(order):
             raise ValueError(f"components are not indexed by the tabloids of {lam}")
-        self._set(lam, m, cycle, {u: components[u] for u in order}, twisted)
+        self._set(lam, m, cycle, {u: components[u] for u in order}, twisted, {})
 
     def to_json(self) -> dict:
         return {
@@ -452,14 +462,22 @@ def dual_matrix(fm: FundamentalMatrix) -> DualMatrix:
 def alternating_twist(table: SolutionTable) -> SolutionTable:
     """Divide by the squared discriminant power and tensor with the sign
     character: a solution of the parameter-negated system for the
-    twisted action, with rational components."""
+    twisted action, with rational components.
+
+    The numerators are the table's own component objects over the one
+    cached `discriminant_power(n, 2m)`.  With parameter -m, p = 2m and
+    eps = -1 the twisted system's X_ij = m psi_{s_ij U} + m psi_U is the
+    table's, key (m, m) in both, so the twisted table is given the
+    table's KZ record itself, not a copy: a proof on either serves both."""
     if table.twisted:
         raise ValueError("table is already twisted")
     den = discriminant_power(table.lam.size, 2 * table.m)
     components = {
         u: PolyFraction(c, den) for u, c in table.components.items()
     }
-    return SolutionTable(table.lam, -table.m, table.cycle, components, twisted=True)
+    twisted = SolutionTable(table.lam, -table.m, table.cycle, components, twisted=True)
+    object.__setattr__(twisted, "_cache", table._cache)
+    return twisted
 
 
 class ReflectionSolution(Frozen):

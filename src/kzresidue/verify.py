@@ -107,12 +107,19 @@ def _discriminant_power_of(n: int, den: SparsePolynomial) -> tuple[int, object] 
     Decided by comparison, without division: den = C Delta^p forces
     C = a / b, with a and b the coefficients of den and of Delta^p at the
     leading monomial of Delta^p, and den == C Delta^p for that C proves
-    the converse."""
+    the converse.  `den` that is the cached `discriminant_power(n, p)`
+    itself (the denominator `alternating_twist` writes) is (p, 1) with
+    no product and no comparison."""
     pairs = n * (n - 1) // 2
-    if den.is_zero() or (pairs and den.degree() % pairs):
+    if den.is_zero():
         return None
-    p = den.degree() // pairs if pairs else 0
+    degree = den.degree()
+    if pairs and degree % pairs:
+        return None
+    p = degree // pairs if pairs else 0
     disc = discriminant_power(n, p)
+    if den is disc:
+        return p, 1
     lead = max(disc.terms)
     c = demote(Fraction(den.terms.get(lead, 0)) / disc.terms[lead])
     if not c or den != disc * c:
@@ -276,51 +283,93 @@ def check_kz(table: SolutionTable) -> CheckReport:
     and is checked at every (i, U).  `info` counts the equations checked
     and names the identity, or the generator and form where the premise
     failed.  The table's keys and their order are those `SolutionTable`
-    enforces."""
-    n = table.lam.size
+    enforces.
+
+    The denominator step runs on every call.  The rest is kept on the
+    table (`SolutionTable._cache`) under the key (m eps, m + p), the two
+    coefficients of X_ij: the witness and the `info` of the proof that
+    made the record.  A later call with that key reads it, so its `info`
+    says how the verdict was proved: by this check, or by `RELABELING`
+    (written by `_kz_reports`).  A table and its alternating twist share
+    one record and one key, (m, m); a report read across the twist also
+    names that identity (`TWIST`).  The record stands for the components
+    as they were checked, which must not be changed in place."""
+    nums, p, witness = _shared_denominator(table)
+    info = {"twisted": table.twisted}
+    if witness is None:
+        key = _record_key(table, p)
+        if (record := table._cache.get(key)) is None:
+            record = table._cache[key] = _kz_proof(table, nums, p)
+        witness, made = record
+        info = {**made, "twisted": table.twisted}
+        if made["twisted"] != table.twisted:
+            info["twist"] = TWIST
+    if witness is not None:
+        witness = {"cycle": str(table.cycle), **witness}
+    return CheckReport("kz_system", table.lam, table.m, witness, info)
+
+
+TWIST = (
+    "X_ij = m psi_{s_ij U} + m psi_U on the numerators of a table and of its alternating "
+    "twist (parameter -m, p = 2m, eps = -1): one proof serves both"
+)
+
+
+def _shared_denominator(table: SolutionTable) -> tuple[dict, int, dict | None]:
+    """`check_kz`'s denominator step: `(nums, p, None)` when the
+    components are polynomials (p = 0) or fractions nums[U] / den sharing
+    one den = C * Delta^p, else a witness in the last place."""
     comps = nums = table.components
-    p, witness = 0, None
     first = next(iter(comps.values()))
-    if isinstance(first, PolyFraction):
-        nums = {u: c.num for u, c in comps.items()}
-        if any(c.den is not first.den and c.den != first.den for c in comps.values()):
-            witness = {"reason": "components do not share a denominator"}
-        elif (found := _discriminant_power_of(n, first.den)) is None:
-            witness = {
-                "reason": "shared denominator is not a constant times a discriminant power"
-            }
-        else:
-            p = found[0]
+    if not isinstance(first, PolyFraction):
+        return nums, 0, None
+    nums = {u: c.num for u, c in comps.items()}
+    if any(c.den is not first.den and c.den != first.den for c in comps.values()):
+        return nums, 0, {"reason": "components do not share a denominator"}
+    if (found := _discriminant_power_of(table.lam.size, first.den)) is None:
+        return nums, 0, {
+            "reason": "shared denominator is not a constant times a discriminant power"
+        }
+    return nums, found[0], None
+
+
+def _record_key(table: SolutionTable, p: int) -> tuple[int, int]:
+    """(m eps, m + p): the coefficients of X_ij, which with the numerators
+    fix every equation `_kz_witness` checks."""
+    return (-table.m if table.twisted else table.m), table.m + p
+
+
+def _kz_proof(table: SolutionTable, nums: dict, p: int) -> tuple[dict | None, dict]:
+    """`check_kz` past its denominator step: (witness without the cycle,
+    info)."""
+    n = table.lam.size
     eps = -1 if table.twisted else 1
 
     def act(i: int, j: int, u: Tabloid) -> tuple:
         return ((eps, nums[act_transposition(u, i, j)]),)
 
     info = {"twisted": table.twisted}
-    if witness is None:
-        partner = None
-        if table.m * eps == table.m + p:
-            partner = act_transposition
-            info["shared_quotients"] = (
-                "X_ij(U) = X_ij(s_ij U) as m eps = m + p: one quotient serves both"
-            )
-        keys = list(nums)
-        moves = _row_moves(table.cycle, keys)
-        info["equations"] = total = n * len(keys)
-        if (broken := _premise_witness(n, moves, keys, nums, (-1) ** p)) is not None:
-            equations = None
-            info.update(equations_checked=total, premise_failed=broken)
-        else:
-            equations = _representatives(n, moves, keys)
-            info.update(equations_checked=len(equations),
-                        by_row_group=total - len(equations), row_group=ROW_GROUP)
-        failure = _kz_witness(n, table.m, p, nums, act, partner, equations)
-        if failure is not None:
-            i, u, fields = failure
-            witness = {"i": i, "form": str(u), **fields}
-    if witness is not None:
-        witness = {"cycle": str(table.cycle), **witness}
-    return CheckReport("kz_system", table.lam, table.m, witness, info)
+    partner = None
+    if table.m * eps == table.m + p:
+        partner = act_transposition
+        info["shared_quotients"] = (
+            "X_ij(U) = X_ij(s_ij U) as m eps = m + p: one quotient serves both"
+        )
+    keys = list(nums)
+    moves = _row_moves(table.cycle, keys)
+    info["equations"] = total = n * len(keys)
+    if (broken := _premise_witness(n, moves, keys, nums, (-1) ** p)) is not None:
+        equations = None
+        info.update(equations_checked=total, premise_failed=broken)
+    else:
+        equations = _representatives(n, moves, keys)
+        info.update(equations_checked=len(equations),
+                    by_row_group=total - len(equations), row_group=ROW_GROUP)
+    failure = _kz_witness(n, table.m, p, nums, act, partner, equations)
+    if failure is None:
+        return None, info
+    i, u, fields = failure
+    return {"i": i, "form": str(u), **fields}, info
 
 
 def check_primitive(table: SolutionTable) -> CheckReport:
@@ -453,7 +502,12 @@ def _kz_reports(fm: FundamentalMatrix) -> tuple[CheckReport, ...]:
     table(C_k)[sigma_k U] == table(C_1)[U] with z_i -> z_sigma_k(i) for
     every U, compared exactly on the stored data, and the first table
     passes; whatever built the tables, a difference or a failing first
-    table fails it."""
+    table fails it.
+
+    Each table k >= 2 that passes so gets a KZ record (see `check_kz`)
+    holding this report's info, `RELABELING`, `from_cycle` and `sigma`,
+    unless it already has one: a later `check_kz` on it, or on its
+    alternating twist, which shares the record, reads that proof."""
     if "kz" not in fm._cache:
         first = fm.tables[0]
         reports = [check_kz(first)]
@@ -465,9 +519,13 @@ def _kz_reports(fm: FundamentalMatrix) -> tuple[CheckReport, ...]:
                 witness = {"reason": "relabeling of a first table that fails the system"}
             else:
                 witness = _relabeling_witness(first, table, image)
+            info = {"twisted": table.twisted, **relabeling}
             if witness is not None:
                 witness = {"cycle": str(table.cycle), **witness, **relabeling}
-            info = {"twisted": table.twisted, **relabeling}
+            else:
+                _, p, bad = _shared_denominator(table)
+                if bad is None:
+                    table._cache.setdefault(_record_key(table, p), (None, info))
             reports.append(CheckReport("kz_system", table.lam, table.m, witness, info))
         fm._cache["kz"] = tuple(reports)
     return fm._cache["kz"]
@@ -748,6 +806,12 @@ def check_straightening(lam: Partition, m: int, cycle: Tabloid) -> CheckReport:
 
 
 def _reflection_witness(n: int, m: int, psis, phis) -> dict | None:
+    """First failure of `check_reflection`'s identities, else None.
+
+    The translation test skips the last residue solution: the sum test
+    before it proves psi_n = -sum_{a<n} psi_a, and E = sum_i d/dz_i is
+    linear, so a defect in psi_n is a defect in some earlier psi_a, which
+    the loop meets first; no witness changes."""
     for k in range(n):
         if sum((psi.components[k] for psi in psis), SparsePolynomial.zero(n)):
             return {"reason": "residue family does not sum to zero", "component": k + 1}
@@ -762,7 +826,7 @@ def _reflection_witness(n: int, m: int, psis, phis) -> dict | None:
         nums = [comp.num for comp in phi.components]
         scale = math.lcm(*(c.denominator for num in nums for c in num.terms.values()))
         scaled.append((phi.index, scale, [num * scale for num in nums]))
-    families = [("residue", psi.index, psi.components) for psi in psis]
+    families = [("residue", psi.index, psi.components) for psi in psis[:-1]]
     families += [("path", index, nums) for index, _, nums in scaled]
     for family, index, comps in families:
         for k, comp in enumerate(comps, start=1):
@@ -807,7 +871,8 @@ def check_reflection(n: int, m: int) -> CheckReport:
 
     The pairing is checked on the slice z_n = 0 only, after a
     translation-invariance step proves E f = 0, E = sum_i d/dz_i, for
-    every residue-family component and every path numerator f.  Then
+    every residue-family component (the last solution's by the zero sum
+    and linearity, see `_reflection_witness`) and every path numerator f.  Then
     f(z) = f(z - z_n (1, ..., 1)) for each of them, hence for every
     product of them, and Delta^{2m} is a product of differences; so the
     pairing identity holds everywhere if it holds at z_n = 0

@@ -118,6 +118,36 @@ def test_twist_runs_and_verifies(capsys):
     assert "(m=-1, twisted): pass" in out
 
 
+def _twist_on_a_fresh_point(capsys, monkeypatch, *argv):
+    """`twist` with no live matrix, so no table holds a KZ record yet."""
+    monkeypatch.setattr(solve, "_live_matrices", type(solve._live_matrices)())
+    return run(capsys, "twist", "--lambda", "3,1", "--m", "1", *argv)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_twist_checks_one_table_in_full_and_reads_the_rest(capsys, monkeypatch, fmt):
+    witness = mock.Mock(wraps=verify._kz_witness)
+    monkeypatch.setattr(verify, "_kz_witness", witness)
+    code, out, _ = _twist_on_a_fresh_point(capsys, monkeypatch, "--format", fmt)
+    assert code == 0 and witness.call_count == 1
+    # every twisted table checked in full, as without the records
+    monkeypatch.setattr(cli, "_kz_reports", lambda fm: None)
+    code, full, _ = _twist_on_a_fresh_point(capsys, monkeypatch, "--format", fmt)
+    assert code == 0 and witness.call_count == 4
+    if fmt == "text":
+        assert out == full
+        return
+    doc, full = json.loads(out), json.loads(full)
+    assert doc["tables"] == full["tables"]
+    for k, (rep, ref) in enumerate(zip(doc["checks"], full["checks"])):
+        assert {**rep, "info": None} == {**ref, "info": None}
+        assert rep["info"]["twisted"] is True and rep["info"]["twist"] == verify.TWIST
+        if k:
+            assert rep["info"]["identity"] == verify.RELABELING
+        else:
+            assert rep["info"] == {**ref["info"], "twist": verify.TWIST}
+
+
 def test_reflection_with_pairing(capsys):
     code, out, _ = run(
         capsys, "reflection", "--n", "3", "--m", "1", "--pairing"

@@ -146,6 +146,12 @@ def test_value_class_defaults():
     fm._cache["kz"] = ()  # the memo is out of equality and repr
     assert fm == other and repr(fm) == repr(other)
     assert copy.deepcopy(fm)._cache == {}  # a copy starts with an empty memo
+    other = SolutionTable(Partition((1,)), 1, POINT, {POINT: SparsePolynomial.constant(1, 1)})
+    assert table._cache == {} and table._cache is not other._cache
+    table._cache[(1, 1)] = (None, {})  # the KZ record is out of equality and repr
+    assert table == other and repr(table) == repr(other)
+    for twin in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+        assert twin == table and twin._cache == {}
 
 
 def test_poly_fraction_refuses_a_zero_denominator():

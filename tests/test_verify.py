@@ -5,6 +5,8 @@ instances; the other half feed deliberately corrupted tables, matrices
 and duals to the same checks and insist they fail with a witness.  A
 checker that cannot reject a broken solution proves nothing.
 """
+import copy
+import pickle
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from unittest import mock
@@ -64,6 +66,11 @@ def fm21():
     return fundamental_solution(LAM21, 1)
 
 
+def fresh(table: SolutionTable) -> SolutionTable:
+    """The table rebuilt by the constructor, so with an empty KZ record."""
+    return SolutionTable(table.lam, table.m, table.cycle, table.components, table.twisted)
+
+
 def perturbed(table: SolutionTable, u: Tabloid, delta: SparsePolynomial):
     comps = dict(table.components)
     comps[u] = comps[u] + delta
@@ -83,7 +90,8 @@ def test_kz_passes_on_solved_tables(fm21):
 
 
 def test_kz_passes_on_twisted_table(fm21):
-    rep = check_kz(alternating_twist(fm21.tables[0]))
+    # a table with an empty record: the proof runs on the twisted table
+    rep = check_kz(alternating_twist(fresh(fm21.tables[0])))
     assert rep.passed
     assert rep.m == -1
     assert rep.info == {"twisted": True, "shared_quotients": SHARED, **ROW_GROUP_INFO}
@@ -541,6 +549,23 @@ def test_discriminant_power_of_reads_power_and_constant(n, p, c):
     assert type(found[1]) is (int if c.denominator == 1 else Fraction)
 
 
+@pytest.mark.parametrize("n, p", [(2, 2), (3, 2), (3, 4), (4, 2)])
+def test_discriminant_power_of_takes_the_cached_power_as_it_is(n, p, monkeypatch):
+    den = discriminant_power(n, p)
+    equal = SparsePolynomial(n, dict(den.terms))
+    assert equal == den and equal is not den
+    with monkeypatch.context() as patch:
+        def refuse(*args):
+            raise AssertionError("product of the denominator test")
+
+        patch.setattr(SparsePolynomial, "__mul__", refuse)
+        assert verify._discriminant_power_of(n, den) == (p, 1)
+        with pytest.raises(AssertionError, match="product"):
+            verify._discriminant_power_of(n, equal)
+    # an equal but distinct denominator goes through the comparison
+    assert verify._discriminant_power_of(n, equal) == (p, 1)
+
+
 def _not_c_delta_p(kind, n, p):
     """A polynomial of the named kind that is not C * Delta^p in n variables."""
     disc = discriminant_power(n, p)
@@ -912,6 +937,26 @@ def test_reflection_names_a_path_member_whose_coordinates_do_not_sum_to_zero(mon
     assert rep.witness == {
         "reason": "path family coordinate sum is not zero", "index": second.index,
     }
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_reflection_catches_a_tamper_of_the_last_residue_solution_by_its_sum(n, monkeypatch):
+    # the translation test skips psi_n: a term that is not translation
+    # invariant, added to psi_n alone, breaks the zero sum first
+    m = 1
+    psis = reflection_solutions(n, m)
+    last = psis[-1]
+    comps = (last.components[0] + SparsePolynomial.variable(n, 1) ** 2, *last.components[1:])
+    tampered = (*psis[:-1], ReflectionSolution(n, m, last.index, comps))
+    monkeypatch.setattr(verify, "reflection_solutions", lambda n_, m_: tampered)
+    tested = mock.Mock(wraps=verify._translation_defect)
+    monkeypatch.setattr(verify, "_translation_defect", tested)
+    rep = check_reflection(n, m)
+    assert rep.witness == {"reason": "residue family does not sum to zero", "component": 1}
+    monkeypatch.setattr(verify, "reflection_solutions", reflection_solutions)
+    assert check_reflection(n, m).passed
+    # n - 1 residue solutions and n - 1 path solutions, n components each
+    assert tested.call_count == 2 * (n - 1) * n
 
 
 @pytest.mark.parametrize("n, m", [(3, 1), (3, 2), (4, 1)])
@@ -1314,6 +1359,126 @@ def test_equivariance_takes_one_direct_integral_per_stored_entry(monkeypatch, pa
 
 
 # ---------------------------------------------------------------------------
+# one KZ proof per table: the record, the twist and the relabeled tables
+# ---------------------------------------------------------------------------
+
+
+def _fresh_matrix(fm):
+    """The matrix with an empty report memo and tables with empty records."""
+    return _rebuilt(fm, tuple(map(fresh, fm.tables)))
+
+
+def _divisions(monkeypatch):
+    calls = mock.Mock(wraps=verify._divide_by_z_diff)
+    monkeypatch.setattr(verify, "_divide_by_z_diff", calls)
+    return calls
+
+
+def test_the_twist_reads_the_proof_of_its_table(fm31, monkeypatch):
+    table = fresh(fm31.tables[0])
+    rep = check_kz(table)
+    assert rep.passed and table._cache == {(1, 1): (None, rep.info)}
+    divisions = _divisions(monkeypatch)
+    twisted = alternating_twist(table)
+    assert twisted._cache is table._cache
+    tw = check_kz(twisted)
+    assert divisions.call_count == 0
+    assert tw.passed and tw.m == -1 and tw.witness is None
+    assert tw.info == {**rep.info, "twisted": True, "twist": verify.TWIST}
+    again = check_kz(table)
+    assert divisions.call_count == 0 and again.info == rep.info  # its own record
+    # the other way round: a proof made on the twist serves its table
+    other = fresh(fm31.tables[0])
+    assert check_kz(alternating_twist(other)).info == {**rep.info, "twisted": True}
+    divisions.reset_mock()
+    assert check_kz(other).info == {**rep.info, "twist": verify.TWIST}
+    assert divisions.call_count == 0
+
+
+@pytest.mark.parametrize("u, delta", [
+    (tabloids((3, 1))[1], SparsePolynomial.variable(4, 1)),
+    (tabloids((3, 1))[0], SparsePolynomial.variable(4, 2) ** 4),
+    (tabloids((3, 1))[3], SparsePolynomial.constant(4, 2)),
+])
+def test_the_twist_of_a_perturbed_table_reads_its_witness(fm31, u, delta, monkeypatch):
+    broken = perturbed(fm31.tables[0], u, delta)
+    rep = check_kz(broken)
+    assert not rep.passed
+    divisions = _divisions(monkeypatch)
+    tw = check_kz(alternating_twist(broken))
+    assert divisions.call_count == 0
+    assert not tw.passed and tw.m == -1 and tw.info["twisted"] is True
+    assert tw.witness == rep.witness
+    # the witness a full check of the twisted table gives, without a record
+    monkeypatch.undo()
+    assert tw.witness == check_kz(alternating_twist(fresh(broken))).witness
+
+
+@pytest.mark.parametrize("parts", [(3, 1), (2, 1, 1)])
+def test_relabeled_tables_and_their_twists_read_the_relabeling(parts, monkeypatch):
+    fm = _fresh_matrix(fundamental_solution(Partition(parts), 1))
+    reports = _kz_reports(fm)
+    assert all(rep.passed for rep in reports) and len(reports) == fm.dimension == 3
+    divisions = _divisions(monkeypatch)
+    for k, (table, kz) in enumerate(zip(fm.tables, reports)):
+        plain, twisted = check_kz(table), check_kz(alternating_twist(table))
+        assert plain.passed and twisted.passed and twisted.m == -1
+        assert plain.info == kz.info
+        assert twisted.info == {**kz.info, "twisted": True, "twist": verify.TWIST}
+        if k:
+            assert twisted.info["identity"] == RELABELING
+            assert twisted.info["from_cycle"] == str(fm.tables[0].cycle)
+            assert twisted.info["sigma"] == kz.info["sigma"]
+        else:
+            assert "identity" not in twisted.info and "row_group" in twisted.info
+    assert divisions.call_count == 0
+
+
+def test_kz_reports_keep_a_record_made_before_them(fm31):
+    fm = _fresh_matrix(fm31)
+    made = check_kz(fm.tables[2])
+    assert all(rep.passed for rep in _kz_reports(fm))
+    assert check_kz(fm.tables[2]).info == made.info and "row_group" in made.info
+    assert check_kz(fm.tables[1]).info["identity"] == RELABELING
+
+
+def test_a_failing_relabeling_writes_no_record(fm31):
+    table, u = fm31.tables[2], tabloids((3, 1))[1]
+    bad = perturbed(table, u, SparsePolynomial.variable(4, 1))
+    fm = _rebuilt(fm31, (fresh(fm31.tables[0]), fresh(fm31.tables[1]), bad))
+    assert [rep.passed for rep in _kz_reports(fm)] == [True, True, False]
+    assert bad._cache == {} and len(fm.tables[1]._cache) == 1
+    rep = check_kz(bad)
+    assert not rep.passed and "identity" not in rep.info
+
+
+def test_a_rebuilt_table_shares_no_record(fm21):
+    table = fresh(fm21.tables[0])
+    check_kz(table)
+    again = SolutionTable(table.lam, table.m, table.cycle, table.components)
+    assert again == table and repr(again) == repr(table)
+    assert again._cache == {} and table._cache != {}
+    for copied in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+        assert copied == table and copied._cache == {}
+    assert alternating_twist(again)._cache is again._cache is not table._cache
+
+
+def test_a_twist_with_another_power_reads_no_record(fm21, monkeypatch):
+    table = fresh(fm21.tables[0])
+    assert check_kz(table).passed
+    honest = verify._discriminant_power_of
+    monkeypatch.setattr(
+        verify, "_discriminant_power_of", lambda n, den: (honest(n, den)[0] + 1, 1)
+    )
+    divisions = _divisions(monkeypatch)
+    rep = check_kz(alternating_twist(table))
+    # p = 2m + 1: X_ij = m psi_{s_ij U} + (m + 1) psi_U, which no record holds
+    assert divisions.call_count > 0 and not rep.passed
+    assert "twist" not in rep.info and "shared_quotients" not in rep.info
+    assert sorted(table._cache) == [(1, 1), (1, 2)]
+
+
+# ---------------------------------------------------------------------------
 # one equation per orbit of the cycle's row group
 # ---------------------------------------------------------------------------
 
@@ -1354,9 +1519,10 @@ def _row_symmetric(cycle, u, delta):
 
 
 def _full_check(table):
-    """`check_kz` at every (i, U), the reference for the reduction."""
+    """`check_kz` at every (i, U), the reference for the reduction, on the
+    table rebuilt with an empty KZ record."""
     with mock.patch.object(verify, "_premise_witness", lambda n, moves, keys, nums, sign: {}):
-        return check_kz(table)
+        return check_kz(fresh(table))
 
 
 @pytest.mark.parametrize("parts, total, checked", [
@@ -1432,7 +1598,7 @@ def test_generators_taken_across_rows_fail_closed(fm31, monkeypatch):
         return tuple(zip(word, word[1:]))
 
     monkeypatch.setattr(verify, "_row_swaps", across)
-    table = fm31.tables[0]
+    table = fresh(fm31.tables[0])
     rep = check_kz(table)
     assert rep.passed and rep.info["premise_failed"]["generator"] == [3, 4]
     delta = SparsePolynomial.variable(4, 1) * SparsePolynomial.variable(4, 4)
@@ -1468,6 +1634,8 @@ def test_the_sign_of_an_odd_power_fails_closed(fm21, monkeypatch):
         verify, "_premise_witness",
         lambda n, moves, keys, nums, sign: honest(n, moves, keys, nums, -sign),
     )
+    # the honest checks above left their records on these tables
+    solution, odd, even = map(fresh, (solution, odd, even))
     rep = check_kz(solution)
     assert rep.passed and "premise_failed" in rep.info
     assert "premise_failed" in check_kz(odd).info and "row_group" in check_kz(even).info
@@ -1479,10 +1647,12 @@ def test_the_sign_of_an_odd_power_fails_closed(fm21, monkeypatch):
 
 @pytest.fixture(scope="module")
 def kz_tables():
-    """The tables of the `kz_cases` points, polynomial and twisted."""
+    """The tables of the `kz_cases` points, polynomial and twisted, with
+    their own KZ record: a relabeling record on a live table holds no
+    equation counts."""
     tables = []
     for lam, m in ((LAM21, 1), (LAM21, 2), (Partition((2, 2)), 1)):
-        table = fundamental_solution(lam, m).tables[-1]
+        table = fresh(fundamental_solution(lam, m).tables[-1])
         tables += [table, alternating_twist(table)]
     return tables
 
