@@ -7,6 +7,7 @@ residue operator, and finally assembles the full fundamental matrix.
 from kzresidue import (
     Numbering,
     Partition,
+    atom_str,
     determinant,
     fundamental_solution,
     interaction_form,
@@ -41,14 +42,15 @@ print(f"numbering {t.rows} -> integrand with {len(integrand)} terms")
 plan = residue_plan(t)
 print("residue schedule (variable, center), innermost first:")
 for var, center in plan:
-    print(f"  {var} -> {center}")
+    print(f"  {atom_str(var)} -> {atom_str(center)}")
 print()
 
-# Step 4: take the iterated residue of the weightless integrand and
-# normalize it to an expanded polynomial.  (The solver adds one tabloid
-# weight factor per component before doing exactly this.)
+# Step 4: take the iterated residue of the integrand and normalize it to
+# an expanded polynomial.  The integrand pairs the cycle t with the form
+# {t}, so this is exactly cycle_integral(1, t, t): the component of cycle t
+# at the form {t}, which reappears in the table printed last.
 bare = iterated_residue(integrand, plan)
-print("iterated residue of the weightless integrand:")
+print("iterated residue, the component of cycle {1,2}|{3} at the form {1,2}|{3}:")
 print(" ", normalize_factored(bare, 3))
 print()
 

@@ -619,7 +619,7 @@ class FactoredSum(Frozen):
         sign = 1
         for a, b, e in factors:
             if a == b:
-                raise ValueError(f"degenerate difference at atom {_atom_str(a)}")
+                raise ValueError(f"degenerate difference at atom {atom_str(a)}")
             e = int(e)
             if a > b:
                 a, b = b, a
@@ -685,7 +685,7 @@ class FactoredSum(Frozen):
         parts = []
         for key, c in sorted(self.terms.items()):
             fac = "*".join(
-                f"({_atom_str(a)}-{_atom_str(b)})^{e}" for (a, b), e in key
+                f"({atom_str(a)}-{atom_str(b)})^{e}" for (a, b), e in key
             )
             parts.append(f"{c}" + (f"*{fac}" if fac else ""))
         return " + ".join(parts)
@@ -693,7 +693,8 @@ class FactoredSum(Frozen):
     __repr__ = __str__
 
 
-def _atom_str(a: tuple) -> str:
+def atom_str(a: tuple) -> str:
+    """An atom as it prints: `z3` for z_atom(3), `t[2,1]_1` for t_atom(2, 1, 1)."""
     if is_t_atom(a):
         return f"t[{a[2]},{a[3]}]_{a[1]}"
     return f"z{a[1]}"

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .exactalg import FactoredSum, _add_into, _atom_str, is_t_atom, t_atom, z_atom
+from .exactalg import FactoredSum, _add_into, atom_str, is_t_atom, t_atom, z_atom
 from .shapes import Numbering
 
 
@@ -74,7 +74,7 @@ def residue_at(fs: FactoredSum, var: tuple, center: tuple) -> FactoredSum:
     if var == center:
         raise ValueError("residue center must differ from the variable")
     if not is_t_atom(var):
-        raise ValueError(f"cannot integrate over the fixed point {_atom_str(var)}")
+        raise ValueError(f"cannot integrate over the fixed point {atom_str(var)}")
     out: dict = {}  # the residue's terms, summed in place
     for coeff, key in fs.iter_terms():
         spectators = {}  # canonical pair -> exponent, as in the input key
@@ -152,12 +152,12 @@ def iterated_residue(fs: FactoredSum, plan) -> FactoredSum:
         raise ScheduleError("schedule integrates some variable twice")
     live = fs.live_variables()
     if not live <= planned:
-        extra = ", ".join(map(_atom_str, sorted(live - planned)))
+        extra = ", ".join(map(atom_str, sorted(live - planned)))
         raise ScheduleError(f"form has variables outside the schedule: {extra}")
     for idx, (var, center) in enumerate(plan):
         if any(center == later_var for later_var, _ in plan[idx + 1 :]):
             raise ScheduleError(
-                f"step for {_atom_str(var)} expands about {_atom_str(center)}, which is itself "
+                f"step for {atom_str(var)} expands about {atom_str(center)}, which is itself "
                 "integrated later"
             )
         fs = residue_at(fs, var, center)

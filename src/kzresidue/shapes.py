@@ -4,7 +4,7 @@ Partitions index the irreducible S_N-modules.  A numbering labels the
 boxes of a diagram bijectively with 1..N; a tabloid is the class of a
 numbering up to reordering within rows and indexes the weight basis in
 which solution components are written.  Everything here is immutable
-and every function is pure, so the enumerations and the transposition
+and every function is pure, so the enumerations and the relabeling
 action are memoized; the memoized sequences are tuples.
 """
 from __future__ import annotations
@@ -307,15 +307,20 @@ def column_expansion(t: Numbering) -> tuple[tuple[int, Tabloid], ...]:
 
 
 @cache
+def relabel(u: Tabloid, image: tuple[int, ...]) -> Tabloid:
+    """The tabloid sigma U: each label x replaced by image[x-1] = sigma(x);
+    image must be a permutation of 1..N, as a tuple.  Memoized."""
+    if sorted(image) != list(range(1, u.size + 1)):
+        raise ValueError(f"not a permutation of 1..{u.size}: {image}")
+    return Tabloid(tuple(tuple(image[x - 1] for x in row) for row in u.rows))
+
+
+@cache
 def act_transposition(u: Tabloid, i: int, j: int) -> Tabloid:
-    """Relabel a tabloid by the transposition (i j); memoized."""
+    """`relabel` by the transposition (i j); memoized."""
     if i == j:
         raise ValueError("a transposition needs two distinct labels")
-
-    def swap(x: int) -> int:
-        return j if x == i else i if x == j else x
-
-    return Tabloid(tuple(tuple(swap(x) for x in row) for row in u.rows))
+    return relabel(u, tuple(j if x == i else i if x == j else x for x in range(1, u.size + 1)))
 
 
 def raise_row(u: Tabloid, s: int) -> list[Tabloid]:

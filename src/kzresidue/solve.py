@@ -237,10 +237,12 @@ class SolutionTable(Frozen):
     Components are polynomials (positive parameter) or shared-denominator
     fractions (twisted tables); `m` is the parameter of the system the
     table claims to solve and `twisted` marks the extra sign in the
-    transposition action.  The cycle has shape `lam` and `components` is
-    keyed by exactly `tabloids(lam.parts)`, stored in that order, or the
-    constructor raises ValueError; every check that indexes a table by
-    tabloid relies on this.
+    transposition action.  The cycle has shape `lam`, `components` is
+    keyed by exactly `tabloids(lam.parts)`, stored in that order, and its
+    values are all `SparsePolynomial` or all `PolyFraction` in N = |lam|
+    variables, or the constructor raises ValueError; every check that
+    indexes a table by tabloid, or relabels and divides its components,
+    relies on this.
 
     `_cache` is the table's record of its KZ proof (`verify.check_kz`):
     key (m eps, m + p), the two coefficients of
@@ -263,6 +265,14 @@ class SolutionTable(Frozen):
         order = tabloids(lam.parts)
         if components.keys() != set(order):
             raise ValueError(f"components are not indexed by the tabloids of {lam}")
+        kind = type(next(iter(components.values())))
+        if kind not in (SparsePolynomial, PolyFraction) or any(
+            type(c) is not kind or (c.num if kind is PolyFraction else c).nvars != lam.size
+            for c in components.values()
+        ):
+            raise ValueError(
+                f"components are not all polynomials or all fractions in {lam.size} variables"
+            )
         self._set(lam, m, cycle, {u: components[u] for u in order}, twisted, {})
 
     def to_json(self) -> dict:

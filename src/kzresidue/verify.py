@@ -33,6 +33,7 @@ from .shapes import (
     column_expansion,
     diagram_stats,
     raise_row,
+    relabel,
     row_word,
     standard_tableaux,
 )
@@ -207,54 +208,21 @@ def _row_swaps(cycle: Tabloid) -> tuple[tuple[int, int], ...]:
     return tuple(pair for row in cycle.rows for pair in zip(row, row[1:]))
 
 
-def _row_moves(cycle: Tabloid, keys: list) -> list[tuple[int, int, list[int]]]:
-    """(a, b, move) for each generator s = (a b) of `_row_swaps(cycle)`,
-    with keys[move[k]] == s keys[k]."""
-    index = {u: k for k, u in enumerate(keys)}
-    return [
-        (a, b, [index[act_transposition(u, a, b)] for u in keys])
-        for a, b in _row_swaps(cycle)
-    ]
-
-
-def _premise_witness(n: int, moves, keys: list, nums: dict, sign: int) -> dict | None:
-    """First (generator, form) where nums[s U] != sign * nums[U] with
-    z_a <-> z_b, for a generator s = (a b) of `moves`, else None.
-    Applying s to both sides turns the relation at U into the one at
-    s U, so each pair {U, s U} is compared once."""
-    for a, b, move in moves:
-        image = list(range(1, n + 1))
-        image[a - 1], image[b - 1] = b, a
-        for k, u in enumerate(keys):
-            if move[k] < k:
-                continue
-            moved = nums[u].permute_variables(tuple(image))
-            if nums[keys[move[k]]] != (moved if sign > 0 else -moved):
-                return {"generator": [a, b], "form": str(u)}
-    return None
-
-
-def _representatives(n: int, moves, keys: list) -> list[tuple[int, Tabloid]]:
-    """One (i, U) per orbit of the group the generators of `moves`
-    generate, acting by (i, U) -> (s(i), s U): the orbit's first pair in
-    `_kz_witness`'s order (i ascending, then U in the order of `keys`)."""
-    reps: list = []
-    seen: set = set()  # (i, position of U in keys)
-    for i in range(1, n + 1):
-        for k, u in enumerate(keys):
-            if (i, k) in seen:
-                continue
-            reps.append((i, u))
-            seen.add((i, k))
-            stack = [(i, k)]
-            while stack:
-                x, y = stack.pop()
-                for a, b, move in moves:
-                    w = (b if x == a else a if x == b else x, move[y])
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-    return reps
+def _representatives(n: int, cycle: Tabloid, keys: list) -> list[tuple[int, Tabloid]]:
+    """The first (i, U), in `_kz_witness`'s order (i ascending, then U as
+    in `keys`), of each orbit of the row group R_C of the cycle C acting
+    by (i, U) -> (sigma(i), sigma U).  The orbit is fixed by the key (row
+    of i in C, row of i in U, the counts |C_r & U_s|): each sigma in R_C
+    keeps every C_r, so it keeps the key; and for pairs with one key,
+    bijections C_r & U_s -> C_r & U'_s that send i to i' make up a sigma
+    in R_C with sigma U = U' and sigma(i) = i'."""
+    row_in = {x: r for r, row in enumerate(cycle.rows) for x in row}
+    counts = {u: tuple(tuple(sorted(row_in[x] for x in row)) for row in u.rows) for u in keys}
+    firsts: dict = {}
+    for i, u in itertools.product(range(1, n + 1), keys):
+        s = next(s for s, row in enumerate(u.rows) if i in row)
+        firsts.setdefault((row_in[i], s, counts[u]), (i, u))
+    return list(firsts.values())
 
 
 def check_kz(table: SolutionTable) -> CheckReport:
@@ -275,15 +243,15 @@ def check_kz(table: SolutionTable) -> CheckReport:
     When table[sigma U] == table[U] with z_i -> z_sigma(i) for sigma in
     the row group R_C of the cycle (`ROW_GROUP`), the equation at (i, U)
     holds iff the one at (sigma(i), sigma U) does.  That premise is
-    proved exactly for the swaps (a b) of labels adjacent in a row, which
-    generate R_C: nums[s U] == (-1)^p nums[U] with z_a <-> z_b, the sign
-    +1 on polynomial and twisted tables.  Then only the first equation of
-    each R_C-orbit is checked, so a failing table keeps the full check's
-    witness.  A table that fails the premise may still solve the system
-    and is checked at every (i, U).  `info` counts the equations checked
-    and names the identity, or the generator and form where the premise
-    failed.  The table's keys and their order are those `SolutionTable`
-    enforces.
+    proved exactly by `_relabeling_witness` for the swaps (a b) of labels
+    adjacent in a row, which generate R_C: nums[s U] == (-1)^p nums[U]
+    with z_a <-> z_b, the sign +1 on polynomial and twisted tables.  Then
+    only the first equation of each R_C-orbit (`_representatives`) is
+    checked, so a failing table keeps the full check's witness.  A table
+    that fails the premise may still solve the system and is checked at
+    every (i, U).  `info` counts the equations checked and names the
+    identity, or the generator and form where the premise failed.  The
+    keys, their order and the components' kind are `SolutionTable`'s.
 
     The denominator step runs on every call.  The rest is kept on the
     table (`SolutionTable._cache`) under the key (m eps, m + p), the two
@@ -356,13 +324,17 @@ def _kz_proof(table: SolutionTable, nums: dict, p: int) -> tuple[dict | None, di
             "X_ij(U) = X_ij(s_ij U) as m eps = m + p: one quotient serves both"
         )
     keys = list(nums)
-    moves = _row_moves(table.cycle, keys)
     info["equations"] = total = n * len(keys)
-    if (broken := _premise_witness(n, moves, keys, nums, (-1) ** p)) is not None:
-        equations = None
-        info.update(equations_checked=total, premise_failed=broken)
+    equations = None
+    for a, b in _row_swaps(table.cycle):
+        swap = tuple(b if x == a else a if x == b else x for x in range(1, n + 1))
+        forms = [u for u in keys if not act_transposition(u, a, b) < u]  # {U, s U} once
+        if (u := _relabeling_witness(nums, nums, swap, forms, (-1) ** p)) is not None:
+            info.update(equations_checked=total,
+                        premise_failed={"generator": [a, b], "form": str(u)})
+            break
     else:
-        equations = _representatives(n, moves, keys)
+        equations = _representatives(n, table.cycle, keys)
         info.update(equations_checked=len(equations),
                     by_row_group=total - len(equations), row_group=ROW_GROUP)
     failure = _kz_witness(n, table.m, p, nums, act, partner, equations)
@@ -479,15 +451,15 @@ def _row_relabeling(source: Tabloid, target: Tabloid) -> tuple[int, ...]:
     return tuple(image)
 
 
-def _relabeling_witness(first: SolutionTable, table: SolutionTable, image) -> dict | None:
-    """First form where table differs from first relabeled by sigma, else None."""
-    if (table.lam, table.m, table.twisted) != (first.lam, first.m, first.twisted):
-        return {"reason": "shape, parameter or action differs from the first table"}
-    for u, comp in first.components.items():
-        v = Tabloid(tuple(tuple(image[x - 1] for x in row) for row in u.rows))
-        expected = comp.permute_variables(image)
-        if table.components[v] != expected:
-            return {"form": str(v), "difference": _clip(table.components[v] - expected)}
+def _relabeling_witness(source: dict, target: dict, image, forms=None, sign: int = 1):
+    """First U in `forms` (default: every key of `source`, in order) with
+    target[sigma U] != sign source[U] with z_i -> z_sigma(i), where
+    image[x-1] = sigma(x), else None.  The maps hold the components or
+    the numerators of tables: `RELABELING` checked on stored data."""
+    for u in source if forms is None else forms:
+        moved = source[u].permute_variables(image)
+        if target[relabel(u, image)] != (moved if sign > 0 else -moved):
+            return u
     return None
 
 
@@ -500,9 +472,9 @@ def _kz_reports(fm: FundamentalMatrix) -> tuple[CheckReport, ...]:
     to those of C_k, and the system is unchanged by renaming labels and
     variables alike (`RELABELING`).  So table k passes when
     table(C_k)[sigma_k U] == table(C_1)[U] with z_i -> z_sigma_k(i) for
-    every U, compared exactly on the stored data, and the first table
-    passes; whatever built the tables, a difference or a failing first
-    table fails it.
+    every U, compared exactly on the stored data (`_relabeling_witness`),
+    and the first table passes; whatever built the tables, a difference,
+    a failing first table or another shape, parameter or action fails it.
 
     Each table k >= 2 that passes so gets a KZ record (see `check_kz`)
     holding this report's info, `RELABELING`, `from_cycle` and `sigma`,
@@ -515,10 +487,14 @@ def _kz_reports(fm: FundamentalMatrix) -> tuple[CheckReport, ...]:
             image = _row_relabeling(first.cycle, table.cycle)
             relabeling = {"identity": RELABELING, "from_cycle": str(first.cycle),
                           "sigma": list(image)}
+            witness = None
             if not reports[0].passed:
                 witness = {"reason": "relabeling of a first table that fails the system"}
-            else:
-                witness = _relabeling_witness(first, table, image)
+            elif (table.lam, table.m, table.twisted) != (first.lam, first.m, first.twisted):
+                witness = {"reason": "shape, parameter or action differs from the first table"}
+            elif (u := _relabeling_witness(first.components, table.components, image)) is not None:
+                v, moved = relabel(u, image), first.components[u].permute_variables(image)
+                witness = {"form": str(v), "difference": _clip(table.components[v] - moved)}
             info = {"twisted": table.twisted, **relabeling}
             if witness is not None:
                 witness = {"cycle": str(table.cycle), **witness, **relabeling}

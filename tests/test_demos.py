@@ -17,7 +17,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 STDOUT_SHA256 = {
     "duality_and_twist.py": "02445a9ddda88f4e19f228cab56668042dec4d6e688f5739348fb5f6ba64bd22",
     "reflection_pairing.py": "43a7b20e7877851353dc17c644bc1369fd6ab799847458907687bddd7f0e1065",
-    "three_point_walkthrough.py": "c164692c2f6c7741823fc41e9dc68080c2091fed34f900d8fda9a8a32a7cf98f",
+    "three_point_walkthrough.py": "b988b17f27a2fa5f994462be81e65065520d7804891156cb2c91a0e95a526677",
     "verification_sweep.py": "6200e8b9b7e0df896caf43707fb77fc9c40b34f87da1eb98f909a51b36e1418b",
 }
 

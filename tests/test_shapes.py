@@ -1,5 +1,8 @@
+from itertools import permutations
+
 import pytest
 
+from kzresidue.exactalg import SparsePolynomial
 from kzresidue.shapes import (
     Numbering,
     Partition,
@@ -13,6 +16,7 @@ from kzresidue.shapes import (
     level_profile,
     perm_sign,
     raise_row,
+    relabel,
     row_word,
     standard_tableaux,
     tabloids,
@@ -183,6 +187,26 @@ def test_act_transposition():
     assert act_transposition(u, 1, 2) == u
     with pytest.raises(ValueError):
         act_transposition(u, 2, 2)
+
+
+def test_relabel_agrees_with_the_transposition_action_and_composes():
+    us = tabloids((2, 1, 1))
+    for u in us:
+        for i, j in ((1, 2), (1, 4), (3, 2)):
+            swap = tuple(j if x == i else i if x == j else x for x in range(1, 5))
+            assert relabel(u, swap) == act_transposition(u, i, j)
+    # z_i -> z_a(i), then z_j -> z_b(j), is z_i -> z_b(a(i)): relabeling
+    # U by a and then by b is relabeling it by that same composite
+    poly = SparsePolynomial.from_terms(4, [((3, 1, 0, 2), 1), ((0, 1, 2, 0), -2)])
+    perms = list(permutations(range(1, 5)))
+    for a in perms[::5]:
+        for b in perms[::3]:
+            c = tuple(b[a[x] - 1] for x in range(4))
+            assert poly.permute_variables(a).permute_variables(b) == poly.permute_variables(c)
+            assert all(relabel(relabel(u, a), b) == relabel(u, c) for u in us)
+    for bad in ((1, 2, 3), (1, 2, 3, 3), (1, 2, 3, 5), (0, 1, 2, 3)):
+        with pytest.raises(ValueError, match="not a permutation of 1..4"):
+            relabel(us[0], bad)
 
 
 def test_raise_row():

@@ -661,18 +661,36 @@ def test_solution_table_stores_its_forms_in_the_order_of_tabloids(fm21):
     ("cycle of another shape", "does not have shape"),
     ("missing form", "not indexed by the tabloids"),
     ("extra form", "not indexed by the tabloids"),
+    ("polynomials and fractions", "not all polynomials or all fractions in 3 variables"),
+    ("integers", "not all polynomials or all fractions in 3 variables"),
+    ("polynomials in 2 variables", "not all polynomials or all fractions in 3 variables"),
+    ("fractions in 2 variables", "not all polynomials or all fractions in 3 variables"),
 ])
 def test_solution_table_refuses_a_malformed_table_before_storing_it(
     fm21, monkeypatch, fault, message
 ):
     table = fm21.tables[0]
     cycle, comps = table.cycle, dict(table.components)
+    first, last = tabloids((2, 1))[0], tabloids((2, 1))[2]
     if fault == "cycle of another shape":
         cycle = Tabloid(((1,), (2,), (3,)))
     elif fault == "missing form":
-        del comps[tabloids((2, 1))[2]]
-    else:
+        del comps[last]
+    elif fault == "extra form":
         comps[Tabloid(((1, 2, 3),))] = SparsePolynomial.zero(3)
+    elif fault == "polynomials and fractions":
+        # check_kz would raise AttributeError: no attribute 'num'
+        comps[first] = PolyFraction(comps[first], discriminant_power(3, 2))
+    elif fault == "integers":
+        # check_kz would raise AttributeError: no attribute 'permute_variables'
+        comps = {u: 0 for u in comps}
+    elif fault == "polynomials in 2 variables":
+        # check_kz would raise ValueError: not a permutation of 1..2
+        comps = {u: SparsePolynomial.variable(2, 1) for u in comps}
+    else:
+        # alternating_twist would raise AttributeError
+        comps = {u: PolyFraction(SparsePolynomial.variable(2, 1), discriminant_power(2, 2))
+                 for u in comps}
 
     def store(self, *values):
         raise AssertionError("a malformed table was stored")

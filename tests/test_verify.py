@@ -1520,9 +1520,23 @@ def _row_symmetric(cycle, u, delta):
 
 def _full_check(table):
     """`check_kz` at every (i, U), the reference for the reduction, on the
-    table rebuilt with an empty KZ record."""
-    with mock.patch.object(verify, "_premise_witness", lambda n, moves, keys, nums, sign: {}):
+    table rebuilt with an empty KZ record: the row-group premise is made to
+    fail at the first form."""
+    with mock.patch.object(verify, "_relabeling_witness", lambda source, *rest: next(iter(source))):
         return check_kz(fresh(table))
+
+
+def _first_of_each_orbit(cycle, forms):
+    """The first (i, U), in `_kz_witness`'s order, of each orbit of the row
+    group of `cycle` acting by (i, U) -> (sigma(i), sigma U), by brute force
+    over the whole group."""
+    group, firsts, seen = _row_group(cycle), [], set()
+    for i in range(1, cycle.size + 1):
+        for u in forms:
+            if (i, u) not in seen:
+                firsts.append((i, u))
+                seen.update((image[i - 1], _relabeled(u, image)) for image in group)
+    return firsts
 
 
 @pytest.mark.parametrize("parts, total, checked", [
@@ -1533,12 +1547,9 @@ def test_kz_checks_one_equation_per_orbit_of_the_row_group(parts, total, checked
     lam = Partition(parts)
     cycle = standard_tableaux(lam)[0].tabloid()
     table = solve_cycle(lam, 1, cycle)
-    # the orbits of (i, U) under the whole row group, by brute force
-    orbits = {
-        frozenset((image[i - 1], _relabeled(u, image)) for image in _row_group(cycle))
-        for i in range(1, lam.size + 1) for u in tabloids(parts)
-    }
-    assert len(orbits) == checked
+    firsts = _first_of_each_orbit(cycle, tabloids(parts))
+    assert len(firsts) == checked
+    assert verify._representatives(lam.size, cycle, list(tabloids(parts))) == firsts
     divisions = mock.Mock(wraps=verify._divide_by_z_diff)
     monkeypatch.setattr(verify, "_divide_by_z_diff", divisions)
     rep = check_kz(table)
@@ -1547,6 +1558,26 @@ def test_kz_checks_one_equation_per_orbit_of_the_row_group(parts, total, checked
     assert rep.info["by_row_group"] == total - checked
     assert rep.info["row_group"] == verify.ROW_GROUP
     assert divisions.call_count <= checked * (lam.size - 1)
+
+
+def _two_cycles(parts):
+    """The first standard cycle of the shape and, unless it has one row,
+    its last non-standard one."""
+    lam = Partition(parts)
+    standard = {t.tabloid() for t in standard_tableaux(lam)}
+    return [standard_tableaux(lam)[0].tabloid()] + [
+        u for u in tabloids(parts) if u not in standard
+    ][-1:]
+
+
+@pytest.mark.parametrize(
+    "parts", [lam.parts for n in range(1, 7) for lam in enumerate_partitions(n)], ids=str
+)
+def test_representatives_are_the_first_pair_of_each_row_group_orbit(parts):
+    forms = tabloids(parts)
+    for cycle in _two_cycles(parts):
+        reps = verify._representatives(sum(parts), cycle, list(forms))
+        assert reps == _first_of_each_orbit(cycle, forms)
 
 
 def test_kz_checks_in_full_a_solution_that_is_not_row_symmetric(fm21):
@@ -1568,13 +1599,16 @@ def test_kz_checks_in_full_a_solution_that_is_not_row_symmetric(fm21):
 def test_a_perturbation_off_the_representatives_breaks_the_premise_and_is_caught(fm31):
     table = fm31.tables[0]
     keys = list(table.components)
-    reps = verify._representatives(4, verify._row_moves(table.cycle, keys), keys)
+    reps = verify._representatives(4, table.cycle, keys)
     off = [u for u in tabloids((3, 1)) if u not in {u for _, u in reps}]
     assert off
     for u in off:
         broken = perturbed(table, u, SparsePolynomial.variable(4, 1))
         rep = check_kz(broken)
-        assert not rep.passed and "premise_failed" in rep.info
+        assert not rep.passed
+        # z_1 breaks the pair {U, (1 2) U} first, named by its smaller form
+        smaller = min(u, act_transposition(u, 1, 2))
+        assert rep.info["premise_failed"] == {"generator": [1, 2], "form": str(smaller)}
         assert rep.info["equations_checked"] == 16
         assert rep.witness == _full_check(broken).witness
 
@@ -1629,10 +1663,11 @@ def test_the_sign_of_an_odd_power_fails_closed(fm21, monkeypatch):
     assert check_kz(solution).passed and "row_group" in check_kz(solution).info
     assert "row_group" in check_kz(odd).info and "premise_failed" in check_kz(even).info
     # seeded mutation: the premise compares with the sign of an even power
-    honest = verify._premise_witness
+    honest = verify._relabeling_witness
     monkeypatch.setattr(
-        verify, "_premise_witness",
-        lambda n, moves, keys, nums, sign: honest(n, moves, keys, nums, -sign),
+        verify, "_relabeling_witness",
+        lambda source, target, image, forms=None, sign=1: honest(
+            source, target, image, forms, -sign),
     )
     # the honest checks above left their records on these tables
     solution, odd, even = map(fresh, (solution, odd, even))
