@@ -1,158 +1,66 @@
 """Exact fundamental solutions of the symmetric-group
 Knizhnik-Zamolodchikov system, computed as iterated residues of factored
 configuration forms, with a verification battery for every identity the
-solutions are supposed to satisfy."""
+solutions are supposed to satisfy.
 
-from .exactalg import (
-    FactoredSum,
-    NonDivisibleError,
-    NormalizeError,
-    PolyFraction,
-    PolyMatrix,
-    SparsePolynomial,
-    atom_str,
-    det_adjugate,
-    determinant,
-    discriminant_power,
-    normalize_factored,
-    t_atom,
-    z_atom,
-)
-from .residues import (
-    ScheduleError,
-    binom_int,
-    iterated_residue,
-    residue_at,
-    residue_plan,
-)
-from .shapes import (
-    DiagramStats,
-    Numbering,
-    Partition,
-    Tabloid,
-    act_transposition,
-    column_expansion,
-    diagram_stats,
-    enumerate_partitions,
-    hook_length_dim,
-    identity_tableau,
-    level_profile,
-    perm_sign,
-    raise_row,
-    standard_tableaux,
-    tabloids,
-)
-from .solve import (
-    DEFAULT_BUDGET,
-    DualMatrix,
-    FundamentalMatrix,
-    ReflectionSolution,
-    ResourceGuardError,
-    SolutionTable,
-    SpanError,
-    alternating_twist,
-    check_resources,
-    coordinates_in_specht_basis,
-    cycle_integral,
-    dual_matrix,
-    fundamental_solution,
-    interaction_form,
-    level_group_size,
-    polytabloid_columns,
-    reflection_dual_solutions,
-    reflection_solutions,
-    residue_budget,
-    solve_component,
-    solve_cycle,
-    symmetrized_tableau_form,
-    tableau_form,
-)
-from .verify import (
-    CheckReport,
-    check_det,
-    check_dual,
-    check_equivariance,
-    check_frobenius,
-    check_kz,
-    check_primitive,
-    check_rank,
-    check_reflection,
-    check_shape,
-    check_straightening,
-    quotient_coordinates,
-    run_suite,
-)
+The public names are bound on first use (PEP 562): reading any one of
+them, or one of the modules below, imports every module and binds every
+name in one step.  So `import kzresidue.cli` compiles only the modules a
+command runs, and a library user still imports the package once."""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckReport",
-    "DEFAULT_BUDGET",
-    "DiagramStats",
-    "DualMatrix",
-    "FactoredSum",
-    "FundamentalMatrix",
-    "NonDivisibleError",
-    "NormalizeError",
-    "Numbering",
-    "Partition",
-    "PolyFraction",
-    "PolyMatrix",
-    "ReflectionSolution",
-    "ResourceGuardError",
-    "ScheduleError",
-    "SolutionTable",
-    "SparsePolynomial",
-    "SpanError",
-    "Tabloid",
-    "act_transposition",
-    "alternating_twist",
-    "atom_str",
-    "binom_int",
-    "check_det",
-    "check_dual",
-    "check_equivariance",
-    "check_frobenius",
-    "check_kz",
-    "check_primitive",
-    "check_rank",
-    "check_reflection",
-    "check_shape",
-    "check_resources",
-    "check_straightening",
-    "column_expansion",
-    "coordinates_in_specht_basis",
-    "cycle_integral",
-    "det_adjugate",
-    "determinant",
-    "diagram_stats",
-    "discriminant_power",
-    "dual_matrix",
-    "enumerate_partitions",
-    "fundamental_solution",
-    "hook_length_dim",
-    "identity_tableau",
-    "interaction_form",
-    "iterated_residue",
-    "level_group_size",
-    "level_profile",
-    "normalize_factored",
-    "perm_sign",
-    "polytabloid_columns",
-    "quotient_coordinates",
-    "raise_row",
-    "reflection_dual_solutions",
-    "reflection_solutions",
-    "residue_at",
-    "residue_budget",
-    "residue_plan",
-    "run_suite",
-    "solve_component",
-    "solve_cycle",
-    "standard_tableaux",
-    "symmetrized_tableau_form",
-    "t_atom",
-    "tableau_form",
-    "tabloids",
-    "z_atom",
-]
+# each public name, under the module that defines it
+_EXPORTS = {
+    "exactalg": (
+        "FactoredSum", "NonDivisibleError", "NormalizeError", "PolyFraction",
+        "PolyMatrix", "SparsePolynomial", "atom_str", "det_adjugate",
+        "determinant", "discriminant_power", "normalize_factored", "t_atom",
+        "z_atom",
+    ),
+    "residues": (
+        "ScheduleError", "binom_int", "iterated_residue", "residue_at",
+        "residue_plan",
+    ),
+    "shapes": (
+        "DiagramStats", "Numbering", "Partition", "Tabloid", "act_transposition",
+        "column_expansion", "diagram_stats", "enumerate_partitions",
+        "hook_length_dim", "identity_tableau", "level_profile", "perm_sign",
+        "raise_row", "standard_tableaux", "tabloids",
+    ),
+    "solve": (
+        "DEFAULT_BUDGET", "DualMatrix", "FundamentalMatrix", "ReflectionSolution",
+        "ResourceGuardError", "SolutionTable", "SpanError", "alternating_twist",
+        "check_resources", "coordinates_in_specht_basis", "cycle_integral",
+        "dual_matrix", "fundamental_solution", "interaction_form",
+        "level_group_size", "polytabloid_columns", "reflection_dual_solutions",
+        "reflection_solutions", "residue_budget", "solve_component",
+        "solve_cycle", "symmetrized_tableau_form", "tableau_form",
+    ),
+    "verify": (
+        "CheckReport", "check_det", "check_dual", "check_equivariance",
+        "check_frobenius", "check_kz", "check_primitive", "check_rank",
+        "check_reflection", "check_shape", "check_straightening",
+        "quotient_coordinates", "run_suite",
+    ),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def __getattr__(name: str):
+    # any other name is missing, so `from kzresidue import cli` falls back
+    # to importing the submodule and `hasattr` answers False
+    if name not in _EXPORTS and name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    namespace = globals()
+    for module, names in _EXPORTS.items():
+        source = import_module(f"{__name__}.{module}")
+        namespace.update((n, getattr(source, n)) for n in names)
+    return namespace[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

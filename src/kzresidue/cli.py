@@ -9,12 +9,17 @@ to standard error then.
 `--format json` output is streamed: `emit` writes the chunks of the
 indented encoder in batches of `JSON_BATCH`, so the bytes are those of
 `json.dumps(payload, indent=2)` plus a newline, and memory holds the
-payload and one batch, never the whole text.
+payload and one batch, never the whole text.  A text request builds
+no JSON document.
+
+Start-up is mostly compiling the package, so the check battery
+(`kzresidue.verify`) and `json` are imported by the commands that use
+them: `verify`, `det`, `twist` and `reflection --pairing` check, and
+only `--format json` encodes.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import islice
@@ -31,7 +36,6 @@ from .solve import (
     reflection_dual_solutions,
     reflection_solutions,
 )
-from .verify import _kz_reports, _reflection_report, check_det, check_kz, run_suite
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -84,6 +88,8 @@ def emit(args, payload, text_lines) -> None:
     """The one JSON writer: `payload` as `json.dumps(payload, indent=2)`
     and a newline, written in batches; otherwise each of `text_lines()`."""
     if args.format == "json":
+        import json
+
         chunks = json.JSONEncoder(indent=2).iterencode(payload)
         # the encoder yields no empty chunk, so only the end gives ""
         while batch := "".join(islice(chunks, JSON_BATCH)):
@@ -118,7 +124,7 @@ def cmd_solve(args) -> int:
             for u, c in table.components.items():
                 yield f"  {u}: {factored_text(c)}"
 
-    emit(args, fm.to_json(), lines)
+    emit(args, fm.to_json() if args.format == "json" else None, lines)
     return 0
 
 
@@ -168,6 +174,8 @@ def cmd_verify(args) -> int:
     # price every shape before solving any, so a refusal comes first
     for lam in shapes:
         check_resources(lam, args.m, args.budget)
+    from .verify import _kz_reports, run_suite
+
     failures = 0
     reports_json = []
     for lam in shapes:
@@ -177,9 +185,10 @@ def cmd_verify(args) -> int:
             fm = fundamental_solution(lam, args.m, budget=args.budget)
             reports = _kz_reports(fm)
         for rep in reports:
-            reports_json.append(rep.to_json())
             failures += 0 if rep.passed else 1
-            if args.format == "text":
+            if args.format == "json":
+                reports_json.append(rep.to_json())
+            else:
                 print(rep.one_line())
                 if rep.witness:
                     print(f"    witness: {rep.witness}")
@@ -190,6 +199,8 @@ def cmd_verify(args) -> int:
 
 def cmd_det(args) -> int:
     fm = fundamental_solution(args.shape, args.m, budget=args.budget)
+    from .verify import check_det
+
     rep = check_det(fm)
 
     def lines():
@@ -197,7 +208,7 @@ def cmd_det(args) -> int:
         yield f"  discriminant power: {rep.info['power']}"
         yield f"  constant: {rep.info['constant']}"
 
-    emit(args, rep.to_json(), lines)
+    emit(args, rep.to_json() if args.format == "json" else None, lines)
     return 0 if rep.passed else CHECK_FAILED
 
 
@@ -213,21 +224,19 @@ def cmd_dual(args) -> int:
                 e = dm.entries.entry(i, j)
                 yield f"  [{i}][{j}]: ({factored_text(e.num)}) / det"
 
-    emit(args, dm.to_json(), lines)
+    emit(args, dm.to_json() if args.format == "json" else None, lines)
     return 0
 
 
 def cmd_twist(args) -> int:
     fm = fundamental_solution(args.shape, args.m, budget=args.budget)
+    from .verify import _kz_reports, check_kz
+
     # one full check of the first table and the relabeling premise on the
     # rest leave a KZ record on each table, which its twist reads
     _kz_reports(fm)
     twisted = [alternating_twist(t) for t in fm.tables]
     reports = [check_kz(t) for t in twisted]
-    payload = {
-        "tables": [t.to_json() for t in twisted],
-        "checks": [r.to_json() for r in reports],
-    }
 
     def lines():
         for t, rep in zip(twisted, reports):
@@ -235,6 +244,12 @@ def cmd_twist(args) -> int:
             for u, frac in t.components.items():
                 yield f"  {u}: ({factored_text(frac.num)}) / ({factored_text(frac.den)})"
 
+    payload = None
+    if args.format == "json":
+        payload = {
+            "tables": [t.to_json() for t in twisted],
+            "checks": [r.to_json() for r in reports],
+        }
     emit(args, payload, lines)
     return 0 if all(r.passed for r in reports) else CHECK_FAILED
 
@@ -244,15 +259,11 @@ def cmd_reflection(args) -> int:
     # refusal comes before the residue family is solved
     phis = reflection_dual_solutions(args.n, args.m)
     psis = reflection_solutions(args.n, args.m)
-    payload = {
-        "residue_family": [s.to_json() for s in psis],
-        "path_family": [s.to_json() for s in phis],
-    }
-    rc = 0
+    rep = None
     if args.pairing:
+        from .verify import _reflection_report
+
         rep = _reflection_report(args.n, args.m, psis, phis)
-        payload["pairing"] = rep.to_json()
-        rc = 0 if rep.passed else CHECK_FAILED
 
     def lines():
         for s in psis:
@@ -263,11 +274,19 @@ def cmd_reflection(args) -> int:
             yield f"path solution {s.index} (m={s.m}):"
             for k, comp in enumerate(s.components, start=1):
                 yield f"  e{k}: ({factored_text(comp.num)}) / ({factored_text(comp.den)})"
-        if args.pairing:
-            yield payload["pairing"]["verdict"] + " pairing"
+        if rep is not None:
+            yield rep.verdict + " pairing"
 
+    payload = None
+    if args.format == "json":
+        payload = {
+            "residue_family": [s.to_json() for s in psis],
+            "path_family": [s.to_json() for s in phis],
+        }
+        if rep is not None:
+            payload["pairing"] = rep.to_json()
     emit(args, payload, lines)
-    return rc
+    return 0 if rep is None or rep.passed else CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -340,7 +340,13 @@ def coordinates_in_specht_basis(lam: Partition, component_of) -> list:
 
 class FundamentalMatrix(Frozen):
     """Square solution matrix over standard tableaux, plus the full
-    per-tabloid component tables it was read from."""
+    per-tabloid component tables it was read from.
+
+    Every table belongs to the matrix's own system: it has the matrix's
+    `lam` and `m`, is not twisted and holds polynomials, or the
+    constructor raises ValueError before it stores anything;
+    `verify._kz_reports` relabels the components of one table into
+    another and relies on this."""
 
     # `_cache` memoizes check results (`verify._kz_reports`,
     # `verify._determinant_at`) and the dual (`dual_matrix`) for every
@@ -351,6 +357,13 @@ class FundamentalMatrix(Frozen):
         self, lam: Partition, m: int, cycles: tuple[Numbering, ...],
         tables: tuple[SolutionTable, ...], matrix: PolyMatrix,
     ) -> None:
+        for t in tables:
+            if (t.lam, t.m, t.twisted) != (lam, m, False) or not isinstance(
+                next(iter(t.components.values())), SparsePolynomial
+            ):
+                raise ValueError(
+                    f"table of cycle {t.cycle} is not a polynomial table of {lam} at m={m}"
+                )
         self._set(lam, m, cycles, tables, matrix, {})
 
     @property

@@ -473,8 +473,10 @@ def _kz_reports(fm: FundamentalMatrix) -> tuple[CheckReport, ...]:
     variables alike (`RELABELING`).  So table k passes when
     table(C_k)[sigma_k U] == table(C_1)[U] with z_i -> z_sigma_k(i) for
     every U, compared exactly on the stored data (`_relabeling_witness`),
-    and the first table passes; whatever built the tables, a difference,
-    a failing first table or another shape, parameter or action fails it.
+    and the first table passes; whatever built the tables, a difference
+    or a failing first table fails it.  `FundamentalMatrix` admits only
+    polynomial tables of its own shape and parameter, so any two of its
+    tables can be compared this way.
 
     Each table k >= 2 that passes so gets a KZ record (see `check_kz`)
     holding this report's info, `RELABELING`, `from_cycle` and `sigma`,
@@ -490,18 +492,14 @@ def _kz_reports(fm: FundamentalMatrix) -> tuple[CheckReport, ...]:
             witness = None
             if not reports[0].passed:
                 witness = {"reason": "relabeling of a first table that fails the system"}
-            elif (table.lam, table.m, table.twisted) != (first.lam, first.m, first.twisted):
-                witness = {"reason": "shape, parameter or action differs from the first table"}
             elif (u := _relabeling_witness(first.components, table.components, image)) is not None:
                 v, moved = relabel(u, image), first.components[u].permute_variables(image)
                 witness = {"form": str(v), "difference": _clip(table.components[v] - moved)}
             info = {"twisted": table.twisted, **relabeling}
             if witness is not None:
                 witness = {"cycle": str(table.cycle), **witness, **relabeling}
-            else:
-                _, p, bad = _shared_denominator(table)
-                if bad is None:
-                    table._cache.setdefault(_record_key(table, p), (None, info))
+            else:  # polynomial components: p = 0
+                table._cache.setdefault(_record_key(table, 0), (None, info))
             reports.append(CheckReport("kz_system", table.lam, table.m, witness, info))
         fm._cache["kz"] = tuple(reports)
     return fm._cache["kz"]

@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 
 from kzresidue import Partition, SparsePolynomial, discriminant_power, fundamental_solution
-from kzresidue import cli, solve, verify
+from kzresidue import cli, exactalg, solve, verify
 from kzresidue.cli import factored_text, main
 
 
@@ -131,7 +131,7 @@ def test_twist_checks_one_table_in_full_and_reads_the_rest(capsys, monkeypatch, 
     code, out, _ = _twist_on_a_fresh_point(capsys, monkeypatch, "--format", fmt)
     assert code == 0 and witness.call_count == 1
     # every twisted table checked in full, as without the records
-    monkeypatch.setattr(cli, "_kz_reports", lambda fm: None)
+    monkeypatch.setattr(verify, "_kz_reports", lambda fm: None)
     code, full, _ = _twist_on_a_fresh_point(capsys, monkeypatch, "--format", fmt)
     assert code == 0 and witness.call_count == 4
     if fmt == "text":
@@ -290,7 +290,7 @@ def test_verify_needs_a_target(capsys):
 
 def test_verify_refuses_both_targets(capsys, monkeypatch):
     monkeypatch.setattr(cli, "fundamental_solution", _must_not_solve)
-    monkeypatch.setattr(cli, "run_suite", _must_not_solve)
+    monkeypatch.setattr(verify, "run_suite", _must_not_solve)
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--lambda", "2,1", "--all-partitions", "2", "--m", "1"])
     assert exc.value.code == 2
@@ -466,3 +466,58 @@ def test_cli_import_loads_no_dataclasses():
     loaded = set(proc.stdout.split())
     assert "kzresidue.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+_LOADS = (
+    "import sys\n"
+    "import kzresidue.cli as cli\n"
+    "print(*sorted(sys.modules), file=sys.stderr)\n"
+    "rc = cli.main(sys.argv[1:])\n"
+    "print(*sorted(sys.modules), file=sys.stderr)\n"
+    "sys.exit(rc)\n"
+)
+
+
+@pytest.mark.parametrize("argv, verify_loaded, json_loaded", [
+    (("solve", "--lambda", "2,1", "--m", "1"), False, False),
+    (("stats", "--lambda", "2,1", "--m", "1"), False, False),
+    (("reflection", "--n", "3", "--m", "1"), False, False),
+    (("solve", "--lambda", "2,1", "--m", "1", "--format", "json"), False, True),
+    (("verify", "--lambda", "2,1", "--m", "1"), True, False),
+    (("verify", "--lambda", "1,1,1,1,1", "--m", "1"), False, False),  # refused
+    (("reflection", "--n", "3", "--m", "1", "--pairing"), True, False),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_cli_loads_the_check_battery_and_json_only_where_used(argv, verify_loaded, json_loaded):
+    """A fresh `python -B` process: `import kzresidue.cli` compiles
+    neither `kzresidue.verify` nor `json`; a command imports them when it
+    checks or encodes, and a refused request before either."""
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _LOADS, *argv],
+        capture_output=True, text=True, env=_cli_env(), timeout=60,
+    )
+    assert proc.returncode in (0, cli.USAGE_ERROR)
+    at_import, after = (set(line.split()) for line in proc.stderr.splitlines()[:2])
+    assert not at_import & {"kzresidue.verify", "json"}
+    assert ("kzresidue.verify" in after) == verify_loaded
+    assert ("json" in after) == json_loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--lambda", "3,1", "--m", "1"),
+    ("det", "--lambda", "2,1", "--m", "1"),
+    ("dual", "--lambda", "2,1", "--m", "1"),
+    ("twist", "--lambda", "2,1", "--m", "1"),
+    ("reflection", "--n", "3", "--m", "1", "--pairing"),
+    ("verify", "--lambda", "2,1", "--m", "1", "--all"),
+], ids=" ".join)
+def test_text_output_builds_no_json_document(capsys, monkeypatch, argv):
+    code, expected, _ = run(capsys, *argv)
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__}.to_json in a text request")
+
+    for module in (exactalg, solve, verify):
+        for value in list(vars(module).values()):
+            if isinstance(value, type) and "to_json" in vars(value):
+                monkeypatch.setattr(value, "to_json", refuse)
+    assert run(capsys, *argv) == (code, expected, "")

@@ -1309,10 +1309,11 @@ def test_every_relabeled_report_fails_with_a_failing_first_table(fm31, monkeypat
 
 
 def test_premise_rejects_a_table_claiming_another_parameter(fm31):
+    # the matrix refuses it, so no relabeling premise meets it
     table = fm31.tables[1]
     other = SolutionTable(table.lam, 2, table.cycle, table.components)
-    reports = _kz_reports(_rebuilt(fm31, (fm31.tables[0], other, fm31.tables[2])))
-    assert [rep.passed for rep in reports] == [True, False, True]
+    with pytest.raises(ValueError, match="is not a polynomial table of"):
+        _rebuilt(fm31, (fm31.tables[0], other, fm31.tables[2]))
 
 
 def test_equivariance_catches_an_orbit_path_with_the_inverse_convention(monkeypatch):
@@ -1440,6 +1441,23 @@ def test_kz_reports_keep_a_record_made_before_them(fm31):
     assert all(rep.passed for rep in _kz_reports(fm))
     assert check_kz(fm.tables[2]).info == made.info and "row_group" in made.info
     assert check_kz(fm.tables[1]).info["identity"] == RELABELING
+
+
+def test_a_matrix_refuses_tables_of_another_system(fm21):
+    """`_kz_reports` relabels the components of one table into another,
+    so a matrix holds only polynomial tables of its own shape and m."""
+    lam, m, cycles, matrix = fm21.lam, fm21.m, fm21.cycles, fm21.matrix
+    twisted = tuple(alternating_twist(t) for t in fm21.tables)
+    fractions = tuple(SolutionTable(lam, m, t.cycle, t.components) for t in twisted)
+    for bad in (
+        (lam, -m, cycles, twisted, matrix),  # the twists of its own tables
+        (lam, m, cycles, fractions, matrix),  # fractions, untwisted
+        (lam, 2, cycles, fm21.tables, matrix),
+        (Partition((1, 1, 1)), m, cycles, fm21.tables, matrix),
+        (lam, m, cycles, (fm21.tables[0], fundamental_solution(lam, 2).tables[1]), matrix),
+    ):
+        with pytest.raises(ValueError, match="is not a polynomial table of"):
+            FundamentalMatrix(*bad)
 
 
 def test_a_failing_relabeling_writes_no_record(fm31):
