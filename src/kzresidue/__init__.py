@@ -23,19 +23,20 @@ _EXPORTS = {
         "residue_plan",
     ),
     "shapes": (
-        "DiagramStats", "Numbering", "Partition", "Tabloid", "act_transposition",
+        "DEFAULT_BUDGET", "DiagramStats", "Numbering", "Partition",
+        "ResourceGuardError", "Tabloid", "act_transposition", "check_resources",
         "column_expansion", "diagram_stats", "enumerate_partitions",
-        "hook_length_dim", "identity_tableau", "level_profile", "perm_sign",
-        "raise_row", "standard_tableaux", "tabloids",
+        "hook_length_dim", "identity_tableau", "level_group_size",
+        "level_profile", "perm_sign", "raise_row", "residue_budget",
+        "standard_tableaux", "tabloids",
     ),
     "solve": (
-        "DEFAULT_BUDGET", "DualMatrix", "FundamentalMatrix", "ReflectionSolution",
-        "ResourceGuardError", "SolutionTable", "SpanError", "alternating_twist",
-        "check_resources", "coordinates_in_specht_basis", "cycle_integral",
-        "dual_matrix", "fundamental_solution", "interaction_form",
-        "level_group_size", "polytabloid_columns", "reflection_dual_solutions",
-        "reflection_solutions", "residue_budget", "solve_component",
-        "solve_cycle", "symmetrized_tableau_form", "tableau_form",
+        "DualMatrix", "FundamentalMatrix", "ReflectionSolution", "SolutionTable",
+        "SpanError", "alternating_twist", "coordinates_in_specht_basis",
+        "cycle_integral", "dual_matrix", "fundamental_solution",
+        "interaction_form", "polytabloid_columns", "reflection_dual_solutions",
+        "reflection_solutions", "solve_component", "solve_cycle",
+        "symmetrized_tableau_form", "tableau_form",
     ),
     "verify": (
         "CheckReport", "check_det", "check_dual", "check_equivariance",

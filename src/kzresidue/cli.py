@@ -12,10 +12,13 @@ indented encoder in batches of `JSON_BATCH`, so the bytes are those of
 payload and one batch, never the whole text.  A text request builds
 no JSON document.
 
-Start-up is mostly compiling the package, so the check battery
-(`kzresidue.verify`) and `json` are imported by the commands that use
-them: `verify`, `det`, `twist` and `reflection --pairing` check, and
-only `--format json` encodes.
+Start-up is mostly compiling the package, so this module loads only
+`shapes`, which holds the parser's diagrams and the resource guard, and
+each command imports what it runs once the request has passed its
+refusals: the solver (`exactalg`, `residues`, `solve`) in every command
+but `stats`, the check battery (`kzresidue.verify`) in `verify`, `det`,
+`twist` and `reflection --pairing`, and `json` only for `--format json`.
+So `stats`, usage errors and refused requests never compile the solver.
 """
 from __future__ import annotations
 
@@ -24,17 +27,15 @@ import os
 import sys
 from itertools import islice
 
-from .exactalg import MAX_VARS, SparsePolynomial, z_diff_content
-from .shapes import Partition, diagram_stats, enumerate_partitions
-from .solve import (
+from .shapes import (
     DEFAULT_BUDGET,
+    MAX_VARS,
+    Partition,
     ResourceGuardError,
-    alternating_twist,
+    check_reflection_resources,
     check_resources,
-    dual_matrix,
-    fundamental_solution,
-    reflection_dual_solutions,
-    reflection_solutions,
+    diagram_stats,
+    enumerate_partitions,
 )
 
 USAGE_ERROR = 2
@@ -67,9 +68,11 @@ def positive_int(text: str) -> int:
     return value
 
 
-def factored_text(p: SparsePolynomial) -> str:
-    """Render a polynomial with differences z_i - z_j divided out
+def factored_text(p) -> str:
+    """Render a `SparsePolynomial` with differences z_i - z_j divided out
     greedily, falling back to the raw expansion for the residual."""
+    from .exactalg import z_diff_content
+
     if p.is_zero():
         return "0"
     (rest,), content = z_diff_content([p], p.nvars)
@@ -110,8 +113,17 @@ def add_common(p: argparse.ArgumentParser, budget: bool = True) -> None:
         p.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET)
 
 
+def solved(args):
+    """The fundamental matrix of the request, priced before the solver
+    is imported (`fundamental_solution` prices it again)."""
+    check_resources(args.shape, args.m, args.budget)
+    from .solve import fundamental_solution
+
+    return fundamental_solution(args.shape, args.m, budget=args.budget)
+
+
 def cmd_solve(args) -> int:
-    fm = fundamental_solution(args.shape, args.m, budget=args.budget)
+    fm = solved(args)
 
     def lines():
         yield f"shape {args.shape}  m={args.m}  dimension {fm.dimension}"
@@ -174,6 +186,7 @@ def cmd_verify(args) -> int:
     # price every shape before solving any, so a refusal comes first
     for lam in shapes:
         check_resources(lam, args.m, args.budget)
+    from .solve import fundamental_solution
     from .verify import _kz_reports, run_suite
 
     failures = 0
@@ -198,7 +211,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_det(args) -> int:
-    fm = fundamental_solution(args.shape, args.m, budget=args.budget)
+    fm = solved(args)
     from .verify import check_det
 
     rep = check_det(fm)
@@ -213,7 +226,9 @@ def cmd_det(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    fm = fundamental_solution(args.shape, args.m, budget=args.budget)
+    fm = solved(args)
+    from .solve import dual_matrix
+
     dm = dual_matrix(fm)
 
     def lines():
@@ -229,7 +244,8 @@ def cmd_dual(args) -> int:
 
 
 def cmd_twist(args) -> int:
-    fm = fundamental_solution(args.shape, args.m, budget=args.budget)
+    fm = solved(args)
+    from .solve import alternating_twist
     from .verify import _kz_reports, check_kz
 
     # one full check of the first table and the relabeling premise on the
@@ -255,8 +271,9 @@ def cmd_twist(args) -> int:
 
 
 def cmd_reflection(args) -> int:
-    # the path family refuses too many variables; it goes first so the
-    # refusal comes before the residue family is solved
+    check_reflection_resources(args.n)
+    from .solve import reflection_dual_solutions, reflection_solutions
+
     phis = reflection_dual_solutions(args.n, args.m)
     psis = reflection_solutions(args.n, args.m)
     rep = None

@@ -34,8 +34,7 @@ from itertools import combinations
 from operator import or_
 
 from ._frozen import Frozen
-
-MAX_VARS = 8
+from .shapes import MAX_VARS
 
 Coefficient = Fraction  # ints are accepted anywhere a Coefficient is
 

@@ -6,14 +6,23 @@ numbering up to reordering within rows and indexes the weight basis in
 which solution components are written.  Everything here is immutable
 and every function is pure, so the enumerations and the relabeling
 action are memoized; the memoized sequences are tuples.
+
+The resource guard (`check_resources`) lives here too: the price of a
+request is arithmetic on its diagram, so a request can be priced and
+refused without loading the solver.
 """
 from __future__ import annotations
 
 from functools import cache, total_ordering
 from itertools import combinations, permutations, product
-from math import factorial
+from math import factorial, prod
 
 from ._frozen import Frozen
+
+# the hard limit on variables (fixed points and contour variables) of
+# any polynomial; `exactalg` lays out its monomial keys for this many
+MAX_VARS = 8
+DEFAULT_BUDGET = 10_000
 
 
 def perm_sign(indices: tuple[int, ...]) -> int:
@@ -391,3 +400,50 @@ def diagram_stats(lam: Partition, m: int = 1) -> DiagramStats:
         m=m,
         solution_degree=m * (f2 + pairs),
     )
+
+
+# ----------------------------------------------------------------------
+# the resource guard
+
+
+class ResourceGuardError(RuntimeError):
+    """The requested instance exceeds the configured residue budget."""
+
+
+def level_boxes(lam: Partition, s: int) -> tuple[tuple[int, int], ...]:
+    """Boxes owning a level-s variable (those in rows s+1 and below),
+    in row-major reading order."""
+    return tuple(b for b in lam.boxes() if b[0] >= s + 1)
+
+
+def level_group_size(lam: Partition) -> int:
+    return prod(factorial(len(level_boxes(lam, s))) for s in range(1, lam.nrows))
+
+
+def residue_budget(lam: Partition, m: int) -> int:
+    """Elementary residue count of the full fundamental table: cycles x
+    forms x level-group size x schedule depth."""
+    stats = diagram_stats(lam, m)
+    n_forms = factorial(lam.size) // prod(map(factorial, lam.parts))
+    return stats.specht_dim * n_forms * level_group_size(lam) * max(stats.config_dim, 1)
+
+
+def check_resources(lam: Partition, m: int, budget: int = DEFAULT_BUDGET) -> None:
+    if lam.size > MAX_VARS:
+        raise ResourceGuardError(
+            f"N={lam.size} exceeds the hard variable limit {MAX_VARS}"
+        )
+    cost = residue_budget(lam, m)
+    if cost > budget:
+        raise ResourceGuardError(
+            f"shape {lam} at m={m} needs ~{cost} elementary residues, over "
+            f"the budget {budget}; raise the budget to force the run"
+        )
+
+
+def check_reflection_resources(n: int) -> None:
+    """Refuse a reflection family on n fixed points whose path family
+    needs more than `MAX_VARS` variables (the n points and one
+    integration variable)."""
+    if n + 1 > MAX_VARS:
+        raise ResourceGuardError(f"n={n} needs {n+1} variables, over {MAX_VARS}")

@@ -43,11 +43,9 @@ from __future__ import annotations
 import itertools
 import weakref
 from functools import lru_cache
-from math import factorial, prod
 
 from ._frozen import Frozen
 from .exactalg import (
-    MAX_VARS,
     FactoredSum,
     PolyFraction,
     PolyMatrix,
@@ -60,26 +58,30 @@ from .exactalg import (
     z_atom,
 )
 from .residues import iterated_residue, residue_plan
+# the resource guard lives in `shapes`; every name of it stays readable
+# here too (`solve.check_resources`, `solve.residue_budget`, ...)
 from .shapes import (
+    DEFAULT_BUDGET,
+    MAX_VARS,
     Numbering,
     Partition,
+    ResourceGuardError,
     Tabloid,
+    check_reflection_resources,
+    check_resources,
     column_expansion,
     diagram_stats,
+    level_boxes,
+    level_group_size,
+    residue_budget,
     row_word,
     standard_tableaux,
     tabloids,
 )
 
-DEFAULT_BUDGET = 10_000
-
 # The live results of `fundamental_solution`, by (lam, m).  Weak: an
 # entry goes when the last caller drops its matrix.
 _live_matrices = weakref.WeakValueDictionary()
-
-
-class ResourceGuardError(RuntimeError):
-    """The requested instance exceeds the configured residue budget."""
 
 
 class SpanError(ArithmeticError):
@@ -89,12 +91,6 @@ class SpanError(ArithmeticError):
     def __init__(self, message: str, witness):
         super().__init__(message)
         self.witness = witness
-
-
-def level_boxes(lam: Partition, s: int) -> tuple[tuple[int, int], ...]:
-    """Boxes owning a level-s variable (those in rows s+1 and below),
-    in row-major reading order."""
-    return tuple(b for b in lam.boxes() if b[0] >= s + 1)
 
 
 @lru_cache(maxsize=None)
@@ -141,10 +137,6 @@ def tableau_form(t: Numbering) -> FactoredSum:
         for s in range(1, r - 1):
             factors.append((t_atom(r, c, s + 1), t_atom(r, c, s), -1))
     return FactoredSum.term(1, factors)
-
-
-def level_group_size(lam: Partition) -> int:
-    return prod(factorial(len(level_boxes(lam, s))) for s in range(1, lam.nrows))
 
 
 def _level_relabelings(lam: Partition):
@@ -342,11 +334,12 @@ class FundamentalMatrix(Frozen):
     """Square solution matrix over standard tableaux, plus the full
     per-tabloid component tables it was read from.
 
-    Every table belongs to the matrix's own system: it has the matrix's
-    `lam` and `m`, is not twisted and holds polynomials, or the
-    constructor raises ValueError before it stores anything;
-    `verify._kz_reports` relabels the components of one table into
-    another and relies on this."""
+    The parameter m is a positive integer, and every table belongs to
+    the matrix's own system: it has the matrix's `lam` and `m`, is not
+    twisted and holds polynomials, or the constructor raises ValueError
+    before it stores anything.  `verify._kz_reports` relabels the
+    components of one table into another, and `verify.check_det` reads
+    the expected power from `diagram_stats(lam, m)`; both rely on this."""
 
     # `_cache` memoizes check results (`verify._kz_reports`,
     # `verify._determinant_at`) and the dual (`dual_matrix`) for every
@@ -364,6 +357,8 @@ class FundamentalMatrix(Frozen):
                 raise ValueError(
                     f"table of cycle {t.cycle} is not a polynomial table of {lam} at m={m}"
                 )
+        if m < 1:
+            raise ValueError(f"a fundamental matrix needs a positive integer m, got {m}")
         self._set(lam, m, cycles, tables, matrix, {})
 
     @property
@@ -386,27 +381,6 @@ class FundamentalMatrix(Frozen):
                 for i in range(self.dimension)
             ],
         }
-
-
-def residue_budget(lam: Partition, m: int) -> int:
-    """Elementary residue count of the full fundamental table: cycles x
-    forms x level-group size x schedule depth."""
-    stats = diagram_stats(lam, m)
-    n_forms = factorial(lam.size) // prod(map(factorial, lam.parts))
-    return stats.specht_dim * n_forms * level_group_size(lam) * max(stats.config_dim, 1)
-
-
-def check_resources(lam: Partition, m: int, budget: int = DEFAULT_BUDGET) -> None:
-    if lam.size > MAX_VARS:
-        raise ResourceGuardError(
-            f"N={lam.size} exceeds the hard variable limit {MAX_VARS}"
-        )
-    cost = residue_budget(lam, m)
-    if cost > budget:
-        raise ResourceGuardError(
-            f"shape {lam} at m={m} needs ~{cost} elementary residues, over "
-            f"the budget {budget}; raise the budget to force the run"
-        )
 
 
 def fundamental_solution(
@@ -553,8 +527,7 @@ def reflection_dual_solutions(n: int, m: int) -> tuple[ReflectionSolution, ...]:
     power."""
     if n < 2:
         raise ValueError("the reflection representation needs n >= 2")
-    if n + 1 > MAX_VARS:
-        raise ResourceGuardError(f"n={n} needs {n+1} variables, over {MAX_VARS}")
+    check_reflection_resources(n)
     nv = n + 1  # variable n+1 plays the integration variable
     den = discriminant_power(n, 2 * m)
     one = SparsePolynomial.constant(nv, 1)

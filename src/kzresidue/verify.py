@@ -26,6 +26,7 @@ from .exactalg import (
     discriminant_power,
 )
 from .shapes import (
+    DEFAULT_BUDGET,
     Numbering,
     Partition,
     Tabloid,
@@ -38,7 +39,6 @@ from .shapes import (
     standard_tableaux,
 )
 from .solve import (
-    DEFAULT_BUDGET,
     FundamentalMatrix,
     SolutionTable,
     coordinates_in_specht_basis,

@@ -162,7 +162,7 @@ def test_reflection_pairing_builds_each_family_once(capsys, monkeypatch):
     spies = []
     for name in ("reflection_solutions", "reflection_dual_solutions"):
         spies.append(spy := mock.Mock(wraps=getattr(solve, name)))
-        for module in (cli, verify):
+        for module in (solve, verify):
             monkeypatch.setattr(module, name, spy)
     code, out, _ = run(capsys, "reflection", "--n", "3", "--m", "1", "--pairing")
     assert code == 0 and "pass pairing" in out
@@ -289,7 +289,7 @@ def test_verify_needs_a_target(capsys):
 
 
 def test_verify_refuses_both_targets(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "fundamental_solution", _must_not_solve)
+    monkeypatch.setattr(solve, "fundamental_solution", _must_not_solve)
     monkeypatch.setattr(verify, "run_suite", _must_not_solve)
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--lambda", "2,1", "--all-partitions", "2", "--m", "1"])
@@ -311,7 +311,7 @@ def _must_not_solve(*args, **kwargs):
 
 def test_verify_all_partitions_refused_before_solving(capsys, monkeypatch):
     # (2,1,1,1) and (1,1,1,1,1) are over budget; (5) comes first and is not
-    monkeypatch.setattr(cli, "fundamental_solution", _must_not_solve)
+    monkeypatch.setattr(solve, "fundamental_solution", _must_not_solve)
     code, out, err = run(capsys, "verify", "--all-partitions", "5", "--m", "1")
     assert code == 2
     assert out == "" and err.startswith("refused:")
@@ -331,7 +331,7 @@ def test_verify_all_partitions_variable_limit_refused_before_listing(capsys, mon
 
 
 def test_reflection_variable_limit_refused_before_solving(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "reflection_solutions", _must_not_solve)
+    monkeypatch.setattr(solve, "reflection_solutions", _must_not_solve)
     code, out, err = run(capsys, "reflection", "--n", "8", "--m", "1")
     assert code == 2
     assert out == "" and err.startswith("refused:")
@@ -472,32 +472,57 @@ _LOADS = (
     "import sys\n"
     "import kzresidue.cli as cli\n"
     "print(*sorted(sys.modules), file=sys.stderr)\n"
-    "rc = cli.main(sys.argv[1:])\n"
-    "print(*sorted(sys.modules), file=sys.stderr)\n"
+    "try:\n"
+    "    rc = cli.main(sys.argv[1:])\n"
+    "finally:  # argparse ends usage errors and --help by SystemExit\n"
+    "    print(*sorted(sys.modules), file=sys.stderr)\n"
     "sys.exit(rc)\n"
 )
+_SOLVER = {"kzresidue.exactalg", "kzresidue.residues", "kzresidue.solve"}
 
 
-@pytest.mark.parametrize("argv, verify_loaded, json_loaded", [
-    (("solve", "--lambda", "2,1", "--m", "1"), False, False),
-    (("stats", "--lambda", "2,1", "--m", "1"), False, False),
-    (("reflection", "--n", "3", "--m", "1"), False, False),
-    (("solve", "--lambda", "2,1", "--m", "1", "--format", "json"), False, True),
-    (("verify", "--lambda", "2,1", "--m", "1"), True, False),
-    (("verify", "--lambda", "1,1,1,1,1", "--m", "1"), False, False),  # refused
-    (("reflection", "--n", "3", "--m", "1", "--pairing"), True, False),
-], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
-def test_cli_loads_the_check_battery_and_json_only_where_used(argv, verify_loaded, json_loaded):
+# (argv, solver loaded, check battery loaded, json loaded); a case's id is
+# the request and the last two
+_LOAD_CASES = [
+    (("solve", "--lambda", "2,1", "--m", "1"), True, False, False),
+    (("stats", "--lambda", "2,1", "--m", "1"), False, False, False),
+    (("reflection", "--n", "3", "--m", "1"), True, False, False),
+    (("solve", "--lambda", "2,1", "--m", "1", "--format", "json"), True, False, True),
+    (("verify", "--lambda", "2,1", "--m", "1"), True, True, False),
+    (("reflection", "--n", "3", "--m", "1", "--pairing"), True, True, False),
+    # usage errors and refusals
+    (("--help",), False, False, False),
+    (("solve", "--lambda", "2,x", "--m", "1"), False, False, False),
+    (("solve", "--lambda", "2,1", "--m", "0"), False, False, False),
+    (("solve", "--lambda", "9", "--m", "1"), False, False, False),
+    (("verify", "--lambda", "1,1,1,1,1", "--m", "1"), False, False, False),
+    (("verify", "--lambda", "1,1,1,1,1", "--m", "1", "--all"), False, False, False),
+    (("reflection", "--n", "8", "--m", "1"), False, False, False),
+]
+
+
+@pytest.mark.parametrize("argv, solver_loaded, verify_loaded, json_loaded", [
+    pytest.param(*case, id=f"{' '.join(case[0])}-{case[2]}-{case[3]}")
+    for case in _LOAD_CASES
+])
+def test_cli_loads_the_check_battery_and_json_only_where_used(
+    argv, solver_loaded, verify_loaded, json_loaded
+):
     """A fresh `python -B` process: `import kzresidue.cli` compiles
-    neither `kzresidue.verify` nor `json`; a command imports them when it
-    checks or encodes, and a refused request before either."""
+    neither the solver (`exactalg`, `residues`, `solve`), nor
+    `kzresidue.verify`, nor `json`; a command imports them when it
+    solves, checks or encodes, and a usage error or a refused request
+    imports none of them."""
     proc = subprocess.run(
         [sys.executable, "-B", "-c", _LOADS, *argv],
         capture_output=True, text=True, env=_cli_env(), timeout=60,
     )
     assert proc.returncode in (0, cli.USAGE_ERROR)
-    at_import, after = (set(line.split()) for line in proc.stderr.splitlines()[:2])
-    assert not at_import & {"kzresidue.verify", "json"}
+    lines = proc.stderr.splitlines()
+    at_import, after = set(lines[0].split()), set(lines[-1].split())
+    assert not at_import & (_SOLVER | {"kzresidue.verify", "json"})
+    assert "kzresidue.shapes" in after
+    assert _SOLVER <= after if solver_loaded else not _SOLVER & after
     assert ("kzresidue.verify" in after) == verify_loaded
     assert ("json" in after) == json_loaded
 

@@ -1460,6 +1460,16 @@ def test_a_matrix_refuses_tables_of_another_system(fm21):
             FundamentalMatrix(*bad)
 
 
+def test_a_matrix_refuses_a_parameter_below_one(fm21):
+    """`check_det` reads its expected power from `diagram_stats(lam, m)`,
+    so a matrix holds only m >= 1: the tables of m=1 rebuilt at m=-1 or
+    m=0 are refused before anything is stored."""
+    for m in (-1, 0):
+        tables = tuple(SolutionTable(t.lam, m, t.cycle, t.components) for t in fm21.tables)
+        with pytest.raises(ValueError, match="needs a positive integer m, got"):
+            FundamentalMatrix(fm21.lam, m, fm21.cycles, tables, fm21.matrix)
+
+
 def test_a_failing_relabeling_writes_no_record(fm31):
     table, u = fm31.tables[2], tabloids((3, 1))[1]
     bad = perturbed(table, u, SparsePolynomial.variable(4, 1))
