@@ -19,7 +19,7 @@ print()
 print("dual rows (numerator / determinant):")
 for i in range(dm.dimension):
     for j in range(dm.dimension):
-        num = dm.entries.entry(i, j).num
+        num = dm.entries.entry(i, j)
         print(f"  [{i}][{j}] = ({factored_text(num)}) / ({factored_text(dm.det)})")
 print()
 

@@ -5,13 +5,7 @@ Usage: python demos/reflection_pairing.py [n] [m]
 """
 import sys
 
-from kzresidue import (
-    PolyFraction,
-    SparsePolynomial,
-    discriminant_power,
-    reflection_dual_solutions,
-    reflection_solutions,
-)
+from kzresidue import SparsePolynomial, reflection_dual_solutions, reflection_solutions
 from kzresidue.cli import factored_text
 
 n = int(sys.argv[1]) if len(sys.argv) > 1 else 3
@@ -30,26 +24,24 @@ print("family sum:", "zero vector" if all(p.is_zero() for p in total) else total
 print()
 
 phis = reflection_dual_solutions(n, m)
-den = discriminant_power(n, 2 * m)
 print(f"dual path family (parameter -{m}), numerators over disc^{2*m}:")
 for a, phi in enumerate(phis, start=1):
-    coords = ", ".join(str(f.num) for f in phi.components)
+    coords = ", ".join(str(f) for f in phi.components)
     print(f"  solution {a}: ({coords})")
 print()
 
-one = SparsePolynomial.constant(n, 1)
-zero = SparsePolynomial.zero(n)
-scale = SparsePolynomial.constant(n, m)
+# each pairing is sum_k num_k psi_k over the members' one den = disc^{2m}:
+# it is 1/m when m times the numerator sum is that den, 0 when the sum is
 print(f"pairing matrix (should be identity / {m}):")
 for phi in phis:
     cells = []
     for psi in psis[: n - 1]:
-        acc = PolyFraction(zero, one)
+        acc = SparsePolynomial.zero(n)
         for p, q in zip(phi.components, psi.components):
             acc = acc + p * q
-        if acc * scale == one:
+        if acc * m == phi.den:
             cells.append(f"1/{m}" if m != 1 else "1")
-        elif acc == zero:
+        elif acc.is_zero():
             cells.append("0")
         else:
             cells.append("UNEXPECTED")

@@ -13,10 +13,9 @@ __version__ = "0.1.0"
 # each public name, under the module that defines it
 _EXPORTS = {
     "exactalg": (
-        "FactoredSum", "NonDivisibleError", "NormalizeError", "PolyFraction",
-        "PolyMatrix", "SparsePolynomial", "atom_str", "det_adjugate",
-        "determinant", "discriminant_power", "normalize_factored", "t_atom",
-        "z_atom",
+        "FactoredSum", "NonDivisibleError", "NormalizeError", "PolyMatrix",
+        "SparsePolynomial", "atom_str", "det_adjugate", "determinant",
+        "discriminant_power", "normalize_factored", "t_atom", "z_atom",
     ),
     "residues": (
         "ScheduleError", "binom_int", "iterated_residue", "residue_at",

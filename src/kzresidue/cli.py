@@ -236,8 +236,7 @@ def cmd_dual(args) -> int:
         yield f"determinant: {factored_text(dm.det)}"
         for i in range(dm.dimension):
             for j in range(dm.dimension):
-                e = dm.entries.entry(i, j)
-                yield f"  [{i}][{j}]: ({factored_text(e.num)}) / det"
+                yield f"  [{i}][{j}]: ({factored_text(dm.entries.entry(i, j))}) / det"
 
     emit(args, dm.to_json() if args.format == "json" else None, lines)
     return 0
@@ -257,8 +256,9 @@ def cmd_twist(args) -> int:
     def lines():
         for t, rep in zip(twisted, reports):
             yield f"cycle {t.cycle} (m={t.m}, twisted): {rep.verdict}"
-            for u, frac in t.components.items():
-                yield f"  {u}: ({factored_text(frac.num)}) / ({factored_text(frac.den)})"
+            den = factored_text(t.den)
+            for u, num in t.components.items():
+                yield f"  {u}: ({factored_text(num)}) / ({den})"
 
     payload = None
     if args.format == "json":
@@ -289,8 +289,9 @@ def cmd_reflection(args) -> int:
                 yield f"  e{k}: {factored_text(comp)}"
         for s in phis:
             yield f"path solution {s.index} (m={s.m}):"
-            for k, comp in enumerate(s.components, start=1):
-                yield f"  e{k}: ({factored_text(comp.num)}) / ({factored_text(comp.den)})"
+            den = factored_text(s.den)
+            for k, num in enumerate(s.components, start=1):
+                yield f"  e{k}: ({factored_text(num)}) / ({den})"
         if rep is not None:
             yield rep.verdict + " pairing"
 

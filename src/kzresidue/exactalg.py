@@ -1,12 +1,15 @@
 """Exact arithmetic: sparse multivariate polynomials over Q, factored
-Laurent sums over a point-difference alphabet, unreduced polynomial
-fractions, and small polynomial matrices.
+Laurent sums over a point-difference alphabet, and small polynomial
+matrices.
 
 No floating point is used anywhere; coefficients are Python ints or
-fractions.Fraction.  Polynomial fractions are deliberately never reduced
-(no multivariate gcd exists in this package): identities between them
-are always decided by cross-multiplication, and denominators are cleared
-once, globally, when a factored sum is expanded.
+fractions.Fraction.  There is no polynomial fraction type (and no
+multivariate gcd): denominators are cleared once, globally, when a
+factored sum is expanded, and a family of rational solutions keeps
+polynomial numerators over the one denominator its holder stores
+(`solve.SolutionTable.den`, `DualMatrix.det`, `ReflectionSolution.den`),
+so identities between them are decided on numerators, cross-multiplied
+against that denominator.
 
 A polynomial keys each monomial on one int (Kronecker packing): the
 exponent of z_i sits in bits [24(i-1), 24i), so z_n is most significant
@@ -747,65 +750,13 @@ def normalize_factored(fs: FactoredSum, nvars: int) -> SparsePolynomial:
 
 
 # ----------------------------------------------------------------------
-# fractions and matrices
-
-
-class PolyFraction(Frozen):
-    """Unreduced quotient of two polynomials; equality by cross-multiplication."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: SparsePolynomial, den: SparsePolynomial) -> None:
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        if den.is_zero():
-            raise ZeroDivisionError("fraction with zero denominator")
-        num._require_same_ring(den)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SparsePolynomial):
-            other = PolyFraction(other, SparsePolynomial.constant(self.num.nvars, 1))
-        if not isinstance(other, PolyFraction):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):  # pragma: no cover - fractions are not dict keys here
-        return hash(self.num.nvars)
-
-    def __add__(self, other: "PolyFraction") -> "PolyFraction":
-        if self.den is other.den or self.den == other.den:
-            return PolyFraction(self.num + other.num, self.den)
-        return PolyFraction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self) -> "PolyFraction":
-        return PolyFraction(-self.num, self.den)
-
-    def __sub__(self, other: "PolyFraction") -> "PolyFraction":
-        return self + (-other)
-
-    def __mul__(self, other) -> "PolyFraction":
-        if isinstance(other, (int, Fraction)):
-            return PolyFraction(self.num * other, self.den)
-        if isinstance(other, SparsePolynomial):
-            return PolyFraction(self.num * other, self.den)
-        return PolyFraction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
+# matrices
 
 
 class PolyMatrix(Frozen):
-    """Rectangular matrix of polynomial (or fraction) entries."""
+    """Rectangular matrix of polynomial entries: a fundamental matrix, or
+    the adjugate numerators of a dual, whose one shared denominator
+    `DualMatrix.det` holds."""
 
     __slots__ = ("entries",)
     __hash__ = None  # a matrix is never a dictionary key

@@ -47,7 +47,6 @@ from functools import lru_cache
 from ._frozen import Frozen
 from .exactalg import (
     FactoredSum,
-    PolyFraction,
     PolyMatrix,
     SparsePolynomial,
     _add_into,
@@ -226,15 +225,18 @@ def _orbit_component(m: int, cycle: Tabloid, form: Tabloid) -> SparsePolynomial:
 class SolutionTable(Frozen):
     """All tabloid components of the solution attached to one cycle.
 
-    Components are polynomials (positive parameter) or shared-denominator
-    fractions (twisted tables); `m` is the parameter of the system the
-    table claims to solve and `twisted` marks the extra sign in the
-    transposition action.  The cycle has shape `lam`, `components` is
-    keyed by exactly `tabloids(lam.parts)`, stored in that order, and its
-    values are all `SparsePolynomial` or all `PolyFraction` in N = |lam|
-    variables, or the constructor raises ValueError; every check that
-    indexes a table by tabloid, or relabels and divides its components,
-    relies on this.
+    The component at U is components[U] / den: `den` is None for a
+    polynomial table (positive parameter) and the one denominator every
+    component shares otherwise (the alternating twist's Delta^{2m}).
+    `m` is the parameter of the system the table claims to solve and
+    `twisted` marks the extra sign in the transposition action.  The
+    cycle has shape `lam`, `components` is keyed by exactly
+    `tabloids(lam.parts)`, stored in that order, its values are all
+    `SparsePolynomial` in N = |lam| variables, and `den` is None or a
+    non-zero `SparsePolynomial` in N variables, or the constructor raises
+    ValueError before it stores anything; every check that indexes a
+    table by tabloid, or relabels and divides its numerators, relies on
+    this.
 
     `_cache` is the table's record of its KZ proof (`verify.check_kz`):
     key (m eps, m + p), the two coefficients of
@@ -246,26 +248,22 @@ class SolutionTable(Frozen):
     hash, repr and pickling, and every constructor call starts it empty;
     so `components` must not be changed in place after a check."""
 
-    __slots__ = ("lam", "m", "cycle", "components", "twisted", "_cache")
+    __slots__ = ("lam", "m", "cycle", "components", "twisted", "den", "_cache")
 
     def __init__(
         self, lam: Partition, m: int, cycle: Tabloid, components: dict,
-        twisted: bool = False,
+        twisted: bool = False, den: SparsePolynomial | None = None,
     ) -> None:
         if cycle.shape != lam.parts:
             raise ValueError(f"cycle {cycle} does not have shape {lam}")
         order = tabloids(lam.parts)
         if components.keys() != set(order):
             raise ValueError(f"components are not indexed by the tabloids of {lam}")
-        kind = type(next(iter(components.values())))
-        if kind not in (SparsePolynomial, PolyFraction) or any(
-            type(c) is not kind or (c.num if kind is PolyFraction else c).nvars != lam.size
-            for c in components.values()
-        ):
-            raise ValueError(
-                f"components are not all polynomials or all fractions in {lam.size} variables"
-            )
-        self._set(lam, m, cycle, {u: components[u] for u in order}, twisted, {})
+        if not all(_is_poly(c, lam.size) for c in components.values()):
+            raise ValueError(f"components are not all polynomials in {lam.size} variables")
+        if den is not None and (not _is_poly(den, lam.size) or den.is_zero()):
+            raise ValueError(f"denominator is not a non-zero polynomial in {lam.size} variables")
+        self._set(lam, m, cycle, {u: components[u] for u in order}, twisted, den, {})
 
     def to_json(self) -> dict:
         return {
@@ -273,8 +271,21 @@ class SolutionTable(Frozen):
             "m": self.m,
             "cycle": [list(r) for r in self.cycle.rows],
             "forms": [[list(r) for r in u.rows] for u in self.components],
-            "components": [c.to_json() for c in self.components.values()],
+            "components": _components_json(self.components.values(), self.den),
         }
+
+
+def _is_poly(x, nvars: int) -> bool:
+    return type(x) is SparsePolynomial and x.nvars == nvars
+
+
+def _components_json(nums, den: SparsePolynomial | None) -> list:
+    """Each numerator's JSON, or `{"num": ..., "den": ...}` over a shared
+    `den`, whose JSON is built once."""
+    if den is None:
+        return [c.to_json() for c in nums]
+    den_json = den.to_json()
+    return [{"num": c.to_json(), "den": den_json} for c in nums]
 
 
 def solve_cycle(lam: Partition, m: int, cycle: Tabloid) -> SolutionTable:
@@ -351,9 +362,7 @@ class FundamentalMatrix(Frozen):
         tables: tuple[SolutionTable, ...], matrix: PolyMatrix,
     ) -> None:
         for t in tables:
-            if (t.lam, t.m, t.twisted) != (lam, m, False) or not isinstance(
-                next(iter(t.components.values())), SparsePolynomial
-            ):
+            if (t.lam, t.m, t.twisted, t.den) != (lam, m, False, None):
                 raise ValueError(
                     f"table of cycle {t.cycle} is not a polynomial table of {lam} at m={m}"
                 )
@@ -409,7 +418,9 @@ def fundamental_solution(
 class DualMatrix(Frozen):
     """Transposed-inverse companion of a fundamental matrix: rows solve
     the parameter-negated system in coordinates dual to the polytabloid
-    basis; `m` is the (negative) parameter it solves."""
+    basis; `m` is the (negative) parameter it solves.  Entry (i, j) is
+    `entries.entry(i, j) / det`: `entries` holds the adjugate numerators
+    and `det` their one denominator, so no entry can carry another."""
 
     __slots__ = ("lam", "m", "det", "entries")
 
@@ -423,18 +434,13 @@ class DualMatrix(Frozen):
         return self.entries.nrows
 
     def to_json(self) -> dict:
-        det = self.det.to_json()  # the den of every `dual_matrix` entry: written once
+        det = self.det.to_json()
         return {
             "lambda": list(self.lam.parts),
             "m": self.m,
             "det": det,
             "entries": [
-                [
-                    {"num": e.num.to_json(),
-                     "den": det if e.den is self.det else e.den.to_json()}
-                    for e in row
-                ]
-                for row in self.entries.entries
+                [{"num": e.to_json(), "den": det} for e in row] for row in self.entries.entries
             ],
         }
 
@@ -449,9 +455,7 @@ def dual_matrix(fm: FundamentalMatrix) -> DualMatrix:
             "fundamental matrix is singular; the solver is inconsistent"
         )
     n = fm.dimension
-    entries = PolyMatrix(
-        [[PolyFraction(adj.entry(j, i), det) for j in range(n)] for i in range(n)]
-    )
+    entries = PolyMatrix([[adj.entry(j, i) for j in range(n)] for i in range(n)])
     dm = fm._cache["dual"] = DualMatrix(fm.lam, -fm.m, det, entries)
     return dm
 
@@ -461,37 +465,44 @@ def alternating_twist(table: SolutionTable) -> SolutionTable:
     character: a solution of the parameter-negated system for the
     twisted action, with rational components.
 
-    The numerators are the table's own component objects over the one
-    cached `discriminant_power(n, 2m)`.  With parameter -m, p = 2m and
-    eps = -1 the twisted system's X_ij = m psi_{s_ij U} + m psi_U is the
-    table's, key (m, m) in both, so the twisted table is given the
-    table's KZ record itself, not a copy: a proof on either serves both."""
+    The twisted table holds the table's own component objects as its
+    numerators and the one cached `discriminant_power(n, 2m)` as its
+    `den`, so no per-component object is built.  With parameter -m,
+    p = 2m and eps = -1 the twisted system's X_ij = m psi_{s_ij U} +
+    m psi_U is the table's, key (m, m) in both, so the twisted table is
+    given the table's KZ record itself, not a copy: a proof on either
+    serves both."""
     if table.twisted:
         raise ValueError("table is already twisted")
     den = discriminant_power(table.lam.size, 2 * table.m)
-    components = {
-        u: PolyFraction(c, den) for u, c in table.components.items()
-    }
-    twisted = SolutionTable(table.lam, -table.m, table.cycle, components, twisted=True)
+    twisted = SolutionTable(
+        table.lam, -table.m, table.cycle, table.components, twisted=True, den=den
+    )
     object.__setattr__(twisted, "_cache", table._cache)
     return twisted
 
 
 class ReflectionSolution(Frozen):
     """A solution with values in the (N-1,1) module written in the
-    standard coordinates of C^N (components along the unit vectors)."""
+    standard coordinates of C^N: component k, along the k-th unit vector,
+    is components[k] / den.  `den` is None for the residue family
+    (polynomial components) and the shared Delta^{2m} for the path
+    family, whose numerators carry rational coefficients."""
 
-    __slots__ = ("n", "m", "index", "components")
+    __slots__ = ("n", "m", "index", "components", "den")
 
-    def __init__(self, n: int, m: int, index: int, components: tuple) -> None:
-        self._set(n, m, index, components)
+    def __init__(
+        self, n: int, m: int, index: int, components: tuple,
+        den: SparsePolynomial | None = None,
+    ) -> None:
+        self._set(n, m, index, components, den)
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "m": self.m,
             "index": self.index,
-            "components": [c.to_json() for c in self.components],
+            "components": _components_json(self.components, self.den),
         }
 
 
@@ -524,7 +535,7 @@ def reflection_dual_solutions(n: int, m: int) -> tuple[ReflectionSolution, ...]:
     the reflection representation: component k of solution a is the
     antiderivative of (t-z_k)^{m-1} prod_{i != k} (t-z_i)^m evaluated
     between the fixed points a and n, over the squared discriminant
-    power."""
+    power Delta^{2m}, which every member holds once as its `den`."""
     if n < 2:
         raise ValueError("the reflection representation needs n >= 2")
     check_reflection_resources(n)
@@ -543,8 +554,8 @@ def reflection_dual_solutions(n: int, m: int) -> tuple[ReflectionSolution, ...]:
     out = []
     for a in range(1, n):
         comps = tuple(
-            PolyFraction((upper - anti.substitute_variable(nv, a)).drop_last_variable(), den)
+            (upper - anti.substitute_variable(nv, a)).drop_last_variable()
             for anti, upper in primitives
         )
-        out.append(ReflectionSolution(n, -m, a, comps))
+        out.append(ReflectionSolution(n, -m, a, comps, den))
     return tuple(out)

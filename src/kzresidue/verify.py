@@ -15,7 +15,6 @@ from functools import cache
 from ._frozen import Frozen
 from .exactalg import (
     NonDivisibleError,
-    PolyFraction,
     SparsePolynomial,
     _add_into,
     _divide_by_z_diff,
@@ -229,13 +228,14 @@ def check_kz(table: SolutionTable) -> CheckReport:
     """The component table satisfies the full differential system for
     its stated parameter and (possibly twisted) transposition action.
 
-    Polynomial tables are checked with p = 0.  Fraction tables (the
-    alternating twist) must share one denominator C * Delta^p, which is
-    verified first by comparison with C * Delta^p (a denominator of any
-    other form fails); both are then checked by `_kz_witness`: each
-    pole's numerator is divided exactly, a remainder fails by uniqueness
-    of partial fractions, and the quotients must sum to the derivative,
-    so the denominator never enters a product.  When m eps == m + p, with
+    Polynomial tables (`den` None) are checked with p = 0.  A table with
+    a `den` (the alternating twist) holds numerators over that one
+    denominator, which must be C * Delta^p: that is verified first by
+    comparison with C * Delta^p (a denominator of any other form fails).
+    Both are then checked by `_kz_witness` on the numerators: each pole's
+    numerator is divided exactly, a remainder fails by uniqueness of
+    partial fractions, and the quotients must sum to the derivative, so
+    the denominator never enters a product.  When m eps == m + p, with
     eps = -1 on twisted tables and 1 otherwise (every polynomial table
     and every alternating twist), X_ij(U) == X_ij(s_ij U) and one
     quotient serves both; `info` names that identity when it is used.
@@ -251,7 +251,7 @@ def check_kz(table: SolutionTable) -> CheckReport:
     that fails the premise may still solve the system and is checked at
     every (i, U).  `info` counts the equations checked and names the
     identity, or the generator and form where the premise failed.  The
-    keys, their order and the components' kind are `SolutionTable`'s.
+    keys, their order and the numerators' ring are `SolutionTable`'s.
 
     The denominator step runs on every call.  The rest is kept on the
     table (`SolutionTable._cache`) under the key (m eps, m + p), the two
@@ -262,12 +262,12 @@ def check_kz(table: SolutionTable) -> CheckReport:
     one record and one key, (m, m); a report read across the twist also
     names that identity (`TWIST`).  The record stands for the components
     as they were checked, which must not be changed in place."""
-    nums, p, witness = _shared_denominator(table)
+    p, witness = _shared_denominator(table)
     info = {"twisted": table.twisted}
     if witness is None:
         key = _record_key(table, p)
         if (record := table._cache.get(key)) is None:
-            record = table._cache[key] = _kz_proof(table, nums, p)
+            record = table._cache[key] = _kz_proof(table, p)
         witness, made = record
         info = {**made, "twisted": table.twisted}
         if made["twisted"] != table.twisted:
@@ -283,22 +283,15 @@ TWIST = (
 )
 
 
-def _shared_denominator(table: SolutionTable) -> tuple[dict, int, dict | None]:
-    """`check_kz`'s denominator step: `(nums, p, None)` when the
-    components are polynomials (p = 0) or fractions nums[U] / den sharing
-    one den = C * Delta^p, else a witness in the last place."""
-    comps = nums = table.components
-    first = next(iter(comps.values()))
-    if not isinstance(first, PolyFraction):
-        return nums, 0, None
-    nums = {u: c.num for u, c in comps.items()}
-    if any(c.den is not first.den and c.den != first.den for c in comps.values()):
-        return nums, 0, {"reason": "components do not share a denominator"}
-    if (found := _discriminant_power_of(table.lam.size, first.den)) is None:
-        return nums, 0, {
-            "reason": "shared denominator is not a constant times a discriminant power"
-        }
-    return nums, found[0], None
+def _shared_denominator(table: SolutionTable) -> tuple[int, dict | None]:
+    """`check_kz`'s denominator step: `(p, None)` when the table is
+    polynomial (p = 0) or its one `den` is C * Delta^p, else a witness in
+    the last place."""
+    if table.den is None:
+        return 0, None
+    if (found := _discriminant_power_of(table.lam.size, table.den)) is None:
+        return 0, {"reason": "shared denominator is not a constant times a discriminant power"}
+    return found[0], None
 
 
 def _record_key(table: SolutionTable, p: int) -> tuple[int, int]:
@@ -307,10 +300,11 @@ def _record_key(table: SolutionTable, p: int) -> tuple[int, int]:
     return (-table.m if table.twisted else table.m), table.m + p
 
 
-def _kz_proof(table: SolutionTable, nums: dict, p: int) -> tuple[dict | None, dict]:
+def _kz_proof(table: SolutionTable, p: int) -> tuple[dict | None, dict]:
     """`check_kz` past its denominator step: (witness without the cycle,
     info)."""
     n = table.lam.size
+    nums = table.components
     eps = -1 if table.twisted else 1
 
     def act(i: int, j: int, u: Tabloid) -> tuple:
@@ -674,11 +668,12 @@ def check_dual(fm: FundamentalMatrix) -> CheckReport:
     It rests on two identities, proved here and named in its report.  The
     adjugate identity makes the rows the transposed inverse: `dual_matrix`
     asserts it exactly on the matrix with its z-difference content
-    stripped (see `det_adjugate`).  The determinant identity: the shared
-    denominator dm.det from that same pass is C * Delta^p, by comparison
-    with C * Delta^p (`_discriminant_power_of`), so
+    stripped (see `det_adjugate`).  The determinant identity: dm.det from
+    that same pass, the one denominator of every entry (`DualMatrix`
+    stores the adjugate numerators over it), is C * Delta^p, by
+    comparison with C * Delta^p (`_discriminant_power_of`), so
     d_i det / det = p sum_{l != i} 1 / (z_i - z_l) and `_kz_witness`
-    checks the system by pole division.
+    checks the system on the numerators by pole division.
     A failure of either fails this check; neither `check_det` nor a
     symbolic determinant of M is called.  The dual is the one
     `dual_matrix(fm)` keeps on `fm`, so a dual the caller already built
@@ -701,7 +696,7 @@ def check_dual(fm: FundamentalMatrix) -> CheckReport:
         }
         return CheckReport("dual_system", lam, dm.m, witness, info)
     d = dm.dimension
-    nums = {(b, j): dm.entries.entry(b, j).num for b in range(d) for j in range(d)}
+    nums = {(b, j): dm.entries.entry(b, j) for b in range(d) for j in range(d)}
 
     def act(i: int, l: int, key: tuple[int, int]) -> list:
         b, jcol = key
@@ -785,19 +780,30 @@ def _reflection_witness(n: int, m: int, psis, phis) -> dict | None:
     The translation test skips the last residue solution: the sum test
     before it proves psi_n = -sum_{a<n} psi_a, and E = sum_i d/dz_i is
     linear, so a defect in psi_n is a defect in some earlier psi_a, which
-    the loop meets first; no witness changes."""
+    the loop meets first; no witness changes.
+
+    The pairing compares numerators against Delta^{2m}, so a residue
+    member with a `den`, or a path member whose `den` is not
+    `discriminant_power(n, 2m)`, fails first, by name."""
+    disc = discriminant_power(n, 2 * m)
+    for psi in psis:
+        if psi.den is not None:
+            return {"reason": "residue family member is not polynomial", "index": psi.index}
+    for phi in phis:
+        if phi.den is not disc and phi.den != disc:
+            return {"reason": "path family denominator is not Delta^{2m}", "index": phi.index}
     for k in range(n):
         if sum((psi.components[k] for psi in psis), SparsePolynomial.zero(n)):
             return {"reason": "residue family does not sum to zero", "component": k + 1}
     for phi in phis:
-        if sum((comp.num for comp in phi.components), SparsePolynomial.zero(n)):
+        if sum(phi.components, SparsePolynomial.zero(n)):
             return {"reason": "path family coordinate sum is not zero", "index": phi.index}
     # each path member's numerators scaled once to integers by the lcm L of
-    # their denominators: E (L f) = L E f with L != 0, so the translation
-    # test runs on them, and so does the pairing
+    # their coefficients' denominators: E (L f) = L E f with L != 0, so the
+    # translation test runs on them, and so does the pairing
     scaled = []
     for phi in phis:
-        nums = [comp.num for comp in phi.components]
+        nums = phi.components
         scale = math.lcm(*(c.denominator for num in nums for c in num.terms.values()))
         scaled.append((phi.index, scale, [num * scale for num in nums]))
     families = [("residue", psi.index, psi.components) for psi in psis[:-1]]
@@ -814,7 +820,7 @@ def _reflection_witness(n: int, m: int, psis, phis) -> dict | None:
     # the first n-1 residue solutions form the basis dual to the path
     # family; the last one is minus their sum and pairs to -1/m with
     # everything, so it stays out of the delta identity
-    disc = discriminant_power(n, 2 * m).restrict_last_to_zero()
+    disc = disc.restrict_last_to_zero()
     sliced = [
         (index, scale, [num.restrict_last_to_zero().terms for num in nums])
         for index, scale, nums in scaled
@@ -841,7 +847,8 @@ def check_reflection(n: int, m: int) -> CheckReport:
     """The fixed-point residue family sums to zero, each path family
     member has coordinate sum zero, and the two families pair to
     delta_{ab}/m (checked cross-multiplied against the squared
-    discriminant power).
+    discriminant power Delta^{2m}, which must be each path member's
+    `den`; the residue members hold polynomials, `den` None).
 
     The pairing is checked on the slice z_n = 0 only, after a
     translation-invariance step proves E f = 0, E = sum_i d/dz_i, for

@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 from kzresidue import (
     FactoredSum,
     Partition,
-    PolyFraction,
     PolyMatrix,
     SolutionTable,
     SparsePolynomial,
@@ -128,7 +127,7 @@ def dual_expansion_coefficient(m: int, k: int) -> Fraction:
 
 def closed_form_first_dual(m: int):
     """Unit-vector components of the first dual-family solution for three
-    points, as fractions over the squared discriminant power."""
+    points, as numerators over the squared discriminant power."""
     z12, z13 = zd(1, 2), zd(1, 3)
     zero = SparsePolynomial.zero(3)
     third = zero  # component along the third unit vector
@@ -140,8 +139,7 @@ def closed_form_first_dual(m: int):
         third = third + mono * (d * (-m - k) * sign)
         second = second + mono * (d * k * sign)
     first = (third + second) * (-1)
-    den = discriminant_power(3, 2 * m)
-    return tuple(PolyFraction(p, den) for p in (first, second, third))
+    return first, second, third
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +282,17 @@ def test_criterion_07_duality_and_twist(battery):
         rep = check_dual(fm)
         assert rep.passed, (parts, rep.witness)
         assert rep.m == -1
-    # same identity once more through the fraction interface
+    # same identity once more on the dual's numerators over its det:
+    # dual x matrix = I reads sum_k N[k][j] M[k][i] = det delta_ij
     fm = battery[((2, 1), 1)]
     dm = dual_matrix(fm)
-    one = SparsePolynomial.constant(3, 1)
     zero = SparsePolynomial.zero(3)
     for i in range(2):
         for j in range(2):
-            acc = PolyFraction(zero, one)
+            acc = zero
             for k in range(2):
                 acc = acc + dm.entries.entry(k, j) * fm.matrix.entry(k, i)
-            assert acc == (one if i == j else zero)
+            assert acc == (dm.det if i == j else zero)
     # sign-twisted tables solve the parameter-negated twisted system
     for parts in ((3,), (1, 1), (2, 1)):
         fm = battery[(parts, 1)]
@@ -324,8 +322,8 @@ def test_criterion_08_reflection_families():
     assert dual_expansion_coefficient(1, 0) == Fraction(1, 2)
     assert dual_expansion_coefficient(1, 1) == Fraction(1, 6)
     computed = reflection_dual_solutions(3, 1)[0]
-    for got, expect in zip(computed.components, closed_form_first_dual(1)):
-        assert got == expect
+    assert computed.den == discriminant_power(3, 2)
+    assert computed.components == closed_form_first_dual(1)
 
 
 def test_criterion_09_straightening():

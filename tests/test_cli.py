@@ -1,5 +1,6 @@
 """Front-end behavior: exit codes, output formats, argument validation."""
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -240,6 +241,32 @@ def test_json_output_is_the_indented_dump_byte_for_byte(capsys, monkeypatch, arg
     assert code == 0 and err == ""
     assert len(payloads) == 1
     assert out == json.dumps(payloads[0], indent=2) + "\n"
+
+
+# SHA-256 of the stdout of the requests that print fractions over their
+# family's one denominator (the twisted tables, the dual, the path
+# family), in text and JSON, pinned byte for byte
+PINNED_STDOUT_SHA256 = {
+    "twist --lambda 2,1 --m 2":
+        "e0b59cf6d0dd76dcd5662c548254e70b504e649db147f36105eadbf8b927dca1",
+    "twist --lambda 2,1 --m 2 --format json":
+        "f34eeeeeeeac62d2a405ba583c2f3420b41ee846265f8ad66dbcebbedba1c669",
+    "dual --lambda 2,1 --m 2":
+        "a259fba98818f8a068e58ee0c8a3a8def9c712ff4f2dfdd84c54783505cc077d",
+    "dual --lambda 2,1 --m 2 --format json":
+        "8f82e5eb0f907de8403174414ddf774a319cd01a8d9778063dd8550cf32adf07",
+    "reflection --n 3 --m 2 --pairing":
+        "1701472e89cf9d8f3a8ac698ace186d850dcc6cc6f2958925a660664cccfdcdd",
+    "reflection --n 3 --m 2 --pairing --format json":
+        "d688708bb8f1474cad7f58fadf2948016bdf325de022b45b13c10cbeb227d486",
+}
+
+
+@pytest.mark.parametrize("request_", PINNED_STDOUT_SHA256)
+def test_fraction_families_print_their_pinned_bytes(capsys, request_):
+    code, out, err = run(capsys, *request_.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_SHA256[request_]
 
 
 class _CountingSink:

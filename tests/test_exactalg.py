@@ -25,7 +25,6 @@ from kzresidue.exactalg import (
     FactoredSum,
     NonDivisibleError,
     NormalizeError,
-    PolyFraction,
     PolyMatrix,
     SparsePolynomial,
     _add_into,
@@ -899,33 +898,7 @@ def test_normalize_agrees_with_common_denominator_on_any_sum(case):
 
 
 # ----------------------------------------------------------------------
-# fractions and matrices
-
-
-def test_poly_fraction_equality_cross_multiplied():
-    n = 2
-    z12 = SparsePolynomial.z_diff(n, 1, 2)
-    one = SparsePolynomial.constant(n, 1)
-    a = PolyFraction(z12 * z12, z12)
-    b = PolyFraction(z12, one)
-    assert a == b
-    assert a != PolyFraction(one, z12)
-    assert PolyFraction(z12, one) == z12  # compares against bare polynomials
-    with pytest.raises(ZeroDivisionError):
-        PolyFraction(one, SparsePolynomial.zero(n))
-
-
-def test_poly_fraction_arithmetic():
-    n = 2
-    z1, z2 = zpoly(n, 1), zpoly(n, 2)
-    half = PolyFraction(SparsePolynomial.constant(n, 1), SparsePolynomial.constant(n, 2))
-    assert half + half == SparsePolynomial.constant(n, 1)
-    assert half * 2 == SparsePolynomial.constant(n, 1)
-    assert (PolyFraction(z1, z2) - PolyFraction(z1, z2)).is_zero()
-    # one shared denominator is kept, not squared
-    assert (PolyFraction(z1, z2) + PolyFraction(z2, z2)).den == z2
-    assert (PolyFraction(z1, z2) + PolyFraction(z2, z1)).den == z1 * z2
-    assert PolyFraction(z1, z2) * z2 == z1
+# matrices
 
 
 def test_poly_matrix_shape_and_ops():

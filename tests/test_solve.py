@@ -13,12 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kzresidue import (
-    DualMatrix,
     FactoredSum,
     Numbering,
     Partition,
-    PolyFraction,
-    PolyMatrix,
     ResourceGuardError,
     SolutionTable,
     SpanError,
@@ -398,19 +395,13 @@ def test_coordinates_on_exact_polytabloid():
 
 
 def test_coordinates_of_fraction_vector(fm21):
-    # a zero fraction must test false, or every residual of a fraction
-    # vector reads as non-zero and the vector is refused
-    assert not PolyFraction(SparsePolynomial.zero(3), SparsePolynomial.constant(3, 1))
-    # fractions over one denominator are combined over that denominator,
-    # so the coordinates keep it rather than a power of it
+    # a vector over one denominator has its numerators' coordinates over
+    # that denominator: the twisted numerators give the first matrix row
     for fm in (fm21, fundamental_solution(Partition((3, 1)), 1)):
         tw = alternating_twist(fm.tables[0])
-        den = discriminant_power(fm.lam.size, 2)
+        assert tw.den is discriminant_power(fm.lam.size, 2)
         coords = coordinates_in_specht_basis(fm.lam, tw.components.__getitem__)
-        assert coords == [
-            PolyFraction(fm.matrix.entry(0, j), den) for j in range(fm.dimension)
-        ]
-        assert all(c.den == den for c in coords)
+        assert coords == [fm.matrix.entry(0, j) for j in range(fm.dimension)]
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -478,39 +469,33 @@ def test_dual_matrix_inverts_transposed(fm21):
     dm = dual_matrix(fm21)
     assert dm.m == -1
     assert dm.det == determinant(fm21.matrix)
+    # dual x matrix = I on the numerators over det: sum_k N[k][j] M[k][i] = det delta_ij
     n = fm21.dimension
-    one = SparsePolynomial.constant(3, 1)
-    zero = SparsePolynomial.zero(3)
     for i in range(n):
         for j in range(n):
-            acc = PolyFraction(zero, one)
+            acc = SparsePolynomial.zero(3)
             for k in range(n):
                 acc = acc + dm.entries.entry(k, j) * fm21.matrix.entry(k, i)
-            assert acc == (one if i == j else zero)
+            assert acc == (dm.det if i == j else SparsePolynomial.zero(3))
 
 
 def test_dual_to_json_writes_every_entry_as_its_fraction(fm21):
     dm = dual_matrix(fm21)
     doc = dm.to_json()
-    assert doc["det"] == dm.det.to_json()
-    assert doc["entries"] == [[e.to_json() for e in row] for row in dm.entries.entries]
-    # an entry over another denominator keeps its own
-    other = PolyFraction(SparsePolynomial.constant(3, 1), SparsePolynomial.constant(3, 2))
-    rows = [list(row) for row in dm.entries.entries]
-    rows[0][1] = other
-    odd = DualMatrix(dm.lam, dm.m, dm.det, PolyMatrix(rows))
-    assert odd.to_json()["entries"][0][1] == other.to_json()
+    det = dm.det.to_json()
+    assert doc["det"] == det
+    assert doc["entries"] == [
+        [{"num": e.to_json(), "den": det} for e in row] for row in dm.entries.entries
+    ]
 
 
 def test_alternating_twist_structure(fm21):
     table = fm21.tables[0]
     tw = alternating_twist(table)
     assert tw.twisted and tw.m == -1 and tw.cycle == table.cycle
-    den = discriminant_power(3, 2)
-    for u, c in tw.components.items():
-        assert isinstance(c, PolyFraction)
-        assert c.den == den
-        assert c.num == table.components[u]
+    # the table's own numerators over the one cached Delta^{2m}
+    assert tw.den is discriminant_power(3, 2)
+    assert all(tw.components[u] is c for u, c in table.components.items())
     with pytest.raises(ValueError):
         alternating_twist(tw)
 
@@ -550,34 +535,32 @@ def test_reflection_dual_two_points():
     (phi,) = reflection_dual_solutions(2, 1)
     assert phi.m == -1 and phi.index == 1
     half = SparsePolynomial.constant(2, Fraction(1, 2))
-    assert phi.components[0] == PolyFraction(-half, SparsePolynomial.constant(2, 1))
-    assert phi.components[1] == PolyFraction(half, SparsePolynomial.constant(2, 1))
+    assert phi.den is discriminant_power(2, 2)
+    assert phi.components == (-half * phi.den, half * phi.den)  # -1/2 and 1/2
 
 
 def test_reflection_dual_three_points_cubic_numerator():
     phis = reflection_dual_solutions(3, 1)
     assert [p.index for p in phis] == [1, 2]
     z13 = zd(1, 3)
-    num = phis[0].components[1].num
+    num = phis[0].components[1]
     assert num * SparsePolynomial.constant(3, 6) == z13 * z13 * z13
-    assert phis[0].components[1].den == discriminant_power(3, 2)
+    assert phis[0].den == discriminant_power(3, 2)
 
 
 def test_reflection_pairing_with_duals():
     # <psi_a, phi_b> = sum_k psi_a[k] phi_b[k] equals delta_ab / m for the
-    # basis solutions a, b in 1..n-1
+    # basis solutions a, b in 1..n-1: on the numerators over phi_b's den,
+    # m sum_k psi_a[k] num_b[k] == delta_ab den
     n, m = 3, 2
     psis = reflection_solutions(n, m)
     phis = reflection_dual_solutions(n, m)
-    one = SparsePolynomial.constant(n, 1)
-    zero = SparsePolynomial.zero(n)
     for psi in psis[: n - 1]:
         for phi in phis:
-            acc = PolyFraction(zero, one)
+            acc = SparsePolynomial.zero(n)
             for k in range(n):
                 acc = acc + phi.components[k] * psi.components[k]
-            expect = Fraction(1, m) if psi.index == phi.index else 0
-            assert acc == PolyFraction(one * expect, one)
+            assert acc * m == (phi.den if psi.index == phi.index else SparsePolynomial.zero(n))
 
 
 # ---------------------------------------------------------------------------
@@ -661,16 +644,19 @@ def test_solution_table_stores_its_forms_in_the_order_of_tabloids(fm21):
     ("cycle of another shape", "does not have shape"),
     ("missing form", "not indexed by the tabloids"),
     ("extra form", "not indexed by the tabloids"),
-    ("polynomials and fractions", "not all polynomials or all fractions in 3 variables"),
-    ("integers", "not all polynomials or all fractions in 3 variables"),
-    ("polynomials in 2 variables", "not all polynomials or all fractions in 3 variables"),
-    ("fractions in 2 variables", "not all polynomials or all fractions in 3 variables"),
+    ("polynomials and fractions", "not all polynomials in 3 variables"),
+    ("integers", "not all polynomials in 3 variables"),
+    ("polynomials in 2 variables", "not all polynomials in 3 variables"),
+    ("fractions in 2 variables", "not all polynomials in 3 variables"),
+    ("zero denominator", "denominator is not a non-zero polynomial in 3 variables"),
+    ("denominator in 2 variables", "denominator is not a non-zero polynomial in 3 variables"),
+    ("number as denominator", "denominator is not a non-zero polynomial in 3 variables"),
 ])
 def test_solution_table_refuses_a_malformed_table_before_storing_it(
     fm21, monkeypatch, fault, message
 ):
     table = fm21.tables[0]
-    cycle, comps = table.cycle, dict(table.components)
+    cycle, comps, den = table.cycle, dict(table.components), None
     first, last = tabloids((2, 1))[0], tabloids((2, 1))[2]
     if fault == "cycle of another shape":
         cycle = Tabloid(((1,), (2,), (3,)))
@@ -679,25 +665,34 @@ def test_solution_table_refuses_a_malformed_table_before_storing_it(
     elif fault == "extra form":
         comps[Tabloid(((1, 2, 3),))] = SparsePolynomial.zero(3)
     elif fault == "polynomials and fractions":
-        # check_kz would raise AttributeError: no attribute 'num'
-        comps[first] = PolyFraction(comps[first], discriminant_power(3, 2))
+        # check_kz would raise AttributeError: no attribute 'partial_derivative'
+        comps[first] = Fraction(1, 2)
     elif fault == "integers":
         # check_kz would raise AttributeError: no attribute 'permute_variables'
         comps = {u: 0 for u in comps}
     elif fault == "polynomials in 2 variables":
         # check_kz would raise ValueError: not a permutation of 1..2
         comps = {u: SparsePolynomial.variable(2, 1) for u in comps}
+    elif fault == "fractions in 2 variables":
+        # a twisted table of two points: check_kz would raise ValueError
+        comps = {u: SparsePolynomial.variable(2, 1) for u in comps}
+        den = discriminant_power(2, 2)
+    elif fault == "zero denominator":
+        # the components would stand for no values at all
+        den = SparsePolynomial.zero(3)
+    elif fault == "denominator in 2 variables":
+        # check_kz would compare it with a discriminant power in 3 variables
+        den = discriminant_power(2, 2)
     else:
-        # alternating_twist would raise AttributeError
-        comps = {u: PolyFraction(SparsePolynomial.variable(2, 1), discriminant_power(2, 2))
-                 for u in comps}
+        # check_kz would raise AttributeError: no attribute 'is_zero'
+        den = 2
 
     def store(self, *values):
         raise AssertionError("a malformed table was stored")
 
     monkeypatch.setattr(SolutionTable, "_set", store)
     with pytest.raises(ValueError, match=message):
-        SolutionTable(table.lam, table.m, cycle, comps)
+        SolutionTable(table.lam, table.m, cycle, comps, den is not None, den)
 
 
 def test_solve_cycle_returns_complete_table():

@@ -19,7 +19,6 @@ from kzresidue import (
     CheckReport,
     FundamentalMatrix,
     Partition,
-    PolyFraction,
     PolyMatrix,
     ReflectionSolution,
     ResourceGuardError,
@@ -68,13 +67,15 @@ def fm21():
 
 def fresh(table: SolutionTable) -> SolutionTable:
     """The table rebuilt by the constructor, so with an empty KZ record."""
-    return SolutionTable(table.lam, table.m, table.cycle, table.components, table.twisted)
+    return SolutionTable(
+        table.lam, table.m, table.cycle, table.components, table.twisted, table.den
+    )
 
 
 def perturbed(table: SolutionTable, u: Tabloid, delta: SparsePolynomial):
     comps = dict(table.components)
     comps[u] = comps[u] + delta
-    return SolutionTable(table.lam, table.m, table.cycle, comps, table.twisted)
+    return SolutionTable(table.lam, table.m, table.cycle, comps, table.twisted, table.den)
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +393,8 @@ def test_kz_rejects_corrupted_twisted_table(fm21):
     tw = alternating_twist(fm21.tables[0])
     u = next(iter(tw.components))
     comps = dict(tw.components)
-    comps[u] = PolyFraction(
-        comps[u].num + SparsePolynomial.from_terms(3, [((1, 1, 1), 1)]),
-        comps[u].den,
-    )
-    broken = SolutionTable(tw.lam, tw.m, tw.cycle, comps, twisted=True)
+    comps[u] = comps[u] + SparsePolynomial.from_terms(3, [((1, 1, 1), 1)])
+    broken = SolutionTable(tw.lam, tw.m, tw.cycle, comps, twisted=True, den=tw.den)
     assert not check_kz(broken).passed
 
 
@@ -512,31 +510,20 @@ def test_dual_rejects_tampered_fundamental_matrix(fm21):
 
 def test_kz_rejects_twisted_denominator_of_wrong_form(fm21):
     tw = alternating_twist(fm21.tables[0])
-    den = next(iter(tw.components.values())).den
+    den = tw.den
     bad = den + SparsePolynomial.from_terms(3, [((den.degree(), 0, 0), 1)])
-    comps = {u: PolyFraction(c.num, bad) for u, c in tw.components.items()}
-    rep = check_kz(SolutionTable(tw.lam, tw.m, tw.cycle, comps, twisted=True))
+    rep = check_kz(SolutionTable(tw.lam, tw.m, tw.cycle, tw.components, twisted=True, den=bad))
     assert not rep.passed
     assert rep.witness["reason"] == (
         "shared denominator is not a constant times a discriminant power"
     )
 
 
-def test_kz_names_components_without_a_shared_denominator(fm21):
-    tw = alternating_twist(fm21.tables[0])
-    comps = dict(tw.components)
-    u = tabloids((2, 1))[1]
-    comps[u] = PolyFraction(comps[u].num * 2, comps[u].den * 2)  # the same value
-    rep = check_kz(SolutionTable(tw.lam, tw.m, tw.cycle, comps, twisted=True))
-    assert rep.witness == {"cycle": str(tw.cycle), "reason": "components do not share a denominator"}
-    assert rep.info == {"twisted": True}
-
-
 def test_kz_accepts_twisted_denominator_with_constant(fm21):
     tw = alternating_twist(fm21.tables[0])
     den = discriminant_power(3, 2) * 3
-    comps = {u: PolyFraction(c.num * 3, den) for u, c in tw.components.items()}
-    rep = check_kz(SolutionTable(tw.lam, tw.m, tw.cycle, comps, twisted=True))
+    comps = {u: c * 3 for u, c in tw.components.items()}
+    rep = check_kz(SolutionTable(tw.lam, tw.m, tw.cycle, comps, twisted=True, den=den))
     assert rep.passed, rep.witness
 
 
@@ -635,12 +622,11 @@ def _den_squared_reference(n, m, den, nums, act) -> bool:
 
 def _kz_den_squared_reference(table: SolutionTable) -> bool:
     sign = -1 if table.twisted else 1
-    nums = {u: c.num for u, c in table.components.items()}
-    den = next(iter(table.components.values())).den
+    nums = table.components
     return _den_squared_reference(
         table.lam.size,
         table.m,
-        den,
+        table.den,
         nums,
         lambda i, j, u: nums[act_transposition(u, i, j)] * sign,
     )
@@ -673,8 +659,8 @@ def test_log_derivative_check_agrees_with_den_squared_reference(
         u = sorted(table.components, key=str)[which % 3]
         comps = dict(table.components)
         delta = SparsePolynomial.from_terms(3, [(exps, coeff)])
-        comps[u] = PolyFraction(comps[u].num + delta, comps[u].den)
-        table = SolutionTable(table.lam, table.m, table.cycle, comps, twisted=True)
+        comps[u] = comps[u] + delta
+        table = SolutionTable(table.lam, table.m, table.cycle, comps, twisted=True, den=table.den)
     rep = check_kz(table)
     assert rep.passed == _kz_den_squared_reference(table)
     if perturbation is None:
@@ -697,11 +683,11 @@ def _kz_cases():
         fm = fundamental_solution(lam, m)
         table = fm.tables[-1]
         twisted = alternating_twist(table)
-        den = next(iter(twisted.components.values())).den
+        den = twisted.den
         cases.append((n, m, 0, SparsePolynomial.constant(n, 1), dict(table.components),
                       lambda nums: lambda i, j, u: nums[act_transposition(u, i, j)]))
         cases.append((n, twisted.m, den.degree() // (n * (n - 1) // 2), den,
-                      {u: c.num for u, c in twisted.components.items()},
+                      dict(twisted.components),
                       lambda nums: lambda i, j, u: -nums[act_transposition(u, i, j)]))
         if m == 1:
             dm = dual_matrix(fm)
@@ -721,7 +707,7 @@ def _kz_cases():
                     )
                 return act
 
-            nums = {(b, j): dm.entries.entry(b, j).num for b in range(d) for j in range(d)}
+            nums = {(b, j): dm.entries.entry(b, j) for b in range(d) for j in range(d)}
             p = 2 * m * diagram_stats(lam, m).d_plus
             cases.append((n, dm.m, p, dm.det, nums, act_on))
     return cases
@@ -818,11 +804,8 @@ def test_kz_shares_no_quotient_when_m_eps_is_not_m_plus_p():
     A quotient shared between them would pass the table."""
     a, b = tabloids((1, 1))
     den = SparsePolynomial.z_diff(2, 1, 2)
-    comps = {
-        a: PolyFraction(SparsePolynomial.constant(2, 1), den),
-        b: PolyFraction(SparsePolynomial.constant(2, -2), den),
-    }
-    rep = check_kz(SolutionTable(Partition((1, 1)), 1, a, comps))
+    comps = {a: SparsePolynomial.constant(2, 1), b: SparsePolynomial.constant(2, -2)}
+    rep = check_kz(SolutionTable(Partition((1, 1)), 1, a, comps, den=den))
     assert not rep.passed and "shared_quotients" not in rep.info
     assert rep.witness["form"] == str(b) and rep.witness["j"] == 2
     assert rep.witness["reason"] == "numerator not divisible by the pole"
@@ -855,7 +838,7 @@ def test_dual_names_the_first_equation_a_tampered_dual_row_breaks(fm21, monkeypa
     # only the system itself can fail
     dm = dual_matrix(fm21)
     rows = [list(row) for row in dm.entries.entries]
-    rows[0][0] = PolyFraction(rows[0][0].num + SparsePolynomial.constant(3, 1), dm.det)
+    rows[0][0] = rows[0][0] + SparsePolynomial.constant(3, 1)
     tampered = solve.DualMatrix(dm.lam, dm.m, dm.det, PolyMatrix(rows))
     monkeypatch.setattr(verify, "dual_matrix", lambda fm: tampered)
     rep = check_dual(fm21)
@@ -881,11 +864,8 @@ def _tamper_first_path_solution(monkeypatch, n, m, delta):
     phis = reflection_dual_solutions(n, m)
     first = phis[0]
     c0, c1 = first.components[0], first.components[1]
-    comps = (
-        PolyFraction(c0.num + delta, c0.den),
-        PolyFraction(c1.num - delta, c1.den),
-    ) + first.components[2:]
-    tampered = (ReflectionSolution(first.n, first.m, first.index, comps),) + phis[1:]
+    comps = (c0 + delta, c1 - delta) + first.components[2:]
+    tampered = (ReflectionSolution(first.n, first.m, first.index, comps, first.den),) + phis[1:]
     monkeypatch.setattr(
         "kzresidue.verify.reflection_dual_solutions", lambda n_, m_: tampered
     )
@@ -895,7 +875,7 @@ def _tamper_first_path_solution(monkeypatch, n, m, delta):
 def test_reflection_rejects_perturbed_path_coefficient(monkeypatch):
     n, m = 3, 1
     c0 = reflection_dual_solutions(n, m)[0].components[0]
-    exp = next(e for e, c in c0.num.items() if Fraction(c).denominator > 1)
+    exp = next(e for e, c in c0.items() if Fraction(c).denominator > 1)
     # one rational coefficient moves by 1/7: a single monomial is not
     # translation invariant, so the invariance step catches it before
     # the pairing is formed
@@ -929,13 +909,42 @@ def test_reflection_names_a_path_member_whose_coordinates_do_not_sum_to_zero(mon
     phis = reflection_dual_solutions(n, m)
     second = phis[1]
     c0 = second.components[0]
-    comps = (PolyFraction(c0.num + SparsePolynomial.constant(n, 1), c0.den),
-             *second.components[1:])
-    tampered = (phis[0], ReflectionSolution(n, second.m, second.index, comps), *phis[2:])
+    comps = (c0 + SparsePolynomial.constant(n, 1), *second.components[1:])
+    tampered = (phis[0], ReflectionSolution(n, second.m, second.index, comps, second.den),
+                *phis[2:])
     monkeypatch.setattr(verify, "reflection_dual_solutions", lambda n_, m_: tampered)
     rep = check_reflection(n, m)
     assert rep.witness == {
         "reason": "path family coordinate sum is not zero", "index": second.index,
+    }
+
+
+@pytest.mark.parametrize("den", ["twice", "none", "another power"])
+def test_reflection_names_a_path_member_over_another_denominator(den):
+    # the pairing compares numerators with Delta^{2m}, so a member whose
+    # den is not Delta^{2m} (here its values halved, made polynomial, or
+    # over Delta^m) fails by name before any identity is formed
+    n, m = 3, 1
+    psis, phis = reflection_solutions(n, m), reflection_dual_solutions(n, m)
+    second = phis[1]
+    other = {"twice": second.den * 2, "none": None,
+             "another power": discriminant_power(n, m)}[den]
+    moved = ReflectionSolution(n, second.m, second.index, second.components, other)
+    rep = verify._reflection_report(n, m, psis, (phis[0], moved))
+    assert rep.witness == {
+        "reason": "path family denominator is not Delta^{2m}", "index": second.index,
+    }
+    assert verify._reflection_report(n, m, psis, phis).passed
+
+
+def test_reflection_names_a_residue_member_with_a_denominator():
+    n, m = 3, 1
+    psis, phis = reflection_solutions(n, m), reflection_dual_solutions(n, m)
+    first = psis[0]
+    over = ReflectionSolution(n, m, first.index, first.components, discriminant_power(n, 2))
+    rep = verify._reflection_report(n, m, (over, *psis[1:]), phis)
+    assert rep.witness == {
+        "reason": "residue family member is not polynomial", "index": first.index,
     }
 
 
@@ -965,7 +974,7 @@ def test_reflection_pairing_on_slice_catches_invariant_tamper(monkeypatch, n, m)
     # degree d; it moves between two components, so the coordinate sum
     # and the invariance step both pass and only the sliced pairing can
     # catch the change
-    d = reflection_dual_solutions(n, m)[0].components[0].num.degree()
+    d = reflection_dual_solutions(n, m)[0].components[0].degree()
     delta = SparsePolynomial.z_diff(n, 1, 2) ** d * Fraction(1, 7)
     first = _tamper_first_path_solution(monkeypatch, n, m, delta)
     rep = check_reflection(n, m)
@@ -1448,7 +1457,7 @@ def test_a_matrix_refuses_tables_of_another_system(fm21):
     so a matrix holds only polynomial tables of its own shape and m."""
     lam, m, cycles, matrix = fm21.lam, fm21.m, fm21.cycles, fm21.matrix
     twisted = tuple(alternating_twist(t) for t in fm21.tables)
-    fractions = tuple(SolutionTable(lam, m, t.cycle, t.components) for t in twisted)
+    fractions = tuple(SolutionTable(lam, m, t.cycle, t.components, den=t.den) for t in twisted)
     for bad in (
         (lam, -m, cycles, twisted, matrix),  # the twists of its own tables
         (lam, m, cycles, fractions, matrix),  # fractions, untwisted
@@ -1531,9 +1540,8 @@ def _with_deltas(table, deltas):
     """The table with deltas[U] added to the numerator at U."""
     comps = dict(table.components)
     for u, delta in deltas.items():
-        c = comps[u]
-        comps[u] = PolyFraction(c.num + delta, c.den) if isinstance(c, PolyFraction) else c + delta
-    return SolutionTable(table.lam, table.m, table.cycle, comps, table.twisted)
+        comps[u] = comps[u] + delta
+    return SolutionTable(table.lam, table.m, table.cycle, comps, table.twisted, table.den)
 
 
 def _row_symmetric(cycle, u, delta):
@@ -1679,7 +1687,7 @@ def test_the_sign_of_an_odd_power_fails_closed(fm21, monkeypatch):
     cycle = table.cycle
 
     def over_disc(nums):
-        return SolutionTable(LAM21, 1, cycle, {u: PolyFraction(c, disc) for u, c in nums.items()})
+        return SolutionTable(LAM21, 1, cycle, nums, den=disc)
 
     delta = SparsePolynomial.variable(3, 1) ** 3
     spread = _row_symmetric(cycle, tabloids((2, 1))[0], delta)
