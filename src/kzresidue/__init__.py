@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 # each public name, under the module that defines it
 _EXPORTS = {
     "exactalg": (
-        "FactoredSum", "NonDivisibleError", "NormalizeError", "PolyMatrix",
-        "SparsePolynomial", "atom_str", "det_adjugate", "determinant",
+        "ContentPolynomial", "FactoredSum", "NonDivisibleError", "NormalizeError",
+        "PolyMatrix", "SparsePolynomial", "atom_str", "det_adjugate", "determinant",
         "discriminant_power", "normalize_factored", "t_atom", "z_atom",
     ),
     "residues": (

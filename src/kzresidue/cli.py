@@ -69,14 +69,18 @@ def positive_int(text: str) -> int:
 
 
 def factored_text(p) -> str:
-    """Render a `SparsePolynomial` with differences z_i - z_j divided out
-    greedily, falling back to the raw expansion for the residual."""
-    from .exactalg import z_diff_content
+    """Render a polynomial as its z-difference content times the core
+    left when that is divided out, the core expanded: a
+    `ContentPolynomial` is read as it is held, and a `SparsePolynomial`
+    is factored first (`ContentPolynomial.factor`)."""
+    from .exactalg import ContentPolynomial
 
     if p.is_zero():
         return "0"
-    (rest,), content = z_diff_content([p], p.nvars)
-    powers = [f"z{i}{j}" + (f"^{e}" if e > 1 else "") for (i, j), e in content.items()]
+    if type(p) is not ContentPolynomial:
+        p = ContentPolynomial.factor(p)
+    rest = p.core
+    powers = [f"z{i}{j}" + (f"^{e}" if e > 1 else "") for (i, j), e in sorted(p.content.items())]
     if rest.is_constant():
         c = rest.constant_value()
         if not powers:

@@ -46,10 +46,12 @@ from functools import lru_cache
 
 from ._frozen import Frozen
 from .exactalg import (
+    ContentPolynomial,
     FactoredSum,
     PolyMatrix,
     SparsePolynomial,
     _add_into,
+    _linear_combination,
     det_adjugate,
     discriminant_power,
     normalize_factored,
@@ -170,11 +172,11 @@ def symmetrized_tableau_form(t: Numbering) -> FactoredSum:
 
 
 @lru_cache(maxsize=None)
-def cycle_integral(m: int, cycle: Numbering, form: Numbering) -> SparsePolynomial:
+def cycle_integral(m: int, cycle: Numbering, form: Numbering) -> ContentPolynomial:
     """One component: the iterated residue of the full integrand for an
-    explicit pair of numberings.  Row-equivalent replacements of either
-    numbering leave the value unchanged (verified in tests, relied on by
-    the tabloid-level API)."""
+    explicit pair of numberings, in content form (`normalize_factored`).
+    Row-equivalent replacements of either numbering leave the value
+    unchanged (verified in tests, relied on by the tabloid-level API)."""
     integrand = interaction_form(cycle.shape, m) * symmetrized_tableau_form(form)
     collapsed = iterated_residue(integrand, residue_plan(cycle))
     return normalize_factored(collapsed, cycle.shape.size)
@@ -182,7 +184,7 @@ def cycle_integral(m: int, cycle: Numbering, form: Numbering) -> SparsePolynomia
 
 def solve_component(
     lam: Partition, m: int, cycle: Tabloid, form: Tabloid
-) -> SparsePolynomial:
+) -> ContentPolynomial:
     """Component of the cycle's solution at the given form tabloid, by the
     direct residue path (`check_equivariance` compares every stored entry
     of a fundamental matrix with it)."""
@@ -212,10 +214,11 @@ def _orbit_key(cycle: Tabloid, form: Tabloid) -> tuple[tuple[int, ...], Numberin
     return image, c0, u0
 
 
-def _orbit_component(m: int, cycle: Tabloid, form: Tabloid) -> SparsePolynomial:
+def _orbit_component(m: int, cycle: Tabloid, form: Tabloid) -> ContentPolynomial:
     """The component at (cycle, form) from the one integral of its orbit:
     cycle_integral(sigma C0, sigma U0) is cycle_integral(C0, U0) with each
-    z_p replaced by z_sigma(p) (see the module docstring).
+    z_p replaced by z_sigma(p) (see the module docstring).  The relabeled
+    value expands by relabeling the integral's one expansion.
     `check_equivariance` compares every such value that a fundamental
     matrix stores with the direct path."""
     image, c0, u0 = _orbit_key(cycle, form)
@@ -232,11 +235,13 @@ class SolutionTable(Frozen):
     `twisted` marks the extra sign in the transposition action.  The
     cycle has shape `lam`, `components` is keyed by exactly
     `tabloids(lam.parts)`, stored in that order, its values are all
-    `SparsePolynomial` in N = |lam| variables, and `den` is None or a
-    non-zero `SparsePolynomial` in N variables, or the constructor raises
+    `ContentPolynomial` in N = |lam| variables (a `SparsePolynomial`
+    passed in is factored once, here), and `den` is None or a non-zero
+    `SparsePolynomial` in N variables, or the constructor raises
     ValueError before it stores anything; every check that indexes a
     table by tabloid, or relabels and divides its numerators, relies on
-    this.
+    this.  `check_kz` divides the table's shared content out of the
+    numerators and checks the system on the cores left.
 
     `_cache` is the table's record of its KZ proof (`verify.check_kz`):
     key (m eps, m + p), the two coefficients of
@@ -259,11 +264,15 @@ class SolutionTable(Frozen):
         order = tabloids(lam.parts)
         if components.keys() != set(order):
             raise ValueError(f"components are not indexed by the tabloids of {lam}")
-        if not all(_is_poly(c, lam.size) for c in components.values()):
+        if not all(_is_poly(c, lam.size, ContentPolynomial) for c in components.values()):
             raise ValueError(f"components are not all polynomials in {lam.size} variables")
         if den is not None and (not _is_poly(den, lam.size) or den.is_zero()):
             raise ValueError(f"denominator is not a non-zero polynomial in {lam.size} variables")
-        self._set(lam, m, cycle, {u: components[u] for u in order}, twisted, den, {})
+        components = {
+            u: c if type(c := components[u]) is ContentPolynomial else ContentPolynomial.factor(c)
+            for u in order
+        }
+        self._set(lam, m, cycle, components, twisted, den, {})
 
     def to_json(self) -> dict:
         return {
@@ -275,8 +284,9 @@ class SolutionTable(Frozen):
         }
 
 
-def _is_poly(x, nvars: int) -> bool:
-    return type(x) is SparsePolynomial and x.nvars == nvars
+def _is_poly(x, nvars: int, *also) -> bool:
+    """A `SparsePolynomial`, or one of the types `also`, in `nvars` variables."""
+    return type(x) in (SparsePolynomial, *also) and x.nvars == nvars
 
 
 def _components_json(nums, den: SparsePolynomial | None) -> list:
@@ -324,26 +334,36 @@ def coordinates_in_specht_basis(lam: Partition, component_of) -> list:
     coefficient 1 and every other standard {s} in it comes later, so e_t's
     coordinate is the residual at {t}.  R_t and C_t meet trivially, so
     e_t's coefficients are +-1.  The entries, `component_of(tabloid)`,
-    need only +, - and truthiness.  A zero final residual proves the
-    result; else SpanError carries the first non-zero.
+    need only scalar multiples, + and truthiness.  Each residual is kept as
+    the list of its terms and summed when it is read (`_linear_combination`):
+    once, as a coordinate, at a standard tabloid, whose residual e_t then
+    takes to c - c = 0, and once at the end elsewhere.  So a
+    `ContentPolynomial` coordinate is factored once, not after every
+    subtraction.  A zero final residual proves the result; else SpanError
+    carries the first non-zero.
     """
-    residual = {u: component_of(u) for u in tabloids(lam.parts)}
+    pending = {u: [(1, component_of(u))] for u in tabloids(lam.parts)}
     stds = standard_tableaux(lam)
     coords = {}
     for t in sorted(stds, key=row_word):
-        c = coords[t] = residual[t.tabloid()]
+        head = t.tabloid()
+        c = coords[t] = _linear_combination(pending.pop(head))
         if c:
             for sign, u in column_expansion(t):
-                residual[u] = residual[u] - c if sign > 0 else residual[u] + c
-    for r in residual.values():
-        if r:
+                if u != head:
+                    pending[u].append((-sign, c))
+    for terms in pending.values():
+        if r := _linear_combination(terms):
             raise SpanError("component vector is not a combination of polytabloids", r)
     return [coords[t] for t in stds]
 
 
 class FundamentalMatrix(Frozen):
     """Square solution matrix over standard tableaux, plus the full
-    per-tabloid component tables it was read from.
+    per-tabloid component tables it was read from.  The solver's matrix
+    entries are `ContentPolynomial`, as the components are: the Specht
+    peeling adds and subtracts cores over their common content, and
+    `to_json` expands.
 
     The parameter m is a positive integer, and every table belongs to
     the matrix's own system: it has the matrix's `lam` and `m`, is not
@@ -523,7 +543,7 @@ def reflection_solutions(n: int, m: int) -> tuple[ReflectionSolution, ...]:
     out = []
     for a in range(1, n + 1):
         comps = tuple(
-            _orbit_component(m, _hook_tabloid(n, a), _hook_tabloid(n, k))
+            _orbit_component(m, _hook_tabloid(n, a), _hook_tabloid(n, k)).expand()
             for k in range(1, n + 1)
         )
         out.append(ReflectionSolution(n, m, a, comps))

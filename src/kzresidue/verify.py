@@ -18,6 +18,8 @@ from .exactalg import (
     SparsePolynomial,
     _add_into,
     _divide_by_z_diff,
+    _least_content,
+    _linear_combination,
     _mul_into,
     _subset_minors,
     _translation_defect,
@@ -127,19 +129,26 @@ def _discriminant_power_of(n: int, den: SparsePolynomial) -> tuple[int, object] 
     return p, c
 
 
-def _kz_witness(n: int, m: int, p: int, nums: dict, act, partner=None, equations=None):
-    """First failure of the KZ system for components `nums[key] / den`
-    sharing a denominator den = C * Delta^p, C a non-zero constant (p = 0
-    and C = 1 for polynomial components); `act(i, j, key)` is the
-    numerator at `key` of the transposition (i j) applied to the whole
-    vector, given as the combination it is: (coefficient, polynomial)
-    pairs of scalars and polynomials, so the acted numerator is never
-    built.  act(i, j, .) == act(j, i, .).
+def _kz_witness(
+    n: int, m: int, p: int, nums: dict, act, partner=None, equations=None, content=None
+):
+    """First failure of the KZ system for components `content * nums[key]
+    / den` sharing a denominator den = C * Delta^p, C a non-zero constant
+    (p = 0 and C = 1 for polynomial components), and a z-difference
+    content, prod (z_a - z_b)^c_ab over the pairs of `content` (default
+    none); `act(i, j, key)` is the core at `key` of the transposition
+    (i j) applied to the whole vector, given as the combination it is:
+    (coefficient, polynomial) pairs of scalars and polynomials, so the
+    acted core is never built.  act(i, j, .) == act(j, i, .).
 
     Precondition (the caller's to establish): den has that form.  Then
-    d_i den / den = p sum_{j != i} 1 / (z_i - z_j), and the system reads
+    d_i den / den = p sum_{j != i} 1 / (z_i - z_j), the content gives
+    d_i content / content = sum_{j != i} c_ij / (z_i - z_j) (c_ij = c_ji,
+    in either orientation of the pair), and dividing the system by the
+    content leaves, for num = nums[key],
 
-        num' == sum_{j != i} X_j / (z_i - z_j),   X_j = m act(i, j, key) + (m + p) num
+        num' == sum_{j != i} X_j / (z_i - z_j),
+        X_j = m act(i, j, key) + (m + p - c_ij) num
 
     with ' = d/dz_i.  Write X_j = (z_i - z_j) q_j + r_j, where
     r_j = X_j(z_i = z_j) is free of z_i.  Partial fractions in z_i over
@@ -153,17 +162,20 @@ def _kz_witness(n: int, m: int, p: int, nums: dict, act, partner=None, equations
 
     `partner(key, i, j)`, for a table whose action moves components,
     act(i, j, U) == ((eps, nums[s_ij U]),) with eps = +-1, is U's key
-    s_ij U.  Pass it only when m eps == m + p: then
+    s_ij U.  Pass it only when m eps == m + p: then on each pair with
+    c_ij = 0
 
-        X_ij(U) = m eps psi_{s_ij U} + (m + p) psi_U
-                = (m + p) (psi_U + psi_{s_ij U}) = X_ij(s_ij U),
+        X_ij(U) = m eps q_{s_ij U} + (m + p) q_U
+                = (m + p) (q_U + q_{s_ij U}) = X_ij(s_ij U),
 
     so the quotient for U serves s_ij U as well, and the return value is
-    the same as without it.  `equations`, when given, lists the (i, key)
-    to check in the default's order (i ascending, then key); they share
-    quotients as all do.  Returns `(i, key, fields)` for the first
-    (i, key) that fails, else None."""
+    the same as without it; a pair with content divides for each U.
+    `equations`, when given, lists the (i, key) to check in the default's
+    order (i ascending, then key); they share quotients as all do.
+    Returns `(i, key, fields)` for the first (i, key) that fails, else
+    None."""
     quotients: dict = {}  # (i, j, key) -> X_ij(key) / (z_i - z_j) for i < j
+    content = content or {}
     if equations is None:
         equations = ((i, key) for i in range(1, n + 1) for key in nums)
     for i, key in equations:
@@ -176,7 +188,8 @@ def _kz_witness(n: int, m: int, p: int, nums: dict, act, partner=None, equations
             # a quotient (a, b, key) is read at (a, key) and then at (b, key)
             q = quotients.pop((a, b, key), None) if j < i else quotients.get((a, b, key))
             if q is None:
-                x = (*((m * c, f) for c, f in act(a, b, key)), (m + p, num))
+                own = m + p - content.get((a, b), 0)
+                x = (*((m * c, f) for c, f in act(a, b, key)), (own, num))
                 try:
                     q = _divide_by_z_diff(x, a, b)
                 except NonDivisibleError as exc:
@@ -187,7 +200,7 @@ def _kz_witness(n: int, m: int, p: int, nums: dict, act, partner=None, equations
                     }
                 if j > i:
                     quotients[(a, b, key)] = q
-                if partner is not None:
+                if partner is not None and (a, b) not in content:
                     quotients[(a, b, partner(key, a, b))] = q
             _add_into(rest, q.terms.items(), j > i)
         if rest:
@@ -232,20 +245,32 @@ def check_kz(table: SolutionTable) -> CheckReport:
     a `den` (the alternating twist) holds numerators over that one
     denominator, which must be C * Delta^p: that is verified first by
     comparison with C * Delta^p (a denominator of any other form fails).
-    Both are then checked by `_kz_witness` on the numerators: each pole's
-    numerator is divided exactly, a remainder fails by uniqueness of
+    Both are then checked by `_kz_witness` on the cores of the
+    numerators: with C = prod (z_a - z_b)^c_ab the z-difference content
+    all the table's numerators share (each pair's least exponent over
+    the non-zero components) and psi_U = C q_U, d_i C / C =
+    sum_{j != i} c_ij / (z_i - z_j), so dividing the system by C gives
+
+        q_U' = sum_{j != i} [m eps q_{s_ij U} + (m + p - c_ij) q_U] / (z_i - z_j),
+
+    the system on the cores with a self coefficient per pair.  C is not
+    zero, so each equation holds exactly when the one on the numerators
+    does, and the first failing (i, U) is the same.  Each pole's core
+    combination is divided exactly, a remainder fails by uniqueness of
     partial fractions, and the quotients must sum to the derivative, so
-    the denominator never enters a product.  When m eps == m + p, with
-    eps = -1 on twisted tables and 1 otherwise (every polynomial table
-    and every alternating twist), X_ij(U) == X_ij(s_ij U) and one
-    quotient serves both; `info` names that identity when it is used.
+    neither the content nor the denominator enters a product.  When
+    m eps == m + p, with eps = -1 on twisted tables and 1 otherwise
+    (every polynomial table and every alternating twist),
+    X_ij(U) == X_ij(s_ij U) on each pair with c_ij = 0 and one quotient
+    serves both; `info` names that identity when it is used.
 
     When table[sigma U] == table[U] with z_i -> z_sigma(i) for sigma in
     the row group R_C of the cycle (`ROW_GROUP`), the equation at (i, U)
     holds iff the one at (sigma(i), sigma U) does.  That premise is
     proved exactly by `_relabeling_witness` for the swaps (a b) of labels
     adjacent in a row, which generate R_C: nums[s U] == (-1)^p nums[U]
-    with z_a <-> z_b, the sign +1 on polynomial and twisted tables.  Then
+    with z_a <-> z_b, the sign +1 on polynomial and twisted tables,
+    compared in content form.  Then
     only the first equation of each R_C-orbit (`_representatives`) is
     checked, so a failing table keeps the full check's witness.  A table
     that fails the premise may still solve the system and is checked at
@@ -304,11 +329,13 @@ def _kz_proof(table: SolutionTable, p: int) -> tuple[dict | None, dict]:
     """`check_kz` past its denominator step: (witness without the cycle,
     info)."""
     n = table.lam.size
-    nums = table.components
+    comps = table.components
     eps = -1 if table.twisted else 1
+    shared = _least_content(c.content for c in comps.values() if c)
+    cores = {u: c.expand_over(shared) for u, c in comps.items()}
 
     def act(i: int, j: int, u: Tabloid) -> tuple:
-        return ((eps, nums[act_transposition(u, i, j)]),)
+        return ((eps, cores[act_transposition(u, i, j)]),)
 
     info = {"twisted": table.twisted}
     partner = None
@@ -317,13 +344,13 @@ def _kz_proof(table: SolutionTable, p: int) -> tuple[dict | None, dict]:
         info["shared_quotients"] = (
             "X_ij(U) = X_ij(s_ij U) as m eps = m + p: one quotient serves both"
         )
-    keys = list(nums)
+    keys = list(comps)
     info["equations"] = total = n * len(keys)
     equations = None
     for a, b in _row_swaps(table.cycle):
         swap = tuple(b if x == a else a if x == b else x for x in range(1, n + 1))
         forms = [u for u in keys if not act_transposition(u, a, b) < u]  # {U, s U} once
-        if (u := _relabeling_witness(nums, nums, swap, forms, (-1) ** p)) is not None:
+        if (u := _relabeling_witness(comps, comps, swap, forms, (-1) ** p)) is not None:
             info.update(equations_checked=total,
                         premise_failed={"generator": [a, b], "form": str(u)})
             break
@@ -331,7 +358,7 @@ def _kz_proof(table: SolutionTable, p: int) -> tuple[dict | None, dict]:
         equations = _representatives(n, table.cycle, keys)
         info.update(equations_checked=len(equations),
                     by_row_group=total - len(equations), row_group=ROW_GROUP)
-    failure = _kz_witness(n, table.m, p, nums, act, partner, equations)
+    failure = _kz_witness(n, table.m, p, cores, act, partner, equations, shared)
     if failure is None:
         return None, info
     i, u, fields = failure
@@ -343,12 +370,12 @@ def check_primitive(table: SolutionTable) -> CheckReport:
     the component sums over all ways of reaching a raised tabloid vanish."""
     witness = None
     for s in range(1, len(table.lam.parts)):
-        buckets: dict[Tabloid, SparsePolynomial] = {}
+        buckets: dict[Tabloid, list] = {}
         for u, comp in table.components.items():
             for v in raise_row(u, s):
-                cur = buckets.get(v)
-                buckets[v] = comp if cur is None else cur + comp
-        if bad := next(((v, total) for v, total in buckets.items() if total), None):
+                buckets.setdefault(v, []).append((1, comp))
+        totals = ((v, _linear_combination(terms)) for v, terms in buckets.items())
+        if bad := next(((v, total) for v, total in totals if total), None):
             witness = {
                 "cycle": str(table.cycle),
                 "row": s,
@@ -377,7 +404,10 @@ def check_shape(fm: FundamentalMatrix) -> CheckReport:
     of the closed-form degree, and each diagonal matrix entry leads (in
     the reversed-variable order) with the monomial whose exponents are
     read off the content and position of each label in the indexing
-    tableau."""
+    tableau.  Each cell is a `ContentPolynomial` (or a `SparsePolynomial`
+    where a caller built the matrix): degree, homogeneity, integrality
+    (Gauss's lemma) and the leading term are read off its core and
+    content, never from an expansion."""
     return _shape_report(fm, fm.tables)
 
 
@@ -389,7 +419,7 @@ def _shape_report(fm: FundamentalMatrix, tables, **info) -> CheckReport:
     witness = None
     leading: dict[str, str] = {}
 
-    def bad_poly(p: SparsePolynomial, where: dict) -> dict | None:
+    def bad_poly(p, where: dict) -> dict | None:
         if p.is_zero():
             return None
         if not p.is_homogeneous():
@@ -517,13 +547,13 @@ def _coordinates_witness(fm: FundamentalMatrix) -> dict | None:
     by additions over the column expansions, not by the peeling in `solve`."""
     expansions = [column_expansion(t) for t in standard_tableaux(fm.lam)]
     for r, table in enumerate(fm.tables):
-        residual = dict(table.components)
+        residual = {u: [(1, comp)] for u, comp in table.components.items()}
         for c, expansion in enumerate(expansions):
             if coeff := fm.matrix.entry(r, c):
                 for sign, u in expansion:
-                    residual[u] = residual[u] - coeff if sign > 0 else residual[u] + coeff
-        for u, rest in residual.items():
-            if rest:
+                    residual[u].append((-sign, coeff))
+        for u, terms in residual.items():
+            if rest := _linear_combination(terms):
                 return {"row": r, "form": str(u), "difference": _clip(rest)}
     return None
 
@@ -532,7 +562,8 @@ def check_rank(fm: FundamentalMatrix) -> CheckReport:
     """M is invertible: passes iff det M(z0) != 0 at z0 = (1, 2, 5, 10, ...),
     the integer determinant `check_det` reuses.  Non-zero alone proves
     det M != 0; zero means C = 0 in det M = C Delta^p (`check_det`), since
-    Delta(z0) != 0.  Called by `run_suite`."""
+    Delta(z0) != 0.  Each entry is evaluated as its core's value times
+    the content's, so no entry is expanded.  Called by `run_suite`."""
     point = list(_evaluation_point(fm.lam.size))
     witness, info = None, {"certificate_point": point}
     if not _determinant_at(fm):
@@ -754,12 +785,9 @@ def check_straightening(lam: Partition, m: int, cycle: Tabloid) -> CheckReport:
     target = solve_cycle(lam, m, cycle)
     witness = None
     for u, value in target.components.items():
-        combined = SparsePolynomial.zero(lam.size)
-        for y, table in zip(coords, basis):
-            if y:
-                combined = combined + table.components[u] * y
-        if combined != value:
-            witness = {"cycle": str(cycle), "form": str(u), "difference": _clip(value - combined)}
+        terms = [(1, value)] + [(-y, table.components[u]) for y, table in zip(coords, basis) if y]
+        if difference := _linear_combination(terms):
+            witness = {"cycle": str(cycle), "form": str(u), "difference": _clip(difference)}
             break
     info = {
         "coordinates": [str(c) for c in coords],

@@ -198,7 +198,7 @@ def test_criterion_02_three_point_parameter_two_span(battery):
     change = [[None, None], [None, None]]
     for i in range(2):
         for j in range(2):
-            entry = product.entry(i, j)
+            entry = product.entry(i, j).expand()
             c = Fraction(dict(entry.items()).get(lead, 0)) / lead_c
             assert entry == det_p * c, (i, j)
             change[i][j] = c

@@ -259,6 +259,16 @@ PINNED_STDOUT_SHA256 = {
         "1701472e89cf9d8f3a8ac698ace186d850dcc6cc6f2958925a660664cccfdcdd",
     "reflection --n 3 --m 2 --pairing --format json":
         "d688708bb8f1474cad7f58fadf2948016bdf325de022b45b13c10cbeb227d486",
+    # polynomial tables: the text reads each value's z-difference content,
+    # the JSON expands it, and `det` reads the matrix through its entries
+    "solve --lambda 3,1 --m 2":
+        "3cafcc3c9253df96c99e66a4631c9d156d7dda76aa196a70baa36ea73708849f",
+    "solve --lambda 3,1 --m 2 --format json":
+        "36b9dd47f7c4ea9d3e65bae47f8e52df471ff2933e674cc052a5f70d261e2cac",
+    "solve --lambda 2,1,1 --m 1":
+        "7192df58e0554cdcbc9fc7fdcc2ed60aca06c7cc2bac360ebf735eb8aeafef52",
+    "det --lambda 2,2 --m 1 --format json":
+        "80f9e327905232c7b23ba19bac8fda7eb95f4f4ded834867af87905b5d102a31",
 }
 
 

@@ -22,6 +22,7 @@ from kzresidue import (
     tableau_form,
 )
 from kzresidue.exactalg import (
+    ContentPolynomial,
     FactoredSum,
     NonDivisibleError,
     NormalizeError,
@@ -1107,33 +1108,41 @@ def test_adjugate_takes_n_plus_one_passes_and_no_determinant_call(case):
     n = len(rows)
     with (
         mock.patch.object(exactalg, "determinant", side_effect=AssertionError),
-        mock.patch.object(exactalg, "z_diff_content", wraps=exactalg.z_diff_content) as content,
+        mock.patch.object(
+            exactalg.ContentPolynomial, "factor", wraps=exactalg.ContentPolynomial.factor
+        ) as content,
         mock.patch.object(exactalg, "_subset_minors", wraps=exactalg._subset_minors) as passes,
         _time_limit(20),
     ):
         det_adjugate(rows)
-    assert content.call_count <= 2 * n
+    # each entry is factored once; the row and column content is read off
+    assert content.call_count <= n * n
     assert passes.call_count == n + 1
 
 
-@pytest.mark.parametrize("count", [1, 3])
-def test_z_diff_content_of_zero_polynomials_raises(count):
+@pytest.mark.parametrize("nvars", [1, 3])
+def test_factoring_zero_ends_with_empty_content(nvars):
     # zero is divisible by every power of z_i - z_j: without the guard
     # the division loop never ends
-    with _time_limit(5), pytest.raises(ValueError):
-        exactalg.z_diff_content([SparsePolynomial.zero(3)] * count, 3)
+    with _time_limit(5):
+        zero = ContentPolynomial.factor(SparsePolynomial.zero(nvars))
+    assert zero.content == {} and zero.is_zero() and zero.degree() == -1
+    if nvars > 1:
+        with pytest.raises(ValueError):
+            ContentPolynomial({(1, 2): 1}, SparsePolynomial.zero(nvars))
 
 
-def test_z_diff_content_skips_a_zero_next_to_a_nonzero_polynomial():
+def test_stripping_skips_a_zero_next_to_a_nonzero_entry():
     p = SparsePolynomial.z_diff(3, 1, 2) ** 2 * SparsePolynomial.z_diff(3, 2, 3)
     p = p * (zpoly(3, 1) + zpoly(3, 3) * 2)
     zero = SparsePolynomial.zero(3)
     with _time_limit(5):
-        (q0, q1), content = exactalg.z_diff_content([zero, p], 3)
-        (q,), alone = exactalg.z_diff_content([p], 3)
-    assert content == alone == {(1, 2): 2, (2, 3): 1}
-    assert q1 == q == zpoly(3, 1) + zpoly(3, 3) * 2
-    assert q0 == zero
+        columns, (row,), cols = exactalg._stripped([[zero, p]])
+        alone = ContentPolynomial.factor(p)
+    assert row == alone.content == {(1, 2): 2, (2, 3): 1}
+    assert cols == [{}, {}]
+    assert columns == [[zero], [zpoly(3, 1) + zpoly(3, 3) * 2]]
+    assert alone.core == zpoly(3, 1) + zpoly(3, 3) * 2
 
 
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=3, max_size=3))
@@ -1148,3 +1157,99 @@ def test_adjugate_identity_on_numeric_matrices(rows):
         for j in range(3):
             expected = det if i == j else SparsePolynomial.zero(n)
             assert prod.entry(i, j) == expected
+
+
+# ----------------------------------------------------------------------
+# content form: prod (z_i - z_j)^e times a core no z_i - z_j divides
+
+
+@st.composite
+def content_values(draw, n):
+    """(value, reference): a random core times a random content, as a
+    `ContentPolynomial` and as the `SparsePolynomial` built by multiplying
+    the differences in one at a time."""
+    core = draw(polys(nvars=n))
+    pairs = list(combinations(range(1, n + 1), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3)) if pairs else []
+    content = {pd: draw(st.integers(1, 3)) for pd in chosen}
+    reference = core
+    for (i, j), e in content.items():
+        reference = reference * SparsePolynomial.z_diff(n, i, j) ** e
+    return ContentPolynomial.factor(core, content), reference
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_content_form_agrees_with_the_expanded_polynomial(data):
+    n = data.draw(st.integers(1, 4))
+    a, ref_a = data.draw(content_values(n))
+    b, ref_b = data.draw(content_values(n))
+    image = tuple(data.draw(st.permutations(range(1, n + 1))))
+    point = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    # canonical: factoring the expansion again gives the same fields
+    assert a.expand() == ref_a and a == ref_a
+    assert ContentPolynomial.factor(ref_a) == a
+    if a:
+        for i, j in combinations(range(1, n + 1), 2):
+            with pytest.raises(NonDivisibleError):
+                _divide_by_z_diff(a.core, i, j)
+    moved = a.permute_variables(image)
+    assert moved.expand() == ref_a.permute_variables(image)
+    assert moved == ContentPolynomial.factor(ref_a.permute_variables(image))
+    assert a.evaluate(point) == ref_a.evaluate(point)
+    for got, want in ((a + b, ref_a + ref_b), (a - b, ref_a - ref_b), (a * b, ref_a * ref_b)):
+        assert got.expand() == want
+        assert got == ContentPolynomial.factor(want)
+    assert (a == b) == (ref_a == ref_b)
+    assert a.degree() == ref_a.degree()
+    assert a.is_homogeneous() == ref_a.is_homogeneous()
+    assert a.has_integer_coefficients() == ref_a.has_integer_coefficients()
+    if a:
+        assert a.leading_term() == ref_a.leading_term()
+    assert a.to_json() == ref_a.to_json() and str(a) == str(ref_a)
+
+
+def test_relabeling_turns_a_pair_round_with_its_sign():
+    core = zpoly(3, 3) + 1
+    value = ContentPolynomial({(1, 2): 3, (2, 3): 2}, core)
+    # z1 <-> z2: (z1 - z2)^3 -> (z2 - z1)^3 = -(z1 - z2)^3, (z2 - z3)^2 -> (z1 - z3)^2
+    moved = value.permute_variables((2, 1, 3))
+    assert moved.content == {(1, 2): 3, (1, 3): 2}
+    assert moved.core == -core
+    assert moved.expand() == value.expand().permute_variables((2, 1, 3))
+    assert value.permute_variables((1, 2, 3)) is value
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_core_that_a_z_difference_divides_is_refused(data):
+    n = data.draw(st.integers(2, 4))
+    core = data.draw(polys(nvars=n).filter(bool))
+    i, j = data.draw(st.sampled_from(list(combinations(range(1, n + 1), 2))))
+    with pytest.raises(ValueError, match="divides the core"):
+        ContentPolynomial({}, core * SparsePolynomial.z_diff(n, i, j))
+    value = ContentPolynomial.factor(core)
+    assert ContentPolynomial(value.content, value.core) == value
+
+
+@pytest.mark.parametrize("content", [
+    {(2, 1): 1}, {(1, 2): 0}, {(1, 4): 1}, {(1, 2): 1.0}, {(1, 2, 3): 1}, {1: 2},
+])
+def test_content_entries_are_pairs_i_below_j_with_positive_exponents(content):
+    with pytest.raises(ValueError, match="bad content"):
+        ContentPolynomial(content, zpoly(3, 3) + 1)
+    with pytest.raises(ValueError):
+        ContentPolynomial({(1, 2): 1}, SparsePolynomial.zero(3))
+    with pytest.raises(ValueError):
+        ContentPolynomial({}, {0: 1})
+
+
+def test_relabeled_values_expand_from_their_source_once():
+    # the one multiply-back of an integral serves all its relabelings
+    value = ContentPolynomial({(1, 2): 2, (1, 3): 1}, zpoly(3, 2) + zpoly(3, 3) * 2)
+    images = [(2, 1, 3), (3, 2, 1), (2, 3, 1)]
+    moved = [value.permute_variables(image) for image in images]
+    with mock.patch.object(exactalg, "_times_content", wraps=exactalg._times_content) as back:
+        for m, image in zip(moved, images):
+            assert m.expand() == value.expand().permute_variables(image)
+    assert back.call_count == 1

@@ -10,6 +10,7 @@ import pytest
 
 from kzresidue import (
     CheckReport,
+    ContentPolynomial,
     DiagramStats,
     DualMatrix,
     FactoredSum,
@@ -103,6 +104,21 @@ def _assert_round_trips(value):
     for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert type(twin) is type(value) and twin is not value
         assert twin == value and repr(twin) == repr(value)
+
+
+def test_content_values_are_immutable_and_round_trip_without_their_memo():
+    value = ContentPolynomial({(1, 2): 2}, SparsePolynomial.constant(2, 3))
+    for field in ("content", "core"):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert repr(value) == "3*z2^2 - 6*z1*z2 + 3*z1^2"
+    assert value == value.expand() and hash(value) == hash(value.expand())
+    moved = value.permute_variables((2, 1))  # (z2 - z1)^2 = (z1 - z2)^2
+    assert moved == value and moved.expand() == value.expand()
+    for v in (value, moved):
+        _assert_round_trips(v)
 
 
 @pytest.mark.parametrize("cls, field", [(Partition, "parts"), (Numbering, "rows"),
@@ -228,6 +244,8 @@ def test_only_the_value_protocol_defines_equality_hash_or_order():
     assert sorted(owners) == [
         "_frozen.py:Frozen.__eq__",
         "_frozen.py:Frozen.__hash__",
+        "exactalg.py:ContentPolynomial.__eq__",
+        "exactalg.py:ContentPolynomial.__hash__",
         "exactalg.py:FactoredSum.__hash__",
         "exactalg.py:PolyMatrix.__hash__",
         "exactalg.py:SparsePolynomial.__hash__",

@@ -622,7 +622,7 @@ def _den_squared_reference(n, m, den, nums, act) -> bool:
 
 def _kz_den_squared_reference(table: SolutionTable) -> bool:
     sign = -1 if table.twisted else 1
-    nums = table.components
+    nums = {u: c.expand() for u, c in table.components.items()}
     return _den_squared_reference(
         table.lam.size,
         table.m,
@@ -684,10 +684,12 @@ def _kz_cases():
         table = fm.tables[-1]
         twisted = alternating_twist(table)
         den = twisted.den
-        cases.append((n, m, 0, SparsePolynomial.constant(n, 1), dict(table.components),
+        # the numerators expanded: `_kz_witness` with no content is the
+        # system on the numerators themselves
+        expanded = {u: c.expand() for u, c in table.components.items()}
+        cases.append((n, m, 0, SparsePolynomial.constant(n, 1), expanded,
                       lambda nums: lambda i, j, u: nums[act_transposition(u, i, j)]))
-        cases.append((n, twisted.m, den.degree() // (n * (n - 1) // 2), den,
-                      dict(twisted.components),
+        cases.append((n, twisted.m, den.degree() // (n * (n - 1) // 2), den, expanded,
                       lambda nums: lambda i, j, u: -nums[act_transposition(u, i, j)]))
         if m == 1:
             dm = dual_matrix(fm)
@@ -739,6 +741,39 @@ def test_pole_division_agrees_with_den_squared_reference(
     assert (failure is None) == _den_squared_reference(n, m, den, nums, act)
     if perturbation is None:
         assert failure is None
+
+
+def _expanded_first_failure(table):
+    """`(i, form, fields)` of the first failing equation of a polynomial
+    table, every equation in order, on the expanded components with no
+    content divided out: the system read on psi_U itself."""
+    nums = {u: c.expand() for u, c in table.components.items()}
+
+    def act(i, j, u):
+        return ((1, nums[act_transposition(u, i, j)]),)
+
+    i, u, fields = _kz_witness(table.lam.size, table.m, 0, nums, act)
+    return i, str(u), fields
+
+
+@pytest.mark.parametrize("parts, m", [((2, 1), 2), ((3, 1), 1), ((2, 2), 1), ((2, 1, 1), 1)])
+def test_a_changed_core_coefficient_fails_kz_where_the_expanded_check_does(parts, m):
+    """`check_kz` divides the table's shared content out and checks the
+    cores; one changed core coefficient fails it at the equation where
+    the system on the expanded components first fails."""
+    first = fundamental_solution(Partition(parts), m).tables[0]
+    for u, value in first.components.items():
+        exps, _ = value.core.leading_term()
+        core = value.core + SparsePolynomial.from_terms(value.nvars, [(exps, 1)])
+        comps = {**first.components, u: exactalg.ContentPolynomial.factor(core, value.content)}
+        table = SolutionTable(first.lam, m, first.cycle, comps)
+        rep = check_kz(table)
+        i, form, _ = _expanded_first_failure(table)
+        assert not rep.passed, (parts, m, u)
+        assert (rep.witness["i"], rep.witness["form"]) == (i, form)
+        assert set(rep.witness) - {"cycle", "i", "form"} in (
+            {"difference"}, {"j", "reason", "remainder"}
+        )
 
 
 def test_pole_division_names_the_remainder(kz_cases):
@@ -1353,6 +1388,18 @@ def test_equivariance_names_a_perturbed_entry_of_a_later_table(fm31):
     rep = check_equivariance(_rebuilt(fm31, tables))
     assert not rep.passed
     assert rep.witness == {"cycle": str(table.cycle), "form": str(u), "difference": str(delta)}
+
+
+def test_equivariance_fails_when_a_stored_component_loses_a_content_power(fm31):
+    table = fm31.tables[1]
+    u, value = next((u, v) for u, v in table.components.items() if v.content)
+    pd = next(iter(value.content))  # one power of this pair comes off
+    content = {k: x - (k == pd) for k, x in value.content.items() if (k, x) != (pd, 1)}
+    comps = {**table.components, u: exactalg.ContentPolynomial(content, value.core)}
+    tables = (fm31.tables[0], SolutionTable(table.lam, table.m, table.cycle, comps), fm31.tables[2])
+    rep = check_equivariance(_rebuilt(fm31, tables))
+    assert not rep.passed
+    assert (rep.witness["cycle"], rep.witness["form"]) == (str(table.cycle), str(u))
 
 
 @pytest.mark.parametrize("parts, m", [((2, 1), 1), ((3, 1), 1), ((2, 2), 2)])
