@@ -77,8 +77,7 @@ def factored_text(p) -> str:
 
     if p.is_zero():
         return "0"
-    if type(p) is not ContentPolynomial:
-        p = ContentPolynomial.factor(p)
+    p = ContentPolynomial.factor(p)
     rest = p.core
     powers = [f"z{i}{j}" + (f"^{e}" if e > 1 else "") for (i, j), e in sorted(p.content.items())]
     if rest.is_constant():

@@ -571,11 +571,17 @@ def _times_content(p: SparsePolynomial, content) -> SparsePolynomial:
     return p
 
 
-@cache
 def discriminant_power(nvars: int, e: int) -> SparsePolynomial:
     """The expanded product of (z_i - z_j)^e over all pairs i < j."""
-    pairs = combinations(range(1, nvars + 1), 2)
-    return _times_content(SparsePolynomial.constant(nvars, 1), dict.fromkeys(pairs, e))
+    return _discriminant(nvars, e).expand()
+
+
+@cache
+def _discriminant(nvars: int, e: int) -> "ContentPolynomial":
+    """The same in content form, one value per (nvars, e), which every
+    family over it holds as its denominator."""
+    content = dict.fromkeys(combinations(range(1, nvars + 1), 2), e) if e else {}
+    return ContentPolynomial._of(content, SparsePolynomial.constant(nvars, 1))
 
 
 def _quotient(p: SparsePolynomial, i: int, j: int) -> SparsePolynomial | None:
@@ -672,10 +678,13 @@ class ContentPolynomial(Frozen):
         return value
 
     @classmethod
-    def factor(cls, p: SparsePolynomial, content: dict | None = None) -> "ContentPolynomial":
+    def factor(cls, p, content: dict | None = None) -> "ContentPolynomial":
         """p times prod (z_i - z_j)^content[(i, j)] (default: p), in
         canonical form: each power of a z_i - z_j that divides p is
-        divided out and moved into the content."""
+        divided out and moved into the content.  A `ContentPolynomial` p
+        with no `content` is returned as it is."""
+        if type(p) is cls and not content:
+            return p
         content = dict(content or {}) if p else {}
         for i, j in combinations(range(1, p.nvars + 1), 2):
             while p and (q := _quotient(p, i, j)) is not None:
@@ -733,12 +742,34 @@ class ContentPolynomial(Frozen):
                 c = -c
         return tuple(exps), c
 
+    def discriminant_form(self) -> tuple[int, object] | None:
+        """`(p, C)` when the value is C * Delta^p, Delta = prod_{i<j}
+        (z_i - z_j), C a non-zero constant (the core), read off the
+        fields: every pair has exponent p, or none has (p = 0).  Else None."""
+        exps = {self.content.get(pd, 0) for pd in combinations(range(1, self.nvars + 1), 2)}
+        if len(exps) > 1 or not self.core or not self.core.is_constant():
+            return None
+        return max(exps, default=0), self.core.constant_value()
+
     def evaluate(self, values):
         """Exact value at a point (one number per variable)."""
         total = self.core.evaluate(values)
         for (i, j), e in self.content.items():
             total *= (values[i - 1] - values[j - 1]) ** e
         return total
+
+    def restrict_last_to_zero(self) -> "ContentPolynomial":
+        """The slice z_n = 0, with nothing expanded: each (z_i - z_n)^e
+        becomes z_i^e, a shift of the sliced core's keys.  The other pairs
+        stay content, with any power of them the sliced core gains
+        (`factor`, before the shift: z_i^e is prime to every z_a - z_b)."""
+        n = self.nvars
+        shift = sum(e << _SHIFTS[i - 1] for (i, j), e in self.content.items() if j == n)
+        content = {pd: e for pd, e in self.content.items() if pd[1] != n}
+        value = ContentPolynomial.factor(self.core.restrict_last_to_zero(), content)
+        terms = {k + shift: c for k, c in value.core.terms.items()}
+        _check_cap(terms)
+        return ContentPolynomial._of(value.content, SparsePolynomial(n, terms))
 
     def permute_variables(self, image: tuple[int, ...]) -> "ContentPolynomial":
         """Substitute z_i -> z_image[i-1]; image must be a permutation of 1..n."""
@@ -761,12 +792,11 @@ class ContentPolynomial(Frozen):
         factored, or None for any other type."""
         if isinstance(other, (int, Fraction)):
             other = SparsePolynomial.constant(self.nvars, other)
-        if isinstance(other, SparsePolynomial):
-            other = ContentPolynomial.factor(other)
-        if isinstance(other, ContentPolynomial):
-            self.core._require_same_ring(other.core)
-            return other
-        return None
+        if not isinstance(other, (SparsePolynomial, ContentPolynomial)):
+            return None
+        other = ContentPolynomial.factor(other)
+        self.core._require_same_ring(other.core)
+        return other
 
     @classmethod
     def combine(cls, pairs) -> "ContentPolynomial":
@@ -778,7 +808,7 @@ class ContentPolynomial(Frozen):
         (1, v) is v itself."""
         pairs = list(pairs)
         nvars = pairs[0][1].nvars
-        pairs = [(c, v if type(v) is cls else cls.factor(v)) for c, v in pairs if v]
+        pairs = [(c, cls.factor(v)) for c, v in pairs if v]
         if len(pairs) == 1 and pairs[0][0] == 1:
             return pairs[0][1]
         common = _least_content(v.content for _, v in pairs)
@@ -1075,13 +1105,10 @@ def _stripped(rows) -> tuple[list, list, list]:
     largest product of them dividing row r of M (column c of the
     row-stripped matrix).  Each z_i - z_j is prime, so that power is the
     least over the line's non-zero entries of each entry's own, read off
-    its content: entries are taken as `ContentPolynomial`, and a
-    `SparsePolynomial` entry is factored once.  An all-zero row or column
-    is left as it is, with empty content, since every power divides zero."""
-    rows = [
-        [a if type(a) is ContentPolynomial else ContentPolynomial.factor(a) for a in row]
-        for row in rows
-    ]
+    its content (a `SparsePolynomial` entry is factored once).  An
+    all-zero row or column is left as it is, with empty content, since
+    every power divides zero."""
+    rows = [[ContentPolynomial.factor(a) for a in row] for row in rows]
     row_parts = [Counter(_least_content(a.content for a in row if a)) for row in rows]
     col_parts = [
         Counter(_least_content(Counter(a.content) - f for a, f in zip(col, row_parts) if a))
@@ -1166,7 +1193,7 @@ def determinant(matrix) -> SparsePolynomial:
     return _times_content(det, content)
 
 
-def det_adjugate(matrix) -> tuple[SparsePolynomial, PolyMatrix]:
+def det_adjugate(matrix) -> tuple[ContentPolynomial, PolyMatrix]:
     """Determinant and adjugate of a square polynomial matrix.
 
     With M[r][c] = f_r * g_c * M'[r][c] as in `determinant` (an all-zero
@@ -1178,8 +1205,9 @@ def det_adjugate(matrix) -> tuple[SparsePolynomial, PolyMatrix]:
 
     and (M adj(M))[r][s] = F G f_r / f_s (M' adj(M'))[r][s].  Hence
     M adj(M) == det(M) I holds exactly when M' adj(M') == det(M') I,
-    which is asserted on the stripped matrix (ArithmeticError otherwise);
-    the content is then multiplied back once per entry.
+    which is asserted on the stripped matrix (ArithmeticError otherwise).
+    Nothing is multiplied back: the results are `ContentPolynomial`s,
+    the stripped content kept as content (`ContentPolynomial.factor`).
 
     det(M') comes from the pass of `determinant` over all columns of M'.
     Row j of adj(M') comes from one more pass that leaves column j out:
@@ -1202,8 +1230,9 @@ def det_adjugate(matrix) -> tuple[SparsePolynomial, PolyMatrix]:
             if prod.entry(i, j) != expected:
                 raise ArithmeticError("adjugate identity failed; matrix arithmetic bug")
     adj = [
-        [_times_content(a, total - row_parts[i] - col_parts[j]) for i, a in enumerate(row)]
+        [ContentPolynomial.factor(a, total - row_parts[i] - col_parts[j])
+         for i, a in enumerate(row)]
         for j, row in enumerate(adj)
     ]
-    return _times_content(det, total), PolyMatrix(adj)
+    return ContentPolynomial.factor(det, total), PolyMatrix(adj)
 

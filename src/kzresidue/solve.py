@@ -41,7 +41,9 @@ and the tests compare that path with the direct one for N <= 4.
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
+from fractions import Fraction
 from functools import lru_cache
 
 from ._frozen import Frozen
@@ -51,9 +53,10 @@ from .exactalg import (
     PolyMatrix,
     SparsePolynomial,
     _add_into,
+    _discriminant,
     _linear_combination,
+    demote,
     det_adjugate,
-    discriminant_power,
     normalize_factored,
     t_atom,
     z_atom,
@@ -234,45 +237,37 @@ class SolutionTable(Frozen):
     `m` is the parameter of the system the table claims to solve and
     `twisted` marks the extra sign in the transposition action.  The
     cycle has shape `lam`, `components` is keyed by exactly
-    `tabloids(lam.parts)`, stored in that order, its values are all
-    `ContentPolynomial` in N = |lam| variables (a `SparsePolynomial`
-    passed in is factored once, here), and `den` is None or a non-zero
-    `SparsePolynomial` in N variables, or the constructor raises
-    ValueError before it stores anything; every check that indexes a
-    table by tabloid, or relabels and divides its numerators, relies on
-    this.  `check_kz` divides the table's shared content out of the
-    numerators and checks the system on the cores left.
+    `tabloids(lam.parts)`, stored in that order, and its values and a
+    non-zero `den` are polynomials in N = |lam| variables, held as
+    `ContentPolynomial` (a `SparsePolynomial` is factored once, here),
+    or the constructor raises ValueError before it stores anything; every
+    check that indexes a table by tabloid, or relabels and divides its
+    numerators, relies on this.  `check_kz` reads the form of `den` off
+    its fields and checks the system on the numerators' cores.
 
-    `_cache` is the table's record of its KZ proof (`verify.check_kz`):
-    key (m eps, m + p), the two coefficients of
-    X_ij = (m eps) psi_{s_ij U} + (m + p) psi_U, mapped to the witness (or
-    None) and the `info` of the proof that made it, which names how it was
-    proved.  `alternating_twist` hands its table the same record, and
-    `verify._kz_reports` writes one for each table it proves by
-    relabeling.  Like `FundamentalMatrix._cache` it is out of equality,
-    hash, repr and pickling, and every constructor call starts it empty;
-    so `components` must not be changed in place after a check."""
+    `_cache` is the table's record of its KZ proof (`verify.check_kz`),
+    which `alternating_twist` hands on and `verify._kz_reports` writes.
+    Like `FundamentalMatrix._cache` it is out of equality, hash, repr and
+    pickling, and every constructor call starts it empty; so `components`
+    must not be changed in place after a check."""
 
     __slots__ = ("lam", "m", "cycle", "components", "twisted", "den", "_cache")
 
     def __init__(
         self, lam: Partition, m: int, cycle: Tabloid, components: dict,
-        twisted: bool = False, den: SparsePolynomial | None = None,
+        twisted: bool = False, den: ContentPolynomial | None = None,
     ) -> None:
         if cycle.shape != lam.parts:
             raise ValueError(f"cycle {cycle} does not have shape {lam}")
         order = tabloids(lam.parts)
         if components.keys() != set(order):
             raise ValueError(f"components are not indexed by the tabloids of {lam}")
-        if not all(_is_poly(c, lam.size, ContentPolynomial) for c in components.values()):
+        if not all(_is_poly(c, lam.size) for c in components.values()):
             raise ValueError(f"components are not all polynomials in {lam.size} variables")
         if den is not None and (not _is_poly(den, lam.size) or den.is_zero()):
             raise ValueError(f"denominator is not a non-zero polynomial in {lam.size} variables")
-        components = {
-            u: c if type(c := components[u]) is ContentPolynomial else ContentPolynomial.factor(c)
-            for u in order
-        }
-        self._set(lam, m, cycle, components, twisted, den, {})
+        components = {u: ContentPolynomial.factor(components[u]) for u in order}
+        self._set(lam, m, cycle, components, twisted, den and ContentPolynomial.factor(den), {})
 
     def to_json(self) -> dict:
         return {
@@ -284,12 +279,20 @@ class SolutionTable(Frozen):
         }
 
 
-def _is_poly(x, nvars: int, *also) -> bool:
-    """A `SparsePolynomial`, or one of the types `also`, in `nvars` variables."""
-    return type(x) in (SparsePolynomial, *also) and x.nvars == nvars
+def _is_poly(x, nvars: int) -> bool:
+    """A `SparsePolynomial` or a `ContentPolynomial` in `nvars` variables."""
+    return type(x) in (SparsePolynomial, ContentPolynomial) and x.nvars == nvars
 
 
-def _components_json(nums, den: SparsePolynomial | None) -> list:
+def _delta_power_or_refuse(den, nvars: int, name: str) -> ContentPolynomial:
+    """`den` in content form if it is C * Delta^p in `nvars` variables."""
+    if _is_poly(den, nvars) and (den := ContentPolynomial.factor(den)).discriminant_form():
+        return den
+    raise ValueError(f"{name} is not a non-zero constant times a power of every z-difference"
+                     f" in {nvars} variables")
+
+
+def _components_json(nums, den: ContentPolynomial | None) -> list:
     """Each numerator's JSON, or `{"num": ..., "den": ...}` over a shared
     `den`, whose JSON is built once."""
     if den is None:
@@ -440,13 +443,23 @@ class DualMatrix(Frozen):
     the parameter-negated system in coordinates dual to the polytabloid
     basis; `m` is the (negative) parameter it solves.  Entry (i, j) is
     `entries.entry(i, j) / det`: `entries` holds the adjugate numerators
-    and `det` their one denominator, so no entry can carry another."""
+    and `det` their one denominator, so no entry can carry another.
+    Both are `ContentPolynomial`s in N = |lam| variables, as
+    `det_adjugate` leaves them, and `det` is C * Delta^p (a
+    `SparsePolynomial` is factored here), or the constructor raises
+    ValueError before it stores anything: `check_dual` relies on this."""
 
     __slots__ = ("lam", "m", "det", "entries")
 
     def __init__(
-        self, lam: Partition, m: int, det: SparsePolynomial, entries: PolyMatrix
+        self, lam: Partition, m: int, det: ContentPolynomial, entries: PolyMatrix
     ) -> None:
+        n = lam.size
+        det = _delta_power_or_refuse(det, n, "det")
+        rows = entries.entries if type(entries) is PolyMatrix else [[None]]
+        if not all(_is_poly(e, n) for row in rows for e in row):
+            raise ValueError(f"entries are not a matrix of polynomials in {n} variables")
+        entries = PolyMatrix([map(ContentPolynomial.factor, row) for row in rows])
         self._set(lam, m, det, entries)
 
     @property
@@ -466,14 +479,11 @@ class DualMatrix(Frozen):
 
 
 def dual_matrix(fm: FundamentalMatrix) -> DualMatrix:
-    """The dual of `fm`, built once and kept in `fm._cache`."""
+    """The dual of `fm`, built once and kept in `fm._cache`; ValueError
+    when det M is not C * Delta^p, C != 0 (`DualMatrix`)."""
     if (dm := fm._cache.get("dual")) is not None:
         return dm
     det, adj = det_adjugate(fm.matrix)
-    if det.is_zero():
-        raise ArithmeticError(
-            "fundamental matrix is singular; the solver is inconsistent"
-        )
     n = fm.dimension
     entries = PolyMatrix([[adj.entry(j, i) for j in range(n)] for i in range(n)])
     dm = fm._cache["dual"] = DualMatrix(fm.lam, -fm.m, det, entries)
@@ -486,15 +496,15 @@ def alternating_twist(table: SolutionTable) -> SolutionTable:
     twisted action, with rational components.
 
     The twisted table holds the table's own component objects as its
-    numerators and the one cached `discriminant_power(n, 2m)` as its
-    `den`, so no per-component object is built.  With parameter -m,
+    numerators and the one cached Delta^{2m} in content form as its
+    `den`, so nothing is built or expanded.  With parameter -m,
     p = 2m and eps = -1 the twisted system's X_ij = m psi_{s_ij U} +
     m psi_U is the table's, key (m, m) in both, so the twisted table is
     given the table's KZ record itself, not a copy: a proof on either
     serves both."""
     if table.twisted:
         raise ValueError("table is already twisted")
-    den = discriminant_power(table.lam.size, 2 * table.m)
+    den = _discriminant(table.lam.size, 2 * table.m)
     twisted = SolutionTable(
         table.lam, -table.m, table.cycle, table.components, twisted=True, den=den
     )
@@ -505,16 +515,27 @@ def alternating_twist(table: SolutionTable) -> SolutionTable:
 class ReflectionSolution(Frozen):
     """A solution with values in the (N-1,1) module written in the
     standard coordinates of C^N: component k, along the k-th unit vector,
-    is components[k] / den.  `den` is None for the residue family
-    (polynomial components) and the shared Delta^{2m} for the path
-    family, whose numerators carry rational coefficients."""
+    is components[k] / den.  `den` is None for the residue family, held
+    in content form, and the shared Delta^{2m} for the path family, whose
+    numerators are expanded, with rational coefficients.  Components in
+    n variables and a `den` that is C * Delta^p are taken in those forms
+    (so a member's hash expands them, which no check asks for); anything
+    else raises ValueError before it is stored."""
 
     __slots__ = ("n", "m", "index", "components", "den")
 
     def __init__(
         self, n: int, m: int, index: int, components: tuple,
-        den: SparsePolynomial | None = None,
+        den: ContentPolynomial | None = None,
     ) -> None:
+        if not all(_is_poly(c, n) for c in components):
+            raise ValueError(f"components are not all polynomials in {n} variables")
+        if den is None:
+            components = tuple(map(ContentPolynomial.factor, components))
+        else:
+            den = _delta_power_or_refuse(den, n, "den")
+            components = tuple(c.expand() if type(c) is ContentPolynomial else c
+                               for c in components)
         self._set(n, m, index, components, den)
 
     def to_json(self) -> dict:
@@ -537,13 +558,14 @@ def reflection_solutions(n: int, m: int) -> tuple[ReflectionSolution, ...]:
 
     The component along the k-th unit vector of the a-th solution is the
     cycle integral at the fixed point a of the hook-shape form anchored
-    at k, so this is a re-indexing of hook-shape solution tables."""
+    at k, so this is a re-indexing of hook-shape solution tables, in
+    content form."""
     if n < 2:
         raise ValueError("the reflection representation needs n >= 2")
     out = []
     for a in range(1, n + 1):
         comps = tuple(
-            _orbit_component(m, _hook_tabloid(n, a), _hook_tabloid(n, k)).expand()
+            _orbit_component(m, _hook_tabloid(n, a), _hook_tabloid(n, k))
             for k in range(1, n + 1)
         )
         out.append(ReflectionSolution(n, m, a, comps))
@@ -555,13 +577,16 @@ def reflection_dual_solutions(n: int, m: int) -> tuple[ReflectionSolution, ...]:
     the reflection representation: component k of solution a is the
     antiderivative of (t-z_k)^{m-1} prod_{i != k} (t-z_i)^m evaluated
     between the fixed points a and n, over the squared discriminant
-    power Delta^{2m}, which every member holds once as its `den`."""
+    power Delta^{2m}, which every member holds once as its `den`.  The
+    antiderivative divides by 1..nm only, so the integrand is scaled by
+    L = lcm(1..nm) and each integer numerator is divided by L at the end."""
     if n < 2:
         raise ValueError("the reflection representation needs n >= 2")
     check_reflection_resources(n)
     nv = n + 1  # variable n+1 plays the integration variable
-    den = discriminant_power(n, 2 * m)
-    one = SparsePolynomial.constant(nv, 1)
+    den = _discriminant(n, 2 * m)
+    scale = math.lcm(*range(1, n * m + 1))
+    one = SparsePolynomial.constant(nv, scale)
     t = SparsePolynomial.variable(nv, nv)
     primitives = []  # (antiderivative, its value at t = z_n) per component
     for k in range(1, n + 1):
@@ -573,9 +598,11 @@ def reflection_dual_solutions(n: int, m: int) -> tuple[ReflectionSolution, ...]:
         primitives.append((anti, anti.substitute_variable(nv, n)))
     out = []
     for a in range(1, n):
+        nums = ((upper - anti.substitute_variable(nv, a)).drop_last_variable().terms
+                for anti, upper in primitives)
         comps = tuple(
-            (upper - anti.substitute_variable(nv, a)).drop_last_variable()
-            for anti, upper in primitives
+            SparsePolynomial(n, {k: demote(Fraction(c, scale)) for k, c in num.items()})
+            for num in nums
         )
         out.append(ReflectionSolution(n, -m, a, comps, den))
     return tuple(out)

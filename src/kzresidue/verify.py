@@ -10,21 +10,21 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 
 from ._frozen import Frozen
 from .exactalg import (
     NonDivisibleError,
     SparsePolynomial,
     _add_into,
+    _discriminant,
     _divide_by_z_diff,
     _least_content,
     _linear_combination,
     _mul_into,
     _subset_minors,
+    _times_content,
     _translation_defect,
-    demote,
-    discriminant_power,
 )
 from .shapes import (
     DEFAULT_BUDGET,
@@ -98,35 +98,6 @@ def _clip(obj) -> str:
 
 # ----------------------------------------------------------------------
 # the differential system
-
-
-def _discriminant_power_of(n: int, den: SparsePolynomial) -> tuple[int, object] | None:
-    """`(p, C)` when `den == C * Delta^p` for a non-zero constant C, where
-    Delta = prod_{a<b} (z_a - z_b) and p = deg(den) / C(n, 2) (p = 0 on
-    one point, where Delta = 1); None otherwise, also when den lives in
-    another number of variables.
-
-    Decided by comparison, without division: den = C Delta^p forces
-    C = a / b, with a and b the coefficients of den and of Delta^p at the
-    leading monomial of Delta^p, and den == C Delta^p for that C proves
-    the converse.  `den` that is the cached `discriminant_power(n, p)`
-    itself (the denominator `alternating_twist` writes) is (p, 1) with
-    no product and no comparison."""
-    pairs = n * (n - 1) // 2
-    if den.is_zero():
-        return None
-    degree = den.degree()
-    if pairs and degree % pairs:
-        return None
-    p = degree // pairs if pairs else 0
-    disc = discriminant_power(n, p)
-    if den is disc:
-        return p, 1
-    lead = max(disc.terms)
-    c = demote(Fraction(den.terms.get(lead, 0)) / disc.terms[lead])
-    if not c or den != disc * c:
-        return None
-    return p, c
 
 
 def _kz_witness(
@@ -243,22 +214,17 @@ def check_kz(table: SolutionTable) -> CheckReport:
 
     Polynomial tables (`den` None) are checked with p = 0.  A table with
     a `den` (the alternating twist) holds numerators over that one
-    denominator, which must be C * Delta^p: that is verified first by
-    comparison with C * Delta^p (a denominator of any other form fails).
-    Both are then checked by `_kz_witness` on the cores of the
-    numerators: with C = prod (z_a - z_b)^c_ab the z-difference content
-    all the table's numerators share (each pair's least exponent over
-    the non-zero components) and psi_U = C q_U, d_i C / C =
-    sum_{j != i} c_ij / (z_i - z_j), so dividing the system by C gives
+    denominator, which must be C * Delta^p: that is read off its fields
+    first (`ContentPolynomial.discriminant_form`; any other form fails).
+    Both are then checked by `_kz_witness` on the cores q_U of the
+    numerators psi_U = C q_U, C = prod (z_a - z_b)^c_ab the z-difference
+    content all the non-zero numerators share: dividing the system by C
+    leaves
 
         q_U' = sum_{j != i} [m eps q_{s_ij U} + (m + p - c_ij) q_U] / (z_i - z_j),
 
-    the system on the cores with a self coefficient per pair.  C is not
-    zero, so each equation holds exactly when the one on the numerators
-    does, and the first failing (i, U) is the same.  Each pole's core
-    combination is divided exactly, a remainder fails by uniqueness of
-    partial fractions, and the quotients must sum to the derivative, so
-    neither the content nor the denominator enters a product.  When
+    which holds exactly where the system on the numerators does, and
+    neither C nor the denominator enters a product.  When
     m eps == m + p, with eps = -1 on twisted tables and 1 otherwise
     (every polynomial table and every alternating twist),
     X_ij(U) == X_ij(s_ij U) on each pair with c_ij = 0 and one quotient
@@ -287,9 +253,12 @@ def check_kz(table: SolutionTable) -> CheckReport:
     one record and one key, (m, m); a report read across the twist also
     names that identity (`TWIST`).  The record stands for the components
     as they were checked, which must not be changed in place."""
-    p, witness = _shared_denominator(table)
-    info = {"twisted": table.twisted}
-    if witness is None:
+    found = (0, 1) if table.den is None else table.den.discriminant_form()
+    info, witness = {"twisted": table.twisted}, None
+    if found is None:
+        witness = {"reason": "shared denominator is not a constant times a discriminant power"}
+    else:
+        p = found[0]
         key = _record_key(table, p)
         if (record := table._cache.get(key)) is None:
             record = table._cache[key] = _kz_proof(table, p)
@@ -306,17 +275,6 @@ TWIST = (
     "X_ij = m psi_{s_ij U} + m psi_U on the numerators of a table and of its alternating "
     "twist (parameter -m, p = 2m, eps = -1): one proof serves both"
 )
-
-
-def _shared_denominator(table: SolutionTable) -> tuple[int, dict | None]:
-    """`check_kz`'s denominator step: `(p, None)` when the table is
-    polynomial (p = 0) or its one `den` is C * Delta^p, else a witness in
-    the last place."""
-    if table.den is None:
-        return 0, None
-    if (found := _discriminant_power_of(table.lam.size, table.den)) is None:
-        return 0, {"reason": "shared denominator is not a constant times a discriminant power"}
-    return found[0], None
 
 
 def _record_key(table: SolutionTable, p: int) -> tuple[int, int]:
@@ -701,10 +659,12 @@ def check_dual(fm: FundamentalMatrix) -> CheckReport:
     asserts it exactly on the matrix with its z-difference content
     stripped (see `det_adjugate`).  The determinant identity: dm.det from
     that same pass, the one denominator of every entry (`DualMatrix`
-    stores the adjugate numerators over it), is C * Delta^p, by
-    comparison with C * Delta^p (`_discriminant_power_of`), so
-    d_i det / det = p sum_{l != i} 1 / (z_i - z_l) and `_kz_witness`
-    checks the system on the numerators by pole division.
+    stores the adjugate numerators over it), is C * Delta^p, read off its
+    fields (`DualMatrix` refuses any other form), so d_i det / det =
+    p sum_{l != i} 1 / (z_i - z_l), and `_kz_witness` checks the system
+    by pole division on the numerators' cores, as `check_kz` does (self
+    coefficient m + p - c_il), row by row: the equations of a dual row
+    read that row alone, so each row's shared content is divided out.
     A failure of either fails this check; neither `check_det` nor a
     symbolic determinant of M is called.  The dual is the one
     `dual_matrix(fm)` keeps on `fm`, so a dual the caller already built
@@ -717,27 +677,31 @@ def check_dual(fm: FundamentalMatrix) -> CheckReport:
     }
     try:
         dm = dual_matrix(fm)
-    except ArithmeticError as exc:
-        return CheckReport("dual_system", lam, -fm.m, {"reason": str(exc)}, info)
+    except (ArithmeticError, ValueError) as exc:  # the adjugate identity, det's form
+        witness = {"reason": str(exc)}
+        if isinstance(exc, ValueError):
+            witness = {"precondition": "determinant_identity", **witness}
+        return CheckReport("dual_system", lam, -fm.m, witness, info)
     info["det_degree"] = dm.det.degree()
-    if (found := _discriminant_power_of(n, dm.det)) is None:
-        witness = {
-            "precondition": "determinant_identity",
-            "reason": "dual denominator is not a constant times a discriminant power",
-        }
-        return CheckReport("dual_system", lam, dm.m, witness, info)
     d = dm.dimension
-    nums = {(b, j): dm.entries.entry(b, j) for b in range(d) for j in range(d)}
+    cores: dict = {}  # (row, coordinate) -> numerator over its row's content
 
     def act(i: int, l: int, key: tuple[int, int]) -> list:
         b, jcol = key
         mat = _specht_transposition_matrix(lam, min(i, l), max(i, l))
-        return [(mat[k][jcol], nums[(b, k)]) for k in range(d) if mat[k][jcol]]
+        return [(mat[k][jcol], cores[(b, k)]) for k in range(d) if mat[k][jcol]]
 
-    failure = _kz_witness(n, dm.m, found[0], nums, act)
+    p, _ = dm.det.discriminant_form()
+    failures = []
+    for b, row in enumerate(dm.entries.entries):
+        shared = _least_content(e.content for e in row if e)
+        own = {(b, j): e.expand_over(shared) for j, e in enumerate(row)}
+        cores.update(own)
+        if failure := _kz_witness(n, dm.m, p, own, act, content=shared):
+            failures.append(failure)
     witness = None
-    if failure is not None:
-        i, (b, jcol), fields = failure
+    if failures:  # each row's first failure; the earliest is the full order's
+        i, (b, jcol), fields = min(failures, key=lambda f: f[:2])
         witness = {"i": i, "dual_row": b, "coordinate": jcol, **fields}
     return CheckReport("dual_system", lam, dm.m, witness, info)
 
@@ -803,38 +767,27 @@ def check_straightening(lam: Partition, m: int, cycle: Tabloid) -> CheckReport:
 
 
 def _reflection_witness(n: int, m: int, psis, phis) -> dict | None:
-    """First failure of `check_reflection`'s identities, else None.
-
-    The translation test skips the last residue solution: the sum test
-    before it proves psi_n = -sum_{a<n} psi_a, and E = sum_i d/dz_i is
-    linear, so a defect in psi_n is a defect in some earlier psi_a, which
-    the loop meets first; no witness changes.
-
-    The pairing compares numerators against Delta^{2m}, so a residue
-    member with a `den`, or a path member whose `den` is not
-    `discriminant_power(n, 2m)`, fails first, by name."""
-    disc = discriminant_power(n, 2 * m)
+    """First failure of `check_reflection`'s identities, in the order
+    its docstring gives, else None.  A residue member with a `den`, or a
+    path member whose `den` is not Delta^{2m}, fails first, by name."""
+    disc = _discriminant(n, 2 * m)
     for psi in psis:
         if psi.den is not None:
             return {"reason": "residue family member is not polynomial", "index": psi.index}
     for phi in phis:
-        if phi.den is not disc and phi.den != disc:
+        if phi.den != disc:
             return {"reason": "path family denominator is not Delta^{2m}", "index": phi.index}
-    for k in range(n):
-        if sum((psi.components[k] for psi in psis), SparsePolynomial.zero(n)):
-            return {"reason": "residue family does not sum to zero", "component": k + 1}
-    for phi in phis:
-        if sum(phi.components, SparsePolynomial.zero(n)):
-            return {"reason": "path family coordinate sum is not zero", "index": phi.index}
-    # each path member's numerators scaled once to integers by the lcm L of
-    # their coefficients' denominators: E (L f) = L E f with L != 0, so the
-    # translation test runs on them, and so does the pairing
-    scaled = []
+    scaled = []  # (index, L, the numerators times L) per path member
     for phi in phis:
         nums = phi.components
         scale = math.lcm(*(c.denominator for num in nums for c in num.terms.values()))
-        scaled.append((phi.index, scale, [num * scale for num in nums]))
-    families = [("residue", psi.index, psi.components) for psi in psis[:-1]]
+        scaled.append((phi.index, scale, [
+            SparsePolynomial(n, {k: c.numerator * (scale // c.denominator)
+                                 for k, c in num.terms.items()})
+            for num in nums
+        ]))
+    # E (C q) = C E q, as E kills every z_i - z_j: the residue members' cores
+    families = [("residue", psi.index, [c.core for c in psi.components]) for psi in psis]
     families += [("path", index, nums) for index, _, nums in scaled]
     for family, index, comps in families:
         for k, comp in enumerate(comps, start=1):
@@ -845,28 +798,39 @@ def _reflection_witness(n: int, m: int, psis, phis) -> dict | None:
                     "index": index,
                     "component": k,
                 }
-    # the first n-1 residue solutions form the basis dual to the path
-    # family; the last one is minus their sum and pairs to -1/m with
-    # everything, so it stays out of the delta identity
-    disc = disc.restrict_last_to_zero()
+    # from here on every value is translation invariant: zero iff its slice is
+    residues = [[c.restrict_last_to_zero() for c in psi.components] for psi in psis]
+    for k in range(n):
+        if _linear_combination([(1, comps[k]) for comps in residues]):
+            return {"reason": "residue family does not sum to zero", "component": k + 1}
     sliced = [
         (index, scale, [num.restrict_last_to_zero().terms for num in nums])
         for index, scale, nums in scaled
     ]
-    for psi in psis[: n - 1]:
-        comps = [c.restrict_last_to_zero().terms for c in psi.components]
+    for index, _, nums in sliced:
+        if reduce(_add_into, (terms.items() for terms in nums), {}):
+            return {"reason": "path family coordinate sum is not zero", "index": index}
+    # the first n-1 residue solutions form the basis dual to the path
+    # family; the last one is minus their sum and pairs to -1/m with
+    # everything, so it stays out of the delta identity
+    disc = disc.restrict_last_to_zero()
+    for psi, comps in zip(psis[: n - 1], residues):
+        common = _least_content([disc.content, *(c.content for c in comps if c)])
+        parts = [c.expand_over(common).terms for c in comps]
+        target = disc.expand_over(common)
         for index, scale, nums in sliced:
-            acc: dict = {}  # sum_k comps[k] * nums[k], accumulated in one map
-            for a, b in zip(comps, nums):
+            acc: dict = {}  # sum_k parts[k] * nums[k], accumulated in one map
+            for a, b in zip(parts, nums):
                 _mul_into(acc, a, b)
             paired = SparsePolynomial(n, acc)
-            expected = disc * scale if psi.index == index else SparsePolynomial.zero(n)
+            expected = target * scale if psi.index == index else SparsePolynomial.zero(n)
             if paired * m != expected:
+                difference = _times_content((paired * m - expected) * Fraction(1, scale), common)
                 return {
                     "reason": "pairing is not delta_ab/m on z_n = 0",
                     "a": psi.index,
                     "b": index,
-                    "difference": _clip((paired * m - expected) * Fraction(1, scale)),
+                    "difference": _clip(difference),
                 }
     return None
 
@@ -878,19 +842,19 @@ def check_reflection(n: int, m: int) -> CheckReport:
     discriminant power Delta^{2m}, which must be each path member's
     `den`; the residue members hold polynomials, `den` None).
 
-    The pairing is checked on the slice z_n = 0 only, after a
-    translation-invariance step proves E f = 0, E = sum_i d/dz_i, for
-    every residue-family component (the last solution's by the zero sum
-    and linearity, see `_reflection_witness`) and every path numerator f.  Then
-    f(z) = f(z - z_n (1, ..., 1)) for each of them, hence for every
-    product of them, and Delta^{2m} is a product of differences; so the
-    pairing identity holds everywhere if it holds at z_n = 0
-    (restriction is a ring homomorphism).  The path numerators carry
-    rational coefficients; each member is scaled once by the lcm L of
-    their denominators, so the translation step (E (L f) = L E f, L != 0)
-    and the pairing run on integer polynomials, the pairing compared
-    against L times the discriminant power.  Each pairing sum_k a_k b_k
-    is accumulated in one map."""
+    Nothing is expanded.  First E f = 0, E = sum_i d/dz_i, is proved for
+    every residue component, on its core (E (C q) = C E q, as E kills
+    each z_i - z_j; all n members), and for every path numerator f, each
+    path member scaled once to integers by the lcm L of its coefficients'
+    denominators (E (L f) = L E f, L != 0).  Then f(z) =
+    f(z - z_n (1, ..., 1)) for each of them, hence for their sums and
+    products, and Delta^{2m} is a product of differences; so the family
+    sums and the pairing identity hold everywhere if they hold on the
+    slice z_n = 0 (restriction is a ring homomorphism), where a content
+    value's (z_i - z_n)^e is z_i^e, a shift of its core's keys
+    (`ContentPolynomial.restrict_last_to_zero`).  Each pairing
+    sum_k a_k (L b_k) is accumulated in one map and compared with
+    L Delta^{2m}, with the content both sides share divided out."""
     return _reflection_report(
         n, m, reflection_solutions(n, m), reflection_dual_solutions(n, m)
     )

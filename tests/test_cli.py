@@ -259,6 +259,13 @@ PINNED_STDOUT_SHA256 = {
         "1701472e89cf9d8f3a8ac698ace186d850dcc6cc6f2958925a660664cccfdcdd",
     "reflection --n 3 --m 2 --pairing --format json":
         "d688708bb8f1474cad7f58fadf2948016bdf325de022b45b13c10cbeb227d486",
+    # each family's denominator and numerators read in content form
+    "reflection --n 4 --m 2 --pairing":
+        "9989bc26181e989c5cb9f0ac05aae196fa0ef75bf8ddc60cdaf592b17489f088",
+    "dual --lambda 3,1 --m 1":
+        "0b958e00edff99f0b85d634152806946de0aefba4a23835b7ab1065da577f08d",
+    "twist --lambda 2,2 --m 1":
+        "9ebb9b23922bb972e337f32b03f177e323734adfaa39d7c10e64b70ad1355697",
     # polynomial tables: the text reads each value's z-difference content,
     # the JSON expands it, and `det` reads the matrix through its entries
     "solve --lambda 3,1 --m 2":

@@ -1059,7 +1059,7 @@ def test_determinant_agrees_with_leibniz(case):
 @example(_one_by_one_case())
 def test_adjugate_on_stripped_matrix_agrees_with_leibniz_minors(case):
     """det_adjugate works on the matrix with its z-difference content
-    stripped and multiplies it back; every entry must equal the signed
+    stripped and keeps it as each entry's content; every entry must equal the signed
     Leibniz minor of the original matrix, and M adj == det I must hold
     on the full matrix too."""
     nvars, rows, _, _ = case
@@ -1070,7 +1070,7 @@ def test_adjugate_on_stripped_matrix_agrees_with_leibniz_minors(case):
     for i in range(n):
         for j in range(n):
             minor = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-            expected = _leibniz_det(minor, nvars) if minor else det ** 0
+            expected = _leibniz_det(minor, nvars) if minor else SparsePolynomial.constant(nvars, 1)
             assert adj.entry(i, j) == (-expected if (i + j) % 2 else expected)
     prod = PolyMatrix(rows).matmul(adj)
     zero = SparsePolynomial.zero(nvars)
@@ -1115,8 +1115,9 @@ def test_adjugate_takes_n_plus_one_passes_and_no_determinant_call(case):
         _time_limit(20),
     ):
         det_adjugate(rows)
-    # each entry is factored once; the row and column content is read off
-    assert content.call_count <= n * n
+    # each entry is factored once on the way in, and det and each adjugate
+    # entry once on the way out; the row and column content is read off
+    assert content.call_count <= 2 * n * n + 1
     assert passes.call_count == n + 1
 
 
@@ -1207,6 +1208,30 @@ def test_content_form_agrees_with_the_expanded_polynomial(data):
     if a:
         assert a.leading_term() == ref_a.leading_term()
     assert a.to_json() == ref_a.to_json() and str(a) == str(ref_a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_the_slice_of_a_content_value_is_the_slice_of_its_expansion(data):
+    """z_n = 0 on the fields: (z_i - z_n)^e becomes z_i^e, a key shift of
+    the sliced core, and the result is canonical again."""
+    n = data.draw(st.integers(1, 4))
+    a, ref_a = data.draw(content_values(n))
+    sliced = a.restrict_last_to_zero()
+    assert type(sliced) is ContentPolynomial
+    assert sliced == ContentPolynomial.factor(ref_a.restrict_last_to_zero())
+    assert sliced.expand() == a.expand().restrict_last_to_zero()
+    assert all(j < n for _, j in sliced.content)
+
+
+def test_slicing_shifts_the_core_and_keeps_the_other_pairs():
+    value = ContentPolynomial({(1, 3): 2, (1, 2): 1}, zpoly(3, 2) + 1)
+    sliced = value.restrict_last_to_zero()  # (z1 - z2) * z1^2 * (z2 + 1)
+    assert sliced.content == {(1, 2): 1}
+    assert sliced.core == SparsePolynomial.from_terms(3, [((2, 1, 0), 1), ((2, 0, 0), 1)])
+    # a sliced core that a z-difference divides gives that power to the content
+    gains = ContentPolynomial.factor(zpoly(3, 1) - zpoly(3, 2) + zpoly(3, 3))
+    assert gains.content == {} and gains.restrict_last_to_zero().content == {(1, 2): 1}
 
 
 def test_relabeling_turns_a_pair_round_with_its_sign():

@@ -48,7 +48,8 @@ from kzresidue import (
     tabloids,
     z_atom,
 )
-from kzresidue import solve
+from kzresidue import exactalg, solve
+from kzresidue.exactalg import PolyMatrix, _discriminant
 from kzresidue.shapes import row_word
 from kzresidue.solve import _level_relabelings, _orbit_component, _orbit_key
 
@@ -399,7 +400,7 @@ def test_coordinates_of_fraction_vector(fm21):
     # that denominator: the twisted numerators give the first matrix row
     for fm in (fm21, fundamental_solution(Partition((3, 1)), 1)):
         tw = alternating_twist(fm.tables[0])
-        assert tw.den is discriminant_power(fm.lam.size, 2)
+        assert tw.den is _discriminant(fm.lam.size, 2)
         coords = coordinates_in_specht_basis(fm.lam, tw.components.__getitem__)
         assert coords == [fm.matrix.entry(0, j) for j in range(fm.dimension)]
 
@@ -493,8 +494,11 @@ def test_alternating_twist_structure(fm21):
     table = fm21.tables[0]
     tw = alternating_twist(table)
     assert tw.twisted and tw.m == -1 and tw.cycle == table.cycle
-    # the table's own numerators over the one cached Delta^{2m}
-    assert tw.den is discriminant_power(3, 2)
+    # the table's own numerators over the one cached Delta^{2m}, whose
+    # one expansion is `discriminant_power`
+    assert tw.den is _discriminant(3, 2)
+    assert tw.den.content == dict.fromkeys([(1, 2), (1, 3), (2, 3)], 2)
+    assert tw.den.expand() is discriminant_power(3, 2)
     assert all(tw.components[u] is c for u, c in table.components.items())
     with pytest.raises(ValueError):
         alternating_twist(tw)
@@ -535,7 +539,7 @@ def test_reflection_dual_two_points():
     (phi,) = reflection_dual_solutions(2, 1)
     assert phi.m == -1 and phi.index == 1
     half = SparsePolynomial.constant(2, Fraction(1, 2))
-    assert phi.den is discriminant_power(2, 2)
+    assert phi.den is _discriminant(2, 2)
     assert phi.components == (-half * phi.den, half * phi.den)  # -1/2 and 1/2
 
 
@@ -693,6 +697,91 @@ def test_solution_table_refuses_a_malformed_table_before_storing_it(
     monkeypatch.setattr(SolutionTable, "_set", store)
     with pytest.raises(ValueError, match=message):
         SolutionTable(table.lam, table.m, cycle, comps, den is not None, den)
+
+
+def _not_a_delta_power(fault):
+    """A denominator of three points that no fraction family may hold."""
+    return {
+        "zero": SparsePolynomial.zero(3),
+        "a variable in the core": discriminant_power(3, 2) * SparsePolynomial.variable(3, 1),
+        "one pair only": zd(1, 2) ** 2,
+        "2 variables": discriminant_power(2, 2),
+        "a number": 2,
+    }[fault]
+
+
+DEN_FAULTS = ["zero", "a variable in the core", "one pair only", "2 variables", "a number"]
+
+
+@pytest.mark.parametrize("fault, message", [
+    *[(f"den: {f}", "den is not a non-zero constant times a power of every z-difference in 3")
+      for f in DEN_FAULTS],
+    ("integers", "components are not all polynomials in 3 variables"),
+    ("fractions", "components are not all polynomials in 3 variables"),
+    ("polynomials in 2 variables", "components are not all polynomials in 3 variables"),
+])
+def test_reflection_solution_refuses_malformed_input_before_storing_it(monkeypatch, fault, message):
+    phi = reflection_dual_solutions(3, 1)[0]
+    comps, den = phi.components, phi.den
+    if fault.startswith("den: "):
+        den = _not_a_delta_power(fault.removeprefix("den: "))
+    elif fault == "integers":
+        comps = (0, 0, 0)
+    elif fault == "fractions":
+        comps = (Fraction(1, 2), *comps[1:])
+    else:
+        comps = tuple(SparsePolynomial.variable(2, 1) for _ in comps)
+
+    def store(self, *values):
+        raise AssertionError("a malformed member was stored")
+
+    monkeypatch.setattr(solve.ReflectionSolution, "_set", store)
+    with pytest.raises(ValueError, match=message):
+        solve.ReflectionSolution(3, phi.m, phi.index, comps, den)
+
+
+@pytest.mark.parametrize("fault, message", [
+    *[(f"det: {f}", "det is not a non-zero constant times a power of every z-difference in 3")
+      for f in DEN_FAULTS],
+    ("rows for a matrix", "entries are not a matrix of polynomials in 3 variables"),
+    ("integers", "entries are not a matrix of polynomials in 3 variables"),
+    ("polynomials in 2 variables", "entries are not a matrix of polynomials in 3 variables"),
+])
+def test_dual_matrix_refuses_malformed_input_before_storing_it(fm21, monkeypatch, fault, message):
+    dm = dual_matrix(fm21)
+    det, entries = dm.det, dm.entries
+    if fault.startswith("det: "):
+        det = _not_a_delta_power(fault.removeprefix("det: "))
+    elif fault == "rows for a matrix":
+        entries = [list(row) for row in entries.entries]
+    elif fault == "integers":
+        entries = PolyMatrix([[1, 0], [0, 1]])
+    else:
+        entries = PolyMatrix([[SparsePolynomial.variable(2, 1)] * 2] * 2)
+
+    def store(self, *values):
+        raise AssertionError("a malformed dual was stored")
+
+    monkeypatch.setattr(solve.DualMatrix, "_set", store)
+    with pytest.raises(ValueError, match=message):
+        solve.DualMatrix(dm.lam, dm.m, det, entries)
+
+
+def test_fraction_families_hold_their_denominators_in_content_form(fm21):
+    """The path family and the twist share one cached Delta^{2m}; the dual
+    holds det = C * Delta^p and content-form numerators; a `SparsePolynomial`
+    passed to a constructor is factored there."""
+    disc = exactalg._discriminant(3, 2)
+    assert all(phi.den is disc for phi in reflection_dual_solutions(3, 1))
+    assert alternating_twist(fm21.tables[0]).den is disc
+    dm = dual_matrix(fm21)
+    assert dm.det.discriminant_form() == (2, dm.det.core.constant_value())
+    assert all(type(e) is exactalg.ContentPolynomial for row in dm.entries.entries for e in row)
+    psi = reflection_solutions(3, 1)[0]
+    assert all(type(c) is exactalg.ContentPolynomial for c in psi.components)
+    rebuilt = solve.ReflectionSolution(3, -1, 1, [c.expand() for c in psi.components],
+                                       discriminant_power(3, 2))
+    assert rebuilt.den == disc and all(type(c) is SparsePolynomial for c in rebuilt.components)
 
 
 def test_solve_cycle_returns_complete_table():

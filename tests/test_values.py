@@ -34,6 +34,7 @@ from kzresidue import (
 ONE = SparsePolynomial.constant(2, 1)
 Z1 = SparsePolynomial.variable(2, 1)
 MATRIX = PolyMatrix([[ONE]])
+ONE_1 = SparsePolynomial.constant(1, 1)  # a dual of one point lives in one variable
 FACTORED = FactoredSum.term(3, [(z_atom(1), z_atom(2), -2)])
 POINT = Tabloid(((1,),))  # the one tabloid of (1,)
 
@@ -59,7 +60,7 @@ CASES = {
         "matrix=PolyMatrix(entries=((1,),)))",
     ),
     "DualMatrix": (
-        lambda: DualMatrix(Partition((1,)), -1, ONE, MATRIX),
+        lambda: DualMatrix(Partition((1,)), -1, ONE_1, PolyMatrix([[ONE_1]])),
         "DualMatrix(lam=Partition(parts=(1,)), m=-1, det=1, "
         "entries=PolyMatrix(entries=((1,),)))",
     ),

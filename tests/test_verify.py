@@ -527,30 +527,53 @@ def test_kz_accepts_twisted_denominator_with_constant(fm21):
     assert rep.passed, rep.witness
 
 
+def _discriminant_form(n, den):
+    """`(p, C)` when den is C * Delta^p in n variables, as the fraction
+    families' constructors read it (a polynomial is factored first), else
+    None."""
+    try:
+        return solve._delta_power_or_refuse(den, n, "den").discriminant_form()
+    except ValueError:
+        return None
+
+
+def _expanded_discriminant_power_of(n, den):
+    """The expanded test that content form replaced, kept as a reference:
+    `(p, C)` when den == C * Delta^p, C = a / b with a and b the
+    coefficients of den and of Delta^p at Delta^p's leading monomial."""
+    pairs = n * (n - 1) // 2
+    if den.is_zero() or den.nvars != n or pairs and den.degree() % pairs:
+        return None
+    p = den.degree() // pairs if pairs else 0
+    disc = discriminant_power(n, p)
+    lead = max(disc.terms)
+    c = exactalg.demote(Fraction(den.terms.get(lead, 0)) / disc.terms[lead])
+    return (p, c) if c and den == disc * c else None
+
+
 @pytest.mark.parametrize("c", [1, -3, Fraction(5, 2)], ids=str)
 @pytest.mark.parametrize("p", [0, 1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_discriminant_power_of_reads_power_and_constant(n, p, c):
-    found = verify._discriminant_power_of(n, discriminant_power(n, p) * c)
+    found = _discriminant_form(n, discriminant_power(n, p) * c)
     assert found == (p if n > 1 else 0, c)  # Delta = 1 on one point
     assert type(found[1]) is (int if c.denominator == 1 else Fraction)
 
 
 @pytest.mark.parametrize("n, p", [(2, 2), (3, 2), (3, 4), (4, 2)])
 def test_discriminant_power_of_takes_the_cached_power_as_it_is(n, p, monkeypatch):
-    den = discriminant_power(n, p)
-    equal = SparsePolynomial(n, dict(den.terms))
+    """C * Delta^p is read off the fields: the cached Delta^p and an equal
+    value built apart give (p, 1) with no product and no expansion."""
+    den = exactalg._discriminant(n, p)
+    equal = exactalg.ContentPolynomial(dict(den.content), SparsePolynomial.constant(n, 1))
     assert equal == den and equal is not den
-    with monkeypatch.context() as patch:
-        def refuse(*args):
-            raise AssertionError("product of the denominator test")
 
-        patch.setattr(SparsePolynomial, "__mul__", refuse)
-        assert verify._discriminant_power_of(n, den) == (p, 1)
-        with pytest.raises(AssertionError, match="product"):
-            verify._discriminant_power_of(n, equal)
-    # an equal but distinct denominator goes through the comparison
-    assert verify._discriminant_power_of(n, equal) == (p, 1)
+    def refuse(*args):
+        raise AssertionError("product or expansion in the denominator test")
+
+    monkeypatch.setattr(SparsePolynomial, "__mul__", refuse)
+    monkeypatch.setattr(exactalg.ContentPolynomial, "expand", refuse)
+    assert den.discriminant_form() == (p, 1) == equal.discriminant_form()
 
 
 def _not_c_delta_p(kind, n, p):
@@ -587,7 +610,35 @@ NOT_C_DELTA_P = [
 
 @pytest.mark.parametrize("kind,n,p", NOT_C_DELTA_P, ids=str)
 def test_discriminant_power_of_refuses_other_forms(kind, n, p):
-    assert verify._discriminant_power_of(n, _not_c_delta_p(kind, n, p)) is None
+    assert _discriminant_form(n, _not_c_delta_p(kind, n, p)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    st.sampled_from(["exact", "variable in the core", "one pair off by one"]),
+    st.data(),
+)
+def test_content_form_test_agrees_with_the_expanded_comparison(n, p, c, near, data):
+    """C * Delta^p read off the content agrees with the expanded
+    comparison it replaced, on C * Delta^p and on near misses: a core
+    with a variable, or one pair's exponent one away from p."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    content = dict.fromkeys(pairs, p) if p else {}
+    core = SparsePolynomial.constant(n, c)
+    if near == "variable in the core":
+        core = core * SparsePolynomial.variable(n, data.draw(st.integers(1, n)))
+    elif near == "one pair off by one" and pairs:
+        pair = data.draw(st.sampled_from(pairs))
+        content[pair] = content.get(pair, 0) + data.draw(st.sampled_from([-1, 1]))
+        content = {pd: e for pd, e in content.items() if e > 0}
+    value = exactalg.ContentPolynomial.factor(core, content)
+    found = value.discriminant_form()
+    assert found == _expanded_discriminant_power_of(n, value.expand())
+    if near == "exact" and c:
+        assert found == (p if n > 1 else 0, c)
 
 
 def _den_squared_reference(n, m, den, nums, act) -> bool:
@@ -626,7 +677,7 @@ def _kz_den_squared_reference(table: SolutionTable) -> bool:
     return _den_squared_reference(
         table.lam.size,
         table.m,
-        table.den,
+        table.den.expand(),
         nums,
         lambda i, j, u: nums[act_transposition(u, i, j)] * sign,
     )
@@ -683,7 +734,7 @@ def _kz_cases():
         fm = fundamental_solution(lam, m)
         table = fm.tables[-1]
         twisted = alternating_twist(table)
-        den = twisted.den
+        den = twisted.den.expand()
         # the numerators expanded: `_kz_witness` with no content is the
         # system on the numerators themselves
         expanded = {u: c.expand() for u, c in table.components.items()}
@@ -709,9 +760,9 @@ def _kz_cases():
                     )
                 return act
 
-            nums = {(b, j): dm.entries.entry(b, j) for b in range(d) for j in range(d)}
+            nums = {(b, j): dm.entries.entry(b, j).expand() for b in range(d) for j in range(d)}
             p = 2 * m * diagram_stats(lam, m).d_plus
-            cases.append((n, dm.m, p, dm.det, nums, act_on))
+            cases.append((n, dm.m, p, dm.det.expand(), nums, act_on))
     return cases
 
 
@@ -884,6 +935,48 @@ def test_dual_names_the_first_equation_a_tampered_dual_row_breaks(fm21, monkeypa
     assert rep.m == -1
 
 
+@pytest.mark.parametrize("parts, m", [((2, 1), 2), ((2, 2), 1), ((3, 1), 1)])
+def test_dual_fails_row_by_row_where_the_expanded_system_first_does(parts, m, monkeypatch):
+    """`check_dual` divides each dual row's own content out and checks the
+    rows one by one; with a core coefficient changed in a late row and
+    another in an early one, it names the equation at which the system on
+    the expanded numerators first fails."""
+    lam = Partition(parts)
+    dm = dual_matrix(fundamental_solution(lam, m))
+    d, n = dm.dimension, lam.size
+    rows = [list(row) for row in dm.entries.entries]
+    for b, j in ((d - 1, 0), (0, d - 1)):
+        value = rows[b][j]
+        exps, _ = value.core.leading_term()
+        core = value.core + SparsePolynomial.from_terms(n, [(exps, 1)])
+        rows[b][j] = exactalg.ContentPolynomial.factor(core, value.content)
+        tampered = solve.DualMatrix(lam, dm.m, dm.det, PolyMatrix(rows))
+        monkeypatch.setattr(verify, "dual_matrix", lambda fm: tampered)
+        rep = check_dual(fundamental_solution(lam, m))
+        nums = {(r, c): rows[r][c].expand() for r in range(d) for c in range(d)}
+
+        def act(i, l, key):
+            mat = _specht_transposition_matrix(lam, min(i, l), max(i, l))
+            return [(mat[k][key[1]], nums[(key[0], k)]) for k in range(d) if mat[k][key[1]]]
+
+        p = dm.det.discriminant_form()[0]
+        i, (row, col), _ = _kz_witness(n, dm.m, p, nums, act)
+        assert (rep.witness["i"], rep.witness["dual_row"], rep.witness["coordinate"]) == (
+            i, row, col)
+
+
+def test_dual_names_the_earliest_of_the_rows_first_failures(fm21, monkeypatch):
+    """Rows are checked one by one; the witness is the earliest (i, row,
+    coordinate) among their first failures, the full order's first."""
+    def fail(n, m, p, nums, act, content=None):
+        row = {b for b, _ in nums}.pop()  # one row of numerators a call
+        return (3, (0, 1), {"difference": "row 0"}) if row == 0 else (2, (1, 0), {"difference": "row 1"})
+
+    monkeypatch.setattr(verify, "_kz_witness", fail)
+    rep = check_dual(fm21)
+    assert rep.witness == {"i": 2, "dual_row": 1, "coordinate": 0, "difference": "row 1"}
+
+
 def test_check_dual_reuses_the_dual_kept_on_its_matrix(fm21, monkeypatch):
     spy = mock.Mock(wraps=solve.det_adjugate)
     monkeypatch.setattr(solve, "det_adjugate", spy)
@@ -963,7 +1056,7 @@ def test_reflection_names_a_path_member_over_another_denominator(den):
     psis, phis = reflection_solutions(n, m), reflection_dual_solutions(n, m)
     second = phis[1]
     other = {"twice": second.den * 2, "none": None,
-             "another power": discriminant_power(n, m)}[den]
+             "another power": exactalg._discriminant(n, m)}[den]
     moved = ReflectionSolution(n, second.m, second.index, second.components, other)
     rep = verify._reflection_report(n, m, psis, (phis[0], moved))
     assert rep.witness == {
@@ -984,9 +1077,10 @@ def test_reflection_names_a_residue_member_with_a_denominator():
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_reflection_catches_a_tamper_of_the_last_residue_solution_by_its_sum(n, monkeypatch):
-    # the translation test skips psi_n: a term that is not translation
-    # invariant, added to psi_n alone, breaks the zero sum first
+def test_reflection_catches_a_tamper_of_the_last_residue_solution_by_translation(n, monkeypatch):
+    # the translation test runs on all n residue solutions, so a term that
+    # is not translation invariant, added to psi_n alone, is caught there,
+    # before the zero sum on the slice
     m = 1
     psis = reflection_solutions(n, m)
     last = psis[-1]
@@ -996,11 +1090,84 @@ def test_reflection_catches_a_tamper_of_the_last_residue_solution_by_its_sum(n, 
     tested = mock.Mock(wraps=verify._translation_defect)
     monkeypatch.setattr(verify, "_translation_defect", tested)
     rep = check_reflection(n, m)
-    assert rep.witness == {"reason": "residue family does not sum to zero", "component": 1}
+    assert rep.witness == {
+        "reason": "not translation invariant: sum_i d/dz_i f != 0",
+        "family": "residue", "index": last.index, "component": 1,
+    }
     monkeypatch.setattr(verify, "reflection_solutions", reflection_solutions)
+    tested.reset_mock()
     assert check_reflection(n, m).passed
-    # n - 1 residue solutions and n - 1 path solutions, n components each
-    assert tested.call_count == 2 * (n - 1) * n
+    # n residue solutions and n - 1 path solutions, n components each
+    assert tested.call_count == (2 * n - 1) * n
+
+
+def _with_core(value, core):
+    """A content value with `value`'s content and another core."""
+    return exactalg.ContentPolynomial.factor(core, value.content)
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (3, 2), (4, 1), (4, 2)])
+def test_reflection_fails_on_a_changed_core_coefficient_of_the_last_residue_member(
+    n, m, monkeypatch
+):
+    """One coefficient of a core of psi_n, the member the translation
+    step used to skip, moves by one: the check fails and names it."""
+    psis = reflection_solutions(n, m)
+    last = psis[-1]
+    k, value = next((k, c) for k, c in enumerate(last.components) if not c.core.is_constant())
+    exps, coeff = value.core.leading_term()
+    core = value.core + SparsePolynomial.from_terms(n, [(exps, 1)])
+    comps = (*last.components[:k], _with_core(value, core), *last.components[k + 1:])
+    tampered = (*psis[:-1], ReflectionSolution(n, m, last.index, comps))
+    monkeypatch.setattr(verify, "reflection_solutions", lambda n_, m_: tampered)
+    rep = check_reflection(n, m)
+    assert not rep.passed
+    assert rep.witness == {
+        "reason": "not translation invariant: sum_i d/dz_i f != 0",
+        "family": "residue", "index": last.index, "component": k + 1,
+    }
+
+
+def test_reflection_fails_on_a_core_term_that_is_not_invariant_before_the_slice(monkeypatch):
+    n, m = 4, 2
+    psis = reflection_solutions(n, m)
+    first = psis[0]
+    value = first.components[1]
+    comps = (first.components[0], _with_core(value, value.core + SparsePolynomial.variable(n, 2)),
+             *first.components[2:])
+    tampered = (ReflectionSolution(n, m, first.index, comps), *psis[1:])
+    monkeypatch.setattr(verify, "reflection_solutions", lambda n_, m_: tampered)
+
+    def no_slice(self):
+        raise AssertionError("the slice was reached")
+
+    monkeypatch.setattr(exactalg.ContentPolynomial, "restrict_last_to_zero", no_slice)
+    rep = check_reflection(n, m)
+    assert rep.witness == {
+        "reason": "not translation invariant: sum_i d/dz_i f != 0",
+        "family": "residue", "index": first.index, "component": 2,
+    }
+
+
+def test_the_checks_expand_nothing(monkeypatch):
+    """With the solutions built, the reflection, twist and dual checks
+    pass with every expansion of a content value refused."""
+    fm = fundamental_solution(Partition((2, 2)), 1)
+    table = fresh(fm.tables[0])
+    assert check_kz(table).passed
+    twisted = alternating_twist(table)
+    dual_matrix(fm)
+    reflection_solutions(4, 2)  # the orbit integrals, cached
+
+    def refuse(*args):
+        raise AssertionError("an expansion")
+
+    monkeypatch.setattr(exactalg, "discriminant_power", refuse)
+    monkeypatch.setattr(exactalg.ContentPolynomial, "expand", refuse)
+    assert check_reflection(4, 2).passed
+    assert check_kz(twisted).passed
+    assert check_kz(fresh(twisted)).passed  # no record: the proof on the cores
+    assert check_dual(fm).passed
 
 
 @pytest.mark.parametrize("n, m", [(3, 1), (3, 2), (4, 1)])
@@ -1143,7 +1310,7 @@ def test_det_agrees_with_the_symbolic_determinant(parts, m):
     rep = check_det(fm)
     assert rep.passed, rep.witness
     det = exactalg.determinant(fm.matrix)
-    power, constant = verify._discriminant_power_of(fm.lam.size, det)
+    power, constant = _discriminant_form(fm.lam.size, det)
     assert (rep.info["power"], rep.info["constant"]) == (power, str(constant))
 
 
@@ -1550,9 +1717,9 @@ def test_a_rebuilt_table_shares_no_record(fm21):
 def test_a_twist_with_another_power_reads_no_record(fm21, monkeypatch):
     table = fresh(fm21.tables[0])
     assert check_kz(table).passed
-    honest = verify._discriminant_power_of
+    honest = exactalg.ContentPolynomial.discriminant_form
     monkeypatch.setattr(
-        verify, "_discriminant_power_of", lambda n, den: (honest(n, den)[0] + 1, 1)
+        exactalg.ContentPolynomial, "discriminant_form", lambda den: (honest(den)[0] + 1, 1)
     )
     divisions = _divisions(monkeypatch)
     rep = check_kz(alternating_twist(table))
