@@ -274,7 +274,7 @@ def cmd_twist(args) -> int:
 
 
 def cmd_reflection(args) -> int:
-    check_reflection_resources(args.n)
+    check_reflection_resources(args.n, args.m)
     from .solve import reflection_dual_solutions, reflection_solutions
 
     phis = reflection_dual_solutions(args.n, args.m)

@@ -45,13 +45,13 @@ from itertools import combinations
 from operator import or_
 
 from ._frozen import Frozen
-from .shapes import MAX_VARS
+from .shapes import EXPONENT_CAP, MAX_VARS
 
 Coefficient = Fraction  # ints are accepted anywhere a Coefficient is
 
-_BITS = 24  # bits per exponent field of a monomial key
+# bits per exponent field of a monomial key: 24, the cap's guard bit on top
+_BITS = EXPONENT_CAP.bit_length()
 _FIELD = (1 << _BITS) - 1
-EXPONENT_CAP = 1 << (_BITS - 1)  # every exponent stays below this
 _SHIFTS = tuple(range(0, _BITS * MAX_VARS, _BITS))
 _GUARDS = sum(EXPONENT_CAP << s for s in _SHIFTS)
 # the key of z_i

@@ -22,6 +22,9 @@ from ._frozen import Frozen
 # the hard limit on variables (fixed points and contour variables) of
 # any polynomial; `exactalg` lays out its monomial keys for this many
 MAX_VARS = 8
+# every exponent of a polynomial stays below this; `exactalg` gives each
+# variable a key field one bit wider
+EXPONENT_CAP = 1 << 23
 DEFAULT_BUDGET = 10_000
 
 
@@ -441,9 +444,15 @@ def check_resources(lam: Partition, m: int, budget: int = DEFAULT_BUDGET) -> Non
         )
 
 
-def check_reflection_resources(n: int) -> None:
-    """Refuse a reflection family on n fixed points whose path family
-    needs more than `MAX_VARS` variables (the n points and one
-    integration variable)."""
+def check_reflection_resources(n: int, m: int) -> None:
+    """Refuse reflection families on n fixed points at parameter m whose
+    path family needs more than `MAX_VARS` variables (the n points and
+    one integration variable), or whose path antiderivative, of degree
+    n m in the integration variable, has an exponent at `EXPONENT_CAP`."""
     if n + 1 > MAX_VARS:
         raise ResourceGuardError(f"n={n} needs {n+1} variables, over {MAX_VARS}")
+    if n * m >= EXPONENT_CAP:
+        raise ResourceGuardError(
+            f"n={n} at m={m}: the path family's degree n*m reaches the exponent "
+            f"cap {EXPONENT_CAP}"
+        )

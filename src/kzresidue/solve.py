@@ -562,6 +562,7 @@ def reflection_solutions(n: int, m: int) -> tuple[ReflectionSolution, ...]:
     content form."""
     if n < 2:
         raise ValueError("the reflection representation needs n >= 2")
+    check_reflection_resources(n, m)
     out = []
     for a in range(1, n + 1):
         comps = tuple(
@@ -582,7 +583,7 @@ def reflection_dual_solutions(n: int, m: int) -> tuple[ReflectionSolution, ...]:
     L = lcm(1..nm) and each integer numerator is divided by L at the end."""
     if n < 2:
         raise ValueError("the reflection representation needs n >= 2")
-    check_reflection_resources(n)
+    check_reflection_resources(n, m)
     nv = n + 1  # variable n+1 plays the integration variable
     den = _discriminant(n, 2 * m)
     scale = math.lcm(*range(1, n * m + 1))

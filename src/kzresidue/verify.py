@@ -100,9 +100,7 @@ def _clip(obj) -> str:
 # the differential system
 
 
-def _kz_witness(
-    n: int, m: int, p: int, nums: dict, act, partner=None, equations=None, content=None
-):
+def _kz_witness(n: int, m: int, p: int, nums: dict, act, content=None):
     """First failure of the KZ system for components `content * nums[key]
     / den` sharing a denominator den = C * Delta^p, C a non-zero constant
     (p = 0 and C = 1 for polynomial components), and a z-difference
@@ -127,85 +125,35 @@ def _kz_witness(
     side is a polynomial only if every r_j is zero: a remainder fails
     closed, and otherwise the identity is num' == sum_j q_j.  X_j goes to
     the division as the combination it is, with each coefficient of act
-    scaled by m, and num' - sum_j q_j is kept in one map.  X_j is the
-    same for (i, j) and (j, i), so each quotient is computed once per
-    unordered pair and enters the larger index with its sign flipped.
-
-    `partner(key, i, j)`, for a table whose action moves components,
-    act(i, j, U) == ((eps, nums[s_ij U]),) with eps = +-1, is U's key
-    s_ij U.  Pass it only when m eps == m + p: then on each pair with
-    c_ij = 0
-
-        X_ij(U) = m eps q_{s_ij U} + (m + p) q_U
-                = (m + p) (q_U + q_{s_ij U}) = X_ij(s_ij U),
-
-    so the quotient for U serves s_ij U as well, and the return value is
-    the same as without it; a pair with content divides for each U.
-    `equations`, when given, lists the (i, key) to check in the default's
-    order (i ascending, then key); they share quotients as all do.
-    Returns `(i, key, fields)` for the first (i, key) that fails, else
-    None."""
+    scaled by m, and num' - sum_j q_j is kept in one map.  Every (i, key)
+    is checked, i ascending, then key in `nums` order.  X_j is the same
+    for (i, j) and (j, i), so each quotient is computed once per
+    unordered pair and key, at the smaller index, and enters the larger
+    with its sign flipped.  Returns `(i, key, fields)` for the first
+    (i, key) that fails, else None."""
     quotients: dict = {}  # (i, j, key) -> X_ij(key) / (z_i - z_j) for i < j
     content = content or {}
-    if equations is None:
-        equations = ((i, key) for i in range(1, n + 1) for key in nums)
-    for i, key in equations:
-        num = nums[key]
-        rest = dict(num.partial_derivative(i).terms)  # num' - sum_j q_j
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            a, b = (j, i) if j < i else (i, j)
-            # a quotient (a, b, key) is read at (a, key) and then at (b, key)
-            q = quotients.pop((a, b, key), None) if j < i else quotients.get((a, b, key))
-            if q is None:
-                own = m + p - content.get((a, b), 0)
-                x = (*((m * c, f) for c, f in act(a, b, key)), (own, num))
-                try:
-                    q = _divide_by_z_diff(x, a, b)
-                except NonDivisibleError as exc:
-                    return i, key, {
-                        "j": j,
-                        "reason": "numerator not divisible by the pole",
-                        "remainder": _clip(exc.remainder),
-                    }
-                if j > i:
-                    quotients[(a, b, key)] = q
-                if partner is not None and (a, b) not in content:
-                    quotients[(a, b, partner(key, a, b))] = q
-            _add_into(rest, q.terms.items(), j > i)
-        if rest:
-            return i, key, {"difference": _clip(SparsePolynomial(n, rest))}
+    for i in range(1, n + 1):
+        for key, num in nums.items():
+            rest = dict(num.partial_derivative(i).terms)  # num' - sum_j q_j
+            for j in range(1, n + 1):
+                if j < i:  # divided at the equation (j, key)
+                    _add_into(rest, quotients.pop((j, i, key)).terms.items())
+                elif j > i:
+                    own = m + p - content.get((i, j), 0)
+                    x = (*((m * c, f) for c, f in act(i, j, key)), (own, num))
+                    try:
+                        q = quotients[(i, j, key)] = _divide_by_z_diff(x, i, j)
+                    except NonDivisibleError as exc:
+                        return i, key, {
+                            "j": j,
+                            "reason": "numerator not divisible by the pole",
+                            "remainder": _clip(exc.remainder),
+                        }
+                    _add_into(rest, q.terms.items(), True)
+            if rest:
+                return i, key, {"difference": _clip(SparsePolynomial(n, rest))}
     return None
-
-
-ROW_GROUP = (
-    "table[sigma U] = table[U] with z_i -> z_sigma(i) for sigma in the cycle's row group, "
-    "proved on its generators: the equation at (i, U) holds iff that at (sigma(i), sigma U) does"
-)
-
-
-def _row_swaps(cycle: Tabloid) -> tuple[tuple[int, int], ...]:
-    """Generators of the cycle's row group: the swaps (a b) of labels
-    adjacent in a sorted row."""
-    return tuple(pair for row in cycle.rows for pair in zip(row, row[1:]))
-
-
-def _representatives(n: int, cycle: Tabloid, keys: list) -> list[tuple[int, Tabloid]]:
-    """The first (i, U), in `_kz_witness`'s order (i ascending, then U as
-    in `keys`), of each orbit of the row group R_C of the cycle C acting
-    by (i, U) -> (sigma(i), sigma U).  The orbit is fixed by the key (row
-    of i in C, row of i in U, the counts |C_r & U_s|): each sigma in R_C
-    keeps every C_r, so it keeps the key; and for pairs with one key,
-    bijections C_r & U_s -> C_r & U'_s that send i to i' make up a sigma
-    in R_C with sigma U = U' and sigma(i) = i'."""
-    row_in = {x: r for r, row in enumerate(cycle.rows) for x in row}
-    counts = {u: tuple(tuple(sorted(row_in[x] for x in row)) for row in u.rows) for u in keys}
-    firsts: dict = {}
-    for i, u in itertools.product(range(1, n + 1), keys):
-        s = next(s for s, row in enumerate(u.rows) if i in row)
-        firsts.setdefault((row_in[i], s, counts[u]), (i, u))
-    return list(firsts.values())
 
 
 def check_kz(table: SolutionTable) -> CheckReport:
@@ -224,25 +172,11 @@ def check_kz(table: SolutionTable) -> CheckReport:
         q_U' = sum_{j != i} [m eps q_{s_ij U} + (m + p - c_ij) q_U] / (z_i - z_j),
 
     which holds exactly where the system on the numerators does, and
-    neither C nor the denominator enters a product.  When
-    m eps == m + p, with eps = -1 on twisted tables and 1 otherwise
-    (every polynomial table and every alternating twist),
-    X_ij(U) == X_ij(s_ij U) on each pair with c_ij = 0 and one quotient
-    serves both; `info` names that identity when it is used.
-
-    When table[sigma U] == table[U] with z_i -> z_sigma(i) for sigma in
-    the row group R_C of the cycle (`ROW_GROUP`), the equation at (i, U)
-    holds iff the one at (sigma(i), sigma U) does.  That premise is
-    proved exactly by `_relabeling_witness` for the swaps (a b) of labels
-    adjacent in a row, which generate R_C: nums[s U] == (-1)^p nums[U]
-    with z_a <-> z_b, the sign +1 on polynomial and twisted tables,
-    compared in content form.  Then
-    only the first equation of each R_C-orbit (`_representatives`) is
-    checked, so a failing table keeps the full check's witness.  A table
-    that fails the premise may still solve the system and is checked at
-    every (i, U).  `info` counts the equations checked and names the
-    identity, or the generator and form where the premise failed.  The
-    keys, their order and the numerators' ring are `SolutionTable`'s.
+    neither C nor the denominator enters a product; eps = -1 on twisted
+    tables and 1 otherwise.  Every (i, U) is checked, so the witness is
+    the first failing equation in `_kz_witness`'s order, and `info`
+    counts them (`equations`, N |M^lam|).  The keys, their order and the
+    numerators' ring are `SolutionTable`'s.
 
     The denominator step runs on every call.  The rest is kept on the
     table (`SolutionTable._cache`) under the key (m eps, m + p), the two
@@ -284,8 +218,9 @@ def _record_key(table: SolutionTable, p: int) -> tuple[int, int]:
 
 
 def _kz_proof(table: SolutionTable, p: int) -> tuple[dict | None, dict]:
-    """`check_kz` past its denominator step: (witness without the cycle,
-    info)."""
+    """`check_kz` past its denominator step: every (i, U) checked on the
+    cores over the content the components share.  Returns (witness
+    without the cycle, info)."""
     n = table.lam.size
     comps = table.components
     eps = -1 if table.twisted else 1
@@ -295,28 +230,8 @@ def _kz_proof(table: SolutionTable, p: int) -> tuple[dict | None, dict]:
     def act(i: int, j: int, u: Tabloid) -> tuple:
         return ((eps, cores[act_transposition(u, i, j)]),)
 
-    info = {"twisted": table.twisted}
-    partner = None
-    if table.m * eps == table.m + p:
-        partner = act_transposition
-        info["shared_quotients"] = (
-            "X_ij(U) = X_ij(s_ij U) as m eps = m + p: one quotient serves both"
-        )
-    keys = list(comps)
-    info["equations"] = total = n * len(keys)
-    equations = None
-    for a, b in _row_swaps(table.cycle):
-        swap = tuple(b if x == a else a if x == b else x for x in range(1, n + 1))
-        forms = [u for u in keys if not act_transposition(u, a, b) < u]  # {U, s U} once
-        if (u := _relabeling_witness(comps, comps, swap, forms, (-1) ** p)) is not None:
-            info.update(equations_checked=total,
-                        premise_failed={"generator": [a, b], "form": str(u)})
-            break
-    else:
-        equations = _representatives(n, table.cycle, keys)
-        info.update(equations_checked=len(equations),
-                    by_row_group=total - len(equations), row_group=ROW_GROUP)
-    failure = _kz_witness(n, table.m, p, cores, act, partner, equations, shared)
+    info = {"twisted": table.twisted, "equations": n * len(cores)}
+    failure = _kz_witness(n, table.m, p, cores, act, shared)
     if failure is None:
         return None, info
     i, u, fields = failure
@@ -433,14 +348,12 @@ def _row_relabeling(source: Tabloid, target: Tabloid) -> tuple[int, ...]:
     return tuple(image)
 
 
-def _relabeling_witness(source: dict, target: dict, image, forms=None, sign: int = 1):
-    """First U in `forms` (default: every key of `source`, in order) with
-    target[sigma U] != sign source[U] with z_i -> z_sigma(i), where
-    image[x-1] = sigma(x), else None.  The maps hold the components or
-    the numerators of tables: `RELABELING` checked on stored data."""
-    for u in source if forms is None else forms:
-        moved = source[u].permute_variables(image)
-        if target[relabel(u, image)] != (moved if sign > 0 else -moved):
+def _relabeling_witness(source: dict, target: dict, image):
+    """First key U of `source`, in order, with target[sigma U] !=
+    source[U] with z_i -> z_sigma(i), where image[x-1] = sigma(x), else
+    None: `RELABELING` checked on the components of two tables."""
+    for u, comp in source.items():
+        if target[relabel(u, image)] != comp.permute_variables(image):
             return u
     return None
 
@@ -896,10 +809,9 @@ def run_suite(
         return CheckReport(name, lam, m, None, {"cycles": fm.dimension, **info})
 
     kz = _kz_reports(fm)
-    counts = {k: kz[0].info.get(k) for k in ("equations", "equations_checked")}
     reports.append(aggregate(
         "kz_system", kz, checked_by_check_kz=1, by_relabeling=fm.dimension - 1,
-        identity=RELABELING, **counts,
+        identity=RELABELING, equations=kz[0].info.get("equations"),
     ))
     tables, premise = fm.tables, {}
     if len(tables) > 1 and all(rep.passed for rep in kz):

@@ -182,9 +182,7 @@ def test_criterion_02_three_point_parameter_two_span(battery):
         table = SolutionTable(lam, 2, U_TOP, components_from_coordinates(*coords))
         rep = check_kz(table)
         assert rep.passed, rep.witness
-        # neither is symmetric under U_TOP's row group, so every equation is checked
-        assert rep.info["premise_failed"] == {"generator": [1, 2], "form": str(U_TOP)}
-        assert rep.info["equations_checked"] == 9
+        assert rep.info["equations"] == 9
     # computed basis = constant-matrix times closed-form basis: multiply
     # by the adjugate, and each entry must be c * det_p for a constant c:
     # c is the entry's coefficient at det_p's leading monomial divided by

@@ -250,7 +250,7 @@ PINNED_STDOUT_SHA256 = {
     "twist --lambda 2,1 --m 2":
         "e0b59cf6d0dd76dcd5662c548254e70b504e649db147f36105eadbf8b927dca1",
     "twist --lambda 2,1 --m 2 --format json":
-        "f34eeeeeeeac62d2a405ba583c2f3420b41ee846265f8ad66dbcebbedba1c669",
+        "fd8dbb348765a97171ea5f85e0dd1c02e49bd0baee1b13d2a425babda22b2e92",
     "dual --lambda 2,1 --m 2":
         "a259fba98818f8a068e58ee0c8a3a8def9c712ff4f2dfdd84c54783505cc077d",
     "dual --lambda 2,1 --m 2 --format json":
@@ -379,6 +379,14 @@ def test_reflection_variable_limit_refused_before_solving(capsys, monkeypatch):
     code, out, err = run(capsys, "reflection", "--n", "8", "--m", "1")
     assert code == 2
     assert out == "" and err.startswith("refused:")
+
+
+def test_reflection_exponent_cap_refused_before_solving(capsys, monkeypatch):
+    for name in ("reflection_solutions", "reflection_dual_solutions"):
+        monkeypatch.setattr(solve, name, _must_not_solve)
+    code, out, err = run(capsys, "reflection", "--n", "2", "--m", "99999999999999999999999")
+    assert code == 2
+    assert out == "" and err.startswith("refused:") and "exponent cap" in err
 
 
 def test_zero_m_rejected_by_parser(capsys):
@@ -542,6 +550,7 @@ _LOAD_CASES = [
     (("verify", "--lambda", "1,1,1,1,1", "--m", "1"), False, False, False),
     (("verify", "--lambda", "1,1,1,1,1", "--m", "1", "--all"), False, False, False),
     (("reflection", "--n", "8", "--m", "1"), False, False, False),
+    (("reflection", "--n", "2", "--m", "99999999999999999999999"), False, False, False),
 ]
 
 

@@ -92,10 +92,11 @@ def test_any_other_name_is_missing(name):
 def test_the_resource_guard_is_defined_in_shapes_and_read_from_solve():
     """The CLI prices requests from `shapes` alone; `solve` still holds
     every name of the guard, and `exactalg` lays out its keys for the
-    same `MAX_VARS`."""
+    same `MAX_VARS` and `EXPONENT_CAP`."""
     from kzresidue import exactalg, shapes, solve
 
     for name in ("DEFAULT_BUDGET", "MAX_VARS", "ResourceGuardError", "check_resources",
                  "level_boxes", "level_group_size", "residue_budget"):
         assert getattr(solve, name) is vars(shapes)[name], name
     assert exactalg.MAX_VARS is shapes.MAX_VARS
+    assert exactalg.EXPONENT_CAP is shapes.EXPONENT_CAP

@@ -603,6 +603,26 @@ def test_variable_limit_guard_is_absolute():
         check_resources(Partition((8, 1)), 1, budget=10**18)
 
 
+def test_reflection_guard_refuses_an_exponent_at_the_cap(monkeypatch):
+    """The path antiderivative has degree n m in its integration variable,
+    so n m must stay below the exponent cap; both families refuse such a
+    request before any solving."""
+    from kzresidue.shapes import EXPONENT_CAP, check_reflection_resources
+
+    def must_not_solve(*args):
+        raise AssertionError("the solver ran")
+
+    check_reflection_resources(2, EXPONENT_CAP // 2 - 1)
+    for n, m in ((2, EXPONENT_CAP // 2), (2, 10**23), (7, EXPONENT_CAP)):
+        with pytest.raises(ResourceGuardError, match="exponent cap"):
+            check_reflection_resources(n, m)
+    for name in ("_orbit_component", "_discriminant"):
+        monkeypatch.setattr(solve, name, must_not_solve)
+    for family in (reflection_solutions, reflection_dual_solutions):
+        with pytest.raises(ResourceGuardError, match="exponent cap"):
+            family(2, 10**23)
+
+
 def test_budget_is_keyword_only():
     # a positional third argument must not silently become the budget
     with pytest.raises(TypeError):
