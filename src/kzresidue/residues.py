@@ -34,6 +34,7 @@ The orientation of each D_j is fixed once per term, not once per pick.
 """
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 
 from .exactalg import FactoredSum, _add_into, atom_str, is_t_atom, t_atom, z_atom
@@ -120,6 +121,7 @@ def residue_at(fs: FactoredSum, var: tuple, center: tuple) -> FactoredSum:
     return FactoredSum(out)
 
 
+@cache
 def residue_plan(cycle: Numbering) -> tuple[tuple[tuple, tuple], ...]:
     """The residue schedule realizing the torus cycle of a numbering.
 
@@ -127,7 +129,7 @@ def residue_plan(cycle: Numbering) -> tuple[tuple[tuple, tuple], ...]:
     row-major reading order within a level, each expanded about the
     fixed point carrying the label of its box.  Same-level steps commute
     (disjoint circles), so the reading order is a determinism choice,
-    not a mathematical one.
+    not a mathematical one.  Memoized per numbering.
     """
     lam = cycle.shape
     steps = []

@@ -7,6 +7,12 @@ which solution components are written.  Everything here is immutable
 and every function is pure, so the enumerations and the relabeling
 action are memoized; the memoized sequences are tuples.
 
+The public constructors validate everything a caller passes in, and
+take only `int`s that are not `bool`s.  `_Young._of` stores its field
+unchecked: it is for values derived from valid Young data only (a
+numbering's shape and tabloid, a transpose, a column expansion, a
+relabeling, a raising).
+
 The resource guard (`check_resources`) lives here too: the price of a
 request is arithmetic on its diagram, so a request can be priced and
 refused without loading the solver.
@@ -14,7 +20,7 @@ refused without loading the solver.
 from __future__ import annotations
 
 from functools import cache, total_ordering
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from math import factorial, prod
 
 from ._frozen import Frozen
@@ -30,12 +36,16 @@ DEFAULT_BUDGET = 10_000
 
 def perm_sign(indices: tuple[int, ...]) -> int:
     """Sign of the permutation sending position k to position indices[k]."""
-    sign = 1
-    for a in range(len(indices)):
-        for b in range(a + 1, len(indices)):
-            if indices[a] > indices[b]:
-                sign = -sign
-    return sign
+    return -1 if sum(a > b for a, b in combinations(indices, 2)) % 2 else 1
+
+
+def _whole(values, what: str) -> tuple[int, ...]:
+    """`values` as a tuple, each an `int` and not a `bool`, or ValueError."""
+    values = tuple(values)
+    if {int}.issuperset(map(type, values)) or all(  # plain ints: no Python loop
+            isinstance(v, int) and not isinstance(v, bool) for v in values):
+        return values
+    raise ValueError(f"{what} must be integers: {values!r}")
 
 
 @total_ordering
@@ -43,6 +53,13 @@ class _Young(Frozen):
     """Frozen, and ordered within one class by its field: the Young data."""
 
     __slots__ = ()
+
+    @classmethod
+    def _of(cls, value):
+        """An instance whose one field is `value`, stored unchecked."""
+        young = object.__new__(cls)
+        object.__setattr__(young, cls._fields[0], value)
+        return young
 
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
@@ -57,7 +74,7 @@ class Partition(_Young):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[int, ...]) -> None:
-        parts = tuple(int(p) for p in parts)
+        parts = _whole(parts, "row lengths")
         object.__setattr__(self, "parts", parts)
         if not parts:
             raise ValueError("a partition needs at least one row")
@@ -77,20 +94,12 @@ class Partition(_Young):
 
     def boxes(self) -> tuple[tuple[int, int], ...]:
         """(row, column) pairs, 1-based, in row-major reading order."""
-        return tuple(
-            (r, c)
-            for r in range(1, self.nrows + 1)
-            for c in range(1, self.parts[r - 1] + 1)
-        )
+        return tuple((r, c) for r, p in enumerate(self.parts, 1) for c in range(1, p + 1))
 
     def transpose(self) -> "Partition":
         """The diagram reflected along its main diagonal."""
-        return Partition(
-            tuple(
-                sum(1 for p in self.parts if p >= c)
-                for c in range(1, self.parts[0] + 1)
-            )
-        )
+        parts = self.parts
+        return Partition._of(tuple(sum(p >= c for p in parts) for c in range(1, parts[0] + 1)))
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
@@ -104,11 +113,8 @@ def enumerate_partitions(n: int) -> list[Partition]:
     def rec(remaining: int, cap: int) -> list[tuple[int, ...]]:
         if remaining == 0:
             return [()]
-        out = []
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in rec(remaining - first, first):
-                out.append((first,) + rest)
-        return out
+        return [(first,) + rest for first in range(min(cap, remaining), 0, -1)
+                for rest in rec(remaining - first, first)]
 
     return [Partition(p) for p in rec(n, n)]
 
@@ -142,7 +148,7 @@ class Numbering(_Young):
     __slots__ = ("rows",)
 
     def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(_whole(row, "labels") for row in rows)
         object.__setattr__(self, "rows", rows)
         if not rows or any(len(r) == 0 for r in rows):
             raise ValueError("empty rows are not allowed in a numbering")
@@ -154,11 +160,11 @@ class Numbering(_Young):
 
     @property
     def shape(self) -> Partition:
-        return Partition(tuple(len(r) for r in self.rows))
+        return Partition._of(tuple(map(len, self.rows)))
 
     @property
     def size(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return sum(map(len, self.rows))
 
     def label(self, r: int, c: int) -> int:
         """Label in box (r, c), 1-based."""
@@ -180,17 +186,12 @@ class Numbering(_Young):
         No solver path calls it: `standard_tableaux` builds only standard
         numberings.  It is kept as the tests' independent reference for
         that enumeration."""
-        for row in self.rows:
-            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
-                return False
-        for r in range(len(self.rows) - 1):
-            for c in range(len(self.rows[r + 1])):
-                if self.rows[r][c] >= self.rows[r + 1][c]:
-                    return False
-        return True
+        rows = self.rows
+        return all(a < b for row in rows for a, b in zip(row, row[1:])) and all(
+            a < b for upper, lower in zip(rows, rows[1:]) for a, b in zip(upper, lower))
 
     def tabloid(self) -> "Tabloid":
-        return Tabloid(self.rows)
+        return Tabloid._of(tuple(tuple(sorted(row)) for row in self.rows))
 
 
 @cache
@@ -225,12 +226,8 @@ def row_word(t: Numbering) -> tuple[int, ...]:
 
 def identity_tableau(lam: Partition) -> Numbering:
     """The numbering that fills boxes 1..N in reading order."""
-    rows = []
-    k = 1
-    for p in lam.parts:
-        rows.append(tuple(range(k, k + p)))
-        k += p
-    return Numbering(tuple(rows))
+    labels = iter(range(1, lam.size + 1))
+    return Numbering(tuple(tuple(islice(labels, p)) for p in lam.parts))
 
 
 class Tabloid(_Young):
@@ -243,7 +240,7 @@ class Tabloid(_Young):
     __slots__ = ("rows",)
 
     def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
-        rows = tuple(tuple(sorted(int(x) for x in row)) for row in rows)
+        rows = tuple(tuple(sorted(_whole(row, "labels"))) for row in rows)
         object.__setattr__(self, "rows", rows)
         labels = sorted(x for row in rows for x in row)
         if labels != list(range(1, len(labels) + 1)):
@@ -251,15 +248,18 @@ class Tabloid(_Young):
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(r) for r in self.rows)
+        return tuple(map(len, self.rows))
 
     @property
     def size(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return sum(map(len, self.rows))
 
     def representative(self) -> Numbering:
         """Canonical representative numbering (rows ascending); partition shapes only."""
-        return Numbering(self.rows)
+        lengths = self.shape
+        if lengths and lengths[-1] and lengths == tuple(sorted(lengths, reverse=True)):
+            return Numbering._of(self.rows)
+        return Numbering(self.rows)  # raises: the shape is not a partition
 
     def __str__(self) -> str:
         return "|".join("{" + ",".join(map(str, row)) + "}" for row in self.rows)
@@ -269,12 +269,12 @@ def tabloids(shape) -> tuple[Tabloid, ...]:
     """All tabloids with the given row sizes (any sequence of them), in
     lexicographic row-set order; memoized on the sizes as a tuple, so the
     result is a tuple that no caller can change."""
-    return _tabloids(tuple(shape))
+    return _tabloids(_whole(shape, "row sizes"))
 
 
 @cache
 def _tabloids(shape: tuple[int, ...]) -> tuple[Tabloid, ...]:
-    if any(int(s) != s or s < 0 for s in shape):
+    if any(s < 0 for s in shape):
         raise ValueError(f"row sizes must be non-negative integers: {shape}")
     n = sum(shape)
     out: list[Tabloid] = []
@@ -301,7 +301,7 @@ def column_expansion(t: Numbering) -> tuple[tuple[int, Tabloid], ...]:
     follows the per-column permutation product.  Memoized, so the result
     is a tuple that no caller can change.
     """
-    ncols = t.shape.parts[0]
+    ncols = len(t.rows[0])
     columns = [
         tuple(row[c] for row in t.rows if len(row) > c) for c in range(ncols)
     ]
@@ -313,8 +313,8 @@ def column_expansion(t: Numbering) -> tuple[tuple[int, Tabloid], ...]:
             sign *= perm_sign(perm)
             for pos, target in enumerate(perm):
                 mapping[col[pos]] = col[target]
-        rows = tuple(tuple(mapping.get(x, x) for x in row) for row in t.rows)
-        out.append((sign, Tabloid(rows)))
+        rows = tuple(tuple(sorted(mapping.get(x, x) for x in row)) for row in t.rows)
+        out.append((sign, Tabloid._of(rows)))
     return tuple(out)
 
 
@@ -322,9 +322,9 @@ def column_expansion(t: Numbering) -> tuple[tuple[int, Tabloid], ...]:
 def relabel(u: Tabloid, image: tuple[int, ...]) -> Tabloid:
     """The tabloid sigma U: each label x replaced by image[x-1] = sigma(x);
     image must be a permutation of 1..N, as a tuple.  Memoized."""
-    if sorted(image) != list(range(1, u.size + 1)):
+    if sorted(_whole(image, "images")) != list(range(1, u.size + 1)):
         raise ValueError(f"not a permutation of 1..{u.size}: {image}")
-    return Tabloid(tuple(tuple(image[x - 1] for x in row) for row in u.rows))
+    return Tabloid._of(tuple(tuple(sorted(image[x - 1] for x in row)) for row in u.rows))
 
 
 @cache
@@ -347,8 +347,8 @@ def raise_row(u: Tabloid, s: int) -> list[Tabloid]:
     for k in u.rows[s]:
         rows = list(u.rows)
         rows[s] = tuple(x for x in rows[s] if x != k)
-        rows[s - 1] = rows[s - 1] + (k,)
-        out.append(Tabloid(tuple(rows)))
+        rows[s - 1] = tuple(sorted(rows[s - 1] + (k,)))
+        out.append(Tabloid._of(tuple(rows)))
     return out
 
 

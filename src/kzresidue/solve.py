@@ -180,9 +180,10 @@ def cycle_integral(m: int, cycle: Numbering, form: Numbering) -> ContentPolynomi
     explicit pair of numberings, in content form (`normalize_factored`).
     Row-equivalent replacements of either numbering leave the value
     unchanged (verified in tests, relied on by the tabloid-level API)."""
-    integrand = interaction_form(cycle.shape, m) * symmetrized_tableau_form(form)
+    lam = cycle.shape
+    integrand = interaction_form(lam, m) * symmetrized_tableau_form(form)
     collapsed = iterated_residue(integrand, residue_plan(cycle))
-    return normalize_factored(collapsed, cycle.shape.size)
+    return normalize_factored(collapsed, lam.size)
 
 
 def solve_component(
@@ -191,9 +192,18 @@ def solve_component(
     """Component of the cycle's solution at the given form tabloid, by the
     direct residue path (`check_equivariance` compares every stored entry
     of a fundamental matrix with it)."""
-    if Partition(tuple(cycle.shape)) != lam or Partition(tuple(form.shape)) != lam:
+    _require_tabloids(cycle, form)
+    if cycle.shape != lam.parts or form.shape != lam.parts:
         raise ValueError("cycle and form tabloids must have the requested shape")
     return cycle_integral(m, cycle.representative(), form.representative())
+
+
+def _require_tabloids(*values) -> None:
+    """ValueError naming the type of the first value that is not a `Tabloid`
+    (a `Numbering` has a `Partition` for its shape, not a tuple)."""
+    for value in values:
+        if type(value) is not Tabloid:
+            raise ValueError(f"expected a Tabloid, got a {type(value).__name__}: {value!r}")
 
 
 def _orbit_key(cycle: Tabloid, form: Tabloid) -> tuple[tuple[int, ...], Numbering, Numbering]:
@@ -211,7 +221,7 @@ def _orbit_key(cycle: Tabloid, form: Tabloid) -> tuple[tuple[int, ...], Numberin
     )
     back = {x: p for p, x in enumerate(image, start=1)}
     c0, u0 = (
-        Numbering(tuple(tuple(sorted(back[x] for x in row)) for row in t.rows))
+        Numbering._of(tuple(tuple(sorted(back[x] for x in row)) for row in t.rows))
         for t in (cycle, form)
     )
     return image, c0, u0
@@ -257,6 +267,7 @@ class SolutionTable(Frozen):
         self, lam: Partition, m: int, cycle: Tabloid, components: dict,
         twisted: bool = False, den: ContentPolynomial | None = None,
     ) -> None:
+        _require_tabloids(cycle)
         if cycle.shape != lam.parts:
             raise ValueError(f"cycle {cycle} does not have shape {lam}")
         order = tabloids(lam.parts)
@@ -304,6 +315,7 @@ def _components_json(nums, den: ContentPolynomial | None) -> list:
 def solve_cycle(lam: Partition, m: int, cycle: Tabloid) -> SolutionTable:
     """Full component table of one cycle over every tabloid of the shape,
     solved on every call (`cycle_integral` caches the orbit integrals)."""
+    _require_tabloids(cycle)
     if cycle.shape != lam.parts:
         raise ValueError(f"cycle {cycle} does not have shape {lam}")
     components = {u: _orbit_component(m, cycle, u) for u in tabloids(lam.parts)}
@@ -328,17 +340,30 @@ def polytabloid_columns(lam: Partition) -> tuple[list[list[int]], tuple[Tabloid,
     return a, order
 
 
+@lru_cache(maxsize=None)
+def _peeling_schedule(lam: Partition) -> tuple[tuple[Numbering, Tabloid, tuple], ...]:
+    """(t, {t}, the other signed tabloids (sign, u) of e_t) for each
+    standard tableau t of the shape, in ascending `shapes.row_word` order:
+    the order in which `coordinates_in_specht_basis` peels."""
+    schedule = []
+    for t in sorted(standard_tableaux(lam), key=row_word):
+        head = t.tabloid()
+        schedule.append((t, head, tuple((s, u) for s, u in column_expansion(t) if u != head)))
+    return tuple(schedule)
+
+
 def coordinates_in_specht_basis(lam: Partition, component_of) -> list:
     """Coordinates of a tabloid-component vector against the standard
     polytabloids (in `standard_tableaux(lam)` order), by additions alone.
 
-    Peeled in ascending `shapes.row_word` order (rows of labels 1..N), in
-    which the polytabloids are unitriangular: e_t holds {t} with
-    coefficient 1 and every other standard {s} in it comes later, so e_t's
-    coordinate is the residual at {t}.  R_t and C_t meet trivially, so
-    e_t's coefficients are +-1.  The entries, `component_of(tabloid)`,
-    need only scalar multiples, + and truthiness.  Each residual is kept as
-    the list of its terms and summed when it is read (`_linear_combination`):
+    Peeled in ascending `shapes.row_word` order (rows of labels 1..N;
+    `_peeling_schedule`, built once per shape), in which the polytabloids
+    are unitriangular: e_t holds {t} with coefficient 1 and every other
+    standard {s} in it comes later, so e_t's coordinate is the residual
+    at {t}.  R_t and C_t meet trivially, so e_t's coefficients are +-1.
+    The entries, `component_of(tabloid)`, need only scalar multiples, +
+    and truthiness.  Each residual is kept as the list of its terms and
+    summed when it is read (`_linear_combination`):
     once, as a coordinate, at a standard tabloid, whose residual e_t then
     takes to c - c = 0, and once at the end elsewhere.  So a
     `ContentPolynomial` coordinate is factored once, not after every
@@ -346,19 +371,16 @@ def coordinates_in_specht_basis(lam: Partition, component_of) -> list:
     carries the first non-zero.
     """
     pending = {u: [(1, component_of(u))] for u in tabloids(lam.parts)}
-    stds = standard_tableaux(lam)
     coords = {}
-    for t in sorted(stds, key=row_word):
-        head = t.tabloid()
+    for t, head, rest in _peeling_schedule(lam):
         c = coords[t] = _linear_combination(pending.pop(head))
         if c:
-            for sign, u in column_expansion(t):
-                if u != head:
-                    pending[u].append((-sign, c))
+            for sign, u in rest:
+                pending[u].append((-sign, c))
     for terms in pending.values():
         if r := _linear_combination(terms):
             raise SpanError("component vector is not a combination of polytabloids", r)
-    return [coords[t] for t in stds]
+    return [coords[t] for t in standard_tableaux(lam)]
 
 
 class FundamentalMatrix(Frozen):
@@ -549,7 +571,7 @@ class ReflectionSolution(Frozen):
 
 def _hook_tabloid(n: int, k: int) -> Tabloid:
     """The tabloid of the two-row hook shape with k alone in row 2."""
-    return Tabloid((tuple(i for i in range(1, n + 1) if i != k), (k,)))
+    return Tabloid._of((tuple(i for i in range(1, n + 1) if i != k), (k,)))
 
 
 def reflection_solutions(n: int, m: int) -> tuple[ReflectionSolution, ...]:

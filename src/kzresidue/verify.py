@@ -36,12 +36,13 @@ from .shapes import (
     diagram_stats,
     raise_row,
     relabel,
-    row_word,
     standard_tableaux,
 )
 from .solve import (
     FundamentalMatrix,
     SolutionTable,
+    _peeling_schedule,
+    _require_tabloids,
     coordinates_in_specht_basis,
     dual_matrix,
     fundamental_solution,
@@ -632,21 +633,23 @@ def quotient_coordinates(lam: Partition, cycle: Tabloid) -> list[int]:
     unitriangular with +-1 entries, so back-substitution from the last s
     solves it without division.
     """
+    _require_tabloids(cycle)
     if cycle.shape != lam.parts:
         raise ValueError(f"cycle {cycle} does not have shape {lam}")
-    stds = standard_tableaux(lam)
-    standard = {t.tabloid(): t for t in stds}
+    schedule = _peeling_schedule(lam)
+    standard = {head: t for t, head, _ in schedule}
     coords: dict[Numbering, int] = {}
-    for s in sorted(stds, key=row_word, reverse=True):
-        # y_s = <{u}, e_s> - sum over later t of y_t <{t}, e_s>
-        y = 0
-        for sign, u in column_expansion(s):
+    for s, head, rest in reversed(schedule):
+        # y_s = <{u}, e_s> - sum over later t of y_t <{t}, e_s>; {s} is e_s's
+        # head, with sign +1, and s has no y yet
+        y = int(head == cycle)
+        for sign, u in rest:
             if u == cycle:
                 y += sign
             if (t := standard.get(u)) in coords:
                 y -= sign * coords[t]
         coords[s] = y
-    return [coords[t] for t in stds]
+    return [coords[t] for t in standard_tableaux(lam)]
 
 
 def check_straightening(lam: Partition, m: int, cycle: Tabloid) -> CheckReport:

@@ -34,6 +34,35 @@ def test_partition_validation():
         Partition(())
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Partition((2.7, 1)),
+        lambda: Partition(("2", "1")),
+        lambda: Numbering(((1.9, 2), (3,))),
+        lambda: Tabloid(((True, 2), (3,))),
+        lambda: tabloids((2.0, 1)),
+    ],
+    ids=["partition-float", "partition-str", "numbering-float", "tabloid-bool",
+         "tabloids-float"],
+)
+def test_young_constructors_take_integers_only(build):
+    # each used to coerce with int(): (2,1), (2,1), ((1,2),(3,)), label 1,
+    # and a TypeError traceback from range() after the size check
+    tabloids((2, 1))  # a cached (2,1) must not answer for (2.0, 1)
+    with pytest.raises(ValueError, match="must be integers"):
+        build()
+
+
+def test_relabel_takes_an_integer_permutation_only():
+    # relabel is memoized, and (2.0, 1, ...) is an equal key to (2, 1, ...):
+    # a tabloid no other test relabels keeps each call a miss
+    u = Tabloid(((1, 2, 3, 4, 5), (6, 7, 8, 9)))
+    for image in ((2.0, 1), (True, 2), ("2", "1")):
+        with pytest.raises(ValueError):
+            relabel(u, image + (3, 4, 5, 6, 7, 8, 9))
+
+
 def test_partition_accessors():
     lam = Partition((3, 2))
     assert lam.size == 5
@@ -96,6 +125,13 @@ def test_standard_tableaux_match_hook_count():
             assert all(t.is_standard() for t in stds)
             words = [t.reading_word() for t in stds]
             assert words == sorted(words)
+            # is_standard is the reference: of all N! fillings, exactly these
+            fillings = []
+            for perm in permutations(range(1, n + 1)):
+                it = iter(perm)
+                fillings.append(Numbering(tuple(tuple(next(it) for _ in range(p))
+                                                for p in lam.parts)))
+            assert {t for t in fillings if t.is_standard()} == set(stds)
 
 
 def test_numbering_basics():

@@ -23,6 +23,7 @@ from kzresidue import (
     Tabloid,
     alternating_twist,
     check_resources,
+    check_straightening,
     column_expansion,
     coordinates_in_specht_basis,
     cycle_integral,
@@ -36,6 +37,7 @@ from kzresidue import (
     level_group_size,
     perm_sign,
     polytabloid_columns,
+    quotient_coordinates,
     reflection_dual_solutions,
     reflection_solutions,
     residue_budget,
@@ -349,6 +351,24 @@ def test_solve_component_validates_shapes():
     ):
         with pytest.raises(ValueError):
             solve_cycle(Partition(parts), 1, cycle)
+
+
+def test_a_numbering_where_a_tabloid_is_expected_is_refused_by_type():
+    # solve_component raised TypeError: 'Partition' object is not iterable,
+    # and the others said the cycle "does not have shape (2,1)" when it does
+    lam = Partition((2, 1))
+    t = Numbering(((1, 2), (3,)))
+    u = t.tabloid()
+    for call in (
+        lambda: solve_component(lam, 1, t, u),
+        lambda: solve_component(lam, 1, u, t),
+        lambda: solve_cycle(lam, 1, t),
+        lambda: SolutionTable(lam, 1, t, {}),
+        lambda: quotient_coordinates(lam, t),
+        lambda: check_straightening(lam, 1, t),
+    ):
+        with pytest.raises(ValueError, match="expected a Tabloid, got a Numbering"):
+            call()
 
 
 # ---------------------------------------------------------------------------
