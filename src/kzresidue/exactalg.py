@@ -644,13 +644,11 @@ class ContentPolynomial(Frozen):
     common one, and then extracts whatever content the sum gained.
 
     `expand` multiplies the content back in (`_times_content`) once and
-    keeps the result; a relabeled value expands by relabeling its
-    source's expansion, so the relabelings of one integral share one
-    multiply-back.  `to_json`, `str` and a comparison with a
+    keeps the result.  `to_json`, `str` and a comparison with a
     `SparsePolynomial` expand; `hash` is that of the expansion, which a
     `SparsePolynomial` equal to the value shares."""
 
-    __slots__ = ("content", "core", "_origin", "_expanded")
+    __slots__ = ("content", "core", "_expanded")
 
     def __init__(self, content: dict, core: SparsePolynomial):
         if type(core) is not SparsePolynomial:
@@ -663,17 +661,15 @@ class ContentPolynomial(Frozen):
             raise ValueError("zero has no z-difference content")
         if core and (divides := [pd for pd in pairs if _quotient(core, *pd) is not None]):
             raise ValueError("z{} - z{} divides the core".format(*divides[0]))
-        self._set(dict(content), core, None, None)
+        self._set(dict(content), core, None)
 
     @classmethod
-    def _of(cls, content: dict, core: SparsePolynomial, origin=None) -> "ContentPolynomial":
-        """A value that is canonical by construction; `origin` is (source,
-        image) for `source.permute_variables(image)`."""
+    def _of(cls, content: dict, core: SparsePolynomial) -> "ContentPolynomial":
+        """A value that is canonical by construction."""
         value = object.__new__(cls)
-        setattr = object.__setattr__  # four stores take about half the time of `_set`'s loop
+        setattr = object.__setattr__  # direct stores skip `_set`'s loop
         setattr(value, "content", content)
         setattr(value, "core", core)
-        setattr(value, "_origin", origin)
         setattr(value, "_expanded", None)
         return value
 
@@ -699,13 +695,8 @@ class ContentPolynomial(Frozen):
     def expand(self) -> SparsePolynomial:
         """The value as a `SparsePolynomial`, built once."""
         if (out := self._expanded) is None:
-            if self._origin is not None:
-                source, image = self._origin
-                out = source.expand().permute_variables(image)
-            else:
-                out = _times_content(self.core, self.content)
+            out = _times_content(self.core, self.content)
             object.__setattr__(self, "_expanded", out)
-            object.__setattr__(self, "_origin", None)
         return out
 
     def expand_over(self, content: dict) -> SparsePolynomial:
@@ -783,7 +774,7 @@ class ContentPolynomial(Frozen):
                 a, b = b, a
                 sign = -sign if e & 1 else sign
             content[(a, b)] = e
-        return ContentPolynomial._of(content, core if sign > 0 else -core, (self, image))
+        return ContentPolynomial._of(content, core if sign > 0 else -core)
 
     # ------------------------------------------------------------------
     # arithmetic

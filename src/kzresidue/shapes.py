@@ -105,6 +105,11 @@ class Partition(_Young):
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
+def _require_partition(lam) -> None:
+    if type(lam) is not Partition:
+        raise ValueError(f"expected a Partition, got a {type(lam).__name__}: {lam!r}")
+
+
 def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n in reverse-lexicographic order: (n) first, (1,..,1) last."""
     if n < 1:
@@ -388,6 +393,7 @@ def _stats_core(parts: tuple[int, ...]) -> tuple[int, int, int]:
 def diagram_stats(lam: Partition, m: int = 1) -> DiagramStats:
     """Content sum f2, module dimension, transposition fixed-space dimension,
     transposed diagram, level profile, and the solver degree m*(f2 + N(N-1)/2)."""
+    _require_partition(lam)
     if m < 1:
         raise ValueError("m must be a positive integer")
     f2, dim, d_plus = _stats_core(lam.parts)
@@ -432,6 +438,7 @@ def residue_budget(lam: Partition, m: int) -> int:
 
 
 def check_resources(lam: Partition, m: int, budget: int = DEFAULT_BUDGET) -> None:
+    _require_partition(lam)
     if lam.size > MAX_VARS:
         raise ResourceGuardError(
             f"N={lam.size} exceeds the hard variable limit {MAX_VARS}"

@@ -71,6 +71,7 @@ from .shapes import (
     Partition,
     ResourceGuardError,
     Tabloid,
+    _require_partition,
     check_reflection_resources,
     check_resources,
     column_expansion,
@@ -192,6 +193,7 @@ def solve_component(
     """Component of the cycle's solution at the given form tabloid, by the
     direct residue path (`check_equivariance` compares every stored entry
     of a fundamental matrix with it)."""
+    _require_partition(lam)
     _require_tabloids(cycle, form)
     if cycle.shape != lam.parts or form.shape != lam.parts:
         raise ValueError("cycle and form tabloids must have the requested shape")
@@ -230,8 +232,7 @@ def _orbit_key(cycle: Tabloid, form: Tabloid) -> tuple[tuple[int, ...], Numberin
 def _orbit_component(m: int, cycle: Tabloid, form: Tabloid) -> ContentPolynomial:
     """The component at (cycle, form) from the one integral of its orbit:
     cycle_integral(sigma C0, sigma U0) is cycle_integral(C0, U0) with each
-    z_p replaced by z_sigma(p) (see the module docstring).  The relabeled
-    value expands by relabeling the integral's one expansion.
+    z_p replaced by z_sigma(p) (see the module docstring).
     `check_equivariance` compares every such value that a fundamental
     matrix stores with the direct path."""
     image, c0, u0 = _orbit_key(cycle, form)
@@ -315,6 +316,7 @@ def _components_json(nums, den: ContentPolynomial | None) -> list:
 def solve_cycle(lam: Partition, m: int, cycle: Tabloid) -> SolutionTable:
     """Full component table of one cycle over every tabloid of the shape,
     solved on every call (`cycle_integral` caches the orbit integrals)."""
+    _require_partition(lam)
     _require_tabloids(cycle)
     if cycle.shape != lam.parts:
         raise ValueError(f"cycle {cycle} does not have shape {lam}")
@@ -397,9 +399,9 @@ class FundamentalMatrix(Frozen):
     components of one table into another, and `verify.check_det` reads
     the expected power from `diagram_stats(lam, m)`; both rely on this."""
 
-    # `_cache` memoizes check results (`verify._kz_reports`,
-    # `verify._determinant_at`) and the dual (`dual_matrix`) for every
-    # caller of the live matrix; a new instance starts with an empty one
+    # `_cache` memoizes the KZ reports (`verify._kz_reports`) and the dual
+    # (`dual_matrix`) for every caller of the live matrix; a new instance
+    # starts with an empty one
     __slots__ = ("lam", "m", "cycles", "tables", "matrix", "_cache")
 
     def __init__(

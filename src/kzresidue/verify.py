@@ -31,6 +31,7 @@ from .shapes import (
     Numbering,
     Partition,
     Tabloid,
+    _require_partition,
     act_transposition,
     column_expansion,
     diagram_stats,
@@ -282,12 +283,6 @@ def check_shape(fm: FundamentalMatrix) -> CheckReport:
     where a caller built the matrix): degree, homogeneity, integrality
     (Gauss's lemma) and the leading term are read off its core and
     content, never from an expansion."""
-    return _shape_report(fm, fm.tables)
-
-
-def _shape_report(fm: FundamentalMatrix, tables, **info) -> CheckReport:
-    """`check_shape` with the component cells read from `tables` only;
-    `info` enters the report (`run_suite` names its premise there)."""
     stats = diagram_stats(fm.lam, fm.m)
     degree = stats.solution_degree
     witness = None
@@ -306,7 +301,7 @@ def _shape_report(fm: FundamentalMatrix, tables, **info) -> CheckReport:
 
     d = fm.dimension
     cells = itertools.chain(
-        ((c, {"cycle": str(t.cycle), "form": str(u)}) for t in tables
+        ((c, {"cycle": str(t.cycle), "form": str(u)}) for t in fm.tables
          for u, c in t.components.items()),
         ((fm.matrix.entry(i, j), {"row": i, "col": j, "where": "matrix"})
          for i in range(d) for j in range(d)),
@@ -329,7 +324,7 @@ def _shape_report(fm: FundamentalMatrix, tables, **info) -> CheckReport:
                 }
                 break
             leading[str(t.reading_word())] = str(coeff)
-    info = {"degree": degree, "leading_coefficients": leading, **info}
+    info = {"degree": degree, "leading_coefficients": leading}
     return CheckReport("polynomial_shape", fm.lam, fm.m, witness, info)
 
 
@@ -406,12 +401,10 @@ def _evaluation_point(n: int) -> tuple[int, ...]:
 
 
 def _determinant_at(fm: FundamentalMatrix):
-    """det M(z0), one integer determinant by the subset kernel; memoized."""
-    if "det_at" not in fm._cache:
-        point = _evaluation_point(fm.lam.size)
-        rows = [[e.evaluate(point) for e in row] for row in fm.matrix.entries]
-        fm._cache["det_at"] = _subset_minors(rows, 1).get((1 << len(rows)) - 1, 0)
-    return fm._cache["det_at"]
+    """det M(z0), one integer determinant by the subset kernel."""
+    point = _evaluation_point(fm.lam.size)
+    rows = [[e.evaluate(point) for e in row] for row in fm.matrix.entries]
+    return _subset_minors(rows, 1).get((1 << len(rows)) - 1, 0)
 
 
 def _coordinates_witness(fm: FundamentalMatrix) -> dict | None:
@@ -432,7 +425,7 @@ def _coordinates_witness(fm: FundamentalMatrix) -> dict | None:
 
 def check_rank(fm: FundamentalMatrix) -> CheckReport:
     """M is invertible: passes iff det M(z0) != 0 at z0 = (1, 2, 5, 10, ...),
-    the integer determinant `check_det` reuses.  Non-zero alone proves
+    the integer determinant `check_det` also computes.  Non-zero alone proves
     det M != 0; zero means C = 0 in det M = C Delta^p (`check_det`), since
     Delta(z0) != 0.  Each entry is evaluated as its core's value times
     the content's, so no entry is expanded.  Called by `run_suite`."""
@@ -633,6 +626,7 @@ def quotient_coordinates(lam: Partition, cycle: Tabloid) -> list[int]:
     unitriangular with +-1 entries, so back-substitution from the last s
     solves it without division.
     """
+    _require_partition(lam)
     _require_tabloids(cycle)
     if cycle.shape != lam.parts:
         raise ValueError(f"cycle {cycle} does not have shape {lam}")
@@ -794,14 +788,8 @@ def run_suite(
     lam: Partition, m: int, *, budget: int = DEFAULT_BUDGET
 ) -> list[CheckReport]:
     """Solve the full fundamental system for a shape and run every
-    applicable check on it.
-
-    When every `kz_system` report passes (`_kz_reports`), each table is
-    the first one relabeled, and raising, degree, homogeneity and
-    integrality commute with relabeling: `highest_weight` and the
-    component cells of `polynomial_shape` then read the first table only
-    and name `kz_system` as their premise.  Matrix entries and leading
-    terms are always checked in full."""
+    applicable check on it; `highest_weight` and `polynomial_shape` read
+    every table."""
     fm = fundamental_solution(lam, m, budget=budget)
     reports: list[CheckReport] = []
 
@@ -816,13 +804,8 @@ def run_suite(
         "kz_system", kz, checked_by_check_kz=1, by_relabeling=fm.dimension - 1,
         identity=RELABELING, equations=kz[0].info.get("equations"),
     ))
-    tables, premise = fm.tables, {}
-    if len(tables) > 1 and all(rep.passed for rep in kz):
-        tables = tables[:1]
-        premise = {"tables_checked": 1, "by_relabeling": fm.dimension - 1,
-                   "premises": ["kz_system"]}
-    reports.append(aggregate("highest_weight", map(check_primitive, tables), **premise))
-    reports.append(_shape_report(fm, tables, **premise))
+    reports.append(aggregate("highest_weight", map(check_primitive, fm.tables)))
+    reports.append(check_shape(fm))
     reports.append(check_rank(fm))
     reports.append(check_equivariance(fm))
     reports.append(check_frobenius(lam))

@@ -41,6 +41,7 @@ from kzresidue import (
     reflection_dual_solutions,
     reflection_solutions,
     residue_budget,
+    run_suite,
     solve_component,
     solve_cycle,
     standard_tableaux,
@@ -369,6 +370,26 @@ def test_a_numbering_where_a_tabloid_is_expected_is_refused_by_type():
     ):
         with pytest.raises(ValueError, match="expected a Tabloid, got a Numbering"):
             call()
+
+
+_CYCLE21 = Tabloid(((1, 2), (3,)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda lam: fundamental_solution(lam, 1),
+    lambda lam: run_suite(lam, 1),
+    lambda lam: check_resources(lam, 1),
+    lambda lam: residue_budget(lam, 1),
+    lambda lam: diagram_stats(lam, 1),
+    lambda lam: solve_cycle(lam, 1, _CYCLE21),
+    lambda lam: solve_component(lam, 1, _CYCLE21, _CYCLE21),
+    lambda lam: check_straightening(lam, 1, _CYCLE21),
+], ids=["fundamental_solution", "run_suite", "check_resources", "residue_budget",
+        "diagram_stats", "solve_cycle", "solve_component", "check_straightening"])
+def test_a_plain_tuple_where_a_partition_is_expected_is_refused_by_type(call):
+    # each of these raised AttributeError: 'tuple' object has no attribute ...
+    with pytest.raises(ValueError, match=r"expected a Partition, got a tuple: \(2, 1\)"):
+        call((2, 1))
 
 
 # ---------------------------------------------------------------------------

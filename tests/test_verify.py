@@ -1202,7 +1202,7 @@ def test_run_suite_runs_one_battery_at_every_size(parts, monkeypatch):
     monkeypatch.setattr(verify, "fundamental_solution", lambda lam_, m, budget: mock.Mock(
         dimension=1, tables=(None,)))
     monkeypatch.setattr(verify, "_kz_reports", lambda fm: (CheckReport("kz_system", lam, 1),))
-    for step, name in (("check_primitive", "highest_weight"), ("_shape_report", "polynomial_shape"),
+    for step, name in (("check_primitive", "highest_weight"), ("check_shape", "polynomial_shape"),
                        ("check_rank", "full_rank"), ("check_equivariance", "equivariance"),
                        ("check_det", "determinant_identity")):
         monkeypatch.setattr(verify, step, passing(name))
@@ -1427,13 +1427,11 @@ def test_run_suite_names_the_relabeling_identity():
         "cycles": 3, "checked_by_check_kz": 1, "by_relabeling": 2, "identity": RELABELING,
         "equations": 16,
     }
-    # highest weight and the component cells of the shape check read the
-    # first table only, resting on the kz_system reports
-    premise = {"tables_checked": 1, "by_relabeling": 2, "premises": ["kz_system"]}
+    # highest weight and the shape check read every table and name no premise
     assert reports[1].check == "highest_weight"
-    assert reports[1].info == {"cycles": 3, **premise}
+    assert reports[1].info == {"cycles": 3}
     assert reports[2].check == "polynomial_shape"
-    assert {k: reports[2].info[k] for k in premise} == premise
+    assert not {"tables_checked", "by_relabeling", "premises"} & reports[2].info.keys()
 
 
 def test_premise_rejects_a_perturbed_component_of_a_later_table(fm31):
@@ -1751,11 +1749,11 @@ def test_the_sign_of_an_odd_power_fails_closed(fm21):
         assert not rep.passed and (rep.witness["i"], rep.witness["form"]) == (i, form)
 
 
-def test_run_suite_reads_every_table_when_a_kz_report_fails(fm31, monkeypatch):
+def test_run_suite_reads_every_table(fm31, monkeypatch):
     calls = mock.Mock(wraps=verify.check_primitive)
     monkeypatch.setattr(verify, "check_primitive", calls)
     reports = _run_suite_on(fm31, monkeypatch)
-    assert all(rep.passed for rep in reports) and calls.call_count == 1
+    assert all(rep.passed for rep in reports) and calls.call_count == fm31.dimension == 3
     table, u = fm31.tables[2], tabloids((3, 1))[1]
     bad = _rebuilt(fm31, fm31.tables[:2] + (perturbed(table, u, SparsePolynomial.constant(4, 1)),))
     calls.reset_mock()
@@ -1763,8 +1761,6 @@ def test_run_suite_reads_every_table_when_a_kz_report_fails(fm31, monkeypatch):
     kz = reports["kz_system"]
     assert not kz.passed and kz.witness["cycle"] == str(table.cycle)
     assert calls.call_count == 3
-    for name in ("highest_weight", "polynomial_shape"):
-        assert "premises" not in reports[name].info
     # the constant is seen by the shape check, which read the third table
     shape = reports["polynomial_shape"]
     assert shape.witness == {"cycle": str(table.cycle), "form": str(u), "reason": "not homogeneous"}
