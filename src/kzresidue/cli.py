@@ -7,25 +7,25 @@ output early, e.g. `kzresidue solve ... | head -1`; nothing is written
 to standard error then.
 
 `--format json` output is streamed: `emit` writes the chunks of the
-indented encoder in batches of `JSON_BATCH`, so the bytes are those of
-`json.dumps(payload, indent=2)` plus a newline, and memory holds the
-payload and one batch, never the whole text.  A text request builds
-no JSON document.
+package's own writer (`_jsontext`) in batches of about `JSON_BATCH`
+characters, so the bytes are those of `json.dumps(payload, indent=2)`
+plus a newline, and memory holds the payload and one batch, never the
+whole text.  A text request builds no JSON document.
 
 Start-up is mostly compiling the package, so this module loads only
 `shapes`, which holds the parser's diagrams and the resource guard, and
 each command imports what it runs once the request has passed its
 refusals: the solver (`exactalg`, `residues`, `solve`) in every command
 but `stats`, the check battery (`kzresidue.verify`) in `verify`, `det`,
-`twist` and `reflection --pairing`, and `json` only for `--format json`.
-So `stats`, usage errors and refused requests never compile the solver.
+`twist` and `reflection --pairing`, and the JSON writer (which imports
+`json` only to escape a string) only for `--format json`.  So `stats`,
+usage errors and refused requests never compile the solver.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from itertools import islice
 
 from .shapes import (
     DEFAULT_BUDGET,
@@ -48,9 +48,9 @@ MAX_STATS_SIZE = 1000
 # most digits of a number `stats` prints, Python's default limit for
 # int-to-str; only the degree, m*(f2 + N(N-1)/2), can reach it
 MAX_STATS_DIGITS = 4300
-# encoder chunks per write: about 70 kB of text on a solved table, one
-# system call per batch even when standard output is unbuffered
-JSON_BATCH = 8192
+# characters of JSON text per write, reached by every batch but the last:
+# one system call per batch even when standard output is unbuffered
+JSON_BATCH = 65536
 
 
 def parse_shape(text: str) -> Partition:
@@ -94,13 +94,17 @@ def emit(args, payload, text_lines) -> None:
     """The one JSON writer: `payload` as `json.dumps(payload, indent=2)`
     and a newline, written in batches; otherwise each of `text_lines()`."""
     if args.format == "json":
-        import json
+        from ._jsontext import chunks
 
-        chunks = json.JSONEncoder(indent=2).iterencode(payload)
-        # the encoder yields no empty chunk, so only the end gives ""
-        while batch := "".join(islice(chunks, JSON_BATCH)):
-            sys.stdout.write(batch)
-        sys.stdout.write("\n")
+        batch, size = [], 0
+        for chunk in chunks(payload):
+            batch.append(chunk)
+            size += len(chunk)
+            if size >= JSON_BATCH:
+                sys.stdout.write("".join(batch))
+                batch, size = [], 0
+        batch.append("\n")
+        sys.stdout.write("".join(batch))
     else:
         for line in text_lines():
             print(line)

@@ -413,15 +413,15 @@ class SparsePolynomial(Frozen):
         return [(_unpack(k, n), self.terms[k]) for k in sorted(self.terms, reverse=True)]
 
     def to_json(self) -> dict:
+        """The terms in `sorted_terms` order, exponents read by shift."""
+        shifts = _SHIFTS[: self.nvars]
         return {
             "vars": self.nvars,
             "terms": [
-                {
-                    "exp": list(exp),
-                    "num": str(c.numerator),
-                    "den": str(c.denominator),
-                }
-                for exp, c in self.sorted_terms()
+                {"exp": [(k >> s) & _FIELD for s in shifts],
+                 "num": str(c.numerator),
+                 "den": str(c.denominator)}
+                for k, c in sorted(self.terms.items(), reverse=True)
             ],
         }
 

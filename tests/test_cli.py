@@ -13,6 +13,7 @@ import pytest
 
 from kzresidue import Partition, SparsePolynomial, discriminant_power, fundamental_solution
 from kzresidue import cli, exactalg, solve, verify
+from kzresidue._jsontext import chunks
 from kzresidue.cli import factored_text, main
 
 
@@ -304,9 +305,8 @@ class _CountingSink:
 
 def test_json_is_written_in_batches_within_bounded_memory(monkeypatch):
     payload = fundamental_solution(Partition((3, 1)), 2).to_json()
-    chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(payload))
-    length = len(json.dumps(payload, indent=2)) + 1
-    assert chunks > cli.JSON_BATCH  # several batches
+    length = sum(map(len, chunks(payload))) + 1
+    assert length > 4 * cli.JSON_BATCH  # several batches
     sink = _CountingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
@@ -316,9 +316,9 @@ def test_json_is_written_in_batches_within_bounded_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert sink.chars == length
-    # the whole text (or the encoder's list of its chunks) is never held
+    # the whole text (or a list of all its chunks) is never held
     assert peak < length
-    assert sink.writes <= -(-chunks // cli.JSON_BATCH) + 1
+    assert sink.writes <= -(-length // cli.JSON_BATCH) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +539,8 @@ _LOAD_CASES = [
     (("solve", "--lambda", "2,1", "--m", "1"), True, False, False),
     (("stats", "--lambda", "2,1", "--m", "1"), False, False, False),
     (("reflection", "--n", "3", "--m", "1"), True, False, False),
-    (("solve", "--lambda", "2,1", "--m", "1", "--format", "json"), True, False, True),
+    # the package's JSON writer escapes no string here, so imports no json
+    (("solve", "--lambda", "2,1", "--m", "1", "--format", "json"), True, False, False),
     (("verify", "--lambda", "2,1", "--m", "1"), True, True, False),
     (("reflection", "--n", "3", "--m", "1", "--pairing"), True, True, False),
     # usage errors and refusals
@@ -563,8 +564,9 @@ def test_cli_loads_the_check_battery_and_json_only_where_used(
 ):
     """A fresh `python -B` process: `import kzresidue.cli` compiles
     neither the solver (`exactalg`, `residues`, `solve`), nor
-    `kzresidue.verify`, nor `json`; a command imports them when it
-    solves, checks or encodes, and a usage error or a refused request
+    `kzresidue.verify`, nor the JSON writer, nor `json`; a command
+    imports the first three when it solves, checks or encodes, `json`
+    only to escape a string, and a usage error or a refused request
     imports none of them."""
     proc = subprocess.run(
         [sys.executable, "-B", "-c", _LOADS, *argv],
@@ -573,10 +575,11 @@ def test_cli_loads_the_check_battery_and_json_only_where_used(
     assert proc.returncode in (0, cli.USAGE_ERROR)
     lines = proc.stderr.splitlines()
     at_import, after = set(lines[0].split()), set(lines[-1].split())
-    assert not at_import & (_SOLVER | {"kzresidue.verify", "json"})
+    assert not at_import & (_SOLVER | {"kzresidue.verify", "kzresidue._jsontext", "json"})
     assert "kzresidue.shapes" in after
     assert _SOLVER <= after if solver_loaded else not _SOLVER & after
     assert ("kzresidue.verify" in after) == verify_loaded
+    assert ("kzresidue._jsontext" in after) == ("json" in argv)
     assert ("json" in after) == json_loaded
 
 

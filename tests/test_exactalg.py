@@ -555,6 +555,32 @@ def test_packed_keys_agree_with_tuple_reference_on_calculus(case):
                 a.drop_last_variable()
 
 
+def _to_json_reference(p):
+    """`to_json` built from `sorted_terms`, one exponent tuple a term."""
+    return {
+        "vars": p.nvars,
+        "terms": [
+            {"exp": list(exp), "num": str(c.numerator), "den": str(c.denominator)}
+            for exp, c in p.sorted_terms()
+        ],
+    }
+
+
+@st.composite
+def wide_polys(draw):
+    """1..MAX_VARS variables, exponents up to the cap's last value."""
+    n = draw(st.integers(1, exactalg.MAX_VARS))
+    exps = st.tuples(*[st.integers(0, 4) | st.integers(0, CAP - 1)] * n)
+    items = draw(st.lists(st.tuples(exps, INTS | FRACTIONS), max_size=6))
+    return SparsePolynomial.from_terms(n, items)
+
+
+@given(wide_polys())
+def test_to_json_is_the_sorted_terms_form(p):
+    # repr, so that the order of the keys counts too
+    assert repr(p.to_json()) == repr(_to_json_reference(p))
+
+
 @pytest.mark.parametrize("coefficients", [INTS, FRACTIONS], ids=["int", "Fraction"])
 def test_one_pass_kernels_agree_with_the_sums_they_fuse(coefficients):
     @given(VAR_COUNTS.flatmap(lambda n: st.tuples(
