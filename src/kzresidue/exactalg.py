@@ -88,23 +88,14 @@ def demote(c):
     return c
 
 
-def _add_into(acc: dict, pairs, negate: bool = False) -> dict:
-    """acc += sum of `pairs`, or acc -= it when `negate`, in place on a
-    key -> coefficient map: the one sum kernel, dropping the keys that
-    cancel; returns acc.  `pairs` is any iterable of (key, coefficient)
-    pairs in which a key may repeat, such as a map's `items()`.
-
-    Three hot loops keep this sum written out, because a generator fed
-    through the kernel measured slower (CPU seconds, inline then kernel,
-    alternating cold processes, Python 3.11.7 on a 2-vCPU Xeon VM):
-    `_mul_into` (five `dual_matrix` calls on (3,1) m=2: 0.60/0.51/0.45
-    against 0.77/0.59/0.52), `_translation_defect` (fifty passes over the
-    components of the reflection families of n = 5, m = 1: 2.53/2.11/2.03
-    against 2.59/2.56/2.90) and the per-level carry of `_divide_by_z_diff`
-    (`check_kz` on each table of (4,1) m=1 and its twist: 0.41/0.37/0.43
-    against 0.44/0.48/0.45, slower in five of seven further pairs)."""
+def _add_into(acc: dict, pairs) -> dict:
+    """acc += sum of `pairs`, in place on a key -> coefficient map: the
+    one sum kernel, dropping the keys that cancel; returns acc.  `pairs`
+    is any iterable of (key, coefficient) pairs in which a key may repeat,
+    such as a map's `items()` or a generator.  A difference is the sum
+    with the negation."""
     for key, c in pairs:
-        cur = acc.get(key, 0) - c if negate else acc.get(key, 0) + c
+        cur = acc.get(key, 0) + c
         if cur:
             acc[key] = cur
         elif key in acc:
@@ -114,20 +105,12 @@ def _add_into(acc: dict, pairs, negate: bool = False) -> dict:
 
 def _mul_into(acc: dict, a: dict, b: dict) -> dict:
     """acc += a * b, in place on key -> coefficient maps: the one product
-    kernel, dropping the keys that cancel; returns acc."""
+    kernel, its term products summed by `_add_into`; returns acc."""
     small, large = a, b
     if len(small) > len(large):  # the longer operand in the inner loop
         small, large = large, small
-    get = acc.get
     inner = large.items()
-    for k1, c1 in small.items():
-        for k2, c2 in inner:
-            k = k1 + k2
-            cur = get(k, 0) + c1 * c2
-            if cur:
-                acc[k] = cur
-            else:  # every product is non-zero, so k was present
-                del acc[k]
+    _add_into(acc, ((k1 + k2, c1 * c2) for k1, c1 in small.items() for k2, c2 in inner))
     _check_cap(acc)
     return acc
 
@@ -256,13 +239,9 @@ class SparsePolynomial(Frozen):
         return SparsePolynomial(self.nvars, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SparsePolynomial.constant(self.nvars, other)
-        if not isinstance(other, SparsePolynomial):
+        if not isinstance(other, (int, Fraction, SparsePolynomial)):
             return NotImplemented
-        self._require_same_ring(other)
-        terms = _add_into(dict(self.terms), other.terms.items(), True)
-        return SparsePolynomial(self.nvars, terms)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -483,18 +462,13 @@ def _translation_defect(f: SparsePolynomial) -> SparsePolynomial:
     one pass over the terms: c z^k gives c k_i to key - unit_i for every
     z_i in the monomial."""
     fields = [(s, 1 << s) for s in _SHIFTS[: f.nvars]]  # (shift, unit key) of each z_i
-    out: dict = {}
-    get = out.get
-    for k, c in f.terms.items():
-        for s, unit in fields:
-            if e := (k >> s) & _FIELD:
-                key = k - unit
-                cur = get(key, 0) + c * e
-                if cur:
-                    out[key] = cur
-                else:  # c * e is non-zero, so key was present
-                    del out[key]
-    return SparsePolynomial(f.nvars, out)
+    pairs = (
+        (k - unit, c * e)
+        for k, c in f.terms.items()
+        for s, unit in fields
+        if (e := (k >> s) & _FIELD)
+    )
+    return SparsePolynomial(f.nvars, _add_into({}, pairs))
 
 
 class NonDivisibleError(ArithmeticError):
@@ -528,25 +502,15 @@ def _divide_by_z_diff(p, i: int, j: int) -> SparsePolynomial:
     levels: dict[int, list] = {}
     for scale, f in p:
         f._require_same_ring(p[0][1])
-        if scale == 1:
-            for k, c in f.terms.items():
-                levels.setdefault((k >> si) & _FIELD, []).append((k, c))
-        elif scale:
-            for k, c in f.terms.items():
-                levels.setdefault((k >> si) & _FIELD, []).append((k, c * scale))
+        for k, c in f.terms.items():
+            levels.setdefault((k >> si) & _FIELD, []).append((k, c * scale))
     if not levels:
         return SparsePolynomial.zero(nvars)
     quo: dict = {}
     carry: dict = {}  # q_(t-1) z_i^(t-1)
     for t in range(max(levels), 0, -1):
         carry = {k + down: c for k, c in carry.items()}
-        for k, c in levels.get(t, ()):
-            k -= unit_i
-            cur = carry.get(k, 0) + c
-            if cur:
-                carry[k] = cur
-            else:
-                del carry[k]
+        _add_into(carry, ((k - unit_i, c) for k, c in levels.get(t, ())))
         quo.update(carry)
     rem = _add_into({k + unit_j: c for k, c in carry.items()}, levels.get(0, ()))
     if rem:
@@ -930,7 +894,7 @@ class FactoredSum(Frozen):
         return FactoredSum(_add_into(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "FactoredSum") -> "FactoredSum":
-        return FactoredSum(_add_into(dict(self.terms), other.terms.items(), True))
+        return self + other.scale(-1)
 
     def scale(self, c) -> "FactoredSum":
         if not c:

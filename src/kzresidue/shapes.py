@@ -110,6 +110,11 @@ def _require_partition(lam) -> None:
         raise ValueError(f"expected a Partition, got a {type(lam).__name__}: {lam!r}")
 
 
+def _require_m(m) -> None:
+    if type(m) is not int or m < 1:
+        raise ValueError(f"m must be a positive int, got a {type(m).__name__}: {m!r}")
+
+
 def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n in reverse-lexicographic order: (n) first, (1,..,1) last."""
     if n < 1:
@@ -394,8 +399,7 @@ def diagram_stats(lam: Partition, m: int = 1) -> DiagramStats:
     """Content sum f2, module dimension, transposition fixed-space dimension,
     transposed diagram, level profile, and the solver degree m*(f2 + N(N-1)/2)."""
     _require_partition(lam)
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    _require_m(m)
     f2, dim, d_plus = _stats_core(lam.parts)
     ms, config_dim = level_profile(lam)
     pairs = lam.size * (lam.size - 1) // 2
@@ -456,6 +460,7 @@ def check_reflection_resources(n: int, m: int) -> None:
     path family needs more than `MAX_VARS` variables (the n points and
     one integration variable), or whose path antiderivative, of degree
     n m in the integration variable, has an exponent at `EXPONENT_CAP`."""
+    _require_m(m)
     if n + 1 > MAX_VARS:
         raise ResourceGuardError(f"n={n} needs {n+1} variables, over {MAX_VARS}")
     if n * m >= EXPONENT_CAP:

@@ -35,8 +35,8 @@ proving every other table equal to the first one relabeled
 (`verify._kz_reports`).  Non-standard cycles belong to no table of the
 matrix, so the battery does not compare their orbit-built components
 with direct values; `check_straightening` solves them by the orbit path
-against the tables of the live matrix (`_live_matrices`, the one memo),
-and the tests compare that path with the direct one for N <= 4.
+against the tables of the live matrix (`_live_matrices`, the live-matrix
+memo), and the tests compare that path with the direct one for N <= 4.
 """
 from __future__ import annotations
 
@@ -71,6 +71,7 @@ from .shapes import (
     Partition,
     ResourceGuardError,
     Tabloid,
+    _require_m,
     _require_partition,
     check_reflection_resources,
     check_resources,
@@ -98,7 +99,7 @@ class SpanError(ArithmeticError):
         self.witness = witness
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # True or 2.0 must reach the m check
 def interaction_form(lam: Partition, m: int) -> FactoredSum:
     """The G-symmetric interaction factor common to every component.
 
@@ -107,8 +108,7 @@ def interaction_form(lam: Partition, m: int) -> FactoredSum:
     every adjacent-level variable pair and between every level-1
     variable and every fixed point.
     """
-    if m < 1:
-        raise ValueError("the interaction form needs a positive integer m")
+    _require_m(m)
     n = lam.size
     factors = []
     for i in range(1, n + 1):
@@ -175,7 +175,7 @@ def symmetrized_tableau_form(t: Numbering) -> FactoredSum:
     return FactoredSum(total)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # True or 2.0 must reach the m check
 def cycle_integral(m: int, cycle: Numbering, form: Numbering) -> ContentPolynomial:
     """One component: the iterated residue of the full integrand for an
     explicit pair of numberings, in content form (`normalize_factored`).

@@ -152,7 +152,7 @@ def _kz_witness(n: int, m: int, p: int, nums: dict, act, content=None):
                             "reason": "numerator not divisible by the pole",
                             "remainder": _clip(exc.remainder),
                         }
-                    _add_into(rest, q.terms.items(), True)
+                    _add_into(rest, (-q).terms.items())
             if rest:
                 return i, key, {"difference": _clip(SparsePolynomial(n, rest))}
     return None

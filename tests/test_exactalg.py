@@ -392,17 +392,16 @@ SUMMANDS = st.one_of(
 @given(
     st.dictionaries(st.integers(0, 5), SUMMANDS.filter(bool)),
     st.lists(st.tuples(st.integers(0, 5), SUMMANDS), max_size=12),
-    st.booleans(),
 )
-@example({1: 2}, [(1, -1), (1, -1), (2, Fraction(1, 2)), (2, Fraction(-1, 2)), (3, 0)], False)
-@example({1: 2, 2: Fraction(1, 3)}, [(1, 1), (2, Fraction(1, 3)), (1, 1)], True)
-def test_add_into_matches_a_counter_reference(acc, pairs, negate):
+@example({1: 2}, [(1, -1), (1, -1), (2, Fraction(1, 2)), (2, Fraction(-1, 2)), (3, 0)])
+@example({1: 2, 2: Fraction(1, 3)}, [(1, -1), (2, Fraction(-1, 3)), (1, -1)])
+def test_add_into_matches_a_counter_reference(acc, pairs):
     # keys repeat within `pairs` and cancel against `acc`; pairs come as a
     # plain iterator, and the map passed in is the map returned
     expected = Counter(acc)
     for key, c in pairs:
-        expected[key] += -c if negate else c
-    out = _add_into(acc, iter(pairs), negate)
+        expected[key] += c
+    out = _add_into(acc, iter(pairs))
     assert out is acc
     assert out == {key: c for key, c in expected.items() if c}
     assert all(out.values())  # no zero is stored

@@ -22,6 +22,7 @@ from kzresidue import (
     SparsePolynomial,
     Tabloid,
     alternating_twist,
+    check_reflection,
     check_resources,
     check_straightening,
     column_expansion,
@@ -53,7 +54,7 @@ from kzresidue import (
 )
 from kzresidue import exactalg, solve
 from kzresidue.exactalg import PolyMatrix, _discriminant
-from kzresidue.shapes import row_word
+from kzresidue.shapes import check_reflection_resources, row_word
 from kzresidue.solve import _level_relabelings, _orbit_component, _orbit_key
 
 
@@ -390,6 +391,39 @@ def test_a_plain_tuple_where_a_partition_is_expected_is_refused_by_type(call):
     # each of these raised AttributeError: 'tuple' object has no attribute ...
     with pytest.raises(ValueError, match=r"expected a Partition, got a tuple: \(2, 1\)"):
         call((2, 1))
+
+
+_LAM21 = Partition((2, 1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: fundamental_solution(_LAM21, m),
+    lambda m: run_suite(_LAM21, m),
+    lambda m: check_resources(_LAM21, m),
+    lambda m: residue_budget(_LAM21, m),
+    lambda m: diagram_stats(_LAM21, m),
+    lambda m: check_straightening(_LAM21, m, _CYCLE21),
+    lambda m: interaction_form(_LAM21, m),
+    lambda m: cycle_integral(m, _CYCLE21.representative(), _CYCLE21.representative()),
+    lambda m: solve_cycle(_LAM21, m, _CYCLE21),
+    lambda m: solve_component(_LAM21, m, _CYCLE21, _CYCLE21),
+    lambda m: check_reflection_resources(3, m),
+    lambda m: reflection_solutions(3, m),
+    lambda m: reflection_dual_solutions(3, m),
+    lambda m: check_reflection(3, m),
+], ids=["fundamental_solution", "run_suite", "check_resources", "residue_budget",
+        "diagram_stats", "check_straightening", "interaction_form", "cycle_integral",
+        "solve_cycle", "solve_component", "check_reflection_resources",
+        "reflection_solutions", "reflection_dual_solutions", "check_reflection"])
+def test_a_parameter_that_is_not_an_int_is_refused_by_type(call):
+    # 1.5 raised SpanError or TypeError, or was solved from exponents
+    # truncated to 1; True and 2.0 were solved as 1 and 2 and stored as
+    # given.  The integral point is solved first: the caches keyed on m
+    # must not answer for an equal value of another type.
+    call(1)
+    for m in (1.5, True, 2.0):
+        with pytest.raises(ValueError, match=f"m must be a positive int, got a {type(m).__name__}"):
+            call(m)
 
 
 # ---------------------------------------------------------------------------
