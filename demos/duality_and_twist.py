@@ -17,9 +17,8 @@ print(f"fundamental matrix for {fm.lam} at m={fm.m}; its transposed")
 print(f"inverse solves the same system at m={dm.m}.")
 print()
 print("dual rows (numerator / determinant):")
-for i in range(dm.dimension):
-    for j in range(dm.dimension):
-        num = dm.entries.entry(i, j)
+for i, row in enumerate(dm.entries):
+    for j, num in enumerate(row):
         print(f"  [{i}][{j}] = ({factored_text(num)}) / ({factored_text(dm.det)})")
 print()
 

@@ -58,9 +58,8 @@ print()
 # coordinates against standard polytabloids.
 fm = fundamental_solution(lam, m)
 print("fundamental matrix:")
-for i, cyc in enumerate(fm.cycles):
-    row = [factored_text(fm.matrix.entry(i, j)) for j in range(fm.dimension)]
-    print(f"  row {cyc.rows}: [{', '.join(row)}]")
+for cyc, row in zip(fm.cycles, fm.matrix):
+    print(f"  row {cyc.rows}: [{', '.join(map(factored_text, row))}]")
 print()
 print("determinant:", factored_text(determinant(fm.matrix)))
 print()

@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "exactalg": (
         "ContentPolynomial", "FactoredSum", "NonDivisibleError", "NormalizeError",
-        "PolyMatrix", "SparsePolynomial", "atom_str", "det_adjugate", "determinant",
+        "SparsePolynomial", "atom_str", "det_adjugate", "determinant",
         "discriminant_power", "normalize_factored", "t_atom", "z_atom",
     ),
     "residues": (

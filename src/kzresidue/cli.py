@@ -135,9 +135,8 @@ def cmd_solve(args) -> int:
     def lines():
         yield f"shape {args.shape}  m={args.m}  dimension {fm.dimension}"
         yield "matrix over standard tableaux (rows: cycles, columns: polytabloids):"
-        for i in range(fm.dimension):
-            row = [factored_text(fm.matrix.entry(i, j)) for j in range(fm.dimension)]
-            yield "  [" + ",  ".join(row) + "]"
+        for row in fm.matrix:
+            yield "  [" + ",  ".join(map(factored_text, row)) + "]"
         for table in fm.tables:
             yield f"cycle {table.cycle}:"
             for u, c in table.components.items():
@@ -243,7 +242,7 @@ def cmd_dual(args) -> int:
         yield f"determinant: {factored_text(dm.det)}"
         for i in range(dm.dimension):
             for j in range(dm.dimension):
-                yield f"  [{i}][{j}]: ({factored_text(dm.entries.entry(i, j))}) / det"
+                yield f"  [{i}][{j}]: ({factored_text(dm.entries[i][j])}) / det"
 
     emit(args, dm.to_json() if args.format == "json" else None, lines)
     return 0

@@ -1,7 +1,7 @@
 """Exact arithmetic: sparse multivariate polynomials over Q, the same
 polynomials factored as a z-difference content times a core, factored
-Laurent sums over a point-difference alphabet, and small polynomial
-matrices.
+Laurent sums over a point-difference alphabet, and the determinant and
+adjugate of a square matrix of polynomials, given as a sequence of rows.
 
 No floating point is used anywhere; coefficients are Python ints or
 fractions.Fraction.  There is no polynomial fraction type (and no
@@ -46,8 +46,6 @@ from operator import or_
 
 from ._frozen import Frozen
 from .shapes import EXPONENT_CAP, MAX_VARS
-
-Coefficient = Fraction  # ints are accepted anywhere a Coefficient is
 
 # bits per exponent field of a monomial key: 24, the cap's guard bit on top
 _BITS = EXPONENT_CAP.bit_length()
@@ -876,7 +874,8 @@ class FactoredSum(Frozen):
         for a, b, e in factors:
             if a == b:
                 raise ValueError(f"degenerate difference at atom {atom_str(a)}")
-            e = int(e)
+            if type(e) is not int:
+                raise ValueError(f"exponent must be an int, got a {type(e).__name__}: {e!r}")
             if a > b:
                 a, b = b, a
                 if e % 2:
@@ -1010,49 +1009,6 @@ def normalize_factored(fs: FactoredSum, nvars: int) -> ContentPolynomial:
 # matrices
 
 
-class PolyMatrix(Frozen):
-    """Rectangular matrix of polynomial entries: a fundamental matrix, or
-    the adjugate numerators of a dual, whose one shared denominator
-    `DualMatrix.det` holds."""
-
-    __slots__ = ("entries",)
-    __hash__ = None  # a matrix is never a dictionary key
-
-    def __init__(self, entries):
-        rows = tuple(tuple(row) for row in entries)
-        if not rows or not rows[0]:
-            raise ValueError("matrix needs at least one entry")
-        if any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged matrix")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0])
-
-    def entry(self, i: int, j: int):
-        return self.entries[i][j]
-
-    def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("matrix shapes do not compose")
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = None
-                for k in range(self.ncols):
-                    p = self.entries[i][k] * other.entries[k][j]
-                    acc = p if acc is None else acc + p
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
-
-
 def _stripped(rows) -> tuple[list, list, list]:
     """`(columns, row_parts, col_parts)` with M[r][c] == f_r * g_c *
     M'[r][c]: `columns` are the columns of M', expanded, and `row_parts[r]`
@@ -1077,7 +1033,7 @@ def _stripped(rows) -> tuple[list, list, list]:
 
 
 def _square_rows(matrix) -> list:
-    rows = matrix.entries if isinstance(matrix, PolyMatrix) else [list(r) for r in matrix]
+    rows = [list(r) for r in matrix]
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("determinant needs a square matrix")
     return rows
@@ -1148,8 +1104,9 @@ def determinant(matrix) -> SparsePolynomial:
     return _times_content(det, content)
 
 
-def det_adjugate(matrix) -> tuple[ContentPolynomial, PolyMatrix]:
-    """Determinant and adjugate of a square polynomial matrix.
+def det_adjugate(matrix) -> tuple[ContentPolynomial, tuple]:
+    """Determinant and adjugate, as a tuple of rows, of a square matrix
+    of polynomials given as a sequence of rows.
 
     With M[r][c] = f_r * g_c * M'[r][c] as in `determinant` (an all-zero
     row or column left unstripped), and F, G the products of all f_r,
@@ -1160,7 +1117,8 @@ def det_adjugate(matrix) -> tuple[ContentPolynomial, PolyMatrix]:
 
     and (M adj(M))[r][s] = F G f_r / f_s (M' adj(M'))[r][s].  Hence
     M adj(M) == det(M) I holds exactly when M' adj(M') == det(M') I,
-    which is asserted on the stripped matrix (ArithmeticError otherwise).
+    which is asserted on the stripped matrix, one product of sparse
+    term maps per entry (ArithmeticError otherwise).
     Nothing is multiplied back: the results are `ContentPolynomial`s,
     the stripped content kept as content (`ContentPolynomial.factor`).
 
@@ -1177,17 +1135,17 @@ def det_adjugate(matrix) -> tuple[ContentPolynomial, PolyMatrix]:
         minors = _subset_minors(columns[:j] + columns[j + 1 :], one)
         row = [minors.get(full ^ 1 << i, zero) for i in range(n)]
         adj.append([-a if (i + j) % 2 else a for i, a in enumerate(row)])
-    reduced = [list(r) for r in zip(*columns)]
-    prod = PolyMatrix(reduced).matmul(PolyMatrix(adj))
-    for i in range(n):
+    for i, row in enumerate(zip(*columns)):  # row i of M' times column j of adj(M')
         for j in range(n):
-            expected = det if i == j else zero
-            if prod.entry(i, j) != expected:
+            acc: dict = {}
+            for a, line in zip(row, adj):
+                _mul_into(acc, a.terms, line[j].terms)
+            if acc != (det.terms if i == j else {}):
                 raise ArithmeticError("adjugate identity failed; matrix arithmetic bug")
-    adj = [
-        [ContentPolynomial.factor(a, total - row_parts[i] - col_parts[j])
-         for i, a in enumerate(row)]
+    adj = tuple(
+        tuple(ContentPolynomial.factor(a, total - row_parts[i] - col_parts[j])
+              for i, a in enumerate(row))
         for j, row in enumerate(adj)
-    ]
-    return ContentPolynomial.factor(det, total), PolyMatrix(adj)
+    )
+    return ContentPolynomial.factor(det, total), adj
 

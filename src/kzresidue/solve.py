@@ -50,7 +50,6 @@ from ._frozen import Frozen
 from .exactalg import (
     ContentPolynomial,
     FactoredSum,
-    PolyMatrix,
     SparsePolynomial,
     _add_into,
     _discriminant,
@@ -304,6 +303,22 @@ def _delta_power_or_refuse(den, nvars: int, name: str) -> ContentPolynomial:
                      f" in {nvars} variables")
 
 
+def _square_or_refuse(rows, lam: Partition, name: str) -> tuple:
+    """`rows` as a tuple of rows in content form if it is a d x d grid of
+    polynomials in N = |lam| variables, d the number of standard tableaux
+    of `lam`."""
+    _require_partition(lam)
+    n, d = lam.size, len(standard_tableaux(lam))
+    try:
+        rows = tuple(map(tuple, rows))
+    except TypeError:  # not a sequence of sequences
+        rows = ()
+    if len(rows) != d or not all(
+            len(row) == d and all(_is_poly(e, n) for e in row) for row in rows):
+        raise ValueError(f"{name} are not a {d} x {d} grid of polynomials in {n} variables")
+    return tuple(tuple(map(ContentPolynomial.factor, row)) for row in rows)
+
+
 def _components_json(nums, den: ContentPolynomial | None) -> list:
     """Each numerator's JSON, or `{"num": ..., "den": ...}` over a shared
     `den`, whose JSON is built once."""
@@ -387,39 +402,52 @@ def coordinates_in_specht_basis(lam: Partition, component_of) -> list:
 
 class FundamentalMatrix(Frozen):
     """Square solution matrix over standard tableaux, plus the full
-    per-tabloid component tables it was read from.  The solver's matrix
-    entries are `ContentPolynomial`, as the components are: the Specht
-    peeling adds and subtracts cores over their common content, and
-    `to_json` expands.
+    per-tabloid component tables it was read from.  Row i of `matrix`
+    holds the coordinates of `tables[i]` against the standard
+    polytabloids, and `cycles`, the standard tableaux of `lam`, index
+    both its rows and its columns.  The entries are `ContentPolynomial`,
+    as the components are (a `SparsePolynomial` is factored here): the
+    Specht peeling adds and subtracts cores over their common content,
+    and `to_json` expands.
 
-    The parameter m is a positive integer, and every table belongs to
-    the matrix's own system: it has the matrix's `lam` and `m`, is not
-    twisted and holds polynomials, or the constructor raises ValueError
-    before it stores anything.  `verify._kz_reports` relabels the
-    components of one table into another, and `verify.check_det` reads
-    the expected power from `diagram_stats(lam, m)`; both rely on this."""
+    The parameter m is a positive int, and every table belongs to the
+    matrix's own system: it has the matrix's `lam` and `m`, is not
+    twisted and holds polynomials.  There is one table per standard
+    tableau, and `matrix` is a d x d grid of polynomials in N = |lam|
+    variables, d the number of standard tableaux; otherwise the
+    constructor raises ValueError before it stores anything.
+    `verify._kz_reports` relabels the components of one table into
+    another, and `verify.check_det` reads the expected power from
+    `diagram_stats(lam, m)`; both rely on this.  A matrix holder is never
+    a dictionary key, so it has no hash."""
 
     # `_cache` memoizes the KZ reports (`verify._kz_reports`) and the dual
     # (`dual_matrix`) for every caller of the live matrix; a new instance
     # starts with an empty one
-    __slots__ = ("lam", "m", "cycles", "tables", "matrix", "_cache")
+    __slots__ = ("lam", "m", "tables", "matrix", "_cache")
+    __hash__ = None
 
     def __init__(
-        self, lam: Partition, m: int, cycles: tuple[Numbering, ...],
-        tables: tuple[SolutionTable, ...], matrix: PolyMatrix,
+        self, lam: Partition, m: int, tables: tuple[SolutionTable, ...], matrix,
     ) -> None:
         for t in tables:
             if (t.lam, t.m, t.twisted, t.den) != (lam, m, False, None):
                 raise ValueError(
                     f"table of cycle {t.cycle} is not a polynomial table of {lam} at m={m}"
                 )
-        if m < 1:
-            raise ValueError(f"a fundamental matrix needs a positive integer m, got {m}")
-        self._set(lam, m, cycles, tables, matrix, {})
+        _require_m(m)
+        matrix = _square_or_refuse(matrix, lam, "matrix rows")
+        if len(tables) != (d := len(matrix)):
+            raise ValueError(f"a {d} x {d} matrix needs {d} tables, got {len(tables)}")
+        self._set(lam, m, tables, matrix, {})
+
+    @property
+    def cycles(self) -> tuple[Numbering, ...]:
+        return standard_tableaux(self.lam)
 
     @property
     def dimension(self) -> int:
-        return len(self.cycles)
+        return len(self.tables)
 
     def to_json(self) -> dict:
         stats = diagram_stats(self.lam, self.m)
@@ -432,10 +460,7 @@ class FundamentalMatrix(Frozen):
             "components": [
                 [c.to_json() for c in table.components.values()] for table in self.tables
             ],
-            "matrix": [
-                [self.matrix.entry(i, j).to_json() for j in range(self.dimension)]
-                for i in range(self.dimension)
-            ],
+            "matrix": [[e.to_json() for e in row] for row in self.matrix],
         }
 
 
@@ -454,7 +479,7 @@ def fundamental_solution(
     stds = standard_tableaux(lam)
     tables = tuple(solve_cycle(lam, m, t.tabloid()) for t in stds)
     rows = [coordinates_in_specht_basis(lam, t.components.__getitem__) for t in tables]
-    fm = _live_matrices[lam, m] = FundamentalMatrix(lam, m, stds, tables, PolyMatrix(rows))
+    fm = _live_matrices[lam, m] = FundamentalMatrix(lam, m, tables, rows)
     return fm
 
 
@@ -466,29 +491,25 @@ class DualMatrix(Frozen):
     """Transposed-inverse companion of a fundamental matrix: rows solve
     the parameter-negated system in coordinates dual to the polytabloid
     basis; `m` is the (negative) parameter it solves.  Entry (i, j) is
-    `entries.entry(i, j) / det`: `entries` holds the adjugate numerators
-    and `det` their one denominator, so no entry can carry another.
-    Both are `ContentPolynomial`s in N = |lam| variables, as
-    `det_adjugate` leaves them, and `det` is C * Delta^p (a
-    `SparsePolynomial` is factored here), or the constructor raises
-    ValueError before it stores anything: `check_dual` relies on this."""
+    `entries[i][j] / det`: `entries` holds the adjugate numerators as a
+    d x d tuple of rows, d the number of standard tableaux of `lam`, and
+    `det` their one denominator, so no entry can carry another.  Both are
+    `ContentPolynomial`s in N = |lam| variables, as `det_adjugate` leaves
+    them, and `det` is C * Delta^p (a `SparsePolynomial` is factored
+    here), or the constructor raises ValueError before it stores
+    anything: `check_dual` relies on this.  Like `FundamentalMatrix`, it
+    has no hash."""
 
     __slots__ = ("lam", "m", "det", "entries")
+    __hash__ = None
 
-    def __init__(
-        self, lam: Partition, m: int, det: ContentPolynomial, entries: PolyMatrix
-    ) -> None:
-        n = lam.size
-        det = _delta_power_or_refuse(det, n, "det")
-        rows = entries.entries if type(entries) is PolyMatrix else [[None]]
-        if not all(_is_poly(e, n) for row in rows for e in row):
-            raise ValueError(f"entries are not a matrix of polynomials in {n} variables")
-        entries = PolyMatrix([map(ContentPolynomial.factor, row) for row in rows])
-        self._set(lam, m, det, entries)
+    def __init__(self, lam: Partition, m: int, det: ContentPolynomial, entries) -> None:
+        entries = _square_or_refuse(entries, lam, "entries")
+        self._set(lam, m, _delta_power_or_refuse(det, lam.size, "det"), entries)
 
     @property
     def dimension(self) -> int:
-        return self.entries.nrows
+        return len(self.entries)
 
     def to_json(self) -> dict:
         det = self.det.to_json()
@@ -496,9 +517,7 @@ class DualMatrix(Frozen):
             "lambda": list(self.lam.parts),
             "m": self.m,
             "det": det,
-            "entries": [
-                [{"num": e.to_json(), "den": det} for e in row] for row in self.entries.entries
-            ],
+            "entries": [[{"num": e.to_json(), "den": det} for e in row] for row in self.entries],
         }
 
 
@@ -508,9 +527,7 @@ def dual_matrix(fm: FundamentalMatrix) -> DualMatrix:
     if (dm := fm._cache.get("dual")) is not None:
         return dm
     det, adj = det_adjugate(fm.matrix)
-    n = fm.dimension
-    entries = PolyMatrix([[adj.entry(j, i) for j in range(n)] for i in range(n)])
-    dm = fm._cache["dual"] = DualMatrix(fm.lam, -fm.m, det, entries)
+    dm = fm._cache["dual"] = DualMatrix(fm.lam, -fm.m, det, tuple(zip(*adj)))
     return dm
 
 

@@ -279,10 +279,9 @@ def check_shape(fm: FundamentalMatrix) -> CheckReport:
     of the closed-form degree, and each diagonal matrix entry leads (in
     the reversed-variable order) with the monomial whose exponents are
     read off the content and position of each label in the indexing
-    tableau.  Each cell is a `ContentPolynomial` (or a `SparsePolynomial`
-    where a caller built the matrix): degree, homogeneity, integrality
-    (Gauss's lemma) and the leading term are read off its core and
-    content, never from an expansion."""
+    tableau.  Each cell is a `ContentPolynomial`: degree, homogeneity,
+    integrality (Gauss's lemma) and the leading term are read off its
+    core and content, never from an expansion."""
     stats = diagram_stats(fm.lam, fm.m)
     degree = stats.solution_degree
     witness = None
@@ -303,13 +302,13 @@ def check_shape(fm: FundamentalMatrix) -> CheckReport:
     cells = itertools.chain(
         ((c, {"cycle": str(t.cycle), "form": str(u)}) for t in fm.tables
          for u, c in t.components.items()),
-        ((fm.matrix.entry(i, j), {"row": i, "col": j, "where": "matrix"})
+        ((fm.matrix[i][j], {"row": i, "col": j, "where": "matrix"})
          for i in range(d) for j in range(d)),
     )
     witness = next(filter(None, itertools.starmap(bad_poly, cells)), None)
     if witness is None:
         for i, t in enumerate(fm.cycles):
-            entry = fm.matrix.entry(i, i)
+            entry = fm.matrix[i][i]
             if entry.is_zero():
                 witness = {"row": i, "reason": "zero diagonal entry"}
                 break
@@ -403,7 +402,7 @@ def _evaluation_point(n: int) -> tuple[int, ...]:
 def _determinant_at(fm: FundamentalMatrix):
     """det M(z0), one integer determinant by the subset kernel."""
     point = _evaluation_point(fm.lam.size)
-    rows = [[e.evaluate(point) for e in row] for row in fm.matrix.entries]
+    rows = [[e.evaluate(point) for e in row] for row in fm.matrix]
     return _subset_minors(rows, 1).get((1 << len(rows)) - 1, 0)
 
 
@@ -414,7 +413,7 @@ def _coordinates_witness(fm: FundamentalMatrix) -> dict | None:
     for r, table in enumerate(fm.tables):
         residual = {u: [(1, comp)] for u, comp in table.components.items()}
         for c, expansion in enumerate(expansions):
-            if coeff := fm.matrix.entry(r, c):
+            if coeff := fm.matrix[r][c]:
                 for sign, u in expansion:
                     residual[u].append((-sign, coeff))
         for u, terms in residual.items():
@@ -600,7 +599,7 @@ def check_dual(fm: FundamentalMatrix) -> CheckReport:
 
     p, _ = dm.det.discriminant_form()
     failures = []
-    for b, row in enumerate(dm.entries.entries):
+    for b, row in enumerate(dm.entries):
         shared = _least_content(e.content for e in row if e)
         own = {(b, j): e.expand_over(shared) for j, e in enumerate(row)}
         cores.update(own)

@@ -53,7 +53,7 @@ from kzresidue import (
     z_atom,
 )
 from kzresidue import exactalg, solve
-from kzresidue.exactalg import PolyMatrix, _discriminant
+from kzresidue.exactalg import _discriminant
 from kzresidue.shapes import check_reflection_resources, row_word
 from kzresidue.solve import _level_relabelings, _orbit_component, _orbit_key
 
@@ -198,7 +198,7 @@ def test_three_point_sign_table():
 def test_trivial_shape_is_discriminant_power():
     fm = fundamental_solution(Partition((3,)), 1)
     assert fm.dimension == 1
-    assert fm.matrix.entry(0, 0) == discriminant_power(3, 2)
+    assert fm.matrix == ((discriminant_power(3, 2),),)
 
 
 def test_three_point_hook_table_frozen(fm21):
@@ -215,11 +215,11 @@ def test_three_point_hook_table_frozen(fm21):
 
 def test_three_point_hook_matrix_frozen(fm21):
     z12, z13, z23 = zd(1, 2), zd(1, 3), zd(2, 3)
-    assert fm21.dimension == 2
-    assert fm21.matrix.entry(0, 0) == z12 * z12 * (z13 + z23)
-    assert fm21.matrix.entry(0, 1) == -(z12 * z12 * z13)
-    assert fm21.matrix.entry(1, 0) == -(z12 * z13 * z13)
-    assert fm21.matrix.entry(1, 1) == z13 * z13 * (z12 - z23)
+    assert fm21.dimension == 2 and fm21.cycles == standard_tableaux(fm21.lam)
+    assert fm21.matrix == (
+        (z12 * z12 * (z13 + z23), -(z12 * z12 * z13)),
+        (-(z12 * z13 * z13), z13 * z13 * (z12 - z23)),
+    )
 
 
 def test_three_point_hook_determinant(fm21):
@@ -445,7 +445,7 @@ def test_coordinates_recover_components(fm21):
         for r, u in enumerate(order):
             rebuilt = SparsePolynomial.zero(3)
             for j in range(fm21.dimension):
-                rebuilt = rebuilt + fm21.matrix.entry(i, j) * a[r][j]
+                rebuilt = rebuilt + fm21.matrix[i][j] * a[r][j]
             assert rebuilt == table.components[u]
 
 
@@ -477,7 +477,7 @@ def test_coordinates_of_fraction_vector(fm21):
         tw = alternating_twist(fm.tables[0])
         assert tw.den is _discriminant(fm.lam.size, 2)
         coords = coordinates_in_specht_basis(fm.lam, tw.components.__getitem__)
-        assert coords == [fm.matrix.entry(0, j) for j in range(fm.dimension)]
+        assert coords == list(fm.matrix[0])
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -551,7 +551,7 @@ def test_dual_matrix_inverts_transposed(fm21):
         for j in range(n):
             acc = SparsePolynomial.zero(3)
             for k in range(n):
-                acc = acc + dm.entries.entry(k, j) * fm21.matrix.entry(k, i)
+                acc = acc + dm.entries[k][j] * fm21.matrix[k][i]
             assert acc == (dm.det if i == j else SparsePolynomial.zero(3))
 
 
@@ -561,7 +561,7 @@ def test_dual_to_json_writes_every_entry_as_its_fraction(fm21):
     det = dm.det.to_json()
     assert doc["det"] == det
     assert doc["entries"] == [
-        [{"num": e.to_json(), "den": det} for e in row] for row in dm.entries.entries
+        [{"num": e.to_json(), "den": det} for e in row] for row in dm.entries
     ]
 
 
@@ -721,7 +721,7 @@ def test_fundamental_json_schema(fm21):
     entry = doc["matrix"][0][0]
     assert set(entry) == {"vars", "terms"}
     rebuilt = SparsePolynomial.from_json(entry)
-    assert rebuilt == fm21.matrix.entry(0, 0)
+    assert rebuilt == fm21.matrix[0][0]
 
 
 def test_solution_table_json_schema(fm21):
@@ -808,6 +808,23 @@ def _not_a_delta_power(fault):
 DEN_FAULTS = ["zero", "a variable in the core", "one pair only", "2 variables", "a number"]
 
 
+def _not_a_square(fault, rows):
+    """The 2 x 2 polynomial rows of a (2,1) matrix holder, made malformed."""
+    return {
+        "integers": [[1, 0], [0, 1]],
+        "polynomials in 2 variables": [[SparsePolynomial.variable(2, 1)] * 2] * 2,
+        "one by one": [[rows[0][0]]],
+        "ragged rows": [rows[0], rows[1][:1]],
+        "one row": [rows[0]],
+        "a row for the rows": rows[0],
+        "no rows": None,
+    }[fault]
+
+
+SQUARE_FAULTS = ["integers", "polynomials in 2 variables", "one by one", "ragged rows", "one row",
+                 "a row for the rows", "no rows"]
+
+
 @pytest.mark.parametrize("fault, message", [
     *[(f"den: {f}", "den is not a non-zero constant times a power of every z-difference in 3")
       for f in DEN_FAULTS],
@@ -838,21 +855,15 @@ def test_reflection_solution_refuses_malformed_input_before_storing_it(monkeypat
 @pytest.mark.parametrize("fault, message", [
     *[(f"det: {f}", "det is not a non-zero constant times a power of every z-difference in 3")
       for f in DEN_FAULTS],
-    ("rows for a matrix", "entries are not a matrix of polynomials in 3 variables"),
-    ("integers", "entries are not a matrix of polynomials in 3 variables"),
-    ("polynomials in 2 variables", "entries are not a matrix of polynomials in 3 variables"),
+    *[(f, "entries are not a 2 x 2 grid of polynomials in 3 variables") for f in SQUARE_FAULTS],
 ])
 def test_dual_matrix_refuses_malformed_input_before_storing_it(fm21, monkeypatch, fault, message):
     dm = dual_matrix(fm21)
     det, entries = dm.det, dm.entries
     if fault.startswith("det: "):
         det = _not_a_delta_power(fault.removeprefix("det: "))
-    elif fault == "rows for a matrix":
-        entries = [list(row) for row in entries.entries]
-    elif fault == "integers":
-        entries = PolyMatrix([[1, 0], [0, 1]])
     else:
-        entries = PolyMatrix([[SparsePolynomial.variable(2, 1)] * 2] * 2)
+        entries = _not_a_square(fault, entries)
 
     def store(self, *values):
         raise AssertionError("a malformed dual was stored")
@@ -860,6 +871,37 @@ def test_dual_matrix_refuses_malformed_input_before_storing_it(fm21, monkeypatch
     monkeypatch.setattr(solve.DualMatrix, "_set", store)
     with pytest.raises(ValueError, match=message):
         solve.DualMatrix(dm.lam, dm.m, det, entries)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("m=True", "m must be a positive int, got a bool"),
+    ("m=1.0", "m must be a positive int, got a float"),
+    ("m=0", "m must be a positive int, got a int"),
+    *[(f, "matrix rows are not a 2 x 2 grid of polynomials in 3 variables") for f in SQUARE_FAULTS],
+    ("one table", "a 2 x 2 matrix needs 2 tables, got 1"),
+    ("no tables", "a 2 x 2 matrix needs 2 tables, got 0"),
+])
+def test_fundamental_matrix_refuses_malformed_input_before_storing_it(
+        fm21, monkeypatch, fault, message):
+    """Refused before anything is stored: each of these would make a check
+    or `to_json` raise, or a check pass at the wrong dimension."""
+    m, tables, rows = fm21.m, fm21.tables, fm21.matrix
+    if fault.startswith("m="):
+        m = {"m=True": True, "m=1.0": 1.0, "m=0": 0}[fault]
+        tables = tuple(SolutionTable(t.lam, m, t.cycle, t.components) for t in tables)
+    elif fault == "one table":
+        tables = tables[:1]
+    elif fault == "no tables":
+        tables = ()
+    else:
+        rows = _not_a_square(fault, rows)
+
+    def store(self, *values):
+        raise AssertionError("a malformed matrix was stored")
+
+    monkeypatch.setattr(solve.FundamentalMatrix, "_set", store)
+    with pytest.raises(ValueError, match=message):
+        solve.FundamentalMatrix(fm21.lam, m, tables, rows)
 
 
 def test_fraction_families_hold_their_denominators_in_content_form(fm21):
@@ -871,7 +913,7 @@ def test_fraction_families_hold_their_denominators_in_content_form(fm21):
     assert alternating_twist(fm21.tables[0]).den is disc
     dm = dual_matrix(fm21)
     assert dm.det.discriminant_form() == (2, dm.det.core.constant_value())
-    assert all(type(e) is exactalg.ContentPolynomial for row in dm.entries.entries for e in row)
+    assert all(type(e) is exactalg.ContentPolynomial for row in dm.entries for e in row)
     psi = reflection_solutions(3, 1)[0]
     assert all(type(c) is exactalg.ContentPolynomial for c in psi.components)
     rebuilt = solve.ReflectionSolution(3, -1, 1, [c.expand() for c in psi.components],

@@ -17,7 +17,6 @@ from kzresidue import (
     FundamentalMatrix,
     Numbering,
     Partition,
-    PolyMatrix,
     ReflectionSolution,
     SolutionTable,
     SparsePolynomial,
@@ -31,12 +30,16 @@ from kzresidue import (
     z_atom,
 )
 
-ONE = SparsePolynomial.constant(2, 1)
 Z1 = SparsePolynomial.variable(2, 1)
-MATRIX = PolyMatrix([[ONE]])
-ONE_1 = SparsePolynomial.constant(1, 1)  # a dual of one point lives in one variable
+ONE_1 = SparsePolynomial.constant(1, 1)  # a matrix of one point lives in one variable
 FACTORED = FactoredSum.term(3, [(z_atom(1), z_atom(2), -2)])
 POINT = Tabloid(((1,),))  # the one tabloid of (1,)
+
+
+def _point_matrix(entry=ONE_1) -> FundamentalMatrix:
+    """A well-formed matrix of (1) at m=1: one table, one 1 x 1 row."""
+    table = SolutionTable(Partition((1,)), 1, POINT, {POINT: ONE_1})
+    return FundamentalMatrix(Partition((1,)), 1, (table,), [[entry]])
 
 # (constructor of a fresh instance, its repr as the dataclass wrote it)
 CASES = {
@@ -54,15 +57,15 @@ CASES = {
         "components={Tabloid(rows=((1,),)): 1}, twisted=False, den=None)",
     ),
     "FundamentalMatrix": (
-        lambda: FundamentalMatrix(Partition((1,)), 1, (Numbering(((1,),)),), (), MATRIX),
+        _point_matrix,
         "FundamentalMatrix(lam=Partition(parts=(1,)), m=1, "
-        "cycles=(Numbering(rows=((1,),)),), tables=(), "
-        "matrix=PolyMatrix(entries=((1,),)))",
+        "tables=(SolutionTable(lam=Partition(parts=(1,)), m=1, cycle=Tabloid(rows=((1,),)), "
+        "components={Tabloid(rows=((1,),)): 1}, twisted=False, den=None),), "
+        "matrix=((1,),))",
     ),
     "DualMatrix": (
-        lambda: DualMatrix(Partition((1,)), -1, ONE_1, PolyMatrix([[ONE_1]])),
-        "DualMatrix(lam=Partition(parts=(1,)), m=-1, det=1, "
-        "entries=PolyMatrix(entries=((1,),)))",
+        lambda: DualMatrix(Partition((1,)), -1, ONE_1, [[ONE_1]]),
+        "DualMatrix(lam=Partition(parts=(1,)), m=-1, det=1, entries=((1,),))",
     ),
     "ReflectionSolution": (
         lambda: ReflectionSolution(2, 1, 1, (Z1,)),
@@ -93,7 +96,7 @@ def test_value_class_contract(name):
     assert value == make()
     assert value != object()
     if name in ("SolutionTable", "FundamentalMatrix", "DualMatrix", "CheckReport"):
-        # the hash of a dict or a PolyMatrix field raises, and so does theirs
+        # a matrix holder has no hash, and the hash of a dict field raises
         with pytest.raises(TypeError):
             hash(value)
     else:
@@ -156,8 +159,7 @@ def test_value_class_defaults():
     table = SolutionTable(Partition((1,)), 1, POINT, {POINT: SparsePolynomial.constant(1, 1)})
     assert table.twisted is False and table.den is None
     assert ReflectionSolution(2, 1, 1, (Z1,)).den is None
-    fm = FundamentalMatrix(Partition((1,)), 1, (), (), MATRIX)
-    other = FundamentalMatrix(Partition((1,)), 1, (), (), MATRIX)
+    fm, other = _point_matrix(), _point_matrix()
     assert fm._cache == {} and fm._cache is not other._cache
     fm._cache["kz"] = ()  # the memo is out of equality and repr
     assert fm == other and repr(fm) == repr(other)
@@ -171,8 +173,8 @@ def test_value_class_defaults():
 
 
 @pytest.mark.parametrize("value, field",
-                         [(Z1, "terms"), (MATRIX, "entries"), (FACTORED, "terms")],
-                         ids=["SparsePolynomial", "PolyMatrix", "FactoredSum"])
+                         [(Z1, "terms"), (FACTORED, "terms")],
+                         ids=["SparsePolynomial", "FactoredSum"])
 def test_polynomial_and_matrix_refuse_assignment_and_deletion(value, field):
     before = repr(value)
     with pytest.raises(AttributeError):
@@ -186,11 +188,18 @@ def test_polynomial_and_matrix_refuse_assignment_and_deletion(value, field):
 
 
 def test_matrix_repr_equality_and_hash():
-    assert repr(MATRIX) == "PolyMatrix(entries=((1,),))"
-    assert MATRIX == PolyMatrix([[ONE]]) and MATRIX != PolyMatrix([[Z1]])
-    assert MATRIX != ((ONE,),)
-    with pytest.raises(TypeError):
-        hash(MATRIX)
+    """A matrix is a tuple of rows in content form, and its holder, equal
+    by its fields, is never a key: neither holder has a hash."""
+    fm = _point_matrix()
+    assert repr(fm.matrix) == "((1,),)" and type(fm.matrix[0][0]) is ContentPolynomial
+    assert fm == _point_matrix(ContentPolynomial.factor(ONE_1))
+    assert fm != _point_matrix(SparsePolynomial.constant(1, 2))
+    dm = DualMatrix(Partition((1,)), -1, ONE_1, fm.matrix)
+    assert dm.entries == fm.matrix and dm != DualMatrix(Partition((1,)), -2, ONE_1, fm.matrix)
+    for holder in (fm, dm):
+        assert type(holder).__hash__ is None
+        with pytest.raises(TypeError):
+            hash(holder)
 
 
 def test_solved_values_round_trip():
@@ -248,7 +257,8 @@ def test_only_the_value_protocol_defines_equality_hash_or_order():
         "exactalg.py:ContentPolynomial.__eq__",
         "exactalg.py:ContentPolynomial.__hash__",
         "exactalg.py:FactoredSum.__hash__",
-        "exactalg.py:PolyMatrix.__hash__",
         "exactalg.py:SparsePolynomial.__hash__",
         "shapes.py:_Young.__lt__",
+        "solve.py:DualMatrix.__hash__",
+        "solve.py:FundamentalMatrix.__hash__",
     ]

@@ -19,7 +19,6 @@ from kzresidue import (
     CheckReport,
     FundamentalMatrix,
     Partition,
-    PolyMatrix,
     ReflectionSolution,
     ResourceGuardError,
     SolutionTable,
@@ -416,10 +415,8 @@ def test_primitive_rejects_constant_table(fm21):
 
 
 def test_rank_and_det_reject_singular_matrix(fm21):
-    row = [fm21.matrix.entry(0, 0), fm21.matrix.entry(0, 1)]
-    singular = FundamentalMatrix(
-        fm21.lam, fm21.m, fm21.cycles, fm21.tables, PolyMatrix([row, row])
-    )
+    row = fm21.matrix[0]
+    singular = FundamentalMatrix(fm21.lam, fm21.m, fm21.tables, [row, row])
     rep = check_rank(singular)
     assert not rep.passed
     assert rep.witness == {
@@ -437,7 +434,7 @@ def test_shape_rejects_wrong_degree(fm21):
     table = fm21.tables[0]
     u = next(iter(table.components))
     bad_tables = (perturbed(table, u, SparsePolynomial.constant(3, 7)),) + fm21.tables[1:]
-    broken = FundamentalMatrix(fm21.lam, fm21.m, fm21.cycles, bad_tables, fm21.matrix)
+    broken = FundamentalMatrix(fm21.lam, fm21.m, bad_tables, fm21.matrix)
     rep = check_shape(broken)
     assert not rep.passed
     assert rep.witness["reason"] == "not homogeneous"
@@ -448,7 +445,7 @@ def _with_component(fm, u, comp):
     comps = dict(fm.tables[0].components)
     comps[u] = comp
     first = SolutionTable(fm.lam, fm.m, fm.tables[0].cycle, comps)
-    return FundamentalMatrix(fm.lam, fm.m, fm.cycles, (first, *fm.tables[1:]), fm.matrix)
+    return FundamentalMatrix(fm.lam, fm.m, (first, *fm.tables[1:]), fm.matrix)
 
 
 def test_shape_names_a_component_of_another_degree(fm21):
@@ -487,14 +484,9 @@ def test_shape_names_a_diagonal_entry_with_the_wrong_leading_term(fm21):
 
 
 def test_dual_rejects_tampered_fundamental_matrix(fm21):
-    rows = [
-        [fm21.matrix.entry(i, j) for j in range(fm21.dimension)]
-        for i in range(fm21.dimension)
-    ]
+    rows = _rows(fm21)
     rows[0][0] = rows[0][0] + SparsePolynomial.from_terms(3, [((3, 0, 0), 1)])
-    broken = FundamentalMatrix(
-        fm21.lam, fm21.m, fm21.cycles, fm21.tables, PolyMatrix(rows)
-    )
+    broken = _with_matrix(fm21, rows)
     rep = check_dual(broken)
     assert not rep.passed and rep.witness is not None
     # the tampered determinant is no longer C * Delta^p, so the
@@ -755,7 +747,7 @@ def _kz_cases():
                     )
                 return act
 
-            nums = {(b, j): dm.entries.entry(b, j).expand() for b in range(d) for j in range(d)}
+            nums = {(b, j): dm.entries[b][j].expand() for b in range(d) for j in range(d)}
             p = 2 * m * diagram_stats(lam, m).d_plus
             cases.append((n, dm.m, p, dm.det.expand(), nums, act_on))
     return cases
@@ -876,9 +868,9 @@ def test_dual_names_the_first_equation_a_tampered_dual_row_breaks(fm21, monkeypa
     # the denominator is untouched, so the determinant identity holds and
     # only the system itself can fail
     dm = dual_matrix(fm21)
-    rows = [list(row) for row in dm.entries.entries]
+    rows = [list(row) for row in dm.entries]
     rows[0][0] = rows[0][0] + SparsePolynomial.constant(3, 1)
-    tampered = solve.DualMatrix(dm.lam, dm.m, dm.det, PolyMatrix(rows))
+    tampered = solve.DualMatrix(dm.lam, dm.m, dm.det, rows)
     monkeypatch.setattr(verify, "dual_matrix", lambda fm: tampered)
     rep = check_dual(fm21)
     assert rep.witness == {
@@ -897,13 +889,13 @@ def test_dual_fails_row_by_row_where_the_expanded_system_first_does(parts, m, mo
     lam = Partition(parts)
     dm = dual_matrix(fundamental_solution(lam, m))
     d, n = dm.dimension, lam.size
-    rows = [list(row) for row in dm.entries.entries]
+    rows = [list(row) for row in dm.entries]
     for b, j in ((d - 1, 0), (0, d - 1)):
         value = rows[b][j]
         exps, _ = value.core.leading_term()
         core = value.core + SparsePolynomial.from_terms(n, [(exps, 1)])
         rows[b][j] = exactalg.ContentPolynomial.factor(core, value.content)
-        tampered = solve.DualMatrix(lam, dm.m, dm.det, PolyMatrix(rows))
+        tampered = solve.DualMatrix(lam, dm.m, dm.det, rows)
         monkeypatch.setattr(verify, "dual_matrix", lambda fm: tampered)
         rep = check_dual(fundamental_solution(lam, m))
         nums = {(r, c): rows[r][c].expand() for r in range(d) for c in range(d)}
@@ -1238,11 +1230,11 @@ def test_run_suite_passes_at_five_points(lam):
 
 
 def _with_matrix(fm, rows):
-    return FundamentalMatrix(fm.lam, fm.m, fm.cycles, fm.tables, PolyMatrix(rows))
+    return FundamentalMatrix(fm.lam, fm.m, fm.tables, rows)
 
 
 def _rows(fm):
-    return [list(row) for row in fm.matrix.entries]
+    return [list(row) for row in fm.matrix]
 
 
 # every shape of two to four points at m = 1 and 2, but (1,1,1,1) at m = 2,
@@ -1342,9 +1334,9 @@ def test_det_fails_when_the_recombination_is_skipped(fm21, monkeypatch):
 
 def test_det_rejects_a_repeated_solution(fm21):
     # every premise holds when one solution fills both rows, and C = 0
-    row = [fm21.matrix.entry(0, j) for j in range(fm21.dimension)]
+    row = fm21.matrix[0]
     tables = (fm21.tables[0], fm21.tables[0])
-    twice = FundamentalMatrix(fm21.lam, fm21.m, fm21.cycles, tables, PolyMatrix([row, row]))
+    twice = FundamentalMatrix(fm21.lam, fm21.m, tables, [row, row])
     rep = check_det(twice)
     assert not rep.passed and rep.info["constant"] is None
     assert rep.witness == {"reason": "det M(z0) = 0", "point": [1, 2, 5], "value": "0"}
@@ -1355,7 +1347,7 @@ def test_det_rejects_a_table_that_fails_the_kz_check(fm21):
     table = fm21.tables[1]
     u = next(iter(table.components))
     bad_tables = fm21.tables[:1] + (perturbed(table, u, SparsePolynomial.constant(3, 1)),)
-    broken = FundamentalMatrix(fm21.lam, fm21.m, fm21.cycles, bad_tables, fm21.matrix)
+    broken = FundamentalMatrix(fm21.lam, fm21.m, bad_tables, fm21.matrix)
     rep = check_det(broken)
     assert not rep.passed
     assert rep.witness["premise"] == "kz_system"
@@ -1398,7 +1390,7 @@ def fm31():
 
 def _rebuilt(fm, tables=None):
     """The same matrix with an empty report memo, optionally other tables."""
-    return FundamentalMatrix(fm.lam, fm.m, fm.cycles, tables or fm.tables, fm.matrix)
+    return FundamentalMatrix(fm.lam, fm.m, tables or fm.tables, fm.matrix)
 
 
 def _run_suite_on(fm, monkeypatch):
@@ -1621,15 +1613,15 @@ def test_kz_reports_keep_a_record_made_before_them(fm31):
 def test_a_matrix_refuses_tables_of_another_system(fm21):
     """`_kz_reports` relabels the components of one table into another,
     so a matrix holds only polynomial tables of its own shape and m."""
-    lam, m, cycles, matrix = fm21.lam, fm21.m, fm21.cycles, fm21.matrix
+    lam, m, matrix = fm21.lam, fm21.m, fm21.matrix
     twisted = tuple(alternating_twist(t) for t in fm21.tables)
     fractions = tuple(SolutionTable(lam, m, t.cycle, t.components, den=t.den) for t in twisted)
     for bad in (
-        (lam, -m, cycles, twisted, matrix),  # the twists of its own tables
-        (lam, m, cycles, fractions, matrix),  # fractions, untwisted
-        (lam, 2, cycles, fm21.tables, matrix),
-        (Partition((1, 1, 1)), m, cycles, fm21.tables, matrix),
-        (lam, m, cycles, (fm21.tables[0], fundamental_solution(lam, 2).tables[1]), matrix),
+        (lam, -m, twisted, matrix),  # the twists of its own tables
+        (lam, m, fractions, matrix),  # fractions, untwisted
+        (lam, 2, fm21.tables, matrix),
+        (Partition((1, 1, 1)), m, fm21.tables, matrix),
+        (lam, m, (fm21.tables[0], fundamental_solution(lam, 2).tables[1]), matrix),
     ):
         with pytest.raises(ValueError, match="is not a polynomial table of"):
             FundamentalMatrix(*bad)
@@ -1641,8 +1633,8 @@ def test_a_matrix_refuses_a_parameter_below_one(fm21):
     m=0 are refused before anything is stored."""
     for m in (-1, 0):
         tables = tuple(SolutionTable(t.lam, m, t.cycle, t.components) for t in fm21.tables)
-        with pytest.raises(ValueError, match="needs a positive integer m, got"):
-            FundamentalMatrix(fm21.lam, m, fm21.cycles, tables, fm21.matrix)
+        with pytest.raises(ValueError, match=f"m must be a positive int, got a int: {m}"):
+            FundamentalMatrix(fm21.lam, m, tables, fm21.matrix)
 
 
 def test_a_failing_relabeling_writes_no_record(fm31):
